@@ -3,6 +3,14 @@
 The binary matrix convention is 0/1 with an all-ones first row and column;
 the bipolar form is B = 2*rows - 1, which is symmetric and satisfies
 B @ B = N * I. All transforms run in the bipolar domain.
+
+`fwht` uses the Kronecker factorisation of the Sylvester matrix,
+B_N = B_a (x) B_b (x) ... with N = a * b * ... (Fino & Algazi, IEEE Trans.
+Comput. 1976; Van Loan, Computational Frameworks for the FFT, 1992): each
+factor of at most 32 points is one dense +/-1 matrix product on a reshaped
+axis. On integer-valued inputs every partial sum is exact, so the result is
+exact; on other floats it can differ from a radix-2 butterfly in the last
+ulp because the additions run in another order.
 """
 
 from dataclasses import dataclass
@@ -16,6 +24,8 @@ MAX_ORDER_LOG2 = 16
 # Largest N for which the dense 0/1 matrix may be materialized. Modem paths
 # never need it; only tests, the MMSE weights and the interleaver search do.
 DENSE_LIMIT = 256
+# Largest Kronecker factor of `fwht`, as log2 of its size: a 32 x 32 block.
+MAX_FACTOR_LOG2 = 5
 
 
 @lru_cache(maxsize=None)
@@ -60,6 +70,20 @@ def sylvester(order_log2: int) -> BinaryHadamard:
     return BinaryHadamard(order_log2=order_log2, n=1 << order_log2)
 
 
+def _factor_sizes(order_log2: int) -> list:
+    """Balanced split of 2**order_log2 into factors of at most 2**MAX_FACTOR_LOG2."""
+    count = -(-order_log2 // MAX_FACTOR_LOG2)
+    base, extra = divmod(order_log2, count)
+    return [1 << (base + (i < extra)) for i in range(count)]
+
+
+@lru_cache(maxsize=None)
+def _bipolar_block(n: int) -> np.ndarray:
+    block = 2.0 * _dense_rows(n.bit_length() - 1) - 1.0
+    block.setflags(write=False)
+    return block
+
+
 def fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
     """Multiply by the bipolar Sylvester Hadamard matrix in O(N log N).
 
@@ -67,21 +91,27 @@ def fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
     any array and transforms along `axis`; leading axes are treated as a
     batch. Since B is symmetric with B @ B = N*I, applying fwht twice
     returns N times the input.
+
+    The length N = f_1 * f_2 * ... * f_k is split into balanced factors of
+    at most 32, and B_N = B_f1 (x) B_f2 (x) ... (x) B_fk. Factor i multiplies
+    axis 1 of the vectors viewed as (batch, f_i, f_(i+1) * ... * f_k) by the
+    cached block B_fi; the last factor is one (batch, f_k) @ B_fk product.
+    Integer-valued inputs give exact results; other floats can differ from
+    a radix-2 butterfly in the last ulp.
     """
-    a = np.asarray(v, dtype=np.float64)
-    n = a.shape[axis]
+    a = np.moveaxis(np.asarray(v, dtype=np.float64), axis, -1)
+    n = a.shape[-1]
     if n == 0 or n & (n - 1):
         raise SizeError(f"fwht length must be a power of two, got {n}")
-    a = np.moveaxis(a, axis, -1).copy()
-    h = 1
-    while h < n:
-        pairs = a.reshape(*a.shape[:-1], -1, 2, h)
-        top = pairs[..., 0, :] + pairs[..., 1, :]
-        bot = pairs[..., 0, :] - pairs[..., 1, :]
-        pairs[..., 0, :] = top
-        pairs[..., 1, :] = bot
-        h *= 2
-    return np.moveaxis(a, -1, axis)
+    if n == 1:
+        return np.moveaxis(a.copy(), -1, axis)
+    *leading, last = _factor_sizes(n.bit_length() - 1)
+    x, rest = a, n
+    for f in leading:
+        rest //= f
+        x = np.matmul(_bipolar_block(f), x.reshape(-1, f, rest))
+    x = x.reshape(-1, last) @ _bipolar_block(last)
+    return np.moveaxis(x.reshape(a.shape), -1, axis)
 
 
 def cyclic_shift(v: np.ndarray, ell: int) -> np.ndarray:

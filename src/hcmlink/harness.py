@@ -187,6 +187,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         h = np.array([1.0])
 
     noise_std = take("noise_std_w", 2e-6)
+    if not noise_std >= 0:
+        raise ConfigError(f"noise_std_w must be >= 0, got {noise_std!r}")
     cfg = ExperimentConfig(
         scheme=scheme,
         n=take("n", 128),
@@ -219,12 +221,16 @@ def validate_config(cfg: ExperimentConfig):
     if cfg.p_max <= 0:
         raise ConfigError("p_max_w must be positive")
     grid = np.asarray(cfg.power_grid, dtype=np.float64)
+    if not np.all(np.isfinite(grid)):
+        raise ConfigError("power grid values must be finite")
     if grid.size and (np.any(grid <= 0) or np.any(grid > cfg.p_max)):
         raise ConfigError("power grid values must lie in (0, p_max]")
     if cfg.target_errors < 100:
         raise ConfigError("target_errors must be >= 100 for a meaningful CI")
     if cfg.max_symbols < 1:
         raise ConfigError("max_symbols must be >= 1")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
     if cfg.cp_len < 0 or cfg.cp_len >= cfg.n:
         raise ConfigError("cp_len must be in [0, n)")
     if cfg.equalizer not in ("slicer", "mmse"):

@@ -3,8 +3,35 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import hadamard as scipy_hadamard
 
+from hcmlink import modem_hcm
+from hcmlink.analysis import dcr_amplitude_pmf
 from hcmlink.errors import SizeError
-from hcmlink.hadamard import DENSE_LIMIT, BinaryHadamard, cyclic_shift, fwht, sylvester
+from hcmlink.hadamard import (
+    DENSE_LIMIT,
+    MAX_ORDER_LOG2,
+    BinaryHadamard,
+    cyclic_shift,
+    fwht,
+    sylvester,
+)
+
+
+def _butterfly_fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Radix-2 butterfly reference: log2 N in-place passes of sums and differences."""
+    a = np.asarray(v, dtype=np.float64)
+    n = a.shape[axis]
+    if n == 0 or n & (n - 1):
+        raise SizeError(f"fwht length must be a power of two, got {n}")
+    a = np.moveaxis(a, axis, -1).copy()
+    h = 1
+    while h < n:
+        pairs = a.reshape(*a.shape[:-1], -1, 2, h)
+        top = pairs[..., 0, :] + pairs[..., 1, :]
+        bot = pairs[..., 0, :] - pairs[..., 1, :]
+        pairs[..., 0, :] = top
+        pairs[..., 1, :] = bot
+        h *= 2
+    return np.moveaxis(a, -1, axis)
 
 
 def test_sylvester_base_case():
@@ -89,6 +116,103 @@ def test_fwht_batched_matches_loop():
 def test_fwht_rejects_non_power_of_two():
     with pytest.raises(SizeError):
         fwht(np.zeros(6))
+
+
+ORACLE_ORDERS = [*range(13), MAX_ORDER_LOG2]
+
+
+@pytest.mark.parametrize("k", ORACLE_ORDERS)
+def test_fwht_exact_on_bipolar_input(k):
+    n = 1 << k
+    rng = np.random.default_rng(100 + k)
+    v = rng.choice([-1.0, 1.0], size=(2, n))
+    assert np.array_equal(fwht(v), _butterfly_fwht(v))
+
+
+@pytest.mark.parametrize("k", ORACLE_ORDERS)
+def test_fwht_exact_on_small_integer_input(k):
+    n = 1 << k
+    rng = np.random.default_rng(200 + k)
+    v = rng.integers(-8, 9, size=(2, n)).astype(np.float64)
+    assert np.array_equal(fwht(v), _butterfly_fwht(v))
+
+
+@pytest.mark.parametrize("k", ORACLE_ORDERS)
+def test_fwht_close_to_butterfly_on_floats(k):
+    n = 1 << k
+    rng = np.random.default_rng(300 + k)
+    v = rng.normal(size=(3, n))
+    expect = _butterfly_fwht(v)
+    scale = np.abs(expect).max()
+    assert np.abs(fwht(v) - expect).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", [(64, 8), (8, 64), (4, 32, 16), (16, 8, 128)])
+@pytest.mark.parametrize("axis", [0, 1])
+def test_fwht_along_axis_matches_butterfly(shape, axis):
+    v = np.random.default_rng(4).integers(-3, 4, size=shape).astype(np.float64)
+    assert np.array_equal(fwht(v, axis=axis), _butterfly_fwht(v, axis=axis))
+
+
+def test_fwht_last_axis_of_3d_matches_butterfly():
+    v = np.random.default_rng(5).integers(-3, 4, size=(3, 5, 256)).astype(np.float64)
+    assert np.array_equal(fwht(v, axis=2), _butterfly_fwht(v))
+    assert np.array_equal(fwht(v, axis=-1), _butterfly_fwht(v))
+
+
+def test_fwht_non_contiguous_input():
+    base = np.random.default_rng(6).integers(-5, 6, size=(128, 64)).astype(np.float64)
+    transposed = base.T
+    assert not transposed.flags.c_contiguous
+    assert np.array_equal(fwht(transposed), _butterfly_fwht(transposed))
+    strided = base[::2, ::2]
+    assert not strided.flags.c_contiguous
+    assert np.array_equal(fwht(strided), _butterfly_fwht(strided))
+    assert np.array_equal(fwht(strided, axis=0), _butterfly_fwht(strided, axis=0))
+
+
+def test_fwht_integer_dtype_input():
+    v = np.arange(-32, 32, dtype=np.int32).reshape(2, 32)
+    out = fwht(v)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, _butterfly_fwht(v))
+    assert np.array_equal(out, v @ scipy_hadamard(32))
+
+
+def test_fwht_length_one():
+    v = np.array([[2.5], [-1.0]])
+    out = fwht(v)
+    assert np.array_equal(out, v)
+    assert out is not v
+    assert np.array_equal(fwht(v, axis=0), _butterfly_fwht(v, axis=0))
+
+
+def test_fwht_empty_batch():
+    assert fwht(np.zeros((0, 16))).shape == (0, 16)
+
+
+@pytest.mark.parametrize("axis", [0, 1, -1])
+def test_fwht_does_not_mutate_input(axis):
+    v = np.random.default_rng(7).normal(size=(32, 32))
+    keep = v.copy()
+    fwht(v, axis=axis)
+    assert np.array_equal(v, keep)
+
+
+def test_fwht_result_is_writable():
+    out = fwht(np.ones(64))
+    out[0] = 0.0
+    assert np.array_equal(fwht(np.ones(64))[:2], [64.0, 0.0])
+
+
+def test_dcr_calibration_pmf_matches_butterfly(monkeypatch):
+    # exact integer arithmetic in fwht keeps the DCR calibration, and with it
+    # every analyze/snr CSV, identical to the radix-2 butterfly's
+    pmf = dcr_amplitude_pmf(128, 2, 20_000, np.random.default_rng(11))
+    monkeypatch.setattr(modem_hcm, "fwht", _butterfly_fwht)
+    oracle = dcr_amplitude_pmf(128, 2, 20_000, np.random.default_rng(11))
+    assert np.array_equal(pmf.support, oracle.support)
+    assert np.array_equal(pmf.probs, oracle.probs)
 
 
 def test_cyclic_shift_examples():
