@@ -8,7 +8,6 @@ dispersive links and a deterministic Monte-Carlo harness.
 
 from .analysis import (
     AmplitudePmf,
-    achievable_snr,
     clipping_variance_discrete,
     clipping_variance_gaussian,
     dcr_amplitude_pmf,
@@ -27,50 +26,12 @@ from .equalization import (
     interleaver_search,
     load_permutation,
     mmse_apply,
-    mmse_estimate,
     mmse_weights,
     save_permutation,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    FramingError,
-    RangeError,
-    SizeError,
-    StateError,
-)
+from .errors import ConfigError, DomainError, FramingError, RangeError, SizeError
 from .hadamard import BinaryHadamard, cyclic_shift, fwht, sylvester
-from .harness import (
-    BerRecord,
-    ExperimentConfig,
-    average_power_to_drive,
-    parse_config,
-    run_point,
-    sweep,
-)
-from .modem_hcm import (
-    ChipVector,
-    FramedSignal,
-    PamFrame,
-    dcr_reduce,
-    deframe,
-    deinterleave,
-    frame,
-    hcm_decode,
-    hcm_encode,
-    interleave,
-    pam_map,
-    pam_slice,
-)
-from .modem_ofdm import (
-    OfdmSymbol,
-    QamFrame,
-    aco_demodulate,
-    aco_modulate,
-    dco_demodulate,
-    dco_modulate,
-    qam_map,
-    qam_slice,
-)
+from .harness import BerRecord, ExperimentConfig, achievable_snr, parse_config, run_point, sweep
+from .modem_hcm import deframe, deinterleave, interleave
 
 __version__ = "0.1.0"

@@ -1,11 +1,10 @@
-"""Closed-form link analysis: amplitude pmfs, clipping variance, BER, DCR
-energy efficiency and achievable-SNR sweeps.
+"""Closed-form link analysis: amplitude pmfs, clipping variance, SNR, BER
+and DCR energy efficiency.
 
 All BER expressions are of the form alpha * Q(sqrt(SNR)) where SNR is the
-squared argument of the dominant nearest-neighbor error event, so the
-max_snr figures returned by achievable_snr are directly comparable across
-schemes at equal spectral efficiency. The pulse-shaping penalty gamma
-multiplies the thermal noise variance, matching what the simulator does.
+squared argument of the dominant nearest-neighbor error event (pam_ber,
+qam_ber). The pulse-shaping penalty gamma multiplies the thermal noise
+variance, matching what the simulator does.
 
 The HCM chip amplitude pmf accounts for the pinned u[0] = 0: each chip is a
 sum of N-1 independent uniform M-ary terms, so the binary case is
@@ -37,20 +36,6 @@ class AmplitudePmf:
         return float(self.support @ self.probs)
 
 
-@dataclass(frozen=True)
-class BerPoint:
-    avg_power: float
-    analytical_ber: float
-    snr: float
-
-
-@dataclass(frozen=True)
-class AchievableSnr:
-    spectral_efficiency: float
-    max_snr: float
-    best_avg_power: float
-
-
 def qfunc(x) -> np.ndarray:
     """Gaussian tail probability Q(x) via the complementary error function."""
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
@@ -70,14 +55,18 @@ def extended_binomial(m: int, n: int) -> list:
     return row
 
 
+def _check_power_of_two(n: int):
+    if n < 2 or n & (n - 1):
+        raise DomainError(f"n must be a power of two >= 2, got {n}")
+
+
 def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
     """Exact pmf of one encoder output chip for random data frames.
 
     With u[0] pinned to 0, a chip equals the sum of N-1 iid uniform levels
     k/(m-1): Pr(x = k/(m-1)) = C(m, N-1, k) / m**(N-1).
     """
-    if n < 2 or n & (n - 1):
-        raise DomainError(f"n must be a power of two >= 2, got {n}")
+    _check_power_of_two(n)
     coeffs = extended_binomial(m, n - 1)
     denom = m ** (n - 1)
     probs = np.array([c / denom for c in coeffs])
@@ -87,6 +76,7 @@ def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
 
 def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) -> AmplitudePmf:
     """Monte-Carlo pmf of DC-reduced chips (no closed form is known)."""
+    _check_power_of_two(n)
     counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
     chunk = 4096
     done = 0
@@ -170,19 +160,22 @@ def hcm_snr(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
     return 3.0 / (m * m - 1.0) * (p * p / (4.0 * n)) / noise
 
 
+def pam_ber(snr: float, m: int) -> float:
+    """Gray M-PAM bit error rate at squared Q-argument snr."""
+    prefactor = 2.0 * (m - 1) / (m * math.log2(m))
+    return min(prefactor * float(qfunc(math.sqrt(snr))), 0.5)
+
+
 def hcm_analytical_ber(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
                        gamma: float = DEFAULT_GAMMA) -> float:
     """Approximate bit error rate of Gray-labeled M-PAM HCM."""
-    prefactor = 2.0 * (m - 1) / (m * math.log2(m))
-    ber = prefactor * float(qfunc(math.sqrt(hcm_snr(m, n, p, sigma2_n, sigma2_clip, gamma))))
-    return min(ber, 0.5)
+    return pam_ber(hcm_snr(m, n, p, sigma2_n, sigma2_clip, gamma), m)
 
 
-def qam_ber_from_es(es_snr: float, m_qam: int) -> float:
-    """Gray square-QAM bit error rate given the per-symbol SNR."""
+def qam_ber(snr: float, m_qam: int) -> float:
+    """Gray square-QAM bit error rate at squared Q-argument snr = 3 Es/N0 / (M-1)."""
     side = math.sqrt(m_qam)
-    arg = math.sqrt(3.0 * es_snr / (m_qam - 1.0))
-    ber = 4.0 * (side - 1.0) / (side * math.log2(m_qam)) * float(qfunc(arg))
+    ber = 4.0 * (side - 1.0) / (side * math.log2(m_qam)) * float(qfunc(math.sqrt(snr)))
     return min(ber, 0.5)
 
 
@@ -228,18 +221,6 @@ def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
     return scale * scale / (n_fft * (gamma * sigma2_n + sigma2_clip))
 
 
-def aco_analytical_ber(avg_power, m_qam, n_fft, p_max, sigma2_n, gamma=DEFAULT_GAMMA):
-    return qam_ber_from_es(aco_es_snr(avg_power, n_fft, p_max, sigma2_n, gamma), m_qam)
-
-
-def dco_analytical_ber(avg_power, m_qam, n_fft, p_max, sigma2_n, gamma=DEFAULT_GAMMA,
-                       headroom_factor=DCO_HEADROOM_FACTOR):
-    es = dco_es_snr(avg_power, n_fft, p_max, sigma2_n, gamma, headroom_factor)
-    if es <= 0:
-        return 0.5
-    return qam_ber_from_es(es, m_qam)
-
-
 def dcr_energy_efficiency_exact(n: int, m: int) -> float:
     """Exact eta by enumerating every data frame; only viable for small n."""
     frames = m ** (n - 1)
@@ -257,6 +238,7 @@ def dcr_energy_efficiency_exact(n: int, m: int) -> float:
 
 def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator) -> float:
     """Monte-Carlo eta = E{chip} / (E{chip} - E{min chip}); ratio >= 1."""
+    _check_power_of_two(n)
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a stable estimate")
     mean_chip = (n - 1) / 2.0
@@ -276,59 +258,3 @@ def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator)
 def hcm_drive_peak(avg_power: float, n: int) -> float:
     """Unclipped peak P whose drive average is avg_power (chip mean (N-1)/2)."""
     return 2.0 * n * avg_power / (n - 1.0)
-
-
-def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int = 128,
-                   m: int = 2, gamma: float = DEFAULT_GAMMA, grid_points: int = 200,
-                   dcr_symbols: int = 30_000, rng: np.random.Generator | None = None,
-                   headroom_factor: float = DCO_HEADROOM_FACTOR) -> AchievableSnr:
-    """Scan average power over (0, p_max] and return the best squared Q-argument.
-
-    The grid is log-spaced with 200 points by default; schemes are
-    "hcm", "dcr-hcm", "aco-ofdm" and "dco-ofdm" with m the PAM or QAM order.
-    """
-    grid = np.geomspace(p_max * 1e-2, p_max, grid_points)
-    if scheme == "hcm":
-        se = (n - 1) * math.log2(m) / n
-        pmf = hcm_amplitude_pmf(n, m)
-
-        def snr_at(avg):
-            p = hcm_drive_peak(avg, n)
-            s2c = clipping_variance_discrete(pmf, p, n, p_max)
-            return hcm_peak_snr(m, n, p, sigma2_n, s2c, gamma)
-
-    elif scheme == "dcr-hcm":
-        se = (n - 1) * math.log2(m) / n
-        rng = rng if rng is not None else np.random.default_rng(0x5EED)
-        pmf = dcr_amplitude_pmf(n, m, dcr_symbols, rng)
-        reduced_mean = pmf.mean()
-
-        def snr_at(avg):
-            p = avg * n / reduced_mean
-            s2c = clipping_variance_discrete(pmf, p, n, p_max)
-            return hcm_peak_snr(m, n, p, sigma2_n, s2c, gamma)
-
-    elif scheme == "aco-ofdm":
-        se = math.log2(m) / 4.0
-
-        def snr_at(avg):
-            return 3.0 * aco_es_snr(avg, n, p_max, sigma2_n, gamma) / (m - 1.0)
-
-    elif scheme == "dco-ofdm":
-        se = math.log2(m) * (n / 2.0 - 1.0) / n
-
-        def snr_at(avg):
-            if avg >= p_max:
-                return 0.0
-            return 3.0 * dco_es_snr(avg, n, p_max, sigma2_n, gamma, headroom_factor) / (m - 1.0)
-
-    else:
-        raise DomainError(f"unknown scheme {scheme!r}")
-
-    snrs = np.array([snr_at(a) for a in grid])
-    best = int(np.argmax(snrs))
-    return AchievableSnr(
-        spectral_efficiency=se,
-        max_snr=float(snrs[best]),
-        best_avg_power=float(grid[best]),
-    )

@@ -33,7 +33,6 @@ class LinkConfig:
     gamma: float = DEFAULT_GAMMA
     h: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     cp_len: int = 0
-    responsivity: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))

@@ -78,14 +78,16 @@ def _cmd_eta(args) -> int:
     lo, _, hi = args.n_range.partition(":")
     n_lo, n_hi = int(lo), int(hi or lo)
     rng = np.random.default_rng(args.seed)
+    rows = []
+    n = n_lo
+    while n <= n_hi:
+        rows.append((n, analysis.dcr_energy_efficiency(n, args.m, args.trials, rng)))
+        n *= 2
     out = _open_out(args)
     try:
         out.write("n,m,trials,eta\n")
-        n = n_lo
-        while n <= n_hi:
-            eta = analysis.dcr_energy_efficiency(n, args.m, args.trials, rng)
+        for n, eta in rows:
             out.write(f"{n},{args.m},{args.trials},{eta:.6g}\n")
-            n *= 2
     finally:
         if out is not sys.stdout:
             out.close()
@@ -118,18 +120,20 @@ def _cmd_snr(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",")]
     m_list = [int(v) for v in args.m_list.split(",")]
     sigma2 = args.noise_std_w**2
+    rows = [
+        (scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m,
+                                           gamma=args.gamma))
+        for scheme in schemes
+        for m in m_list
+    ]
     out = _open_out(args)
     try:
         out.write("scheme,m,spectral_efficiency,max_snr,best_avg_power_w\n")
-        for scheme in schemes:
-            for m in m_list:
-                res = analysis.achievable_snr(
-                    scheme, args.p_max_w, sigma2, n=args.n, m=m, gamma=args.gamma
-                )
-                out.write(
-                    f"{scheme},{m},{res.spectral_efficiency:.6g},"
-                    f"{res.max_snr:.6g},{res.best_avg_power:.6g}\n"
-                )
+        for scheme, m, res in rows:
+            out.write(
+                f"{scheme},{m},{res.spectral_efficiency:.6g},"
+                f"{res.max_snr:.6g},{res.best_avg_power:.6g}\n"
+            )
     finally:
         if out is not sys.stdout:
             out.close()
@@ -186,7 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     ils.set_defaults(func=_cmd_interleaver_search)
 
     snr = sub.add_parser("snr", help="maximum achievable SNR vs spectral efficiency")
-    snr.add_argument("--schemes", default="hcm,dcr-hcm,aco-ofdm,dco-ofdm")
+    snr.add_argument("--schemes", default="hcm,dcr-hcm",
+                     help="comma separated; OFDM schemes need --m-list of QAM orders")
     snr.add_argument("--m-list", default="2", help="PAM/QAM orders, comma separated")
     snr.add_argument("--n", type=int, default=128)
     snr.add_argument("--p-max-w", type=float, default=1e-4)

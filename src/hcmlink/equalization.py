@@ -20,15 +20,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import circulant
 
 from .errors import ConfigError, DomainError
 from .hadamard import BinaryHadamard, fwht
-from .modem_hcm import PamFrame, slice_levels
-
-try:
-    from scipy.linalg import circulant as _circulant
-except ImportError:  # pragma: no cover
-    _circulant = None
 
 
 @dataclass(frozen=True)
@@ -54,13 +49,7 @@ def channel_matrix(h: np.ndarray, n: int) -> ChannelMatrix:
         raise ConfigError(f"{h.size} taps do not fit a {n}-point symbol")
     col = np.zeros(n)
     col[: h.size] = h
-    if _circulant is not None:
-        g = _circulant(col)
-    else:  # pragma: no cover
-        g = np.empty((n, n))
-        for i in range(n):
-            g[:, i] = np.roll(col, i)
-    return ChannelMatrix(g=g)
+    return ChannelMatrix(g=circulant(col))
 
 
 def pam_level_variance(m: int) -> float:
@@ -85,8 +74,9 @@ def mmse_weights(hadamard: BinaryHadamard, perm: np.ndarray, g: ChannelMatrix,
     """Optimal linear weights for estimating u from the decoded vector.
 
     sigma2_n is the per-sample noise variance seen at the receiver (include
-    any pulse-shaping penalty). A singular covariance (possible only with
-    sigma2_n = 0 and a rank-deficient channel) raises numpy's LinAlgError.
+    any pulse-shaping penalty). It must be positive: u[0] has zero prior
+    variance, so with sigma2_n = 0 the covariance of v has rank at most N-1
+    on every channel, flat included, and numpy raises LinAlgError.
     """
     n = hadamard.n
     mat = interference_matrix(hadamard, perm, g)
@@ -112,18 +102,6 @@ def mmse_apply(weights: MmseWeights, v: np.ndarray, p: float) -> np.ndarray:
     u_mean = np.full(n, 0.5)
     u_mean[0] = 0.0
     return u_mean + (np.asarray(v) - v_mean) @ w.T
-
-
-def mmse_estimate(weights: MmseWeights, v: np.ndarray, p: float, m: int = 2):
-    """Apply the affine estimator and slice to the PAM grid.
-
-    Returns (PamFrame, bits) like pam_slice.
-    """
-    est = mmse_apply(weights, v, p)
-    idx, bits = slice_levels(est[..., 1:], m)
-    levels = np.zeros(weights.w.shape[0])
-    levels[1:] = idx / (m - 1)
-    return PamFrame(m=m, levels=levels), bits.reshape(-1)
 
 
 def interference_spread(mat: np.ndarray) -> float:

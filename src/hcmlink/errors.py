@@ -13,10 +13,6 @@ class FramingError(ValueError):
     """A bitstring does not match the expected frame geometry."""
 
 
-class StateError(RuntimeError):
-    """An operation was applied to a value in the wrong state (e.g. double DC reduction)."""
-
-
 class ConfigError(ValueError):
     """An experiment or link configuration is inconsistent or unparseable."""
 

@@ -58,10 +58,6 @@ class BinaryHadamard:
         """Bipolar +/-1 matrix B = 2*rows - 1."""
         return 2 * self.rows - 1
 
-    @property
-    def complement(self) -> np.ndarray:
-        return 1 - self.rows
-
 
 def sylvester(order_log2: int) -> BinaryHadamard:
     """Build the binary Sylvester Hadamard matrix of order 2**order_log2."""

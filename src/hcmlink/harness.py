@@ -9,6 +9,10 @@ bit-identical for any thread count. Calibration samples (DCR chip pmf, ACO
 waveform mean, interleaver search) use reserved stream keys (1, *) and
 (2, *) so they never collide with trial streams.
 
+Each scheme is one entry of the table _SCHEMES: its order check, bits per
+symbol, calibration, drive mapping, analytic SNR and BER, and transmit and
+receive stages. The engine itself names no scheme.
+
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
 conventional x-axis for clipping-distortion curves and keeps high-power
@@ -18,14 +22,15 @@ operating points meaningful for schemes whose post-clip average saturates
 
 import csv
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import analysis
 from .analysis import (
-    AmplitudePmf,
     clipping_variance_discrete,
     dcr_amplitude_pmf,
     hcm_amplitude_pmf,
@@ -38,11 +43,13 @@ from .equalization import (
     channel_matrix,
     interleaver_search,
     load_permutation,
+    mmse_apply,
     mmse_weights,
 )
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, DomainError
 from .hadamard import sylvester
 from .modem_hcm import (
+    _check_pam_order,
     deframe,
     deinterleave,
     decode_samples,
@@ -54,6 +61,7 @@ from .modem_hcm import (
     slice_levels,
 )
 from .modem_ofdm import (
+    _check_qam_order,
     aco_data_count,
     aco_extract,
     aco_time_samples,
@@ -66,7 +74,6 @@ from .modem_ofdm import (
 )
 
 CHUNK_SYMBOLS = 256  # symbols per RNG stream; fixed so threading cannot change results
-SCHEMES = ("hcm", "dcr-hcm", "aco-ofdm", "dco-ofdm")
 
 BER_CSV_HEADER = ("avg_power_w", "symbols", "bit_errors", "ber", "ci95", "analytical_ber")
 ANALYZE_CSV_HEADER = ("avg_power_w", "analytical_ber", "snr")
@@ -95,6 +102,20 @@ class ExperimentConfig:
 
 
 @dataclass(frozen=True)
+class BerPoint:
+    avg_power: float
+    analytical_ber: float
+    snr: float
+
+
+@dataclass(frozen=True)
+class AchievableSnr:
+    spectral_efficiency: float
+    max_snr: float
+    best_avg_power: float
+
+
+@dataclass(frozen=True)
 class BerRecord:
     avg_power: float
     symbols_run: int
@@ -102,13 +123,6 @@ class BerRecord:
     ber: float
     analytical_ber: float
     ci_95: float
-
-
-@dataclass(frozen=True)
-class DrivePoint:
-    peak: float = 0.0  # unclipped peak P (HCM family)
-    scale: float = 0.0  # waveform amplitude scale (OFDM)
-    dc_bias: float = 0.0  # DCO only
 
 
 _CONFIG_KEYS = {
@@ -214,7 +228,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
 
 def validate_config(cfg: ExperimentConfig):
-    if cfg.scheme not in SCHEMES:
+    if cfg.scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.n < 4 or cfg.n & (cfg.n - 1):
         raise ConfigError(f"n must be a power of two >= 4, got {cfg.n}")
@@ -235,52 +249,186 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("cp_len must be in [0, n)")
     if cfg.equalizer not in ("slicer", "mmse"):
         raise ConfigError(f"equalizer must be slicer or mmse, got {cfg.equalizer!r}")
-    if cfg.equalizer == "mmse" and cfg.scheme not in ("hcm", "dcr-hcm"):
-        raise ConfigError("mmse equalization applies to hcm/dcr-hcm only")
-    if cfg.scheme in ("hcm", "dcr-hcm"):
-        if cfg.m < 2 or cfg.m & (cfg.m - 1):
-            raise ConfigError(f"PAM order must be a power of two >= 2, got {cfg.m}")
-    else:
-        side = int(round(math.sqrt(cfg.m)))
-        if cfg.m < 4 or side * side != cfg.m:
-            raise ConfigError(f"QAM order must be a square power of two, got {cfg.m}")
-    if cfg.interleaver != "none" and cfg.scheme not in ("hcm", "dcr-hcm"):
-        raise ConfigError("interleaving applies to hcm/dcr-hcm only")
+    if cfg.equalizer == "mmse" and cfg.sigma2_n == 0:
+        # u[0] has zero prior variance, so without noise the decoded-vector
+        # covariance has rank N-1 on every channel and cannot be inverted
+        raise ConfigError("mmse equalization needs noise_std_w > 0")
+    _SCHEMES[cfg.scheme].check(cfg)
 
 
 def _stream(master_seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
 
 
+def _check_ofdm(cfg: ExperimentConfig):
+    _check_qam_order(cfg.m)
+    if cfg.equalizer == "mmse":
+        raise ConfigError("mmse equalization applies to hcm/dcr-hcm only")
+    if cfg.interleaver != "none":
+        raise ConfigError("interleaving applies to hcm/dcr-hcm only")
+
+
+def _check_dco(cfg: ExperimentConfig):
+    _check_ofdm(cfg)
+    # the bias is the average power, so a point at p_max leaves no AC headroom
+    if np.any(np.asarray(cfg.power_grid, dtype=np.float64) >= cfg.p_max):
+        raise ConfigError(f"dco-ofdm power grid values must lie below p_max={cfg.p_max:g}")
+
+
+def _dcr_pmf(ctx: "_SweepContext"):
+    cfg, rng = ctx.cfg, ctx.calib_rng
+    if rng is None:
+        rng = _stream(cfg.master_seed, 1, 0)
+    return dcr_amplitude_pmf(cfg.n, cfg.m, cfg.calib_symbols, rng)
+
+
+def _aco_unit_mean(ctx: "_SweepContext") -> float:
+    cfg, rng = ctx.cfg, ctx.calib_rng
+    if rng is None:
+        rng = _stream(cfg.master_seed, 1, 1)
+    bits = rng.integers(0, 2, size=(4096, ctx.bits_per_symbol))
+    raw = aco_time_samples(qam_symbols(bits, cfg.m), cfg.n)
+    return float(np.maximum(raw, 0.0).mean())
+
+
+def _dco_scale(ctx: "_SweepContext", avg: float) -> float:
+    # the bias is the average; the AC std uses the clipping headroom
+    cfg = ctx.cfg
+    sigma_x = min(avg, cfg.p_max - avg) / cfg.dco_headroom
+    return sigma_x / analysis.dco_time_std(cfg.n)
+
+
+def _hcm_snr(ctx: "_SweepContext", avg: float) -> float:
+    cfg = ctx.cfg
+    p = ctx.scheme.drive(ctx, avg)
+    sigma2_clip = clipping_variance_discrete(ctx.calib, p, cfg.n, cfg.p_max)
+    return analysis.hcm_snr(cfg.m, cfg.n, p, cfg.sigma2_n, sigma2_clip, cfg.gamma)
+
+
+def _hcm_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray,
+            reduce_dc: bool = False) -> np.ndarray:
+    cfg = ctx.cfg
+    chips = encode_levels(levels_from_bits(bits, cfg.m, cfg.n))
+    if reduce_dc:
+        chips -= chips.min(axis=-1, keepdims=True)
+    if ctx.perm is not None:
+        chips = interleave(chips, ctx.perm)
+    return frame_chips(chips, point.link.p, cfg.cp_len)
+
+
+def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.ndarray:
+    n, p = ctx.cfg.n, point.link.p
+    if ctx.perm is not None:
+        y = deinterleave(y, ctx.perm)
+    v = decode_samples(y, p)
+    if point.weights is not None:
+        est = mmse_apply(point.weights, v, p)[:, 1:]
+    else:
+        est = v[:, 1:] * (n / p)
+    return slice_levels(est, ctx.cfg.m)[1]
+
+
+def _aco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
+    raw = aco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
+    return prepend_cyclic_prefix(point.link.p * np.maximum(raw, 0.0), ctx.cfg.cp_len)
+
+
+def _dco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
+    raw = dco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
+    return prepend_cyclic_prefix(point.link.p * raw + point.avg_power, ctx.cfg.cp_len)
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    """Everything the harness knows about one scheme.
+
+    The fields call modem, channel, equalization and analysis functions
+    through this module's globals at call time, never through stored
+    function objects, so a wrapper installed on a module attribute sees
+    every call.
+    """
+
+    check: Callable  # (cfg): PAM/QAM order and scheme limits; raises ConfigError
+    data_count: Callable  # (n): PAM levels or QAM symbols per symbol
+    calibrate: Callable  # (ctx): chip pmf, ACO unit mean or None
+    drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
+    snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
+    ber: Callable  # (snr, m): analytic bit error rate
+    tx: Callable  # (ctx, point, bits): transmit samples, cyclic prefix included
+    rx: Callable  # (ctx, point, payload): bit decisions
+    peak_snr_factor: float = 1.0  # achievable_snr reports this times snr
+
+
+_HCM = _Scheme(
+    check=lambda cfg: _check_pam_order(cfg.m),
+    data_count=lambda n: n - 1,
+    calibrate=lambda ctx: hcm_amplitude_pmf(ctx.cfg.n, ctx.cfg.m),
+    # the per-symbol chip mean is exactly (n-1)/2 for every frame
+    drive=lambda ctx, avg: hcm_drive_peak(avg, ctx.cfg.n),
+    snr=_hcm_snr,
+    ber=lambda snr, m: analysis.pam_ber(snr, m),
+    tx=_hcm_tx,
+    rx=_hcm_rx,
+    peak_snr_factor=4.0,
+)
+
+_SCHEMES = {
+    "hcm": _HCM,
+    "dcr-hcm": replace(
+        _HCM,
+        calibrate=_dcr_pmf,
+        drive=lambda ctx, avg: avg * ctx.cfg.n / ctx.calib.mean(),
+        tx=lambda ctx, point, bits: _hcm_tx(ctx, point, bits, reduce_dc=True),
+    ),
+    "aco-ofdm": _Scheme(
+        check=_check_ofdm,
+        data_count=lambda n: aco_data_count(n),
+        calibrate=_aco_unit_mean,
+        drive=lambda ctx, avg: avg / ctx.calib,
+        snr=lambda ctx, avg: 3.0 * analysis.aco_es_snr(
+            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma) / (ctx.cfg.m - 1.0),
+        ber=lambda snr, m: analysis.qam_ber(snr, m),
+        tx=_aco_tx,
+        rx=lambda ctx, point, y: qam_bits(aco_extract(y, ctx.gains) / point.link.p, ctx.cfg.m),
+    ),
+    "dco-ofdm": _Scheme(
+        check=_check_dco,
+        data_count=lambda n: dco_data_count(n),
+        calibrate=lambda ctx: None,
+        drive=_dco_scale,
+        snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
+            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma,
+            ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
+        ber=lambda snr, m: analysis.qam_ber(snr, m),
+        tx=_dco_tx,
+        rx=lambda ctx, point, y: qam_bits(dco_extract(y, ctx.gains) / point.link.p, ctx.cfg.m),
+    ),
+}
+SCHEMES = tuple(_SCHEMES)
+
+
 class _SweepContext:
     """Per-sweep precomputation shared by all power points."""
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
         validate_config(cfg)
         self.cfg = cfg
+        self.scheme = _SCHEMES[cfg.scheme]
         n = cfg.n
+        self.bits_per_symbol = self.scheme.data_count(n) * int(math.log2(cfg.m))
         self.hadamard = sylvester(int(math.log2(n)))
         self.perm = self._resolve_interleaver()
         self.gains = one_tap_gains(cfg.h, n)
-        if cfg.scheme == "hcm":
-            self.chip_pmf = hcm_amplitude_pmf(n, cfg.m)
-        elif cfg.scheme == "dcr-hcm":
-            self.chip_pmf = dcr_amplitude_pmf(
-                n, cfg.m, cfg.calib_symbols, _stream(cfg.master_seed, 1, 0)
-            )
-        else:
-            self.chip_pmf = None
-        if cfg.scheme == "aco-ofdm":
-            rng = _stream(cfg.master_seed, 1, 1)
-            bits = rng.integers(0, 2, size=(4096, aco_data_count(n) * int(math.log2(cfg.m))))
-            raw = aco_time_samples(qam_symbols(bits, cfg.m), n)
-            self.aco_unit_mean = float(np.maximum(raw, 0.0).mean())
-        else:
-            self.aco_unit_mean = None
         if cfg.equalizer == "mmse":
             self.g = channel_matrix(cfg.h, n)
         else:
             self.g = None
+        self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
+
+    @cached_property
+    def calib(self):
+        """The scheme's calibration, built on first use (an OFDM SNR scan never uses it)."""
+        return self.scheme.calibrate(self)
 
     def _resolve_interleaver(self):
         cfg = self.cfg
@@ -296,35 +444,11 @@ class _SweepContext:
 
 @dataclass(frozen=True)
 class _PointSetup:
-    drive: DrivePoint
-    link: LinkConfig
+    avg_power: float
+    link: LinkConfig  # link.p is the scheme's drive amplitude
     weights: MmseWeights | None
     analytic: float
     snr: float
-
-
-def average_power_to_drive(cfg: ExperimentConfig, target_avg: float,
-                           ctx: "_SweepContext | None" = None) -> DrivePoint:
-    """Translate a nominal average optical power into drive parameters."""
-    if target_avg <= 0:
-        raise RangeError(f"average power must be positive, got {target_avg}")
-    ctx = ctx or _SweepContext(cfg)
-    n = cfg.n
-    if cfg.scheme == "hcm":
-        # per-symbol chip mean is exactly (n-1)/2 for every frame
-        return DrivePoint(peak=hcm_drive_peak(target_avg, n))
-    if cfg.scheme == "dcr-hcm":
-        return DrivePoint(peak=target_avg * n / ctx.chip_pmf.mean())
-    if cfg.scheme == "aco-ofdm":
-        return DrivePoint(scale=target_avg / ctx.aco_unit_mean)
-    # dco-ofdm: the bias is the average; AC std uses the clipping headroom
-    if target_avg >= cfg.p_max:
-        raise RangeError(
-            f"dco-ofdm average must be below p_max={cfg.p_max:g}, got {target_avg:g}"
-        )
-    sigma_x = min(target_avg, cfg.p_max - target_avg) / cfg.dco_headroom
-    scale = sigma_x / analysis.dco_time_std(n)
-    return DrivePoint(scale=scale, dc_bias=target_avg)
 
 
 def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
@@ -337,10 +461,10 @@ def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
     return min(ber, 0.5), snr
 
 
-def _point_setup(cfg: ExperimentConfig, ctx: _SweepContext, avg_power: float) -> _PointSetup:
-    drive = average_power_to_drive(cfg, avg_power, ctx)
+def _point_setup(ctx: _SweepContext, avg_power: float) -> _PointSetup:
+    cfg = ctx.cfg
     link = LinkConfig(
-        p=drive.peak if cfg.scheme in ("hcm", "dcr-hcm") else drive.scale,
+        p=ctx.scheme.drive(ctx, avg_power),
         p_max=cfg.p_max,
         sigma2_n=cfg.sigma2_n,
         gamma=cfg.gamma,
@@ -348,85 +472,27 @@ def _point_setup(cfg: ExperimentConfig, ctx: _SweepContext, avg_power: float) ->
         cp_len=cfg.cp_len,
     )
     weights = None
-    if cfg.scheme in ("hcm", "dcr-hcm"):
-        sigma2_clip = clipping_variance_discrete(ctx.chip_pmf, drive.peak, cfg.n, cfg.p_max)
-        if cfg.equalizer == "mmse":
-            perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
-            weights = mmse_weights(
-                ctx.hadamard, perm, ctx.g, drive.peak, cfg.gamma * cfg.sigma2_n, cfg.m
-            )
-            analytic, snr = _mmse_analytic(weights, cfg.m)
-        else:
-            snr = analysis.hcm_snr(cfg.m, cfg.n, drive.peak, cfg.sigma2_n, sigma2_clip, cfg.gamma)
-            analytic = analysis.hcm_analytical_ber(
-                cfg.m, cfg.n, drive.peak, cfg.sigma2_n, sigma2_clip, cfg.gamma
-            )
-    elif cfg.scheme == "aco-ofdm":
-        es = analysis.aco_es_snr(avg_power, cfg.n, cfg.p_max, cfg.sigma2_n, cfg.gamma)
-        snr = 3.0 * es / (cfg.m - 1.0)
-        analytic = analysis.qam_ber_from_es(es, cfg.m)
-    else:
-        es = analysis.dco_es_snr(
-            avg_power, cfg.n, cfg.p_max, cfg.sigma2_n, cfg.gamma, cfg.dco_headroom
+    if cfg.equalizer == "mmse":
+        perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
+        weights = mmse_weights(
+            ctx.hadamard, perm, ctx.g, link.p, cfg.gamma * cfg.sigma2_n, cfg.m
         )
-        snr = 3.0 * es / (cfg.m - 1.0)
-        analytic = analysis.qam_ber_from_es(es, cfg.m) if es > 0 else 0.5
-    return _PointSetup(drive=drive, link=link, weights=weights, analytic=analytic, snr=snr)
-
-
-def _bits_per_symbol(cfg: ExperimentConfig) -> int:
-    if cfg.scheme in ("hcm", "dcr-hcm"):
-        return (cfg.n - 1) * int(math.log2(cfg.m))
-    if cfg.scheme == "aco-ofdm":
-        return aco_data_count(cfg.n) * int(math.log2(cfg.m))
-    return dco_data_count(cfg.n) * int(math.log2(cfg.m))
-
-
-def _run_chunk(cfg: ExperimentConfig, ctx: _SweepContext, point: _PointSetup,
-               rng: np.random.Generator, k: int) -> tuple[int, int]:
-    nbits = k * _bits_per_symbol(cfg)
-    n, m, cp = cfg.n, cfg.m, cfg.cp_len
-    if cfg.scheme in ("hcm", "dcr-hcm"):
-        p = point.drive.peak
-        bits = rng.integers(0, 2, size=(k, nbits // k), dtype=np.int64)
-        levels = levels_from_bits(bits, m, n)
-        chips = encode_levels(levels)
-        if cfg.scheme == "dcr-hcm":
-            chips -= chips.min(axis=-1, keepdims=True)
-        if ctx.perm is not None:
-            chips = interleave(chips, ctx.perm)
-        tx = frame_chips(chips, p, cp)
-        y = deframe(propagate(tx, point.link, rng), cp)
-        if ctx.perm is not None:
-            y = deinterleave(y, ctx.perm)
-        v = decode_samples(y, p)
-        if point.weights is not None:
-            w = point.weights.w
-            v_mean = np.full(n, p / (2.0 * n))
-            v_mean[0] = 0.0
-            est = 0.5 + (v - v_mean) @ w.T
-            est = est[:, 1:]
-        else:
-            est = v[:, 1:] * (n / p)
-        _, bits_hat = slice_levels(est, m)
-        errors = int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
-        return errors, nbits
-
-    bits = rng.integers(0, 2, size=(k, nbits // k), dtype=np.int64)
-    symbols = qam_symbols(bits, m)
-    if cfg.scheme == "aco-ofdm":
-        raw = aco_time_samples(symbols, n)
-        tx = prepend_cyclic_prefix(point.drive.scale * np.maximum(raw, 0.0), cp)
-        y = deframe(propagate(tx, point.link, rng), cp)
-        est = aco_extract(y, ctx.gains) / point.drive.scale
+        analytic, snr = _mmse_analytic(weights, cfg.m)
     else:
-        raw = dco_time_samples(symbols, n)
-        tx = prepend_cyclic_prefix(point.drive.scale * raw + point.drive.dc_bias, cp)
-        y = deframe(propagate(tx, point.link, rng), cp)
-        est = dco_extract(y, ctx.gains) / point.drive.scale
-    bits_hat = qam_bits(est, m)
-    errors = int(np.count_nonzero(bits_hat != bits))
-    return errors, nbits
+        snr = ctx.scheme.snr(ctx, avg_power)
+        analytic = ctx.scheme.ber(snr, cfg.m)
+    return _PointSetup(avg_power=avg_power, link=link, weights=weights, analytic=analytic,
+                       snr=snr)
+
+
+def _run_chunk(ctx: _SweepContext, point: _PointSetup, rng: np.random.Generator,
+               k: int) -> tuple[int, int]:
+    """One chunk of k symbols: tx, propagate, rx; returns (bit errors, bits sent)."""
+    bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol), dtype=np.int64)
+    tx = ctx.scheme.tx(ctx, point, bits)
+    y = deframe(propagate(tx, point.link, rng), ctx.cfg.cp_len)
+    bits_hat = ctx.scheme.rx(ctx, point, y)
+    return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits)), bits.size
 
 
 def _chunk_sizes(max_symbols: int) -> list:
@@ -440,15 +506,16 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
 
     Identical results for any `threads`: chunk j always uses the stream
     keyed (0, power_index, j) and the stopping rule is applied to chunks in
-    index order.
+    index order. avg_power is checked like a value of cfg's power grid.
     """
+    validate_config(replace(cfg, power_grid=np.array([avg_power])))
     ctx = ctx or _SweepContext(cfg)
-    point = _point_setup(cfg, ctx, avg_power)
+    point = _point_setup(ctx, avg_power)
     sizes = _chunk_sizes(cfg.max_symbols)
 
     def job(j):
         rng = _stream(cfg.master_seed, 0, power_index, j)
-        return _run_chunk(cfg, ctx, point, rng, sizes[j])
+        return _run_chunk(ctx, point, rng, sizes[j])
 
     errors = bits = symbols = 0
 
@@ -504,10 +571,40 @@ def analyze(cfg: ExperimentConfig) -> list:
     ctx = _SweepContext(cfg)
     points = []
     for p in np.asarray(cfg.power_grid, dtype=np.float64):
-        setup = _point_setup(cfg, ctx, float(p))
-        points.append(analysis.BerPoint(avg_power=float(p), analytical_ber=setup.analytic,
-                                        snr=setup.snr))
+        setup = _point_setup(ctx, float(p))
+        points.append(BerPoint(avg_power=float(p), analytical_ber=setup.analytic,
+                               snr=setup.snr))
     return points
+
+
+def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int = 128,
+                   m: int = 2, gamma: float = DEFAULT_GAMMA, grid_points: int = 200,
+                   dcr_symbols: int = 30_000, rng: np.random.Generator | None = None,
+                   headroom_factor: float = analysis.DCO_HEADROOM_FACTOR) -> AchievableSnr:
+    """Scan average power over (0, p_max] and return the best per-point SNR.
+
+    The grid is log-spaced from p_max/100 with 200 points by default; m is
+    the PAM or QAM order and is checked like a config's. The per-point SNR
+    is the squared Q-argument of the scheme's analytic BER; for hcm and
+    dcr-hcm it is reported as the peak SNR, 4x that (analysis.hcm_peak_snr).
+    The dcr-hcm chip pmf is a Monte-Carlo estimate over dcr_symbols frames
+    drawn from rng (default np.random.default_rng(0x5EED)).
+    """
+    if scheme not in _SCHEMES:
+        raise DomainError(f"unknown scheme {scheme!r}")
+    cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
+                           sigma2_n=sigma2_n, gamma=gamma, dco_headroom=headroom_factor,
+                           calib_symbols=dcr_symbols)
+    ctx = _SweepContext(cfg, rng if rng is not None else np.random.default_rng(0x5EED))
+    grid = np.geomspace(p_max * 1e-2, p_max, grid_points)
+    factor = ctx.scheme.peak_snr_factor
+    snrs = np.array([factor * ctx.scheme.snr(ctx, float(a)) for a in grid])
+    best = int(np.argmax(snrs))
+    return AchievableSnr(
+        spectral_efficiency=ctx.scheme.data_count(n) * math.log2(m) / n,
+        max_snr=float(snrs[best]),
+        best_avg_power=float(grid[best]),
+    )
 
 
 def _fmt(x: float) -> str:

@@ -15,43 +15,10 @@ Signal path conventions used throughout the package:
   carries no data.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, FramingError, SizeError, StateError
-from .hadamard import BinaryHadamard, fwht
-
-
-@dataclass(frozen=True)
-class PamFrame:
-    """One HCM data vector: M-PAM levels with the first entry pinned to 0."""
-
-    m: int
-    levels: np.ndarray
-
-    def __post_init__(self):
-        if self.levels.ndim != 1:
-            raise SizeError("PamFrame levels must be a vector")
-        if self.levels[0] != 0.0:
-            raise FramingError("PamFrame levels[0] must be 0")
-
-
-@dataclass(frozen=True)
-class ChipVector:
-    """One HCM symbol of N non-negative chip amplitudes (pre P/N scaling)."""
-
-    chips: np.ndarray
-    dc_removed: bool = False
-    removed_dc: float = 0.0
-
-
-@dataclass(frozen=True)
-class FramedSignal:
-    """Chips scaled by P/N with a cyclic prefix prepended."""
-
-    samples: np.ndarray
-    cp_len: int
+from .errors import ConfigError, FramingError
+from .hadamard import fwht
 
 
 def _bits_to_ints(bits: np.ndarray) -> np.ndarray:
@@ -100,31 +67,11 @@ def levels_from_bits(bits: np.ndarray, m: int, n: int) -> np.ndarray:
     return levels
 
 
-def pam_map(bits, m: int, n: int) -> PamFrame:
-    """Map a Gray-labeled bitstring of (n-1)*log2(m) bits to a PAM frame."""
-    return PamFrame(m=m, levels=levels_from_bits(np.asarray(bits), m, n))
-
-
 def encode_levels(levels: np.ndarray) -> np.ndarray:
     """HCM encode along the last axis: x = (N + B(2u - 1)) / 2."""
     levels = np.asarray(levels, dtype=np.float64)
     n = levels.shape[-1]
     return 0.5 * (n + fwht(2.0 * levels - 1.0))
-
-
-def hcm_encode(frame: PamFrame, h: BinaryHadamard) -> ChipVector:
-    """Encode one PAM frame into an HCM chip vector."""
-    if frame.levels.shape[-1] != h.n:
-        raise SizeError(f"frame length {frame.levels.shape[-1]} != matrix order {h.n}")
-    return ChipVector(chips=encode_levels(frame.levels))
-
-
-def dcr_reduce(x: ChipVector) -> ChipVector:
-    """Subtract the per-symbol minimum chip (DC reduction); lossless at the receiver."""
-    if x.dc_removed:
-        raise StateError("chip vector already DC-reduced")
-    low = float(np.min(x.chips))
-    return ChipVector(chips=x.chips - low, dc_removed=True, removed_dc=low)
 
 
 def decode_samples(y: np.ndarray, p: float) -> np.ndarray:
@@ -134,14 +81,6 @@ def decode_samples(y: np.ndarray, p: float) -> np.ndarray:
     offset = np.full(n, 0.5 * p)
     offset[0] = 0.5 * p * (1 - n)
     return (fwht(y) + offset) / n
-
-
-def hcm_decode(y: np.ndarray, p: float, h: BinaryHadamard) -> np.ndarray:
-    """Decode a received vector; on a clean channel returns (p/N) u exactly."""
-    y = np.asarray(y)
-    if y.shape[-1] != h.n:
-        raise SizeError(f"received length {y.shape[-1]} != matrix order {h.n}")
-    return decode_samples(y, p)
 
 
 def slice_levels(estimates: np.ndarray, m: int):
@@ -156,16 +95,6 @@ def slice_levels(estimates: np.ndarray, m: int):
     idx = np.clip(np.ceil(scaled - 0.5), 0, m - 1).astype(np.int64)
     bits = _ints_to_bits(_index_to_gray(idx), b)
     return idx, bits
-
-
-def pam_slice(v: np.ndarray, m: int, p: float):
-    """Hard-decide a decoded vector; v[0] is ignored. Returns (PamFrame, bits)."""
-    v = np.asarray(v, dtype=np.float64)
-    n = v.shape[-1]
-    idx, bits = slice_levels(v[1:] * (n / p), m)
-    levels = np.zeros(n)
-    levels[1:] = idx / (m - 1)
-    return PamFrame(m=m, levels=levels), bits.reshape(-1)
 
 
 def prepend_cyclic_prefix(x: np.ndarray, cp_len: int) -> np.ndarray:
@@ -183,11 +112,6 @@ def frame_chips(chips: np.ndarray, p: float, cp_len: int) -> np.ndarray:
     if cp_len >= n:
         raise ConfigError(f"cyclic prefix {cp_len} must be shorter than symbol {n}")
     return prepend_cyclic_prefix(chips * (p / n), cp_len)
-
-
-def frame(x: ChipVector, p: float, cp_len: int) -> FramedSignal:
-    """Build the transmit frame for one chip vector."""
-    return FramedSignal(samples=frame_chips(x.chips, p, cp_len), cp_len=cp_len)
 
 
 def deframe(samples: np.ndarray, cp_len: int) -> np.ndarray:

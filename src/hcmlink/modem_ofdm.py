@@ -13,29 +13,10 @@ all-zeros group maps to the most positive amplitude (00 -> (1+1j)/sqrt(2)
 for QPSK).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, SizeError
 from .modem_hcm import _bits_to_ints, _gray_to_index, _index_to_gray, _ints_to_bits
-
-
-@dataclass(frozen=True)
-class QamFrame:
-    """Data subcarrier symbols of a unit-average-energy square QAM."""
-
-    m_qam: int
-    symbols: np.ndarray
-
-
-@dataclass(frozen=True)
-class OfdmSymbol:
-    n_fft: int
-    time_samples: np.ndarray  # transmitted (non-negative) samples
-    variant: str  # "aco" or "dco"
-    dc_bias: float = 0.0
-    preclip: np.ndarray = None  # real samples before the zero clip
 
 
 def _check_qam_order(m_qam: int):
@@ -78,14 +59,6 @@ def qam_bits(symbols: np.ndarray, m_qam: int) -> np.ndarray:
     q_bits = axis_bits(symbols.imag)
     out = np.concatenate([i_bits, q_bits], axis=-1)
     return out.reshape(*symbols.shape[:-1], -1)
-
-
-def qam_map(bits, m_qam: int) -> QamFrame:
-    return QamFrame(m_qam=m_qam, symbols=qam_symbols(np.asarray(bits), m_qam))
-
-
-def qam_slice(symbols: np.ndarray, m_qam: int) -> np.ndarray:
-    return qam_bits(symbols, m_qam).reshape(-1)
 
 
 def aco_data_count(n_fft: int) -> int:
@@ -143,36 +116,3 @@ def dco_extract(payload: np.ndarray, channel_gains: np.ndarray) -> np.ndarray:
     data = spectrum[..., 1 : n_fft // 2]
     gains = np.asarray(channel_gains)[1 : n_fft // 2]
     return data / gains
-
-
-def aco_modulate(frame: QamFrame, n_fft: int) -> OfdmSymbol:
-    """Build one ACO-OFDM symbol; negative samples are clipped to zero."""
-    raw = aco_time_samples(frame.symbols, n_fft)
-    return OfdmSymbol(
-        n_fft=n_fft,
-        time_samples=np.maximum(raw, 0.0),
-        variant="aco",
-        preclip=raw,
-    )
-
-
-def aco_demodulate(samples: np.ndarray, channel_gains: np.ndarray, m_qam: int) -> QamFrame:
-    return QamFrame(m_qam=m_qam, symbols=aco_extract(samples, channel_gains))
-
-
-def dco_modulate(frame: QamFrame, n_fft: int, dc_bias: float) -> OfdmSymbol:
-    """Build one DCO-OFDM symbol: AC waveform plus bias, clipped at zero."""
-    if dc_bias < 0:
-        raise ConfigError("dc_bias must be non-negative")
-    raw = dco_time_samples(frame.symbols, n_fft) + dc_bias
-    return OfdmSymbol(
-        n_fft=n_fft,
-        time_samples=np.maximum(raw, 0.0),
-        variant="dco",
-        dc_bias=dc_bias,
-        preclip=raw,
-    )
-
-
-def dco_demodulate(samples: np.ndarray, channel_gains: np.ndarray, m_qam: int) -> QamFrame:
-    return QamFrame(m_qam=m_qam, symbols=dco_extract(samples, channel_gains))

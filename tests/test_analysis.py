@@ -9,7 +9,6 @@ from scipy.stats import norm
 
 from hcmlink import analysis
 from hcmlink.analysis import (
-    achievable_snr,
     clipping_variance_discrete,
     clipping_variance_gaussian,
     dcr_amplitude_pmf,
@@ -20,9 +19,12 @@ from hcmlink.analysis import (
     hcm_analytical_ber,
     hcm_peak_snr,
     hcm_snr,
+    pam_ber,
+    qam_ber,
     qfunc,
 )
 from hcmlink.errors import DomainError
+from hcmlink.harness import achievable_snr
 from hcmlink.modem_hcm import encode_levels
 
 
@@ -87,6 +89,16 @@ class TestAmplitudePmf:
         hist = np.bincount(chips, minlength=pmf.probs.size) / chips.size
         tv = 0.5 * np.abs(hist[: pmf.probs.size] - pmf.probs).sum()
         assert tv < 0.02  # ~1e6 chips
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 48])
+    def test_non_power_of_two_order_rejected(self, n):
+        rng = np.random.default_rng(0)
+        with pytest.raises(DomainError, match="power of two"):
+            hcm_amplitude_pmf(n, 2)
+        with pytest.raises(DomainError, match="power of two"):
+            dcr_amplitude_pmf(n, 2, 100, rng)
+        with pytest.raises(DomainError, match="power of two"):
+            dcr_energy_efficiency(n, 2, 10_000, rng)
 
     def test_dcr_pmf_is_shifted_down(self):
         rng = np.random.default_rng(1)
@@ -186,6 +198,17 @@ class TestAnalyticalBer:
         clips = np.linspace(0.0, 1e-11, 10)
         bers = [hcm_analytical_ber(2, 128, 5e-5, 4e-12, c) for c in clips]
         assert all(a < b for a, b in zip(bers, bers[1:]))
+
+    def test_ber_is_prefactor_times_q_of_root_snr(self):
+        # Gray M-PAM: 2(M-1)/(M log2 M); Gray square QAM: 4(sqrt M - 1)/(sqrt M log2 M)
+        assert pam_ber(9.0, 2) == pytest.approx(float(qfunc(3.0)), rel=1e-15)
+        assert pam_ber(9.0, 4) == pytest.approx(0.75 * float(qfunc(3.0)), rel=1e-15)
+        assert qam_ber(9.0, 4) == pytest.approx(float(qfunc(3.0)), rel=1e-15)
+        assert qam_ber(9.0, 16) == pytest.approx(0.75 * float(qfunc(3.0)), rel=1e-15)
+        assert pam_ber(0.0, 2) == qam_ber(0.0, 4) == 0.5
+        assert pam_ber(math.inf, 2) == qam_ber(math.inf, 16) == 0.0
+        args = (4, 64, 1e-4, 4e-12, 1e-13)
+        assert hcm_analytical_ber(*args) == pam_ber(hcm_snr(*args), 4)
 
     def test_ber_approaches_half_at_zero_snr(self):
         ber = hcm_analytical_ber(2, 128, 1e-9, 4e-12, 0.0)

@@ -4,23 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hcmlink.errors import ConfigError, FramingError, SizeError, StateError
+from hcmlink import harness
+from hcmlink.errors import ConfigError, FramingError
 from hcmlink.hadamard import sylvester
 from hcmlink.modem_hcm import (
-    ChipVector,
-    dcr_reduce,
     decode_samples,
     deframe,
     deinterleave,
     encode_levels,
-    frame,
     frame_chips,
-    hcm_decode,
-    hcm_encode,
     interleave,
     levels_from_bits,
-    pam_map,
-    pam_slice,
     slice_levels,
 )
 
@@ -38,35 +32,44 @@ def all_binary_frames(n):
     return frames
 
 
+def dcr_transmit(bits, n, m=2, p=None):
+    """Transmit samples of the harness's dcr-hcm and hcm pipelines for bit rows."""
+    out = []
+    for scheme in ("dcr-hcm", "hcm"):
+        cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, calib_symbols=1000)
+        ctx = harness._SweepContext(cfg)
+        point = harness._point_setup(ctx, 5e-5)
+        out.append(ctx.scheme.tx(ctx, point, bits) * (n / point.link.p))
+    return out
+
+
 class TestPamMap:
     def test_all_zero_bits(self):
-        f = pam_map(np.zeros(7, dtype=int), 2, 8)
-        assert f.levels.tolist() == [0.0] * 8
+        levels = levels_from_bits(np.zeros(7, dtype=int), 2, 8)
+        assert levels.tolist() == [0.0] * 8
 
     def test_all_one_bits(self):
-        f = pam_map(np.ones(7, dtype=int), 2, 8)
-        assert f.levels.tolist() == [0.0] + [1.0] * 7
+        levels = levels_from_bits(np.ones(7, dtype=int), 2, 8)
+        assert levels.tolist() == [0.0] + [1.0] * 7
 
     def test_gray_map_m4(self):
         # per-entry Gray table: 00->0, 01->1, 11->2, 10->3
         bits = np.array([1, 1, 0, 1, 1, 0])
-        f = pam_map(bits, 4, 4)
-        assert_allclose(f.levels, [0.0, 2 / 3, 1 / 3, 1.0])
+        assert_allclose(levels_from_bits(bits, 4, 4), [0.0, 2 / 3, 1 / 3, 1.0])
 
     def test_wrong_bit_count(self):
         with pytest.raises(FramingError):
-            pam_map(np.zeros(6, dtype=int), 2, 8)
+            levels_from_bits(np.zeros(6, dtype=int), 2, 8)
 
     def test_bad_order(self):
         with pytest.raises(ConfigError):
-            pam_map(np.zeros(7, dtype=int), 3, 8)
+            levels_from_bits(np.zeros(7, dtype=int), 3, 8)
 
 
 class TestEncode:
     def test_all_zero_frame(self):
-        x = hcm_encode(pam_map(np.zeros(3, dtype=int), 2, 4), sylvester(2))
-        assert x.chips.tolist() == [0.0, 2.0, 2.0, 2.0]
-        assert not x.dc_removed
+        chips = encode_levels(levels_from_bits(np.zeros(3, dtype=int), 2, 4))
+        assert chips.tolist() == [0.0, 2.0, 2.0, 2.0]
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(0)
@@ -80,10 +83,10 @@ class TestEncode:
     def test_range_and_papr_all_ones(self):
         had = sylvester(2)
         u = np.array([0.0, 1.0, 1.0, 1.0])
-        x = hcm_encode(pam_map(np.ones(3, dtype=int), 2, 4), had)
-        assert_allclose(x.chips, dense_encode(u, had))
-        assert np.all(x.chips >= 0) and np.all(x.chips <= 4)
-        assert x.chips.max() / x.chips.mean() <= 2 + 1e-12
+        chips = encode_levels(levels_from_bits(np.ones(3, dtype=int), 2, 4))
+        assert_allclose(chips, dense_encode(u, had))
+        assert np.all(chips >= 0) and np.all(chips <= 4)
+        assert chips.max() / chips.mean() <= 2 + 1e-12
 
     def test_papr_bound_exhaustive_n8(self):
         chips = encode_levels(all_binary_frames(8))
@@ -92,26 +95,21 @@ class TestEncode:
         # the per-symbol chip mean is exactly (n-1)/2 for every frame
         assert_allclose(chips.mean(axis=1), 3.5)
 
-    def test_size_mismatch(self):
-        with pytest.raises(SizeError):
-            hcm_encode(pam_map(np.zeros(3, dtype=int), 2, 4), sylvester(3))
-
 
 class TestDcrReduce:
     def test_already_zero_min(self):
-        x = dcr_reduce(ChipVector(chips=np.array([0.0, 2, 2, 2])))
-        assert x.chips.tolist() == [0, 2, 2, 2]
-        assert x.removed_dc == 0 and x.dc_removed
+        # the all-zero frame has a zero chip, so DC reduction leaves it as is
+        reduced, plain = dcr_transmit(np.zeros((1, 3), dtype=np.int64), 4)
+        assert_allclose(plain, [[0, 2, 2, 2]])
+        assert_allclose(reduced, plain)
 
     def test_basic_reduction(self):
-        x = dcr_reduce(ChipVector(chips=np.array([3.0, 5, 4, 4])))
-        assert x.chips.tolist() == [0, 2, 1, 1]
-        assert x.removed_dc == 3
-
-    def test_double_reduction_rejected(self):
-        x = dcr_reduce(ChipVector(chips=np.array([3.0, 5, 4, 4])))
-        with pytest.raises(StateError):
-            dcr_reduce(x)
+        # the transmitted dcr-hcm symbol is the hcm symbol minus its minimum chip
+        bits = np.array(list(itertools.product([0, 1], repeat=7)), dtype=np.int64)
+        reduced, plain = dcr_transmit(bits, 8)
+        assert_allclose(reduced, plain - plain.min(axis=1, keepdims=True), atol=1e-12)
+        assert np.all(np.abs(reduced.min(axis=1)) < 1e-12)
+        assert np.any(plain.min(axis=1) > 0)
 
     def test_energy_drop_three_sevenths_exists_at_n8(self):
         # some symbol loses exactly 3/7 of its transmitted energy: the mean
@@ -132,7 +130,7 @@ class TestDecode:
             u = np.zeros(8)
             u[1:] = rng.integers(0, 2, 7)
             x = encode_levels(u)
-            v = hcm_decode(x * (1.0 / 8), 1.0, had)
+            v = decode_samples(x * (1.0 / 8), 1.0)
             assert np.abs(v - u / 8).max() < 1e-12
 
     def test_dc_shift_moves_only_component_zero(self):
@@ -145,42 +143,29 @@ class TestDecode:
 
     def test_dcr_roundtrip_recovers_data_components(self):
         rng = np.random.default_rng(3)
-        had = sylvester(4)
         p = 2.5
         u = np.zeros(16)
         u[1:] = rng.integers(0, 4, 15) / 3
-        x = dcr_reduce(hcm_encode(pam_map_levels(u, 4), had))
-        v = hcm_decode(x.chips * (p / 16), p, had)
+        x = encode_levels(u)
+        v = decode_samples((x - x.min()) * (p / 16), p)
         assert np.abs(v[1:] - (p / 16) * u[1:]).max() < 1e-12
-
-    def test_size_mismatch(self):
-        with pytest.raises(SizeError):
-            hcm_decode(np.zeros(8), 1.0, sylvester(4))
-
-
-def pam_map_levels(levels, m):
-    # helper to build a PamFrame straight from levels
-    from hcmlink.modem_hcm import PamFrame
-
-    return PamFrame(m=m, levels=levels)
 
 
 class TestSlice:
     def test_noiseless_bit_recovery(self):
         rng = np.random.default_rng(4)
         bits = rng.integers(0, 2, size=30)
-        f = pam_map(bits, 4, 16)
-        v = decode_samples(encode_levels(f.levels) / 16, 1.0)
-        _, sliced = pam_slice(v, 4, 1.0)
-        assert np.array_equal(sliced, bits)
+        v = decode_samples(encode_levels(levels_from_bits(bits, 4, 16)) / 16, 1.0)
+        _, sliced = slice_levels(v[1:] * 16, 4)
+        assert np.array_equal(sliced.reshape(-1), bits)
 
     def test_threshold_and_tiebreak(self):
         n, p = 4, 1.0
         v = np.array([0.0, 0.49, 0.51, 0.5]) * (p / n)
-        frame_est, bits = pam_slice(v, 2, p)
+        idx, bits = slice_levels(v[1:] * (n / p), 2)
         # 0.49 -> 0, 0.51 -> 1, exact 0.5 -> lower level
-        assert frame_est.levels.tolist() == [0.0, 0.0, 1.0, 0.0]
-        assert bits.tolist() == [0, 1, 0]
+        assert idx.tolist() == [0, 1, 0]
+        assert bits.reshape(-1).tolist() == [0, 1, 0]
 
     def test_slice_levels_clips_out_of_range(self):
         idx, _ = slice_levels(np.array([-0.3, 1.4]), 2)
@@ -189,19 +174,17 @@ class TestSlice:
 
 class TestFraming:
     def test_zero_prefix_is_scaling_only(self):
-        x = ChipVector(chips=np.array([1.0, 2, 3, 4]))
-        fs = frame(x, 2.0, 0)
-        assert_allclose(fs.samples, np.array([1.0, 2, 3, 4]) / 2)
+        samples = frame_chips(np.array([1.0, 2, 3, 4]), 2.0, 0)
+        assert_allclose(samples, np.array([1.0, 2, 3, 4]) / 2)
 
     def test_prefix_copies_tail(self):
-        x = ChipVector(chips=np.array([1.0, 2, 3, 4]))
-        fs = frame(x, 4.0, 2)
-        assert_allclose(fs.samples, [3, 4, 1, 2, 3, 4])
-        assert_allclose(deframe(fs.samples, 2), [1, 2, 3, 4])
+        samples = frame_chips(np.array([1.0, 2, 3, 4]), 4.0, 2)
+        assert_allclose(samples, [3, 4, 1, 2, 3, 4])
+        assert_allclose(deframe(samples, 2), [1, 2, 3, 4])
 
     def test_prefix_must_be_shorter_than_symbol(self):
         with pytest.raises(ConfigError):
-            frame(ChipVector(chips=np.zeros(4)), 1.0, 4)
+            frame_chips(np.zeros(4), 1.0, 4)
 
     def test_cyclic_convolution_equivalence(self):
         # FIR over the framed signal equals cyclic convolution of the payload
