@@ -20,6 +20,7 @@ from scipy.special import erfc, ndtr
 
 from .channel import DEFAULT_GAMMA
 from .errors import DomainError
+from .hadamard import fwht
 from .modem_hcm import encode_levels
 
 DCO_HEADROOM_FACTOR = 6.0  # AC std = min(bias, p_max - bias) / this
@@ -75,19 +76,28 @@ def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
 
 
 def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) -> AmplitudePmf:
-    """Monte-Carlo pmf of DC-reduced chips (no closed form is known)."""
+    """Monte-Carlo pmf of DC-reduced chips (no closed form is known).
+
+    Counted in the integer domain: with level indices idx (idx[0] = 0) the
+    scaled chips are (m-1) x = ((m-1) N + s) / 2 with s = B c and
+    c = 2 idx - (m-1), so a DC-reduced chip sits on grid point
+    k = (s - min s) / 2. Every entry of c and s is an integer held exactly
+    in float64 and fwht is exact on integers, so the counts, and the pmf,
+    equal those of rounding the float chips of encode_levels for the same
+    draws from rng.
+    """
     _check_power_of_two(n)
     counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
     chunk = 4096
     done = 0
     while done < symbols:
         k = min(chunk, symbols - done)
-        levels = np.zeros((k, n))
-        levels[:, 1:] = rng.integers(0, m, size=(k, n - 1)) / (m - 1)
-        chips = encode_levels(levels)
-        reduced = chips - chips.min(axis=-1, keepdims=True)
-        grid = np.rint(reduced * (m - 1)).astype(np.int64).reshape(-1)
-        counts += np.bincount(grid, minlength=counts.size)
+        c = np.full((k, n), 1.0 - m)
+        c[:, 1:] += 2 * rng.integers(0, m, size=(k, n - 1))
+        s = fwht(c)
+        s -= s.min(axis=-1, keepdims=True)
+        s *= 0.5
+        counts += np.bincount(s.astype(np.int64).reshape(-1), minlength=counts.size)
         done += k
     last = int(np.max(np.nonzero(counts)))
     probs = counts[: last + 1] / counts.sum()
@@ -223,6 +233,7 @@ def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
 
 def dcr_energy_efficiency_exact(n: int, m: int) -> float:
     """Exact eta by enumerating every data frame; only viable for small n."""
+    _check_power_of_two(n)
     frames = m ** (n - 1)
     if frames > 1 << 20:
         raise DomainError(f"{frames} frames is too many for exhaustive enumeration")

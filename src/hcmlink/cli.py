@@ -77,6 +77,8 @@ def _cmd_pmf(args) -> int:
 def _cmd_eta(args) -> int:
     lo, _, hi = args.n_range.partition(":")
     n_lo, n_hi = int(lo), int(hi or lo)
+    if n_lo > n_hi:
+        raise ConfigError(f"--n-range low {n_lo} is above high {n_hi}")
     rng = np.random.default_rng(args.seed)
     rows = []
     n = n_lo

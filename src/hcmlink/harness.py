@@ -418,11 +418,6 @@ class _SweepContext:
         self.bits_per_symbol = self.scheme.data_count(n) * int(math.log2(cfg.m))
         self.hadamard = sylvester(int(math.log2(n)))
         self.perm = self._resolve_interleaver()
-        self.gains = one_tap_gains(cfg.h, n)
-        if cfg.equalizer == "mmse":
-            self.g = channel_matrix(cfg.h, n)
-        else:
-            self.g = None
         self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
 
     @cached_property
@@ -430,14 +425,23 @@ class _SweepContext:
         """The scheme's calibration, built on first use (an OFDM SNR scan never uses it)."""
         return self.scheme.calibrate(self)
 
+    @cached_property
+    def g(self):
+        """Circulant channel matrix, shared by the interleaver search and the MMSE weights."""
+        return channel_matrix(self.cfg.h, self.cfg.n)
+
+    @cached_property
+    def gains(self):
+        """One-tap subcarrier gains, built on first use (only the OFDM receivers read them)."""
+        return one_tap_gains(self.cfg.h, self.cfg.n)
+
     def _resolve_interleaver(self):
         cfg = self.cfg
         if cfg.interleaver == "none":
             return None
         if cfg.interleaver == "search":
-            g = channel_matrix(cfg.h, cfg.n)
             return interleaver_search(
-                g, self.hadamard, cfg.interleaver_budget, _stream(cfg.master_seed, 2, 0)
+                self.g, self.hadamard, cfg.interleaver_budget, _stream(cfg.master_seed, 2, 0)
             )
         return load_permutation(cfg.interleaver, cfg.n)
 

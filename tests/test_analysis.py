@@ -99,6 +99,8 @@ class TestAmplitudePmf:
             dcr_amplitude_pmf(n, 2, 100, rng)
         with pytest.raises(DomainError, match="power of two"):
             dcr_energy_efficiency(n, 2, 10_000, rng)
+        with pytest.raises(DomainError, match="power of two"):
+            dcr_energy_efficiency_exact(n, 2)
 
     def test_dcr_pmf_is_shifted_down(self):
         rng = np.random.default_rng(1)
@@ -107,6 +109,33 @@ class TestAmplitudePmf:
         assert reduced.probs.sum() == pytest.approx(1.0, abs=1e-12)
         assert reduced.mean() < plain.mean()
         assert reduced.support[0] == 0.0
+
+
+def _float_dcr_pmf(n, m, symbols, rng):
+    """DCR chip pmf through float levels, encode_levels and rounding."""
+    counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
+    done = 0
+    while done < symbols:
+        k = min(4096, symbols - done)
+        levels = np.zeros((k, n))
+        levels[:, 1:] = rng.integers(0, m, size=(k, n - 1)) / (m - 1)
+        chips = encode_levels(levels)
+        reduced = chips - chips.min(axis=-1, keepdims=True)
+        grid = np.rint(reduced * (m - 1)).astype(np.int64).reshape(-1)
+        counts += np.bincount(grid, minlength=counts.size)
+        done += k
+    last = int(np.max(np.nonzero(counts)))
+    return np.arange(last + 1) / (m - 1), counts[: last + 1] / counts.sum()
+
+
+@pytest.mark.parametrize("n, m, symbols", [
+    (128, 2, 20_000), (128, 4, 20_000), (16, 8, 5000), (64, 16, 9000), (1024, 2, 8192),
+])
+def test_dcr_pmf_equals_float_pipeline(n, m, symbols):
+    pmf = dcr_amplitude_pmf(n, m, symbols, np.random.default_rng(11))
+    support, probs = _float_dcr_pmf(n, m, symbols, np.random.default_rng(11))
+    assert np.array_equal(pmf.support, support)
+    assert np.array_equal(pmf.probs, probs)
 
 
 class TestClippingVarianceDiscrete:

@@ -85,3 +85,9 @@ def test_non_power_of_two_n_exits_2(capsys, argv):
     code, lines, err = run(capsys, *argv)
     assert code == 2
     assert lines == [] and "power of two" in err
+
+
+def test_eta_reversed_range_exits_2(capsys):
+    code, lines, err = run(capsys, "eta", "--n-range", "16:8")
+    assert code == 2
+    assert lines == [] and "above high" in err

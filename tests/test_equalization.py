@@ -1,11 +1,19 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from hcmlink.channel import LinkConfig, propagate
 from hcmlink.equalization import (
+    _apply_swap,
+    _objective,
+    _search,
+    _swap_terms,
+    _swapped_spread,
     channel_matrix,
     interference_matrix,
     interference_spread,
@@ -18,6 +26,7 @@ from hcmlink.equalization import (
 )
 from hcmlink.errors import ConfigError, DomainError
 from hcmlink.hadamard import cyclic_shift, sylvester
+from hcmlink.harness import _stream
 from hcmlink.modem_hcm import decode_samples, deframe, encode_levels, frame_chips, slice_levels
 
 
@@ -237,6 +246,82 @@ class TestInterleaverSearch:
         with pytest.raises(DomainError):
             interleaver_search(channel_matrix([1.0], 8), sylvester(3), 0,
                                np.random.default_rng(0))
+
+
+def _reference_search(g, hadamard, budget, rng):
+    """The annealing search with every swap evaluated in full (N > 8)."""
+    n = hadamard.n
+    identity = np.arange(n)
+    best = identity
+    best_j = _objective(hadamard, identity, g)
+    if best_j == 0.0:
+        return identity
+    perm = rng.permutation(n)
+    cur_j = _objective(hadamard, perm, g)
+    if cur_j < best_j:
+        best, best_j = perm.copy(), cur_j
+    t0 = 0.5 * max(best_j, 1e-300)
+    decay = (1e-3) ** (1.0 / budget)
+    temp = t0
+    for _ in range(budget):
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            temp *= decay
+            continue
+        cand = perm.copy()
+        cand[i], cand[j] = cand[j], cand[i]
+        cand_j = _objective(hadamard, cand, g)
+        if cand_j < cur_j or rng.random() < math.exp(min((cur_j - cand_j) / temp, 0.0)):
+            perm, cur_j = cand, cand_j
+            if cur_j < best_j:
+                best, best_j = perm.copy(), cur_j
+        temp *= decay
+    return best
+
+
+class TestRankTwoSwap:
+    @settings(max_examples=40)
+    @given(k=st.integers(4, 9), taps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_update_matches_full_evaluation(self, k, taps, seed, data):
+        n = 1 << k
+        had, g = sylvester(k), channel_matrix(taps, n)
+        perm = np.random.default_rng(seed).permutation(n)
+        i = data.draw(st.integers(0, n - 1))
+        j = data.draw(st.integers(0, n - 1).filter(lambda v: v != i))
+        mat = interference_matrix(had, perm, g)
+        energy = np.einsum("ij,ij->i", mat, mat)
+        terms = _swap_terms(g.g, perm, i, j)
+        spread = _swapped_spread(mat, energy, terms)
+        _apply_swap(mat, terms)
+        swapped = perm.copy()
+        swapped[i], swapped[j] = perm[j], perm[i]
+        want = interference_matrix(had, swapped, g)
+        assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
+        assert spread == pytest.approx(interference_spread(want), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_same_permutation_as_full_evaluation(self, seed):
+        had, g = sylvester(7), channel_matrix([0.5, 0.3, 0.2], 128)
+        got = interleaver_search(g, had, 500, _stream(seed, 2, 0))
+        want = _reference_search(g, had, 500, _stream(seed, 2, 0))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_objective_close_to_full_evaluation_with_ties(self, seed):
+        # taps 0.7,0.3 give exactly tied objectives, where the two searches
+        # may branch differently
+        had, g = sylvester(7), channel_matrix([0.7, 0.3], 128)
+        got = _objective(had, interleaver_search(g, had, 500, _stream(seed, 2, 0)), g)
+        want = _objective(had, _reference_search(g, had, 500, _stream(seed, 2, 0)), g)
+        assert got == pytest.approx(want, rel=0.01)
+
+    def test_tracked_objective_n512(self):
+        # above the dense-matrix limit: every product goes through fwht
+        had, g = sylvester(9), channel_matrix([0.5, 0.3, 0.2], 512)
+        perm, tracked = _search(g, had, 20, np.random.default_rng(3))
+        assert sorted(perm) == list(range(512))
+        assert tracked == pytest.approx(_objective(had, perm, g), rel=1e-9)
 
 
 class TestPermutationFiles:

@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import hadamard as scipy_hadamard
 
-from hcmlink import modem_hcm
+from hcmlink import analysis
 from hcmlink.analysis import dcr_amplitude_pmf
 from hcmlink.errors import SizeError
 from hcmlink.hadamard import (
@@ -209,7 +209,7 @@ def test_dcr_calibration_pmf_matches_butterfly(monkeypatch):
     # exact integer arithmetic in fwht keeps the DCR calibration, and with it
     # every analyze/snr CSV, identical to the radix-2 butterfly's
     pmf = dcr_amplitude_pmf(128, 2, 20_000, np.random.default_rng(11))
-    monkeypatch.setattr(modem_hcm, "fwht", _butterfly_fwht)
+    monkeypatch.setattr(analysis, "fwht", _butterfly_fwht)
     oracle = dcr_amplitude_pmf(128, 2, 20_000, np.random.default_rng(11))
     assert np.array_equal(pmf.support, oracle.support)
     assert np.array_equal(pmf.probs, oracle.probs)

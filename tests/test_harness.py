@@ -197,3 +197,20 @@ def test_achievable_snr_scans_the_point_snr():
     got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, grid_points=50)
     assert got.max_snr == want
     assert got.spectral_efficiency == 15 / 16
+
+
+def test_context_builds_only_what_its_scheme_reads(monkeypatch):
+    calls = {"channel_matrix": 0, "one_tap_gains": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, counted)
+    # the interleaver search and the MMSE weights share one channel matrix
+    harness.analyze(harness.parse_config(THREAD_CONFIGS["dcr-hcm-n16-mmse-search"]))
+    assert calls == {"channel_matrix": 1, "one_tap_gains": 0}
+    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, grid_points=20)
+    assert calls == {"channel_matrix": 1, "one_tap_gains": 0}
+    # an OFDM receiver reads the one-tap gains, built once per sweep
+    harness.sweep(harness.parse_config(THREAD_CONFIGS["aco-ofdm-n32"]))
+    assert calls == {"channel_matrix": 1, "one_tap_gains": 1}
