@@ -61,18 +61,35 @@ def _check_power_of_two(n: int):
         raise DomainError(f"n must be a power of two >= 2, got {n}")
 
 
+def _check_order(m: int):
+    if m < 2:
+        raise DomainError(f"need m >= 2 levels, got m={m}")
+
+
+def _binomial_row(n: int):
+    """Yield C(n, k) for k = 0..n as exact integers, in O(n) big-integer steps."""
+    c = 1
+    for k in range(n + 1):
+        yield c
+        c = c * (n - k) // (k + 1)
+
+
 def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
     """Exact pmf of one encoder output chip for random data frames.
 
     With u[0] pinned to 0, a chip equals the sum of N-1 iid uniform levels
-    k/(m-1): Pr(x = k/(m-1)) = C(m, N-1, k) / m**(N-1).
+    k/(m-1): Pr(x = k/(m-1)) = C(m, N-1, k) / m**(N-1). For m = 2 the
+    coefficients are the binomial row C(N-1, k), built in O(N) steps.
     """
     _check_power_of_two(n)
-    coeffs = extended_binomial(m, n - 1)
+    coeffs = _binomial_row(n - 1) if m == 2 else extended_binomial(m, n - 1)
     denom = m ** (n - 1)
     probs = np.array([c / denom for c in coeffs])
-    support = np.arange(len(coeffs)) / (m - 1)
+    support = np.arange(probs.size) / (m - 1)
     return AmplitudePmf(support=support, probs=probs)
+
+
+DCR_BLOCK_CHIPS = 1 << 16  # chips per calibration block: 256 KiB in float32
 
 
 def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) -> AmplitudePmf:
@@ -81,23 +98,35 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
     Counted in the integer domain: with level indices idx (idx[0] = 0) the
     scaled chips are (m-1) x = ((m-1) N + s) / 2 with s = B c and
     c = 2 idx - (m-1), so a DC-reduced chip sits on grid point
-    k = (s - min s) / 2. Every entry of c and s is an integer held exactly
-    in float64 and fwht is exact on integers, so the counts, and the pmf,
-    equal those of rounding the float chips of encode_levels for the same
-    draws from rng.
+    k = (s - min s) / 2. Every entry of c and s is an integer of magnitude
+    at most (m-1) N, held exactly in float32 while that is below 2**24
+    (float64 otherwise), and fwht is exact on integers, so the counts, and
+    the pmf, equal those of rounding the float chips of encode_levels for
+    the same draws from rng.
+
+    Frames are drawn and transformed in blocks of DCR_BLOCK_CHIPS chips,
+    which stay in cache. The block size does not change the draws: rng
+    hands out the level indices in order across calls.
     """
     _check_power_of_two(n)
+    _check_order(m)
+    if symbols < 1:
+        raise DomainError(f"need at least one symbol, got {symbols}")
+    dtype = np.float32 if (m - 1) * n < 1 << 24 else np.float64
+    rows = max(1, DCR_BLOCK_CHIPS // n)
+    c = np.empty((rows, n), dtype=dtype)
+    c[:, 0] = 1 - m
+    grid = np.empty((rows, n), dtype=np.intp)
     counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
-    chunk = 4096
     done = 0
     while done < symbols:
-        k = min(chunk, symbols - done)
-        c = np.full((k, n), 1.0 - m)
-        c[:, 1:] += 2 * rng.integers(0, m, size=(k, n - 1))
-        s = fwht(c)
+        k = min(rows, symbols - done)
+        np.multiply(rng.integers(0, m, size=(k, n - 1)), 2, out=c[:k, 1:], casting="unsafe")
+        c[:k, 1:] += 1 - m
+        s = fwht(c[:k])
         s -= s.min(axis=-1, keepdims=True)
-        s *= 0.5
-        counts += np.bincount(s.astype(np.int64).reshape(-1), minlength=counts.size)
+        np.multiply(s, 0.5, out=grid[:k], casting="unsafe")
+        counts += np.bincount(grid[:k].reshape(-1), minlength=counts.size)
         done += k
     last = int(np.max(np.nonzero(counts)))
     probs = counts[: last + 1] / counts.sum()
@@ -234,6 +263,7 @@ def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
 def dcr_energy_efficiency_exact(n: int, m: int) -> float:
     """Exact eta by enumerating every data frame; only viable for small n."""
     _check_power_of_two(n)
+    _check_order(m)
     frames = m ** (n - 1)
     if frames > 1 << 20:
         raise DomainError(f"{frames} frames is too many for exhaustive enumeration")
@@ -250,6 +280,7 @@ def dcr_energy_efficiency_exact(n: int, m: int) -> float:
 def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator) -> float:
     """Monte-Carlo eta = E{chip} / (E{chip} - E{min chip}); ratio >= 1."""
     _check_power_of_two(n)
+    _check_order(m)
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a stable estimate")
     mean_chip = (n - 1) / 2.0

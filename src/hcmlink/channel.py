@@ -52,29 +52,42 @@ class LinkConfig:
             raise ConfigError("cp_len must be >= 0")
 
 
-def clip(samples: np.ndarray, p_max: float) -> np.ndarray:
-    """Hard-limit samples to [0, p_max]."""
-    return np.clip(samples, 0.0, p_max)
+def clip(samples: np.ndarray, p_max: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Hard-limit samples to [0, p_max], into `out` when given."""
+    return np.clip(samples, 0.0, p_max, out=out)
 
 
-def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator) -> np.ndarray:
+def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
+              out: np.ndarray | None = None) -> np.ndarray:
     """LED clip, FIR channel, then AWGN; vectorized over leading axes.
 
     The FIR output is truncated to the input length, so with a cyclic prefix
     of at least len(h)-1 the deframed payload equals the cyclic convolution
     of the payload with h.
+
+    With `out` (float64, the shape of samples, not overlapping them) the
+    received samples are written there, and samples, which must then be a
+    C-contiguous float64 array, serve as scratch: they are clipped in place
+    and then overwritten with the noise. Without `out` a copy of samples
+    does that, so both forms draw the same noise from rng.
     """
     h = config.h
     if h.size > 1 and config.cp_len < h.size - 1:
         raise ConfigError(
             f"cyclic prefix {config.cp_len} too short for {h.size}-tap channel"
         )
-    x = clip(np.asarray(samples, dtype=np.float64), config.p_max)
-    out = h[0] * x
+    if out is None:
+        samples = np.array(samples, dtype=np.float64, order="C")
+        out = np.empty_like(samples)
+    x = clip(samples, config.p_max, out=samples)
+    np.multiply(x, h[0], out=out)
     for ell in range(1, h.size):
         out[..., ell:] += h[ell] * x[..., :-ell]
-    noise_std = np.sqrt(config.sigma2_n * config.gamma)
-    return out + rng.normal(0.0, noise_std, size=out.shape)
+    # rng.normal(0, std) draws loc + std * z from the same stream of z
+    noise = rng.standard_normal(out=x)
+    noise *= np.sqrt(config.sigma2_n * config.gamma)
+    out += noise
+    return out
 
 
 def illuminance_to_power(lux: float, ler: float, area_m2: float) -> float:

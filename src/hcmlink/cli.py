@@ -102,7 +102,7 @@ def _cmd_interleaver_search(args) -> int:
     else:
         taps = np.array([float(v) for v in args.taps.split(",")])
     k = args.n.bit_length() - 1
-    if args.n != 1 << k:
+    if args.n < 1 or args.n != 1 << k:
         raise ConfigError(f"n must be a power of two, got {args.n}")
     had = sylvester(k)
     g = channel_matrix(taps, args.n)

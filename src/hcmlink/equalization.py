@@ -80,17 +80,18 @@ def interference_matrix(hadamard: BinaryHadamard, perm: np.ndarray, g: ChannelMa
     return fwht(fwht(gt, axis=0), axis=1) / hadamard.n
 
 
-def mmse_weights(hadamard: BinaryHadamard, perm: np.ndarray, g: ChannelMatrix,
-                 p: float, sigma2_n: float, m: int = 2) -> MmseWeights:
+def mmse_weights(mat: np.ndarray, p: float, sigma2_n: float, m: int = 2) -> MmseWeights:
     """Optimal linear weights for estimating u from the decoded vector.
 
-    sigma2_n is the per-sample noise variance seen at the receiver (include
-    any pulse-shaping penalty). It must be positive: u[0] has zero prior
+    mat is the interference matrix M of the interleaved channel
+    (interference_matrix); it depends only on the permutation and the
+    channel, so a sweep builds it once for all its power points. sigma2_n is
+    the per-sample noise variance seen at the receiver (include any
+    pulse-shaping penalty). It must be positive: u[0] has zero prior
     variance, so with sigma2_n = 0 the covariance of v has rank at most N-1
     on every channel, flat included, and numpy raises LinAlgError.
     """
-    n = hadamard.n
-    mat = interference_matrix(hadamard, perm, g)
+    n = mat.shape[0]
     var_u = pam_level_variance(m)
     d = np.ones(n)
     d[0] = 0.0  # u[0] carries no data

@@ -11,6 +11,12 @@ factor of at most 32 points is one dense +/-1 matrix product on a reshaped
 axis. On integer-valued inputs every partial sum is exact, so the result is
 exact; on other floats it can differ from a radix-2 butterfly in the last
 ulp because the additions run in another order.
+
+float32 input stays float32 (any other input is transformed in float64).
+Every partial sum of B v is bounded by N max|v|, so integer-valued float32
+input is transformed exactly while N max|v| < 2**24: the DCR calibration's
+chips, odd integers of magnitude at most M-1, are exact while
+(M-1) N < 2**24, i.e. for every M < 257 up to N = 2**16.
 """
 
 from dataclasses import dataclass
@@ -74,13 +80,13 @@ def _factor_sizes(order_log2: int) -> list:
 
 
 @lru_cache(maxsize=None)
-def _bipolar_block(n: int) -> np.ndarray:
-    block = 2.0 * _dense_rows(n.bit_length() - 1) - 1.0
+def _bipolar_block(n: int, dtype: np.dtype) -> np.ndarray:
+    block = (2 * _dense_rows(n.bit_length() - 1) - 1).astype(dtype)
     block.setflags(write=False)
     return block
 
 
-def fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
+def fwht(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply by the bipolar Sylvester Hadamard matrix in O(N log N).
 
     Equivalent to (2*rows - 1) @ v without materializing the matrix. Accepts
@@ -94,20 +100,41 @@ def fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
     cached block B_fi; the last factor is one (batch, f_k) @ B_fk product.
     Integer-valued inputs give exact results; other floats can differ from
     a radix-2 butterfly in the last ulp.
+
+    float32 input is transformed in float32, anything else in float64. The
+    result goes to `out` when given (same shape and dtype as the result; it
+    may be v itself) and is returned. Each factor but the last allocates an
+    intermediate of the input's size; the last product writes straight into
+    a C-contiguous `out`.
     """
-    a = np.moveaxis(np.asarray(v, dtype=np.float64), axis, -1)
+    a = np.asarray(v)
+    if a.dtype != np.float32:
+        a = a.astype(np.float64, copy=False)
+    a = np.moveaxis(a, axis, -1)
     n = a.shape[-1]
     if n == 0 or n & (n - 1):
         raise SizeError(f"fwht length must be a power of two, got {n}")
+    if out is None:
+        res = np.empty(a.shape, a.dtype)
+        out = np.moveaxis(res, -1, axis)
+    else:
+        res = np.moveaxis(out, axis, -1)
+        if res.shape != a.shape or res.dtype != a.dtype:
+            raise SizeError(f"fwht out must be {a.dtype} with the input's shape, "
+                            f"got {out.dtype} {out.shape}")
     if n == 1:
-        return np.moveaxis(a.copy(), -1, axis)
+        res[...] = a
+        return out
     *leading, last = _factor_sizes(n.bit_length() - 1)
     x, rest = a, n
     for f in leading:
         rest //= f
-        x = np.matmul(_bipolar_block(f), x.reshape(-1, f, rest))
-    x = x.reshape(-1, last) @ _bipolar_block(last)
-    return np.moveaxis(x.reshape(a.shape), -1, axis)
+        x = np.matmul(_bipolar_block(f, a.dtype), x.reshape(-1, f, rest))
+    dst = res.reshape(-1, last)  # a copy unless res is C-contiguous
+    np.matmul(x.reshape(-1, last), _bipolar_block(last, a.dtype), out=dst)
+    if not np.may_share_memory(dst, res):
+        res[...] = dst.reshape(res.shape)
+    return out
 
 
 def cyclic_shift(v: np.ndarray, ell: int) -> np.ndarray:

@@ -13,6 +13,20 @@ Each scheme is one entry of the table _SCHEMES: its order check, bits per
 symbol, calibration, drive mapping, analytic SNR and BER, and transmit and
 receive stages. The engine itself names no scheme.
 
+Chunk buffers: every thread that runs chunks of a sweep gets its own
+_ChunkBuffers (a threading.local on the _SweepContext), CHUNK_SYMBOLS rows
+of N or N + cp_len samples each, and the HCM stages write into them through
+their `out=` arguments; propagate writes every scheme's received samples
+into one. After its first chunk a thread allocates per chunk only the bit
+array of rng.integers and a few transient chunk-sized arrays (an fwht
+intermediate, the slicer's scaled estimates, the level lookup). This
+matters because a chunk array at N=128 is 256 KiB, above glibc's initial
+mmap threshold of 128 KiB: without the buffers each chunk allocated about
+ten of them, each mapped fresh from the kernel and page-faulted in unless a
+block of 4 MiB or more had been freed earlier in the process (as the old
+4 MiB DCR calibration blocks did). On a 2-core host an hcm sweep at N=128
+then took 132-162 ms against 87-92 ms after such a free.
+
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
 conventional x-axis for clipping-distortion curves and keeps high-power
@@ -22,6 +36,7 @@ operating points meaningful for schemes whose post-clip average saturates
 
 import csv
 import math
+import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,6 +56,7 @@ from .channel import DEFAULT_GAMMA, LinkConfig, load_impulse_response, propagate
 from .equalization import (
     MmseWeights,
     channel_matrix,
+    interference_matrix,
     interleaver_search,
     load_permutation,
     mmse_apply,
@@ -307,25 +323,28 @@ def _hcm_snr(ctx: "_SweepContext", avg: float) -> float:
 
 def _hcm_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray,
             reduce_dc: bool = False) -> np.ndarray:
-    cfg = ctx.cfg
-    chips = encode_levels(levels_from_bits(bits, cfg.m, cfg.n))
+    cfg, work, k = ctx.cfg, ctx.work(), len(bits)
+    levels, chips = work.levels[:k], work.chips[:k]
+    levels_from_bits(bits, cfg.m, cfg.n, out=levels)
+    encode_levels(levels, out=chips)
     if reduce_dc:
         chips -= chips.min(axis=-1, keepdims=True)
     if ctx.perm is not None:
-        chips = interleave(chips, ctx.perm)
-    return frame_chips(chips, point.link.p, cfg.cp_len)
+        chips = interleave(chips, ctx.perm, out=levels)
+    return frame_chips(chips, point.link.p, cfg.cp_len, out=work.tx[:k])
 
 
 def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.ndarray:
-    n, p = ctx.cfg.n, point.link.p
+    n, p, work, k = ctx.cfg.n, point.link.p, ctx.work(), len(y)
     if ctx.perm is not None:
-        y = deinterleave(y, ctx.perm)
-    v = decode_samples(y, p)
+        y = deinterleave(y, ctx.perm, out=work.levels[:k])
+    v = decode_samples(y, p, out=work.chips[:k])
     if point.weights is not None:
         est = mmse_apply(point.weights, v, p)[:, 1:]
     else:
-        est = v[:, 1:] * (n / p)
-    return slice_levels(est, ctx.cfg.m)[1]
+        est = v[:, 1:]
+        est *= n / p
+    return slice_levels(est, ctx.cfg.m, out=(work.idx[:k], work.bits[:k]))[1]
 
 
 def _aco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
@@ -354,7 +373,8 @@ class _Scheme:
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
     ber: Callable  # (snr, m): analytic bit error rate
-    tx: Callable  # (ctx, point, bits): transmit samples, cyclic prefix included
+    tx: Callable  # (ctx, point, bits): transmit samples, cyclic prefix included;
+    # a C-contiguous float64 array that propagate then uses as scratch
     rx: Callable  # (ctx, point, payload): bit decisions
     peak_snr_factor: float = 1.0  # achievable_snr reports this times snr
 
@@ -407,6 +427,26 @@ _SCHEMES = {
 SCHEMES = tuple(_SCHEMES)
 
 
+class _ChunkBuffers:
+    """One thread's work arrays for the HCM chunk pipeline, CHUNK_SYMBOLS rows each.
+
+    levels holds the PAM levels, then the interleaved chips, then the
+    deinterleaved payload; chips holds the chips, then the decoded vectors;
+    tx and rx hold the framed samples (tx is propagate's scratch); idx and
+    bits receive the slicer's decisions. A shorter last chunk uses [:k].
+    OFDM chunks write only rx; np.empty commits no memory to the others.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        rows, n = CHUNK_SYMBOLS, cfg.n
+        self.levels = np.empty((rows, n))
+        self.chips = np.empty((rows, n))
+        self.tx = np.empty((rows, n + cfg.cp_len))
+        self.rx = np.empty((rows, n + cfg.cp_len))
+        self.idx = np.empty((rows, n - 1), dtype=np.int64)
+        self.bits = np.empty((rows, n - 1, int(math.log2(cfg.m))), dtype=np.int64)
+
+
 class _SweepContext:
     """Per-sweep precomputation shared by all power points."""
 
@@ -419,6 +459,14 @@ class _SweepContext:
         self.hadamard = sylvester(int(math.log2(n)))
         self.perm = self._resolve_interleaver()
         self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
+        self._local = threading.local()
+
+    def work(self) -> _ChunkBuffers:
+        """The calling thread's chunk buffers, allocated on its first chunk."""
+        work = getattr(self._local, "work", None)
+        if work is None:
+            work = self._local.work = _ChunkBuffers(self.cfg)
+        return work
 
     @cached_property
     def calib(self):
@@ -429,6 +477,12 @@ class _SweepContext:
     def g(self):
         """Circulant channel matrix, shared by the interleaver search and the MMSE weights."""
         return channel_matrix(self.cfg.h, self.cfg.n)
+
+    @cached_property
+    def interference(self) -> np.ndarray:
+        """Interference matrix of the interleaved channel, read by the MMSE weights."""
+        perm = self.perm if self.perm is not None else np.arange(self.cfg.n)
+        return interference_matrix(self.hadamard, perm, self.g)
 
     @cached_property
     def gains(self):
@@ -477,10 +531,7 @@ def _point_setup(ctx: _SweepContext, avg_power: float) -> _PointSetup:
     )
     weights = None
     if cfg.equalizer == "mmse":
-        perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
-        weights = mmse_weights(
-            ctx.hadamard, perm, ctx.g, link.p, cfg.gamma * cfg.sigma2_n, cfg.m
-        )
+        weights = mmse_weights(ctx.interference, link.p, cfg.gamma * cfg.sigma2_n, cfg.m)
         analytic, snr = _mmse_analytic(weights, cfg.m)
     else:
         snr = ctx.scheme.snr(ctx, avg_power)
@@ -494,7 +545,7 @@ def _run_chunk(ctx: _SweepContext, point: _PointSetup, rng: np.random.Generator,
     """One chunk of k symbols: tx, propagate, rx; returns (bit errors, bits sent)."""
     bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol), dtype=np.int64)
     tx = ctx.scheme.tx(ctx, point, bits)
-    y = deframe(propagate(tx, point.link, rng), ctx.cfg.cp_len)
+    y = deframe(propagate(tx, point.link, rng, out=ctx.work().rx[:k]), ctx.cfg.cp_len)
     bits_hat = ctx.scheme.rx(ctx, point, y)
     return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits)), bits.size
 

@@ -13,10 +13,12 @@ all-zeros group maps to the most positive amplitude (00 -> (1+1j)/sqrt(2)
 for QPSK).
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import ConfigError, SizeError
-from .modem_hcm import _bits_to_ints, _gray_to_index, _index_to_gray, _ints_to_bits
+from .modem_hcm import _gray_tables, _group_values
 
 
 def _check_qam_order(m_qam: int):
@@ -26,39 +28,46 @@ def _check_qam_order(m_qam: int):
     return side
 
 
+@lru_cache(maxsize=None)
+def _qam_tables(m_qam: int) -> tuple[np.ndarray, np.ndarray]:
+    """(symbol of each bit-group value, bits of each pair index I * side + Q)."""
+    side = _check_qam_order(m_qam)
+    half = side.bit_length() - 1
+    index, gray_bits = _gray_tables(half)
+    norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
+    values = np.arange(m_qam)
+    i_amp = (side - 1 - 2 * index[values >> half]) / norm
+    q_amp = (side - 1 - 2 * index[values & (side - 1)]) / norm
+    symbols = i_amp + 1j * q_amp
+    bits = np.concatenate([np.repeat(gray_bits, side, axis=0),
+                           np.tile(gray_bits, (side, 1))], axis=1)
+    symbols.setflags(write=False)
+    bits.setflags(write=False)
+    return symbols, bits
+
+
 def qam_symbols(bits: np.ndarray, m_qam: int) -> np.ndarray:
     """Map bit groups (..., k*log2(m)) to k unit-energy QAM symbols."""
-    side = _check_qam_order(m_qam)
+    symbols = _qam_tables(m_qam)[0]
     bits = np.asarray(bits)
     bps = int(np.log2(m_qam))
-    half = bps // 2
     if bits.shape[-1] % bps:
         raise SizeError(f"bit count must be a multiple of {bps}")
-    groups = bits.reshape(*bits.shape[:-1], -1, bps)
-    norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
-    i_idx = _gray_to_index(_bits_to_ints(groups[..., :half]), half)
-    q_idx = _gray_to_index(_bits_to_ints(groups[..., half:]), half)
-    i_amp = (side - 1 - 2 * i_idx) / norm
-    q_amp = (side - 1 - 2 * q_idx) / norm
-    return i_amp + 1j * q_amp
+    return symbols[_group_values(bits.reshape(*bits.shape[:-1], -1, bps))]
 
 
 def qam_bits(symbols: np.ndarray, m_qam: int) -> np.ndarray:
     """Slice QAM symbols per axis (nearest level, ties to the lower index)."""
     side = _check_qam_order(m_qam)
-    half = int(np.log2(side))
     norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
     symbols = np.asarray(symbols)
 
-    def axis_bits(x):
+    def axis_index(x):
         idx_f = (side - 1 - x * norm) / 2.0
-        idx = np.clip(np.ceil(idx_f - 0.5), 0, side - 1).astype(np.int64)
-        return _ints_to_bits(_index_to_gray(idx), half)
+        return np.clip(np.ceil(idx_f - 0.5), 0, side - 1).astype(np.int64)
 
-    i_bits = axis_bits(symbols.real)
-    q_bits = axis_bits(symbols.imag)
-    out = np.concatenate([i_bits, q_bits], axis=-1)
-    return out.reshape(*symbols.shape[:-1], -1)
+    pairs = axis_index(symbols.real) * side + axis_index(symbols.imag)
+    return _qam_tables(m_qam)[1][pairs].reshape(*symbols.shape[:-1], -1)
 
 
 def aco_data_count(n_fft: int) -> int:

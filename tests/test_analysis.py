@@ -24,6 +24,7 @@ from hcmlink.analysis import (
     qfunc,
 )
 from hcmlink.errors import DomainError
+from hcmlink.hadamard import MAX_ORDER_LOG2
 from hcmlink.harness import achievable_snr
 from hcmlink.modem_hcm import encode_levels
 
@@ -53,6 +54,36 @@ class TestExtendedBinomial:
     def test_domain(self):
         with pytest.raises(DomainError):
             extended_binomial(1, 4)
+
+
+@pytest.mark.parametrize("n", [1 << k for k in range(1, 13)])
+def test_binary_pmf_bit_identical_to_extended_binomial(n):
+    denom = 2 ** (n - 1)
+    want = np.array([c / denom for c in extended_binomial(2, n - 1)])
+    pmf = hcm_amplitude_pmf(n, 2)
+    assert np.array_equal(pmf.probs, want)
+    assert np.array_equal(pmf.support, np.arange(n, dtype=np.float64))
+
+
+def test_binary_pmf_at_max_order():
+    n = 1 << MAX_ORDER_LOG2
+    pmf = hcm_amplitude_pmf(n, 2)
+    assert pmf.probs.size == n
+    assert abs(pmf.probs.sum() - 1.0) <= 1e-12
+    assert pmf.mean() == pytest.approx((n - 1) / 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: dcr_amplitude_pmf(16, 1, 100, rng),
+    lambda rng: dcr_amplitude_pmf(16, 2, 0, rng),
+    lambda rng: dcr_amplitude_pmf(16, 2, -5, rng),
+    lambda rng: dcr_energy_efficiency(16, 1, 10_000, rng),
+    lambda rng: dcr_energy_efficiency_exact(4, 1),
+    lambda rng: hcm_amplitude_pmf(16, 1),
+])
+def test_degenerate_order_or_sample_count_rejected(call):
+    with pytest.raises(DomainError):
+        call(np.random.default_rng(0))
 
 
 class TestAmplitudePmf:
@@ -130,6 +161,8 @@ def _float_dcr_pmf(n, m, symbols, rng):
 
 @pytest.mark.parametrize("n, m, symbols", [
     (128, 2, 20_000), (128, 4, 20_000), (16, 8, 5000), (64, 16, 9000), (1024, 2, 8192),
+    # symbols not a multiple of a block (512 at n=128), and fewer than one block
+    (128, 2, analysis.DCR_BLOCK_CHIPS // 128 * 3 + 77), (256, 4, 100),
 ])
 def test_dcr_pmf_equals_float_pipeline(n, m, symbols):
     pmf = dcr_amplitude_pmf(n, m, symbols, np.random.default_rng(11))

@@ -80,6 +80,28 @@ def test_propagate_matches_cyclic_convolution_after_deframe():
     assert_allclose(payload, want, atol=1e-12)
 
 
+def _normal_propagate(samples, cfg, rng):
+    """Clip, FIR, then noise from rng.normal(0, std): the reference for the noise draws."""
+    x = np.clip(samples, 0.0, cfg.p_max)
+    out = cfg.h[0] * x
+    for ell in range(1, cfg.h.size):
+        out[..., ell:] += cfg.h[ell] * x[..., :-ell]
+    return out + rng.normal(0.0, np.sqrt(cfg.sigma2_n * cfg.gamma), size=out.shape)
+
+
+@pytest.mark.parametrize("h, cp", [([1.0], 0), ([0.5, 0.3, 0.2], 2)])
+def test_propagate_into_out_matches_allocating_call(h, cp):
+    cfg = LinkConfig(p=1.0, p_max=0.8, sigma2_n=1e-3, h=h, cp_len=cp)
+    samples = np.random.default_rng(9).uniform(-0.2, 1.0, size=(64, 16 + cp))
+    keep = samples.copy()
+    want = _normal_propagate(samples, cfg, np.random.default_rng(10))
+    assert np.array_equal(propagate(samples, cfg, np.random.default_rng(10)), want)
+    assert np.array_equal(samples, keep)  # the allocating form works on a copy
+    out = np.empty_like(samples)
+    assert propagate(samples, cfg, np.random.default_rng(10), out=out) is out
+    assert np.array_equal(out, want)
+
+
 def test_linkconfig_validates_taps():
     with pytest.raises(ConfigError):
         LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[0.5, 0.4])

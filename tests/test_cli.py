@@ -91,3 +91,16 @@ def test_eta_reversed_range_exits_2(capsys):
     code, lines, err = run(capsys, "eta", "--n-range", "16:8")
     assert code == 2
     assert lines == [] and "above high" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pmf", "--n", "16", "--dcr", "--m", "1"], "m >= 2"),
+    (["eta", "--n-range", "16:16", "--m", "1"], "m >= 2"),
+    (["pmf", "--n", "16", "--dcr", "--symbols", "0"], "at least one symbol"),
+    (["pmf", "--n", "16", "--dcr", "--symbols", "-5"], "at least one symbol"),
+    (["interleaver-search", "--taps", "0.5,0.5", "--n", "0"], "power of two"),
+])
+def test_degenerate_input_exits_2(capsys, argv, message):
+    code, lines, err = run(capsys, *argv)
+    assert code == 2
+    assert lines == [] and message in err

@@ -93,7 +93,8 @@ class TestMmseWeights:
     def test_identity_channel_reduces_to_scaled_identity(self):
         n, p, sigma2 = 8, 2.0, 1e-3
         had = sylvester(3)
-        w = mmse_weights(had, np.arange(n), channel_matrix([1.0], n), p, sigma2)
+        mat = interference_matrix(had, np.arange(n), channel_matrix([1.0], n))
+        w = mmse_weights(mat, p, sigma2)
         off = w.w - np.diag(np.diag(w.w))
         assert np.abs(off).max() < 1e-12
         # diagonal gain matches the scalar Wiener solution
@@ -110,7 +111,8 @@ class TestMmseWeights:
         rng = np.random.default_rng(2)
         n, p = 16, 1.0
         had = sylvester(4)
-        w = mmse_weights(had, np.arange(n), channel_matrix([1.0], n), p, 1e-15)
+        mat = interference_matrix(had, np.arange(n), channel_matrix([1.0], n))
+        w = mmse_weights(mat, p, 1e-15)
         u = random_frames(rng, 1, n)[0]
         v = decode_samples(encode_levels(u) * (p / n), p)
         assert np.abs(mmse_apply(w, v, p) - u).max() < 1e-6
@@ -125,7 +127,7 @@ class TestMmseWeights:
         d[0] = 0.0
         c_uv = var_u * (p / n) * (d[:, None] * mat.T)
         cov_v = (p / n) ** 2 * var_u * ((mat * d) @ mat.T) + (sigma2 / n) * np.eye(n)
-        w = mmse_weights(had, np.arange(n), g, p, sigma2)
+        w = mmse_weights(interference_matrix(had, np.arange(n), g), p, sigma2)
         resid = np.linalg.norm(w.w @ cov_v - c_uv) / np.linalg.norm(c_uv)
         assert resid < 1e-8
 
@@ -134,7 +136,7 @@ class TestMmseWeights:
         n, p, sigma2 = 16, 1.0, 2e-4
         had = sylvester(4)
         g = channel_matrix([0.5, 0.3, 0.2], n)
-        w = mmse_weights(had, np.arange(n), g, p, sigma2)
+        w = mmse_weights(interference_matrix(had, np.arange(n), g), p, sigma2)
         levels = random_frames(rng, 200_000, n)
         v = received_vectors(rng, levels, g, p, sigma2)
         err = mmse_apply(w, v, p) - levels
@@ -146,7 +148,7 @@ class TestMmseWeights:
         n, p, sigma2 = 16, 1.0, 2e-4
         had = sylvester(4)
         g = channel_matrix([0.5, 0.3, 0.2], n)
-        w = mmse_weights(had, np.arange(n), g, p, sigma2)
+        w = mmse_weights(interference_matrix(had, np.arange(n), g), p, sigma2)
         levels = random_frames(rng, 100_000, n)
         v = received_vectors(rng, levels, g, p, sigma2)
         base_err = mmse_apply(w, v, p) - levels
@@ -171,7 +173,8 @@ class TestMmseEstimate:
         rng = np.random.default_rng(5)
         n, p = 16, 1.0
         had = sylvester(4)
-        w = mmse_weights(had, np.arange(n), channel_matrix([1.0], n), p, 1e-9)
+        mat = interference_matrix(had, np.arange(n), channel_matrix([1.0], n))
+        w = mmse_weights(mat, p, 1e-9)
         u = random_frames(rng, 1, n)[0]
         v = decode_samples(encode_levels(u) * (p / n), p)
         idx, _ = slice_levels(mmse_apply(w, v, p)[1:], 2)
@@ -180,7 +183,8 @@ class TestMmseEstimate:
     def test_centered_observation_gives_prior_mean(self):
         n, p = 8, 1.0
         had = sylvester(3)
-        w = mmse_weights(had, np.arange(n), channel_matrix([1.0], n), p, 1e-3)
+        mat = interference_matrix(had, np.arange(n), channel_matrix([1.0], n))
+        w = mmse_weights(mat, p, 1e-3)
         est = mmse_apply(w, _v_mean(p, n), p)
         assert_allclose(est[1:], 0.5)
         assert est[0] == 0.0
@@ -192,7 +196,7 @@ class TestMmseEstimate:
         n, p, sigma2 = 16, 1.0, 3e-4
         had = sylvester(4)
         g = channel_matrix([1.0], n)
-        w = mmse_weights(had, np.arange(n), g, p, sigma2)
+        w = mmse_weights(interference_matrix(had, np.arange(n), g), p, sigma2)
         levels = random_frames(rng, 2000, n)
         v = received_vectors(rng, levels, g, p, sigma2)
         est_mmse = mmse_apply(w, v, p)[..., 1:]
@@ -205,7 +209,7 @@ class TestMmseEstimate:
         n, p, sigma2 = 8, 1.0, 2e-4
         had = sylvester(3)
         g = channel_matrix([0.5, 0.3, 0.2], n)
-        w = mmse_weights(had, np.arange(n), g, p, sigma2)
+        w = mmse_weights(interference_matrix(had, np.arange(n), g), p, sigma2)
         levels = random_frames(rng, 30_000, n)
         v = received_vectors(rng, levels, g, p, sigma2)
         idx_truth = (levels[:, 1:] > 0.5).astype(int)

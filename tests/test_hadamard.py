@@ -205,6 +205,64 @@ def test_fwht_result_is_writable():
     assert np.array_equal(fwht(np.ones(64))[:2], [64.0, 0.0])
 
 
+@pytest.mark.parametrize("k", ORACLE_ORDERS)
+def test_fwht_float32_exact_on_integers(k):
+    # integer input with N max|v| < 2**24 keeps every partial sum exact
+    n = 1 << k
+    bound = (2**24 - 1) // n
+    v = np.random.default_rng(400 + k).integers(-bound, bound + 1, size=(2, n))
+    got = fwht(v.astype(np.float32))
+    assert got.dtype == np.float32
+    assert np.array_equal(got, fwht(v.astype(np.float64)))
+
+
+def _kronecker_fwht(v: np.ndarray) -> np.ndarray:
+    """The float64 Kronecker steps of fwht, written out: the reference for its rounding."""
+    a = np.asarray(v, dtype=np.float64)
+    n = a.shape[-1]
+    k = n.bit_length() - 1
+    count = -(-k // 5)
+    sizes = [1 << (k // count + (i < k % count)) for i in range(count)]
+    x, rest = a, n
+    for f in sizes[:-1]:
+        rest //= f
+        x = np.matmul(scipy_hadamard(f).astype(np.float64), x.reshape(-1, f, rest))
+    return (x.reshape(-1, sizes[-1]) @ scipy_hadamard(sizes[-1])).reshape(a.shape)
+
+
+@pytest.mark.parametrize("k", [1, 5, 6, 7, 10, 12])
+def test_fwht_float64_rounding_unchanged(k):
+    v = np.random.default_rng(500 + k).normal(size=(3, 1 << k))
+    assert fwht(v).dtype == np.float64
+    assert np.array_equal(fwht(v), _kronecker_fwht(v))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("axis", [0, 1, -1])
+@pytest.mark.parametrize("n", [8, 128])
+def test_fwht_out_matches_returned_array(dtype, axis, n):
+    v = np.random.default_rng(8).integers(-9, 10, size=(n, n)).astype(dtype)
+    keep = v.copy()
+    want = fwht(v, axis=axis)
+    for out in (np.empty_like(v), np.empty((n, 2 * n), dtype)[:, ::2],
+                np.empty((n, n + 3), dtype)[:, 3:]):
+        got = fwht(v, axis=axis, out=out)
+        assert got is out
+        assert np.array_equal(out, want)
+        assert np.array_equal(v, keep)
+    in_place = v.copy()
+    assert fwht(in_place, axis=axis, out=in_place) is in_place
+    assert np.array_equal(in_place, want)
+
+
+def test_fwht_rejects_mismatched_out():
+    v = np.ones((4, 16))
+    with pytest.raises(SizeError, match="out"):
+        fwht(v, out=np.empty((4, 8)))
+    with pytest.raises(SizeError, match="out"):
+        fwht(v, out=np.empty((4, 16), np.float32))
+
+
 def test_dcr_calibration_pmf_matches_butterfly(monkeypatch):
     # exact integer arithmetic in fwht keeps the DCR calibration, and with it
     # every analyze/snr CSV, identical to the radix-2 butterfly's

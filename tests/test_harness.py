@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -97,6 +101,20 @@ def test_cli_simulate_identical_for_any_thread_count(tmp_path, capsys, name):
         outputs.append(capsys.readouterr().out)
     assert outputs[0].startswith("avg_power_w,symbols,")
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_threads_never_share_chunk_buffers():
+    # switching threads every microsecond interleaves chunks mid-pipeline,
+    # which would corrupt results if two threads wrote the same buffers
+    cfg = harness.parse_config(THREAD_CONFIGS["dcr-hcm-n32"])
+    want = harness.sweep(cfg, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = harness.sweep(cfg, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_negative_noise_std_rejected():
@@ -200,17 +218,47 @@ def test_achievable_snr_scans_the_point_snr():
 
 
 def test_context_builds_only_what_its_scheme_reads(monkeypatch):
-    calls = {"channel_matrix": 0, "one_tap_gains": 0}
+    calls = {"channel_matrix": 0, "one_tap_gains": 0, "interference_matrix": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
-    # the interleaver search and the MMSE weights share one channel matrix
+    # the interleaver search and the MMSE weights share one channel matrix,
+    # and the weights of all three points share one interference matrix
     harness.analyze(harness.parse_config(THREAD_CONFIGS["dcr-hcm-n16-mmse-search"]))
-    assert calls == {"channel_matrix": 1, "one_tap_gains": 0}
+    assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
     harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, grid_points=20)
-    assert calls == {"channel_matrix": 1, "one_tap_gains": 0}
+    assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
     # an OFDM receiver reads the one-tap gains, built once per sweep
     harness.sweep(harness.parse_config(THREAD_CONFIGS["aco-ofdm-n32"]))
-    assert calls == {"channel_matrix": 1, "one_tap_gains": 1}
+    assert calls == {"channel_matrix": 1, "one_tap_gains": 1, "interference_matrix": 1}
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
+
+@pytest.mark.parametrize("stem, limit", [
+    ("awgn-hcm.hcm", 3.0),
+    ("awgn-hcm.dcr-hcm", 3.0),
+    ("dispersive-mmse.dcr-hcm", 4.0),
+])
+def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
+    # a chunk runs through its thread's buffers: what it allocates at its
+    # peak, in 256 x N float64 arrays, is the bit array plus a few temporaries
+    cfg = harness.parse_config((BENCH_CONFIGS / f"{stem}.conf").read_text())
+    ctx = harness._SweepContext(cfg)
+    point = harness._point_setup(ctx, float(cfg.power_grid[-1]))
+
+    def chunk(j):
+        harness._run_chunk(ctx, point, harness._stream(1, 0, 0, j), harness.CHUNK_SYMBOLS)
+
+    chunk(0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        chunk(1)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit * harness.CHUNK_SYMBOLS * cfg.n * 8

@@ -1,5 +1,6 @@
 import itertools
 
+import gray_oracle
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -64,6 +65,50 @@ class TestPamMap:
     def test_bad_order(self):
         with pytest.raises(ConfigError):
             levels_from_bits(np.zeros(7, dtype=int), 3, 8)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+def test_gray_tables_match_bitwise_mapping(m):
+    rng = np.random.default_rng(20 + m)
+    n, b = 32, int(np.log2(m))
+    bits = rng.integers(0, 2, size=(50, (n - 1) * b))
+    assert np.array_equal(levels_from_bits(bits, m, n), gray_oracle.levels_from_bits(bits, m, n))
+    estimates = rng.uniform(-0.3, 1.3, size=(50, n - 1))
+    estimates[0, :m] = np.arange(m) / (m - 1) + 0.5 / (m - 1)  # exact ties
+    idx, sliced = slice_levels(estimates, m)
+    want_idx, want_bits = gray_oracle.slice_levels(estimates, m)
+    assert np.array_equal(idx, want_idx) and np.array_equal(sliced, want_bits)
+    assert sliced.dtype == want_bits.dtype and sliced.shape == (50, n - 1, b)
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_stages_into_out_match_allocating_calls(m):
+    # each stage writes the returned values into out, views of larger buffers included
+    rng = np.random.default_rng(30 + m)
+    n, rows, cp, p = 16, 8, 3, 0.7
+    bits = rng.integers(0, 2, size=(rows, (n - 1) * int(np.log2(m))))
+    levels = levels_from_bits(bits, m, n)
+    buf = np.full((rows, n + 5), np.nan)
+    assert np.array_equal(levels_from_bits(bits, m, n, out=buf[:, 2:n + 2]), levels)
+    chips = encode_levels(levels)
+    out = np.empty_like(levels)
+    assert encode_levels(levels, out=out) is out and np.array_equal(out, chips)
+    in_place = levels.copy()
+    assert np.array_equal(encode_levels(in_place, out=in_place), chips)
+    framed = np.empty((rows, n + cp))
+    assert np.array_equal(frame_chips(chips, p, cp, out=framed), frame_chips(chips, p, cp))
+    perm = rng.permutation(n)
+    assert np.array_equal(interleave(chips, perm, out=out), interleave(chips, perm))
+    y = framed[:, cp:]
+    assert np.array_equal(deinterleave(y, perm, out=out), deinterleave(y, perm))
+    assert np.array_equal(decode_samples(y, p, out=out), decode_samples(y, p))
+    est = out[:, 1:] * (n / p)
+    b = int(np.log2(m))
+    slices = (np.empty((rows, n - 1), np.int64), np.empty((rows, n - 1, b), np.int64))
+    got = slice_levels(est, m, out=slices)
+    assert got[0] is slices[0] and got[1] is slices[1]
+    for a, b in zip(got, slice_levels(est, m)):
+        assert np.array_equal(a, b)
 
 
 class TestEncode:

@@ -1,3 +1,4 @@
+import gray_oracle
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -34,6 +35,19 @@ class TestQam:
         for m in (4, 16, 64):
             bits = rng.integers(0, 2, size=10_000 * int(np.log2(m)))
             assert np.array_equal(qam_bits(qam_symbols(bits, m), m).reshape(-1), bits)
+
+    @pytest.mark.parametrize("m", [4, 16, 64])
+    def test_tables_match_bitwise_mapping(self, m):
+        rng = np.random.default_rng(m)
+        bits = rng.integers(0, 2, size=(20, 30 * int(np.log2(m))))
+        symbols = qam_symbols(bits, m)
+        assert np.array_equal(symbols, gray_oracle.qam_symbols(bits, m))
+        # noisy symbols, exact decision ties on both axes and points far outside the grid
+        noisy = symbols + rng.normal(scale=0.4, size=symbols.shape) * (1 + 1j)
+        noisy[0, :3] = [0.0, 5.0 - 5.0j, 1j / np.sqrt(2.0 * (m - 1) / 3.0) * 2]
+        got = qam_bits(noisy, m)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, gray_oracle.qam_bits(noisy, m))
 
     def test_rejects_non_square_order(self):
         with pytest.raises(ConfigError):
