@@ -12,15 +12,11 @@ from .analysis import (
     clipping_variance_gaussian,
     dcr_amplitude_pmf,
     dcr_energy_efficiency,
-    dcr_energy_efficiency_exact,
-    extended_binomial,
     hcm_amplitude_pmf,
-    hcm_analytical_ber,
     qfunc,
 )
-from .channel import LinkConfig, clip, illuminance_to_power, load_impulse_response, propagate
+from .channel import LinkConfig, clip, load_impulse_response, propagate
 from .equalization import (
-    ChannelMatrix,
     MmseWeights,
     channel_matrix,
     interleaver_search,
@@ -29,8 +25,8 @@ from .equalization import (
     mmse_weights,
     save_permutation,
 )
-from .errors import ConfigError, DomainError, FramingError, RangeError, SizeError
-from .hadamard import BinaryHadamard, cyclic_shift, fwht, sylvester
+from .errors import ConfigError, DomainError, FramingError, SizeError
+from .hadamard import fwht
 from .harness import BerRecord, ExperimentConfig, achievable_snr, parse_config, run_point, sweep
 from .modem_hcm import deframe, deinterleave, interleave
 

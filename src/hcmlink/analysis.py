@@ -42,20 +42,6 @@ def qfunc(x) -> np.ndarray:
     return 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
 
 
-def extended_binomial(m: int, n: int) -> list:
-    """Coefficients of (1 + x + ... + x**(m-1))**n as exact integers."""
-    if m < 2 or n < 0:
-        raise DomainError(f"need m >= 2 and n >= 0, got m={m}, n={n}")
-    row = [1]
-    for _ in range(n):
-        new = [0] * (len(row) + m - 1)
-        for j, c in enumerate(row):
-            for k in range(m):
-                new[j + k] += c
-        row = new
-    return row
-
-
 def _check_power_of_two(n: int):
     if n < 2 or n & (n - 1):
         raise DomainError(f"n must be a power of two >= 2, got {n}")
@@ -66,25 +52,36 @@ def _check_order(m: int):
         raise DomainError(f"need m >= 2 levels, got m={m}")
 
 
-def _binomial_row(n: int):
-    """Yield C(n, k) for k = 0..n as exact integers, in O(n) big-integer steps."""
-    c = 1
-    for k in range(n + 1):
-        yield c
-        c = c * (n - k) // (k + 1)
+def _window_power_row(m: int, n: int) -> list:
+    """Coefficients c_k of (1 + x + ... + x**(m-1))**n as exact integers.
+
+    J. C. P. Miller's recurrence for a power of a polynomial (Knuth, TAOCP
+    Vol. 2, 4.7): k c_k = (n+1) S1 - k S0 with S0 = sum c_(k-i) and
+    S1 = sum i c_(k-i) over i = 1..m-1. Both window sums are updated in
+    O(1) per coefficient, so the row takes O(n m) big-integer steps, and the
+    division by k is exact.
+    """
+    c = [1]
+    s0 = s1 = 0
+    for k in range(1, n * (m - 1) + 1):
+        old = c[k - m] if k >= m else 0
+        s0 += c[k - 1] - old
+        s1 += s0 - (m - 1) * old
+        c.append(((n + 1) * s1 - k * s0) // k)
+    return c
 
 
 def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
     """Exact pmf of one encoder output chip for random data frames.
 
     With u[0] pinned to 0, a chip equals the sum of N-1 iid uniform levels
-    k/(m-1): Pr(x = k/(m-1)) = C(m, N-1, k) / m**(N-1). For m = 2 the
-    coefficients are the binomial row C(N-1, k), built in O(N) steps.
+    k/(m-1): Pr(x = k/(m-1)) = c_k / m**(N-1), where c_k is the coefficient
+    of x**k in (1 + x + ... + x**(m-1))**(N-1).
     """
     _check_power_of_two(n)
-    coeffs = _binomial_row(n - 1) if m == 2 else extended_binomial(m, n - 1)
+    _check_order(m)
     denom = m ** (n - 1)
-    probs = np.array([c / denom for c in coeffs])
+    probs = np.array([c / denom for c in _window_power_row(m, n - 1)])
     support = np.arange(probs.size) / (m - 1)
     return AmplitudePmf(support=support, probs=probs)
 
@@ -171,44 +168,25 @@ def clipping_variance_gaussian(mean: float, variance: float, p_max: float) -> fl
     return lower + _upper_tail_var(mean, std, p_max)
 
 
-def hcm_peak_snr(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
-                 gamma: float = DEFAULT_GAMMA) -> float:
-    """Peak-signal to noise power ratio of the decoded data component.
-
-    The decoded components are (p/N) u + noise with per-component noise
-    variance (gamma*sigma2_n + sigma2_clip)/N, so the peak SNR is
-    3/(gamma'(M^2-1)) * (p^2/N) / (sigma2_n + sigma2_clip)-shaped. This is
-    the conventional reported "achievable SNR" for these links; for binary
-    modulation it is 4x the squared decision Q-argument because the level
-    grid is unipolar (the decision distance is half the peak).
-    """
-    return 4.0 * hcm_snr(m, n, p, sigma2_n, sigma2_clip, gamma)
-
-
 def hcm_snr(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
             gamma: float = DEFAULT_GAMMA) -> float:
     """Squared Q-argument of the dominant HCM/DCR-HCM error event.
 
     The decoded data components are (p/N) u + noise with noise variance
     (gamma*sigma2_n + sigma2_clip)/N, and the unipolar level grid spans
-    [0, p/N], so the half-distance between neighbors is p/(2N(M-1)).
+    [0, p/N], so the half-distance between neighbors is p/(2N(M-1)) and
+    the squared Q-argument is (p/(2N(M-1)))**2 / (noise/N).
     """
     noise = gamma * sigma2_n + sigma2_clip
     if noise == 0.0:
         return math.inf
-    return 3.0 / (m * m - 1.0) * (p * p / (4.0 * n)) / noise
+    return 1.0 / (m - 1.0) ** 2 * (p * p / (4.0 * n)) / noise
 
 
 def pam_ber(snr: float, m: int) -> float:
     """Gray M-PAM bit error rate at squared Q-argument snr."""
     prefactor = 2.0 * (m - 1) / (m * math.log2(m))
     return min(prefactor * float(qfunc(math.sqrt(snr))), 0.5)
-
-
-def hcm_analytical_ber(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
-                       gamma: float = DEFAULT_GAMMA) -> float:
-    """Approximate bit error rate of Gray-labeled M-PAM HCM."""
-    return pam_ber(hcm_snr(m, n, p, sigma2_n, sigma2_clip, gamma), m)
 
 
 def qam_ber(snr: float, m_qam: int) -> float:
@@ -258,23 +236,6 @@ def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
     sigma2_clip = clipping_variance_gaussian(bias, sigma_x * sigma_x, p_max)
     scale = sigma_x / dco_time_std(n_fft)
     return scale * scale / (n_fft * (gamma * sigma2_n + sigma2_clip))
-
-
-def dcr_energy_efficiency_exact(n: int, m: int) -> float:
-    """Exact eta by enumerating every data frame; only viable for small n."""
-    _check_power_of_two(n)
-    _check_order(m)
-    frames = m ** (n - 1)
-    if frames > 1 << 20:
-        raise DomainError(f"{frames} frames is too many for exhaustive enumeration")
-    idx = np.arange(frames)
-    digits = np.zeros((frames, n))
-    for pos in range(n - 1):
-        digits[:, pos + 1] = (idx // m**pos) % m
-    chips = encode_levels(digits / (m - 1))
-    mean_chip = (n - 1) / 2.0
-    e_min = float(chips.min(axis=-1).mean())
-    return mean_chip / (mean_chip - e_min)
 
 
 def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator) -> float:

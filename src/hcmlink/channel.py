@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -88,18 +88,6 @@ def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
     noise *= np.sqrt(config.sigma2_n * config.gamma)
     out += noise
     return out
-
-
-def illuminance_to_power(lux: float, ler: float, area_m2: float) -> float:
-    """Received optical power (W) for an illuminance target.
-
-    lux / ler is the irradiance in W/m^2 for a source with the given
-    luminous efficacy of radiation (lm/W); multiplying by the detector area
-    gives the collected power.
-    """
-    if lux <= 0 or ler <= 0 or area_m2 <= 0:
-        raise DomainError("illuminance, LER and area must all be positive")
-    return lux / ler * area_m2
 
 
 def load_impulse_response(path) -> np.ndarray:

@@ -5,6 +5,7 @@ failures. All outputs are CSV on stdout unless --out is given.
 """
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -13,8 +14,8 @@ from . import analysis, harness
 from .channel import load_impulse_response
 from .equalization import channel_matrix, interference_matrix, interference_spread, \
     interleaver_search, save_permutation
-from .errors import ConfigError, DomainError, RangeError
-from .hadamard import sylvester
+from .errors import ConfigError, DomainError
+from .hadamard import MAX_ORDER_LOG2
 
 
 def _read_config(args) -> harness.ExperimentConfig:
@@ -29,31 +30,24 @@ def _read_config(args) -> harness.ExperimentConfig:
     return harness.parse_config(text, overrides)
 
 
-def _open_out(args):
-    return open(args.out, "w", newline="") if args.out else sys.stdout
+def _output(args):
+    """Context manager for the output: the --out file, closed on exit, or stdout."""
+    return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
 
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config(args)
     records = harness.sweep(cfg, threads=args.threads)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         harness.write_ber_csv(records, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def _cmd_analyze(args) -> int:
     cfg = _read_config(args)
     points = harness.analyze(cfg)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         harness.write_analyze_csv(points, out)
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -63,14 +57,10 @@ def _cmd_pmf(args) -> int:
         pmf = analysis.dcr_amplitude_pmf(args.n, args.m, args.symbols, rng)
     else:
         pmf = analysis.hcm_amplitude_pmf(args.n, args.m)
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write("amplitude,probability\n")
         for a, p in zip(pmf.support, pmf.probs):
             out.write(f"{a:.10g},{p:.12g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -85,14 +75,10 @@ def _cmd_eta(args) -> int:
     while n <= n_hi:
         rows.append((n, analysis.dcr_energy_efficiency(n, args.m, args.trials, rng)))
         n *= 2
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write("n,m,trials,eta\n")
         for n, eta in rows:
             out.write(f"{n},{args.m},{args.trials},{eta:.6g}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -101,15 +87,13 @@ def _cmd_interleaver_search(args) -> int:
         taps = load_impulse_response(args.taps_file)
     else:
         taps = np.array([float(v) for v in args.taps.split(",")])
-    k = args.n.bit_length() - 1
-    if args.n < 1 or args.n != 1 << k:
-        raise ConfigError(f"n must be a power of two, got {args.n}")
-    had = sylvester(k)
+    if args.n < 1 or args.n & (args.n - 1) or args.n > 1 << MAX_ORDER_LOG2:
+        raise ConfigError(f"n must be a power of two <= {1 << MAX_ORDER_LOG2}, got {args.n}")
     g = channel_matrix(taps, args.n)
     rng = np.random.default_rng(args.seed)
-    perm = interleaver_search(g, had, args.budget, rng)
-    before = interference_spread(interference_matrix(had, np.arange(args.n), g))
-    after = interference_spread(interference_matrix(had, perm, g))
+    perm = interleaver_search(g, budget=args.budget, rng=rng)
+    before = interference_spread(interference_matrix(np.arange(args.n), g))
+    after = interference_spread(interference_matrix(perm, g))
     print(f"objective: identity={before:.6g} found={after:.6g}", file=sys.stderr)
     if args.out:
         save_permutation(perm, args.out)
@@ -128,17 +112,13 @@ def _cmd_snr(args) -> int:
         for scheme in schemes
         for m in m_list
     ]
-    out = _open_out(args)
-    try:
+    with _output(args) as out:
         out.write("scheme,m,spectral_efficiency,max_snr,best_avg_power_w\n")
         for scheme, m, res in rows:
             out.write(
                 f"{scheme},{m},{res.spectral_efficiency:.6g},"
                 f"{res.max_snr:.6g},{res.best_avg_power:.6g}\n"
             )
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
@@ -210,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, RangeError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -34,14 +34,7 @@ import numpy as np
 from scipy.linalg import circulant
 
 from .errors import ConfigError, DomainError
-from .hadamard import BinaryHadamard, fwht
-
-
-@dataclass(frozen=True)
-class ChannelMatrix:
-    """Circulant matrix G with G[i, j] = h[(i - j) mod N]."""
-
-    g: np.ndarray
+from .hadamard import fwht
 
 
 @dataclass(frozen=True)
@@ -49,18 +42,17 @@ class MmseWeights:
     """Linear MMSE weights plus the predicted residual error."""
 
     w: np.ndarray
-    lmmse: float
     error_diag: np.ndarray  # per-component error variance, length N
 
 
-def channel_matrix(h: np.ndarray, n: int) -> ChannelMatrix:
-    """Build the circulant matrix so that G @ x = sum_l h[l] * roll(x, l)."""
+def channel_matrix(h: np.ndarray, n: int) -> np.ndarray:
+    """Circulant matrix G[i, j] = h[(i - j) mod N], so that G @ x = sum_l h[l] * roll(x, l)."""
     h = np.asarray(h, dtype=np.float64)
     if h.size > n:
         raise ConfigError(f"{h.size} taps do not fit a {n}-point symbol")
     col = np.zeros(n)
     col[: h.size] = h
-    return ChannelMatrix(g=circulant(col))
+    return circulant(col)
 
 
 def pam_level_variance(m: int) -> float:
@@ -74,10 +66,10 @@ def _conjugated_channel(g: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return g[np.ix_(perm, perm)]
 
 
-def interference_matrix(hadamard: BinaryHadamard, perm: np.ndarray, g: ChannelMatrix) -> np.ndarray:
-    """M = (1/N) B Pi^T G Pi B, computed with two fast transforms."""
-    gt = _conjugated_channel(g.g, perm)
-    return fwht(fwht(gt, axis=0), axis=1) / hadamard.n
+def interference_matrix(perm: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """M = (1/N) B Pi^T G Pi B for the N x N channel matrix g, with two fast transforms."""
+    gt = _conjugated_channel(g, perm)
+    return fwht(fwht(gt, axis=0), axis=1) / g.shape[0]
 
 
 def mmse_weights(mat: np.ndarray, p: float, sigma2_n: float, m: int = 2) -> MmseWeights:
@@ -101,8 +93,7 @@ def mmse_weights(mat: np.ndarray, p: float, sigma2_n: float, m: int = 2) -> Mmse
     cov_v[np.diag_indices(n)] += sigma2_n / n
     w = np.linalg.solve(cov_v, c_uv.T).T
     error_diag = var_u * d - np.einsum("ij,ij->i", w, c_uv)
-    lmmse = float(error_diag.sum())
-    return MmseWeights(w=w, lmmse=lmmse, error_diag=error_diag)
+    return MmseWeights(w=w, error_diag=error_diag)
 
 
 def mmse_apply(weights: MmseWeights, v: np.ndarray, p: float) -> np.ndarray:
@@ -122,8 +113,8 @@ def interference_spread(mat: np.ndarray) -> float:
     return float(row_energy.var())
 
 
-def _objective(hadamard, perm, g):
-    return interference_spread(interference_matrix(hadamard, perm, g))
+def _objective(perm, g):
+    return interference_spread(interference_matrix(perm, g))
 
 
 def _swap_terms(g: np.ndarray, perm: np.ndarray, i: int, j: int):
@@ -157,8 +148,7 @@ def _swapped_spread(mat: np.ndarray, energy: np.ndarray, terms) -> float:
     return float((energy - diag * diag).var())
 
 
-def interleaver_search(g: ChannelMatrix, hadamard: BinaryHadamard, budget: int,
-                       rng: np.random.Generator) -> np.ndarray:
+def interleaver_search(g: np.ndarray, *, budget: int, rng: np.random.Generator) -> np.ndarray:
     """Find a permutation that evens out the per-component interference.
 
     Exhaustive for N <= 8; otherwise simulated annealing over pairwise swaps
@@ -173,31 +163,34 @@ def interleaver_search(g: ChannelMatrix, hadamard: BinaryHadamard, budget: int,
     the last ulp, so where two candidates tie (as on taps 0.7,0.3) the
     search can take either branch; the full evaluation also decided such
     ties by its own last-ulp rounding.
+
+    g is the N x N channel matrix (channel_matrix). budget and rng are
+    keyword-only: wrappers that record the budget, such as the benchmark's
+    tracer in bench/spans.py, read it by name.
     """
-    return _search(g, hadamard, budget, rng)[0]
+    return _search(g, budget, rng)[0]
 
 
-def _search(g: ChannelMatrix, hadamard: BinaryHadamard, budget: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, float]:
+def _search(g: np.ndarray, budget: int, rng: np.random.Generator) -> tuple[np.ndarray, float]:
     """interleaver_search, plus the objective it tracked for the result."""
     if budget < 1:
         raise DomainError("budget must be >= 1")
-    n = hadamard.n
+    n = g.shape[0]
     identity = np.arange(n)
     best = identity
-    best_j = _objective(hadamard, identity, g)
+    best_j = _objective(identity, g)
     if best_j == 0.0:
         return identity, best_j
 
     if n <= 8:
         for cand in itertools.permutations(range(n)):
-            j = _objective(hadamard, np.array(cand), g)
+            j = _objective(np.array(cand), g)
             if j < best_j:
                 best, best_j = np.array(cand), j
         return best, best_j
 
     perm = rng.permutation(n)
-    mat = interference_matrix(hadamard, perm, g)
+    mat = interference_matrix(perm, g)
     energy = np.einsum("ij,ij->i", mat, mat)
     cur_j = interference_spread(mat)
     if cur_j < best_j:
@@ -210,7 +203,7 @@ def _search(g: ChannelMatrix, hadamard: BinaryHadamard, budget: int,
         if i == j:
             temp *= decay
             continue
-        terms = _swap_terms(g.g, perm, i, j)
+        terms = _swap_terms(g, perm, i, j)
         cand_j = _swapped_spread(mat, energy, terms)
         if cand_j < cur_j or rng.random() < math.exp(min((cur_j - cand_j) / temp, 0.0)):
             perm[i], perm[j] = perm[j], perm[i]

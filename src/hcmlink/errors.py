@@ -19,7 +19,3 @@ class ConfigError(ValueError):
 
 class DomainError(ValueError):
     """A numeric argument is outside the mathematical domain of the operation."""
-
-
-class RangeError(ValueError):
-    """A requested operating point is unreachable for the chosen scheme."""

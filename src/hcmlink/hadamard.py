@@ -1,8 +1,9 @@
-"""Sylvester Hadamard matrices and the fast Walsh-Hadamard transform.
+"""The fast Walsh-Hadamard transform.
 
-The binary matrix convention is 0/1 with an all-ones first row and column;
-the bipolar form is B = 2*rows - 1, which is symmetric and satisfies
-B @ B = N * I. All transforms run in the bipolar domain.
+B is the bipolar (+/-1) Sylvester Hadamard matrix of order N = 2**k,
+B_2N = [[B_N, B_N], [B_N, -B_N]], which is symmetric and satisfies
+B @ B = N * I. The 0/1 matrix H = (B + 1) / 2 of the HCM encoder is never
+formed: modem_hcm works with B through `fwht`.
 
 `fwht` uses the Kronecker factorisation of the Sylvester matrix,
 B_N = B_a (x) B_b (x) ... with N = a * b * ... (Fino & Algazi, IEEE Trans.
@@ -19,57 +20,16 @@ chips, odd integers of magnitude at most M-1, are exact while
 (M-1) N < 2**24, i.e. for every M < 257 up to N = 2**16.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import SizeError
 
+# Largest supported order, as log2 N; configs and the CLI reject larger N.
 MAX_ORDER_LOG2 = 16
-# Largest N for which the dense 0/1 matrix may be materialized. Modem paths
-# never need it; only tests, the MMSE weights and the interleaver search do.
-DENSE_LIMIT = 256
 # Largest Kronecker factor of `fwht`, as log2 of its size: a 32 x 32 block.
 MAX_FACTOR_LOG2 = 5
-
-
-@lru_cache(maxsize=None)
-def _dense_rows(order_log2: int) -> np.ndarray:
-    rows = np.array([[1]], dtype=np.int64)
-    for _ in range(order_log2):
-        rows = np.block([[rows, rows], [rows, 1 - rows]])
-    rows.setflags(write=False)
-    return rows
-
-
-@dataclass(frozen=True)
-class BinaryHadamard:
-    """Sylvester Hadamard matrix of order n = 2**order_log2."""
-
-    order_log2: int
-    n: int
-
-    @property
-    def rows(self) -> np.ndarray:
-        """Dense 0/1 matrix; only available up to DENSE_LIMIT."""
-        if self.n > DENSE_LIMIT:
-            raise SizeError(
-                f"dense Hadamard matrix limited to n <= {DENSE_LIMIT}, got {self.n}"
-            )
-        return _dense_rows(self.order_log2)
-
-    @property
-    def bipolar(self) -> np.ndarray:
-        """Bipolar +/-1 matrix B = 2*rows - 1."""
-        return 2 * self.rows - 1
-
-
-def sylvester(order_log2: int) -> BinaryHadamard:
-    """Build the binary Sylvester Hadamard matrix of order 2**order_log2."""
-    if not 0 <= order_log2 <= MAX_ORDER_LOG2:
-        raise SizeError(f"order_log2 must be in [0, {MAX_ORDER_LOG2}], got {order_log2}")
-    return BinaryHadamard(order_log2=order_log2, n=1 << order_log2)
 
 
 def _factor_sizes(order_log2: int) -> list:
@@ -81,7 +41,9 @@ def _factor_sizes(order_log2: int) -> list:
 
 @lru_cache(maxsize=None)
 def _bipolar_block(n: int, dtype: np.dtype) -> np.ndarray:
-    block = (2 * _dense_rows(n.bit_length() - 1) - 1).astype(dtype)
+    block = np.ones((1, 1), dtype)
+    while len(block) < n:
+        block = np.block([[block, block], [block, -block]])
     block.setflags(write=False)
     return block
 
@@ -89,7 +51,7 @@ def _bipolar_block(n: int, dtype: np.dtype) -> np.ndarray:
 def fwht(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply by the bipolar Sylvester Hadamard matrix in O(N log N).
 
-    Equivalent to (2*rows - 1) @ v without materializing the matrix. Accepts
+    Equivalent to B @ v without materializing the matrix. Accepts
     any array and transforms along `axis`; leading axes are treated as a
     batch. Since B is symmetric with B @ B = N*I, applying fwht twice
     returns N times the input.
@@ -136,7 +98,3 @@ def fwht(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.nda
         res[...] = dst.reshape(res.shape)
     return out
 
-
-def cyclic_shift(v: np.ndarray, ell: int) -> np.ndarray:
-    """Right cyclic shift by ell positions: out[i] = v[(i - ell) mod N]."""
-    return np.roll(np.asarray(v), ell, axis=-1)

@@ -63,7 +63,7 @@ from .equalization import (
     mmse_weights,
 )
 from .errors import ConfigError, DomainError
-from .hadamard import sylvester
+from .hadamard import MAX_ORDER_LOG2
 from .modem_hcm import (
     _check_pam_order,
     deframe,
@@ -141,29 +141,6 @@ class BerRecord:
     ci_95: float
 
 
-_CONFIG_KEYS = {
-    "scheme": str,
-    "n": int,
-    "m": int,
-    "p_max_w": float,
-    "noise_std_w": float,
-    "gamma": float,
-    "taps": str,
-    "taps_file": str,
-    "cp_len": int,
-    "power_grid_w": str,
-    "target_errors": int,
-    "max_symbols": int,
-    "master_seed": int,
-    "equalizer": str,
-    "interleaver": str,
-    "interleaver_budget": int,
-    "dco_headroom": float,
-    "calib_symbols": int,
-    "label": str,
-}
-
-
 def _parse_grid(text: str) -> np.ndarray:
     text = text.strip()
     for prefix, builder in (("lin:", np.linspace), ("log:", np.geomspace)):
@@ -175,6 +152,38 @@ def _parse_grid(text: str) -> np.ndarray:
     if not text:
         return np.array([])
     return np.array([float(v) for v in text.split(",")])
+
+
+def _noise_variance(text: str) -> float:
+    std = float(text)
+    if not std >= 0:
+        raise ConfigError(f"noise_std_w must be >= 0, got {std!r}")
+    return std * std
+
+
+# config key -> (ExperimentConfig field, parser of the value text); a key
+# left out of a config keeps the field's default
+_CONFIG_KEYS = {
+    "scheme": ("scheme", str),
+    "n": ("n", int),
+    "m": ("m", int),
+    "p_max_w": ("p_max", float),
+    "noise_std_w": ("sigma2_n", _noise_variance),
+    "gamma": ("gamma", float),
+    "taps": ("h", lambda text: np.array([float(v) for v in text.split(",")])),
+    "taps_file": ("h", load_impulse_response),
+    "cp_len": ("cp_len", int),
+    "power_grid_w": ("power_grid", _parse_grid),
+    "target_errors": ("target_errors", int),
+    "max_symbols": ("max_symbols", int),
+    "master_seed": ("master_seed", int),
+    "equalizer": ("equalizer", str),
+    "interleaver": ("interleaver", str),
+    "interleaver_budget": ("interleaver_budget", int),
+    "dco_headroom": ("dco_headroom", float),
+    "calib_symbols": ("calib_symbols", int),
+    "label": ("label", str),
+}
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
@@ -196,49 +205,20 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
                 raise ConfigError(f"unknown override key {key!r}")
             raw[key] = value
 
-    def take(key, default=None):
-        if key not in raw:
-            return default
-        try:
-            return _CONFIG_KEYS[key](raw[key])
-        except ValueError as exc:
-            raise ConfigError(f"bad value for {key!r}: {raw[key]!r}") from exc
-
-    scheme = take("scheme")
-    if scheme not in SCHEMES:
-        raise ConfigError(f"scheme must be one of {SCHEMES}, got {scheme!r}")
+    if raw.get("scheme") not in SCHEMES:
+        raise ConfigError(f"scheme must be one of {SCHEMES}, got {raw.get('scheme')!r}")
     if "taps" in raw and "taps_file" in raw:
         raise ConfigError("give either taps or taps_file, not both")
-    if "taps_file" in raw:
-        h = load_impulse_response(raw["taps_file"])
-    elif "taps" in raw:
-        h = np.array([float(v) for v in raw["taps"].split(",")])
-    else:
-        h = np.array([1.0])
-
-    noise_std = take("noise_std_w", 2e-6)
-    if not noise_std >= 0:
-        raise ConfigError(f"noise_std_w must be >= 0, got {noise_std!r}")
-    cfg = ExperimentConfig(
-        scheme=scheme,
-        n=take("n", 128),
-        m=take("m", 2),
-        p_max=take("p_max_w", 1e-4),
-        power_grid=_parse_grid(take("power_grid_w", "5e-5")),
-        sigma2_n=noise_std * noise_std,
-        gamma=take("gamma", DEFAULT_GAMMA),
-        h=h,
-        cp_len=take("cp_len", 0),
-        target_errors=take("target_errors", 200),
-        max_symbols=take("max_symbols", 40_000),
-        master_seed=take("master_seed", 1),
-        equalizer=take("equalizer", "slicer"),
-        interleaver=take("interleaver", "none"),
-        interleaver_budget=take("interleaver_budget", 2000),
-        dco_headroom=take("dco_headroom", analysis.DCO_HEADROOM_FACTOR),
-        calib_symbols=take("calib_symbols", 20_000),
-        label=take("label", ""),
-    )
+    fields = {}
+    for key, value in raw.items():
+        name, parse = _CONFIG_KEYS[key]
+        try:
+            fields[name] = parse(value)
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+    cfg = ExperimentConfig(**fields)
     validate_config(cfg)
     return cfg
 
@@ -246,8 +226,8 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 def validate_config(cfg: ExperimentConfig):
     if cfg.scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.n < 4 or cfg.n & (cfg.n - 1):
-        raise ConfigError(f"n must be a power of two >= 4, got {cfg.n}")
+    if cfg.n < 4 or cfg.n & (cfg.n - 1) or cfg.n > 1 << MAX_ORDER_LOG2:
+        raise ConfigError(f"n must be a power of two in [4, {1 << MAX_ORDER_LOG2}], got {cfg.n}")
     if cfg.p_max <= 0:
         raise ConfigError("p_max_w must be positive")
     grid = np.asarray(cfg.power_grid, dtype=np.float64)
@@ -454,9 +434,7 @@ class _SweepContext:
         validate_config(cfg)
         self.cfg = cfg
         self.scheme = _SCHEMES[cfg.scheme]
-        n = cfg.n
-        self.bits_per_symbol = self.scheme.data_count(n) * int(math.log2(cfg.m))
-        self.hadamard = sylvester(int(math.log2(n)))
+        self.bits_per_symbol = self.scheme.data_count(cfg.n) * int(math.log2(cfg.m))
         self.perm = self._resolve_interleaver()
         self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
         self._local = threading.local()
@@ -482,7 +460,7 @@ class _SweepContext:
     def interference(self) -> np.ndarray:
         """Interference matrix of the interleaved channel, read by the MMSE weights."""
         perm = self.perm if self.perm is not None else np.arange(self.cfg.n)
-        return interference_matrix(self.hadamard, perm, self.g)
+        return interference_matrix(perm, self.g)
 
     @cached_property
     def gains(self):
@@ -494,9 +472,8 @@ class _SweepContext:
         if cfg.interleaver == "none":
             return None
         if cfg.interleaver == "search":
-            return interleaver_search(
-                self.g, self.hadamard, cfg.interleaver_budget, _stream(cfg.master_seed, 2, 0)
-            )
+            return interleaver_search(self.g, budget=cfg.interleaver_budget,
+                                      rng=_stream(cfg.master_seed, 2, 0))
         return load_permutation(cfg.interleaver, cfg.n)
 
 
@@ -640,8 +617,10 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int = 128,
 
     The grid is log-spaced from p_max/100 with 200 points by default; m is
     the PAM or QAM order and is checked like a config's. The per-point SNR
-    is the squared Q-argument of the scheme's analytic BER; for hcm and
-    dcr-hcm it is reported as the peak SNR, 4x that (analysis.hcm_peak_snr).
+    is the squared Q-argument of the scheme's analytic BER, times the
+    scheme's peak_snr_factor: hcm and dcr-hcm report 4x that, the squared
+    ratio of the PAM level spacing to the noise std, which for m = 2 is the
+    peak SNR (the decision distance is half the peak of the unipolar grid).
     The dcr-hcm chip pmf is a Monte-Carlo estimate over dcr_symbols frames
     drawn from rng (default np.random.default_rng(0x5EED)).
     """

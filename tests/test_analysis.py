@@ -7,17 +7,13 @@ from scipy.integrate import quad
 from scipy.special import comb
 from scipy.stats import norm
 
-from hcmlink import analysis
+from hcmlink import analysis, harness
 from hcmlink.analysis import (
     clipping_variance_discrete,
     clipping_variance_gaussian,
     dcr_amplitude_pmf,
     dcr_energy_efficiency,
-    dcr_energy_efficiency_exact,
-    extended_binomial,
     hcm_amplitude_pmf,
-    hcm_analytical_ber,
-    hcm_peak_snr,
     hcm_snr,
     pam_ber,
     qam_ber,
@@ -27,6 +23,37 @@ from hcmlink.errors import DomainError
 from hcmlink.hadamard import MAX_ORDER_LOG2
 from hcmlink.harness import achievable_snr
 from hcmlink.modem_hcm import encode_levels
+
+
+def extended_binomial(m: int, n: int) -> list:
+    """Oracle: coefficients of (1 + x + ... + x**(m-1))**n by repeated convolution."""
+    if m < 2 or n < 0:
+        raise DomainError(f"need m >= 2 and n >= 0, got m={m}, n={n}")
+    row = [1]
+    for _ in range(n):
+        new = [0] * (len(row) + m - 1)
+        for j, c in enumerate(row):
+            for k in range(m):
+                new[j + k] += c
+        row = new
+    return row
+
+
+def dcr_energy_efficiency_exact(n: int, m: int) -> float:
+    """Oracle: exact eta by enumerating every data frame; only viable for small n."""
+    analysis._check_power_of_two(n)
+    analysis._check_order(m)
+    frames = m ** (n - 1)
+    if frames > 1 << 20:
+        raise DomainError(f"{frames} frames is too many for exhaustive enumeration")
+    idx = np.arange(frames)
+    digits = np.zeros((frames, n))
+    for pos in range(n - 1):
+        digits[:, pos + 1] = (idx // m**pos) % m
+    chips = encode_levels(digits / (m - 1))
+    mean_chip = (n - 1) / 2.0
+    e_min = float(chips.min(axis=-1).mean())
+    return mean_chip / (mean_chip - e_min)
 
 
 class TestExtendedBinomial:
@@ -54,6 +81,20 @@ class TestExtendedBinomial:
     def test_domain(self):
         with pytest.raises(DomainError):
             extended_binomial(1, 4)
+
+
+@pytest.mark.parametrize("m, n", [(2, 127), (4, 127), (8, 63), (3, 50), (16, 255), (4, 1023)])
+def test_miller_recurrence_equals_extended_binomial(m, n):
+    assert analysis._window_power_row(m, n) == extended_binomial(m, n)
+
+
+@pytest.mark.parametrize("n, m", [(128, 4), (64, 8), (16, 16)])
+def test_multilevel_pmf_bit_identical_to_extended_binomial(n, m):
+    denom = m ** (n - 1)
+    want = np.array([c / denom for c in extended_binomial(m, n - 1)])
+    pmf = hcm_amplitude_pmf(n, m)
+    assert np.array_equal(pmf.probs, want)
+    assert np.array_equal(pmf.support, np.arange(want.size) / (m - 1))
 
 
 @pytest.mark.parametrize("n", [1 << k for k in range(1, 13)])
@@ -244,21 +285,35 @@ class TestAnalyticalBer:
         sigma2 = 1e-12
         p = 3.0 * 2.0 * math.sqrt(n * gamma * sigma2)
         assert hcm_snr(2, n, p, sigma2, 0.0, gamma) == pytest.approx(9.0, rel=1e-12)
-        assert hcm_analytical_ber(2, n, p, sigma2, 0.0, gamma) == pytest.approx(
+        assert pam_ber(hcm_snr(2, n, p, sigma2, 0.0, gamma), 2) == pytest.approx(
             float(qfunc(3.0)), rel=1e-12
         )
 
     def test_peak_snr_is_four_times_decision_snr(self):
-        assert hcm_peak_snr(2, 64, 1.0, 1e-10, 0.0) == pytest.approx(
-            4 * hcm_snr(2, 64, 1.0, 1e-10, 0.0)
-        )
+        # achievable_snr reports 4x the squared Q-argument for hcm
+        res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2)
+        p = analysis.hcm_drive_peak(res.best_avg_power, 64)
+        clip = clipping_variance_discrete(hcm_amplitude_pmf(64, 2), p, 64, 1e-4)
+        assert res.max_snr == pytest.approx(4 * hcm_snr(2, 64, p, 1e-12, clip), rel=1e-12)
+
+    @pytest.mark.parametrize("m, noise_std", [(4, 0.5e-6), (8, 0.2e-6)])
+    def test_mpam_ber_matches_monte_carlo(self, m, noise_std):
+        # flat channel, no clipping: the decision distance is half the level
+        # spacing p/(N(M-1)); the factor 3/(M^2-1) read 8x (M=4) and 50x
+        # (M=8) below the simulated BER
+        cfg = harness.parse_config(
+            f"scheme = hcm\nm = {m}\np_max_w = 1\npower_grid_w = 4e-5\n"
+            f"noise_std_w = {noise_std}\nmax_symbols = 1024\ntarget_errors = 1000000\n")
+        (rec,) = harness.sweep(cfg)
+        assert rec.bit_errors > 1000
+        assert abs(rec.ber - rec.analytical_ber) <= 3 * rec.ci_95
 
     def test_monotonicity(self):
         powers = np.linspace(1e-5, 1e-4, 20)
-        bers = [hcm_analytical_ber(2, 128, p, 4e-12, 0.0) for p in powers]
+        bers = [pam_ber(hcm_snr(2, 128, p, 4e-12, 0.0), 2) for p in powers]
         assert all(a > b for a, b in zip(bers, bers[1:]))
         clips = np.linspace(0.0, 1e-11, 10)
-        bers = [hcm_analytical_ber(2, 128, 5e-5, 4e-12, c) for c in clips]
+        bers = [pam_ber(hcm_snr(2, 128, 5e-5, 4e-12, c), 2) for c in clips]
         assert all(a < b for a, b in zip(bers, bers[1:]))
 
     def test_ber_is_prefactor_times_q_of_root_snr(self):
@@ -269,11 +324,9 @@ class TestAnalyticalBer:
         assert qam_ber(9.0, 16) == pytest.approx(0.75 * float(qfunc(3.0)), rel=1e-15)
         assert pam_ber(0.0, 2) == qam_ber(0.0, 4) == 0.5
         assert pam_ber(math.inf, 2) == qam_ber(math.inf, 16) == 0.0
-        args = (4, 64, 1e-4, 4e-12, 1e-13)
-        assert hcm_analytical_ber(*args) == pam_ber(hcm_snr(*args), 4)
 
     def test_ber_approaches_half_at_zero_snr(self):
-        ber = hcm_analytical_ber(2, 128, 1e-9, 4e-12, 0.0)
+        ber = pam_ber(hcm_snr(2, 128, 1e-9, 4e-12, 0.0), 2)
         assert ber <= 0.5
         assert ber == pytest.approx(0.5, rel=1e-3)
 
@@ -306,8 +359,8 @@ class TestAchievableSnr:
         grid_capped = np.geomspace(1e-6, 5e-5, 50)
         pmf = hcm_amplitude_pmf(64, 2)
         snrs = [
-            hcm_peak_snr(2, 64, analysis.hcm_drive_peak(a, 64), 4e-12,
-                         clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4))
+            4 * hcm_snr(2, 64, analysis.hcm_drive_peak(a, 64), 4e-12,
+                        clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4))
             for a in grid_capped
         ]
         assert int(np.argmax(snrs)) == len(grid_capped) - 1

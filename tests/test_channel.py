@@ -7,11 +7,10 @@ from numpy.testing import assert_allclose
 from hcmlink.channel import (
     LinkConfig,
     clip,
-    illuminance_to_power,
     load_impulse_response,
     propagate,
 )
-from hcmlink.errors import ConfigError, DomainError
+from hcmlink.errors import ConfigError
 from hcmlink.modem_hcm import encode_levels, frame_chips
 
 
@@ -107,24 +106,6 @@ def test_linkconfig_validates_taps():
         LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[0.5, 0.4])
     with pytest.raises(ConfigError):
         LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[1.5, -0.5])
-
-
-def test_illuminance_conversion_paper_operating_point():
-    # 500 lux at 148 lm/W over 0.1 cm^2 -> 33.8 uW
-    p = illuminance_to_power(500, 148, 1e-5)
-    assert p == pytest.approx(33.8e-6, abs=0.05e-6)
-
-
-def test_illuminance_conversion_identity_and_linear():
-    assert illuminance_to_power(148, 148, 1.0) == pytest.approx(1.0)
-    assert illuminance_to_power(300, 148, 1e-5) == pytest.approx(300 / 148 * 1e-5)
-
-
-def test_illuminance_conversion_rejects_non_positive():
-    with pytest.raises(DomainError):
-        illuminance_to_power(0, 148, 1e-5)
-    with pytest.raises(DomainError):
-        illuminance_to_power(500, -1, 1e-5)
 
 
 def test_load_impulse_response_normalizes_with_warning(tmp_path, caplog):

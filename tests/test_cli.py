@@ -3,6 +3,7 @@
 import pytest
 
 from hcmlink import cli
+from hcmlink.hadamard import MAX_ORDER_LOG2
 
 CONFIG = """
 scheme = dcr-hcm
@@ -99,6 +100,8 @@ def test_eta_reversed_range_exits_2(capsys):
     (["pmf", "--n", "16", "--dcr", "--symbols", "0"], "at least one symbol"),
     (["pmf", "--n", "16", "--dcr", "--symbols", "-5"], "at least one symbol"),
     (["interleaver-search", "--taps", "0.5,0.5", "--n", "0"], "power of two"),
+    # above the largest supported order, rejected before any matrix is built
+    (["interleaver-search", "--taps", "0.5,0.5", "--n", str(2 << MAX_ORDER_LOG2)], "power of two"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

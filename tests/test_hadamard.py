@@ -3,17 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.linalg import hadamard as scipy_hadamard
 
-from hcmlink import analysis
+from hcmlink import analysis, cli, harness
 from hcmlink.analysis import dcr_amplitude_pmf
-from hcmlink.errors import SizeError
-from hcmlink.hadamard import (
-    DENSE_LIMIT,
-    MAX_ORDER_LOG2,
-    BinaryHadamard,
-    cyclic_shift,
-    fwht,
-    sylvester,
-)
+from hcmlink.errors import ConfigError, SizeError
+from hcmlink.hadamard import MAX_ORDER_LOG2, fwht
 
 
 def _butterfly_fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -34,42 +27,47 @@ def _butterfly_fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
     return np.moveaxis(a, -1, axis)
 
 
+def sylvester(k: int) -> np.ndarray:
+    """The bipolar Sylvester matrix of order 2**k, read off fwht of the identity."""
+    return fwht(np.eye(1 << k))
+
+
 def test_sylvester_base_case():
-    assert sylvester(0).rows.tolist() == [[1]]
+    assert sylvester(0).tolist() == [[1]]
 
 
 def test_sylvester_order_two():
-    assert sylvester(1).rows.tolist() == [[1, 1], [1, 0]]
+    assert sylvester(1).tolist() == [[1, 1], [1, -1]]
 
 
 def test_sylvester_bipolar_orthogonality():
-    b = sylvester(3).bipolar
+    b = sylvester(3)
     assert_allclose(b @ b.T, 8 * np.eye(8))
 
 
 def test_sylvester_invariants():
     for k in range(1, 7):
-        h = sylvester(k)
-        rows = h.rows
-        n = h.n
-        assert rows[0].sum() == n and rows[:, 0].sum() == n
-        assert np.array_equal(rows, rows.T)
-        # every row but the first has exactly n/2 ones
-        assert np.array_equal(rows[1:].sum(axis=1), np.full(n - 1, n // 2))
-        assert rows.sum() == n * n // 2 + n // 2
+        b = sylvester(k)
+        n = 1 << k
+        assert b[0].sum() == n and b[:, 0].sum() == n
+        assert np.array_equal(b, b.T)
+        # every row but the first has exactly n/2 entries +1 and n/2 entries -1
+        assert np.array_equal(b[1:].sum(axis=1), np.zeros(n - 1))
+        assert np.array_equal(b[n // 2:, n // 2:], -b[:n // 2, :n // 2])
 
 
-def test_sylvester_order_out_of_range():
-    with pytest.raises(SizeError):
-        sylvester(-1)
-    with pytest.raises(SizeError):
-        sylvester(17)
-
-
-def test_dense_rows_limited():
-    big = sylvester(9)
-    with pytest.raises(SizeError):
-        _ = big.rows
+def test_sylvester_order_out_of_range(tmp_path, capsys):
+    # configs and the CLI accept orders up to 2**MAX_ORDER_LOG2, not above
+    base = "scheme = hcm\nn = {}\n"
+    top = 1 << MAX_ORDER_LOG2
+    assert harness.parse_config(base.format(top)).n == top
+    with pytest.raises(ConfigError, match="power of two"):
+        harness.parse_config(base.format(2 * top))
+    path = tmp_path / "big.conf"
+    path.write_text(base.format(2 * top))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert cli.main(["snr", "--n", str(2 * top)]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_fwht_unit_vector_gives_ones():
@@ -85,8 +83,7 @@ def test_fwht_involution_scales_by_n():
 def test_fwht_matches_dense_multiply():
     rng = np.random.default_rng(1)
     v = rng.normal(size=16)
-    b = sylvester(4).bipolar
-    assert np.abs(fwht(v) - b @ v).max() < 1e-12
+    assert np.abs(fwht(v) - scipy_hadamard(16) @ v).max() < 1e-12
 
 
 @pytest.mark.parametrize("k", range(1, 11))
@@ -272,10 +269,3 @@ def test_dcr_calibration_pmf_matches_butterfly(monkeypatch):
     assert np.array_equal(pmf.support, oracle.support)
     assert np.array_equal(pmf.probs, oracle.probs)
 
-
-def test_cyclic_shift_examples():
-    v = np.array([1, 2, 3, 4])
-    assert cyclic_shift(v, 1).tolist() == [4, 1, 2, 3]
-    assert cyclic_shift(v, 4).tolist() == [1, 2, 3, 4]
-    assert cyclic_shift(v, -1).tolist() == [2, 3, 4, 1]
-    assert cyclic_shift(v, 0).tolist() == [1, 2, 3, 4]

@@ -4,9 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcmlink import cli, harness
+from hcmlink.channel import LinkConfig, propagate
 from hcmlink.errors import ConfigError
+from hcmlink.modem_hcm import deframe
 
 BASE = """
 p_max_w = 1e-4
@@ -136,6 +140,8 @@ def test_negative_master_seed_rejected():
     ("noise_std_w", "-1"),
     ("power_grid_w", "nan"),
     ("master_seed", "-1"),
+    ("taps", "0.5,x"),
+    ("power_grid_w", "lin:1e-5:x:3"),
 ])
 def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     path = tmp_path / "bad.conf"
@@ -204,6 +210,33 @@ def test_snr_exits_2_on_bad_scheme_or_order(capsys, args):
     assert cli.main(["snr", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "config error" in captured.err
+
+
+@settings(max_examples=60)
+@given(scheme=st.sampled_from(harness.SCHEMES), k=st.integers(2, 8), data=st.data())
+def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
+    # bits -> tx -> propagate without noise or clipping -> deframe -> rx
+    n = 1 << k
+    hcm = scheme in ("hcm", "dcr-hcm")
+    m = data.draw(st.sampled_from([2, 4, 8, 16] if hcm else [4, 16, 64]))
+    # OFDM equalizes any channel with one tap per subcarrier; a dominant
+    # first tap keeps every subcarrier gain away from zero
+    taps = [1.0] if hcm else [1.0, *data.draw(st.lists(st.floats(0.0, 0.3), max_size=3))]
+    cp_len = data.draw(st.integers(len(taps) - 1, n - 1))
+    h = np.array(taps) / sum(taps)
+    cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, p_max=1.0, sigma2_n=0.0, h=h,
+                                   cp_len=cp_len, calib_symbols=200)
+    ctx = harness._SweepContext(cfg)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if hcm:
+        ctx.perm = rng.permutation(n)
+    avg = 4e-5  # every scheme's peak stays far below p_max
+    link = LinkConfig(p=ctx.scheme.drive(ctx, avg), p_max=cfg.p_max, sigma2_n=0.0, h=h,
+                      cp_len=cp_len)
+    point = harness._PointSetup(avg_power=avg, link=link, weights=None, analytic=0.0, snr=0.0)
+    bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol))
+    y = deframe(propagate(ctx.scheme.tx(ctx, point, bits), link, rng), cp_len)
+    assert np.array_equal(ctx.scheme.rx(ctx, point, y).reshape(8, -1), bits)
 
 
 def test_achievable_snr_scans_the_point_snr():
