@@ -177,10 +177,12 @@ def hcm_snr(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
     [0, p/N], so the half-distance between neighbors is p/(2N(M-1)) and
     the squared Q-argument is (p/(2N(M-1)))**2 / (noise/N).
     """
-    noise = gamma * sigma2_n + sigma2_clip
-    if noise == 0.0:
-        return math.inf
-    return 1.0 / (m - 1.0) ** 2 * (p * p / (4.0 * n)) / noise
+    return _snr(1.0 / (m - 1.0) ** 2 * (p * p / (4.0 * n)), gamma * sigma2_n + sigma2_clip)
+
+
+def _snr(signal: float, noise: float) -> float:
+    """signal / noise, infinite when there is neither noise nor clipping."""
+    return math.inf if noise == 0.0 else signal / noise
 
 
 def pam_ber(snr: float, m: int) -> float:
@@ -217,7 +219,7 @@ def aco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
     sigma_x = avg_power * math.sqrt(2.0 * math.pi)
     sigma2_clip = _upper_tail_var(0.0, sigma_x, p_max)
     scale = sigma_x / aco_time_std(n_fft)
-    return scale * scale / (4.0 * n_fft * (gamma * sigma2_n + sigma2_clip))
+    return _snr(scale * scale, 4.0 * n_fft * (gamma * sigma2_n + sigma2_clip))
 
 
 def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
@@ -235,7 +237,7 @@ def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
         return 0.0
     sigma2_clip = clipping_variance_gaussian(bias, sigma_x * sigma_x, p_max)
     scale = sigma_x / dco_time_std(n_fft)
-    return scale * scale / (n_fft * (gamma * sigma2_n + sigma2_clip))
+    return _snr(scale * scale, n_fft * (gamma * sigma2_n + sigma2_clip))
 
 
 def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator) -> float:

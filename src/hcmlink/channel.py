@@ -35,11 +35,7 @@ class LinkConfig:
     cp_len: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=np.float64))
-        if self.h.ndim != 1 or self.h.size == 0:
-            raise ConfigError("impulse response must be a non-empty vector")
-        if np.any(self.h < 0):
-            raise ConfigError("impulse response taps must be non-negative")
+        object.__setattr__(self, "h", check_taps(self.h))
         if abs(self.h.sum() - 1.0) > 1e-9:
             raise ConfigError(f"impulse response must sum to 1, got {self.h.sum()!r}")
         if self.p_max <= 0:
@@ -50,6 +46,15 @@ class LinkConfig:
             raise ConfigError("gamma must be >= 1")
         if self.cp_len < 0:
             raise ConfigError("cp_len must be >= 0")
+
+
+def check_taps(taps, source: str = "impulse response") -> np.ndarray:
+    """taps as a float64 vector; ConfigError unless finite, non-negative, summing above 0."""
+    h = np.asarray(taps, dtype=np.float64)
+    if h.ndim != 1 or not (np.all(np.isfinite(h)) and np.all(h >= 0) and h.sum() > 0):
+        raise ConfigError(f"{source} must be a vector of finite, non-negative taps with a "
+                          f"positive sum, got {h.tolist()}")
+    return h
 
 
 def clip(samples: np.ndarray, p_max: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -92,14 +97,8 @@ def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
 
 def load_impulse_response(path) -> np.ndarray:
     """Read whitespace-separated taps and normalize them to unit sum."""
-    taps = np.loadtxt(path, dtype=np.float64).reshape(-1)
-    if taps.size == 0:
-        raise ConfigError(f"no taps found in {path}")
-    if np.any(taps < 0):
-        raise ConfigError(f"negative tap in {path}")
+    taps = check_taps(np.loadtxt(path, dtype=np.float64).reshape(-1), str(path))
     total = taps.sum()
-    if total <= 0:
-        raise ConfigError(f"taps in {path} sum to zero")
     if abs(total - 1.0) > 1e-6:
         log.warning("impulse response in %s sums to %.9g; renormalizing", path, total)
     return taps / total

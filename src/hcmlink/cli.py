@@ -11,7 +11,7 @@ import sys
 import numpy as np
 
 from . import analysis, harness
-from .channel import load_impulse_response
+from .channel import check_taps, load_impulse_response
 from .equalization import channel_matrix, interference_matrix, interference_spread, \
     interleaver_search, save_permutation
 from .errors import ConfigError, DomainError
@@ -86,7 +86,7 @@ def _cmd_interleaver_search(args) -> int:
     if args.taps_file:
         taps = load_impulse_response(args.taps_file)
     else:
-        taps = np.array([float(v) for v in args.taps.split(",")])
+        taps = check_taps([float(v) for v in args.taps.split(",")], "--taps")
     if args.n < 1 or args.n & (args.n - 1) or args.n > 1 << MAX_ORDER_LOG2:
         raise ConfigError(f"n must be a power of two <= {1 << MAX_ORDER_LOG2}, got {args.n}")
     g = channel_matrix(taps, args.n)

@@ -22,19 +22,23 @@ C, with e = e_perm[j] - e_perm[i] and d = B_i - B_j, hence
     N M' = N M + a d^T + d b^T,   a = B (G e)[perm],
                                   b = B (G^T e)[perm] + (e^T G e) d.
 
-Each candidate's row energies and diagonal then follow from M d and M b,
-O(N^2) per step against two N x N transforms for a full evaluation.
+A step takes (G e)[perm] and (G^T e)[perm] as column and row differences of
+the tracked Gt, transforms them and e[perm] with fwht's Kronecker factors
+on buffers built once per search, and gets the candidate's row energies and
+diagonal from M d and M b: O(N^2) against two N x N transforms for a full
+evaluation. Accepting a swap updates Gt, M and its row energies in place.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import circulant
 
 from .errors import ConfigError, DomainError
-from .hadamard import fwht
+from .hadamard import _bipolar_block, _factor_sizes, fwht
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,9 @@ def pam_level_variance(m: int) -> float:
     return (m + 1.0) / (12.0 * (m - 1.0))
 
 
-def _conjugated_channel(g: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    # Pi^T G Pi with Pi the matrix of out[perm[i]] = x[i]
-    perm = np.asarray(perm)
-    return g[np.ix_(perm, perm)]
-
-
 def interference_matrix(perm: np.ndarray, g: np.ndarray) -> np.ndarray:
     """M = (1/N) B Pi^T G Pi B for the N x N channel matrix g, with two fast transforms."""
-    gt = _conjugated_channel(g, perm)
+    gt = g[np.ix_(perm, perm)]  # Pi^T G Pi, Pi the matrix of out[perm[i]] = x[i]
     return fwht(fwht(gt, axis=0), axis=1) / g.shape[0]
 
 
@@ -96,15 +94,19 @@ def mmse_weights(mat: np.ndarray, p: float, sigma2_n: float, m: int = 2) -> Mmse
     return MmseWeights(w=w, error_diag=error_diag)
 
 
-def mmse_apply(weights: MmseWeights, v: np.ndarray, p: float) -> np.ndarray:
-    """Affine MMSE estimate u_hat = u_mean + W (v - v_mean), vectorized."""
+def mmse_apply(weights: MmseWeights, v: np.ndarray, p: float, out=(None, None)) -> np.ndarray:
+    """Affine MMSE estimate u_hat = u_mean + W (v - v_mean), vectorized; given
+    out = (centred, est), arrays of v's shape, v - v_mean goes to centred and
+    the estimate to est, which is returned."""
     w = weights.w
     n = w.shape[0]
     v_mean = np.full(n, p / (2.0 * n))
     v_mean[0] = 0.0
     u_mean = np.full(n, 0.5)
     u_mean[0] = 0.0
-    return u_mean + (np.asarray(v) - v_mean) @ w.T
+    est = np.matmul(np.subtract(v, v_mean, out=out[0]), w.T, out=out[1])
+    est += u_mean
+    return est
 
 
 def interference_spread(mat: np.ndarray) -> float:
@@ -117,35 +119,55 @@ def _objective(perm, g):
     return interference_spread(interference_matrix(perm, g))
 
 
-def _swap_terms(g: np.ndarray, perm: np.ndarray, i: int, j: int):
-    """Vectors (a, d, b) with N M' = N M + a d^T + d b^T, where M' is the
-    interference matrix after swapping perm[i] and perm[j]."""
-    pi, pj = perm[i], perm[j]
-    g_e = g[:, pj] - g[:, pi]
-    gt_e = g[pj, :] - g[pi, :]
-    unit = np.zeros(perm.size)
-    unit[i], unit[j] = 1.0, -1.0
-    a, b, d = fwht(np.stack([g_e[perm], gt_e[perm], unit]))
-    return a, d, b + (g_e[pj] - g_e[pi]) * d
+class _SwapScorer:
+    """perm with its Gt, M and row energies: score(i, j) is interference_spread
+    after swapping perm[i] and perm[j]; accept(i, j) makes that swap in place."""
 
+    def __init__(self, g: np.ndarray, perm: np.ndarray):
+        n = g.shape[0]
+        self.perm, self.gt = perm, g[np.ix_(perm, perm)]
+        self.mat = interference_matrix(perm, g)
+        self.energy = np.einsum("ij,ij->i", self.mat, self.mat)
+        # fwht's factors take rows (G e)[perm], (G^T e)[perm], e[perm] to a, b - (e^T G e) d, d
+        self.rows, self.terms = np.zeros((3, n)), np.empty((3, n))
+        self.pair, self.prod = np.empty((n, 2)), np.empty((n, 2))
+        *leading, last = _factor_sizes(n.bit_length() - 1)
+        src, self.factors = self.rows, []
+        for f in leading:
+            dst = np.empty(3 * n).reshape(-1, f, src.shape[-1] // f)
+            block = _bipolar_block(f, dst.dtype)
+            self.factors.append(partial(np.matmul, block, src.reshape(dst.shape), out=dst))
+            src = dst
+        block, dst = _bipolar_block(last, src.dtype), self.terms.reshape(-1, last)
+        self.factors.append(partial(np.matmul, src.reshape(-1, last), block, out=dst))
 
-def _apply_swap(mat: np.ndarray, terms):
-    """Update mat in place to the interference matrix after the swap that
-    _swap_terms describes."""
-    a, d, b = terms
-    mat += np.stack([a, d], axis=1) @ (np.stack([d, b]) / mat.shape[0])
+    def score(self, i: int, j: int) -> float:
+        gt, rows, (a, b, d) = self.gt, self.rows, self.terms
+        n = gt.shape[0]
+        np.subtract(gt[:, j], gt[:, i], out=rows[0])
+        np.subtract(gt[j], gt[i], out=rows[1])
+        rows[2, i], rows[2, j] = 1.0, -1.0
+        for factor in self.factors:
+            factor()
+        rows[2, i] = rows[2, j] = 0.0
+        b += (rows[0, j] - rows[0, i]) * d  # e^T G e = (G e)[perm][j] - (G e)[perm][i]
+        self.pair[:, 0], self.pair[:, 1] = d, b
+        md, mb = np.matmul(self.mat, self.pair, out=self.prod).T
+        energy = (self.energy + (2.0 / n) * (a * md + d * mb)
+                  + (a * a * (d @ d) + 2.0 * (d @ b) * a * d + (b @ b) * d * d) / (n * n))
+        diag = self.mat.diagonal() + d * (a + b) / n
+        x = energy - diag * diag
+        x -= np.add.reduce(x) / n  # np.var's steps, without its checks
+        return float(np.add.reduce(x * x) / n)
 
-
-def _swapped_spread(mat: np.ndarray, energy: np.ndarray, terms) -> float:
-    """interference_spread of the matrix _apply_swap(mat, terms) would give,
-    in O(N^2) from mat and its row energies, without forming that matrix."""
-    a, d, b = terms
-    n = mat.shape[0]
-    md, mb = (mat @ np.stack([d, b], axis=1)).T
-    energy = (energy + (2.0 / n) * (a * md + d * mb)
-              + (a * a * (d @ d) + 2.0 * (d @ b) * a * d + (b @ b) * d * d) / (n * n))
-    diag = np.diag(mat) + d * (a + b) / n
-    return float((energy - diag * diag).var())
+    def accept(self, i: int, j: int):
+        perm, gt, terms = self.perm, self.gt, self.terms
+        perm[i], perm[j] = perm[j], perm[i]
+        gt[[i, j]] = gt[[j, i]]
+        gt[:, [i, j]] = gt[:, [j, i]]
+        self.pair[:, 0], self.pair[:, 1] = terms[0], terms[2]
+        self.mat += self.pair @ (terms[2:0:-1] / gt.shape[0])  # [a d] @ [d b]^T / N
+        np.einsum("ij,ij->i", self.mat, self.mat, out=self.energy)
 
 
 def interleaver_search(g: np.ndarray, *, budget: int, rng: np.random.Generator) -> np.ndarray:
@@ -156,13 +178,14 @@ def interleaver_search(g: np.ndarray, *, budget: int, rng: np.random.Generator) 
     decaying to 1e-3 * T0 over the budget). The identity permutation is
     always evaluated, so the result is never worse than no interleaving.
 
-    The identity and the random start are evaluated in full; every swap is
-    scored with the rank-2 update of the module docstring, and the tracked
-    matrix is updated only when a swap is accepted. The tracked objective
-    agrees with a full evaluation to about 1e-13 (relative), not always to
-    the last ulp, so where two candidates tie (as on taps 0.7,0.3) the
-    search can take either branch; the full evaluation also decided such
-    ties by its own last-ulp rounding.
+    The identity and the random start are evaluated in full. Each step then
+    scores one swap by the rank-2 update of the module docstring, on
+    buffers built once, and updates the tracked state only on acceptance.
+    The search holds G, M and Gt, three N x N float64 arrays (about 400 MiB
+    at N = 4096), plus an N x N transient per accepted swap. The tracked
+    objective agrees with a full evaluation to about 1e-13 (relative), not
+    always to the last ulp, so where two candidates tie (as on taps 0.7,0.3)
+    the search can branch other than a full evaluation would.
 
     g is the N x N channel matrix (channel_matrix). budget and rng are
     keyword-only: wrappers that record the budget, such as the benchmark's
@@ -176,11 +199,10 @@ def _search(g: np.ndarray, budget: int, rng: np.random.Generator) -> tuple[np.nd
     if budget < 1:
         raise DomainError("budget must be >= 1")
     n = g.shape[0]
-    identity = np.arange(n)
-    best = identity
-    best_j = _objective(identity, g)
+    best = np.arange(n)
+    best_j = _objective(best, g)
     if best_j == 0.0:
-        return identity, best_j
+        return best, best_j
 
     if n <= 8:
         for cand in itertools.permutations(range(n)):
@@ -190,25 +212,20 @@ def _search(g: np.ndarray, budget: int, rng: np.random.Generator) -> tuple[np.nd
         return best, best_j
 
     perm = rng.permutation(n)
-    mat = interference_matrix(perm, g)
-    energy = np.einsum("ij,ij->i", mat, mat)
-    cur_j = interference_spread(mat)
+    swaps = _SwapScorer(g, perm)
+    cur_j = interference_spread(swaps.mat)
     if cur_j < best_j:
         best, best_j = perm.copy(), cur_j
-    t0 = 0.5 * max(best_j, 1e-300)
     decay = (1e-3) ** (1.0 / budget)
-    temp = t0
+    temp = 0.5 * max(best_j, 1e-300)
     for _ in range(budget):
         i, j = rng.integers(0, n, size=2)
         if i == j:
             temp *= decay
             continue
-        terms = _swap_terms(g, perm, i, j)
-        cand_j = _swapped_spread(mat, energy, terms)
+        cand_j = swaps.score(i, j)
         if cand_j < cur_j or rng.random() < math.exp(min((cur_j - cand_j) / temp, 0.0)):
-            perm[i], perm[j] = perm[j], perm[i]
-            _apply_swap(mat, terms)
-            energy = np.einsum("ij,ij->i", mat, mat)
+            swaps.accept(i, j)
             cur_j = cand_j
             if cur_j < best_j:
                 best, best_j = perm.copy(), cur_j

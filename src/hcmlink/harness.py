@@ -17,7 +17,8 @@ Chunk buffers: every thread that runs chunks of a sweep gets its own
 _ChunkBuffers (a threading.local on the _SweepContext), CHUNK_SYMBOLS rows
 of N or N + cp_len samples each, and the HCM stages write into them through
 their `out=` arguments; propagate writes every scheme's received samples
-into one. After its first chunk a thread allocates per chunk only the bit
+into one, and the MMSE step writes v - v_mean and its estimate into two
+others. After its first chunk a thread allocates per chunk only the bit
 array of rng.integers and a few transient chunk-sized arrays (an fwht
 intermediate, the slicer's scaled estimates, the level lookup). This
 matters because a chunk array at N=128 is 256 KiB, above glibc's initial
@@ -52,7 +53,7 @@ from .analysis import (
     hcm_drive_peak,
     qfunc,
 )
-from .channel import DEFAULT_GAMMA, LinkConfig, load_impulse_response, propagate
+from .channel import DEFAULT_GAMMA, LinkConfig, check_taps, load_impulse_response, propagate
 from .equalization import (
     MmseWeights,
     channel_matrix,
@@ -170,7 +171,7 @@ _CONFIG_KEYS = {
     "p_max_w": ("p_max", float),
     "noise_std_w": ("sigma2_n", _noise_variance),
     "gamma": ("gamma", float),
-    "taps": ("h", lambda text: np.array([float(v) for v in text.split(",")])),
+    "taps": ("h", lambda text: check_taps([float(v) for v in text.split(",")], "taps")),
     "taps_file": ("h", load_impulse_response),
     "cp_len": ("cp_len", int),
     "power_grid_w": ("power_grid", _parse_grid),
@@ -320,7 +321,7 @@ def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.nda
         y = deinterleave(y, ctx.perm, out=work.levels[:k])
     v = decode_samples(y, p, out=work.chips[:k])
     if point.weights is not None:
-        est = mmse_apply(point.weights, v, p)[:, 1:]
+        est = mmse_apply(point.weights, v, p, out=(work.levels[:k], work.tx[:k, :n]))[:, 1:]
     else:
         est = v[:, 1:]
         est *= n / p
@@ -411,9 +412,10 @@ class _ChunkBuffers:
     """One thread's work arrays for the HCM chunk pipeline, CHUNK_SYMBOLS rows each.
 
     levels holds the PAM levels, then the interleaved chips, then the
-    deinterleaved payload; chips holds the chips, then the decoded vectors;
-    tx and rx hold the framed samples (tx is propagate's scratch); idx and
-    bits receive the slicer's decisions. A shorter last chunk uses [:k].
+    deinterleaved payload, then v - v_mean; chips holds the chips, then the
+    decoded vectors v; tx and rx hold the framed samples (tx is propagate's
+    scratch, then the MMSE estimate); idx and bits receive the slicer's
+    decisions. A shorter last chunk uses [:k].
     OFDM chunks write only rx; np.empty commits no memory to the others.
     """
 

@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from hcmlink.channel import (
     LinkConfig,
+    check_taps,
     clip,
     load_impulse_response,
     propagate,
@@ -106,6 +107,21 @@ def test_linkconfig_validates_taps():
         LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[0.5, 0.4])
     with pytest.raises(ConfigError):
         LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[1.5, -0.5])
+
+
+@pytest.mark.parametrize("taps", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [-0.5, 1.5], [],
+                                  [[1.0]]])
+def test_bad_taps_rejected_everywhere(tmp_path, taps):
+    # abs(nan - 1) > 1e-9 is False, so a sum test alone lets nan,1 through
+    with pytest.raises(ConfigError):
+        check_taps(taps)
+    with pytest.raises(ConfigError):
+        LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=taps)
+    path = tmp_path / "taps.txt"
+    path.write_text(" ".join(str(v) for v in np.ravel(taps)) + "\n")
+    if np.size(taps) > 1:
+        with pytest.raises(ConfigError):
+            load_impulse_response(path)
 
 
 def test_load_impulse_response_normalizes_with_warning(tmp_path, caplog):

@@ -65,6 +65,16 @@ def test_interleaver_search(capsys):
     assert err.startswith("objective:")
 
 
+@pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm\ndco_headroom = 40"])
+def test_analyze_without_noise_or_clipping(tmp_path, capsys, scheme):
+    # neither noise nor clipping distortion: an infinite SNR, not a division by zero
+    path = tmp_path / "clean.conf"
+    path.write_text(f"{scheme}\nm = 4\nnoise_std_w = 0\np_max_w = 1\npower_grid_w = 1e-5\n")
+    code, lines, _ = run(capsys, "analyze", str(path))
+    assert code == 0
+    assert lines == ["avg_power_w,analytical_ber,snr", "1e-05,0,inf"]
+
+
 @pytest.mark.parametrize("extra", [
     [],
     ["--schemes", "aco-ofdm,dco-ofdm", "--m-list", "4,16"],
@@ -102,6 +112,10 @@ def test_eta_reversed_range_exits_2(capsys):
     (["interleaver-search", "--taps", "0.5,0.5", "--n", "0"], "power of two"),
     # above the largest supported order, rejected before any matrix is built
     (["interleaver-search", "--taps", "0.5,0.5", "--n", str(2 << MAX_ORDER_LOG2)], "power of two"),
+    # taps that are not finite, negative or all zero: no NaN objective
+    (["interleaver-search", "--taps=-0.5,1.5", "--n", "16"], "non-negative taps"),
+    (["interleaver-search", "--taps", "nan,1", "--n", "16"], "non-negative taps"),
+    (["interleaver-search", "--taps", "0,0", "--n", "16"], "positive sum"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

@@ -9,11 +9,9 @@ from numpy.testing import assert_allclose
 
 from hcmlink.channel import LinkConfig, propagate
 from hcmlink.equalization import (
-    _apply_swap,
     _objective,
     _search,
-    _swap_terms,
-    _swapped_spread,
+    _SwapScorer,
     channel_matrix,
     interference_matrix,
     interference_spread,
@@ -25,6 +23,7 @@ from hcmlink.equalization import (
     save_permutation,
 )
 from hcmlink.errors import ConfigError, DomainError
+from hcmlink.hadamard import fwht
 from hcmlink.harness import _stream
 from hcmlink.modem_hcm import decode_samples, deframe, encode_levels, frame_chips, slice_levels
 
@@ -181,6 +180,22 @@ class TestMmseEstimate:
         assert_allclose(est[1:], 0.5)
         assert est[0] == 0.0
 
+    def test_out_pair_matches_allocating_call(self):
+        # the chunk pipeline passes a strided view of its framed-sample buffer
+        rng = np.random.default_rng(8)
+        n, p, sigma2 = 32, 1.0, 2e-4
+        g = channel_matrix([0.5, 0.3, 0.2], n)
+        w = mmse_weights(interference_matrix(rng.permutation(n), g), p, sigma2)
+        v = received_vectors(rng, random_frames(rng, 256, n), g, p, sigma2)
+        want = mmse_apply(w, v, p)
+        u_mean = np.full(n, 0.5)
+        u_mean[0] = 0.0
+        assert np.array_equal(want, u_mean + (v - _v_mean(p, n)) @ w.w.T)
+        centred, framed = np.empty_like(v), np.full((256, n + 2), np.nan)
+        got = mmse_apply(w, v, p, out=(centred, framed[:, :n]))
+        assert np.shares_memory(got, framed) and np.array_equal(got, want)
+        assert np.array_equal(centred, v - _v_mean(p, n))
+
     def test_equivalent_to_plain_slicer_on_clean_channel(self):
         # identity channel, binary levels: the Wiener shrinkage never moves
         # an estimate across the half threshold
@@ -269,6 +284,60 @@ def _reference_search(g, budget, rng):
     return best
 
 
+def _rank_two_search(g, budget, rng):
+    """Frozen copy of the annealing loop that scored each swap with
+    np.stack, fwht and np.var; the search must match it bit for bit.
+    Returns the permutation and its tracked objective (N > 8)."""
+    n = g.shape[0]
+
+    def swap_terms(perm, i, j):
+        pi, pj = perm[i], perm[j]
+        g_e = g[:, pj] - g[:, pi]
+        gt_e = g[pj, :] - g[pi, :]
+        unit = np.zeros(perm.size)
+        unit[i], unit[j] = 1.0, -1.0
+        a, b, d = fwht(np.stack([g_e[perm], gt_e[perm], unit]))
+        return a, d, b + (g_e[pj] - g_e[pi]) * d
+
+    def swapped_spread(mat, energy, terms):
+        a, d, b = terms
+        md, mb = (mat @ np.stack([d, b], axis=1)).T
+        energy = (energy + (2.0 / n) * (a * md + d * mb)
+                  + (a * a * (d @ d) + 2.0 * (d @ b) * a * d + (b @ b) * d * d) / (n * n))
+        diag = np.diag(mat) + d * (a + b) / n
+        return float((energy - diag * diag).var())
+
+    best = np.arange(n)
+    best_j = _objective(best, g)
+    if best_j == 0.0:
+        return best, best_j
+    perm = rng.permutation(n)
+    mat = interference_matrix(perm, g)
+    energy = np.einsum("ij,ij->i", mat, mat)
+    cur_j = interference_spread(mat)
+    if cur_j < best_j:
+        best, best_j = perm.copy(), cur_j
+    decay = (1e-3) ** (1.0 / budget)
+    temp = 0.5 * max(best_j, 1e-300)
+    for _ in range(budget):
+        i, j = rng.integers(0, n, size=2)
+        if i == j:
+            temp *= decay
+            continue
+        terms = swap_terms(perm, i, j)
+        cand_j = swapped_spread(mat, energy, terms)
+        if cand_j < cur_j or rng.random() < math.exp(min((cur_j - cand_j) / temp, 0.0)):
+            perm[i], perm[j] = perm[j], perm[i]
+            a, d, b = terms
+            mat += np.stack([a, d], axis=1) @ (np.stack([d, b]) / n)
+            energy = np.einsum("ij,ij->i", mat, mat)
+            cur_j = cand_j
+            if cur_j < best_j:
+                best, best_j = perm.copy(), cur_j
+        temp *= decay
+    return best, best_j
+
+
 class TestRankTwoSwap:
     @settings(max_examples=40)
     @given(k=st.integers(4, 9), taps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=6),
@@ -279,16 +348,30 @@ class TestRankTwoSwap:
         perm = np.random.default_rng(seed).permutation(n)
         i = data.draw(st.integers(0, n - 1))
         j = data.draw(st.integers(0, n - 1).filter(lambda v: v != i))
-        mat = interference_matrix(perm, g)
-        energy = np.einsum("ij,ij->i", mat, mat)
-        terms = _swap_terms(g, perm, i, j)
-        spread = _swapped_spread(mat, energy, terms)
-        _apply_swap(mat, terms)
+        swaps = _SwapScorer(g, perm.copy())
+        spread = swaps.score(i, j)
+        swaps.accept(i, j)
         swapped = perm.copy()
         swapped[i], swapped[j] = perm[j], perm[i]
         want = interference_matrix(swapped, g)
+        mat = swaps.mat
+        assert np.array_equal(swaps.perm, swapped)
+        assert np.array_equal(swaps.gt, g[np.ix_(swapped, swapped)])
+        assert np.array_equal(swaps.energy, np.einsum("ij,ij->i", mat, mat))
         assert np.abs(mat - want).max() <= 1e-12 * np.abs(want).max()
         assert spread == pytest.approx(interference_spread(want), rel=1e-9)
+
+    @pytest.mark.parametrize("n, budget", [(16, 500), (64, 500), (128, 500), (512, 100)])
+    @pytest.mark.parametrize("taps", [[0.5, 0.3, 0.2], [0.7, 0.3], [0.4, 0.3, 0.2, 0.1]])
+    def test_bit_identical_to_rank_two_loop(self, taps, n, budget):
+        # taps 0.7,0.3 give exactly tied candidates, so any last-ulp change
+        # in a score would show up as another branch taken
+        g = channel_matrix(taps, n)
+        for seed in range(1, 6):
+            perm, tracked = _search(g, budget, _stream(seed, 2, 0))
+            want_perm, want_tracked = _rank_two_search(g, budget, _stream(seed, 2, 0))
+            assert np.array_equal(perm, want_perm)
+            assert tracked == want_tracked
 
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_same_permutation_as_full_evaluation(self, seed):
