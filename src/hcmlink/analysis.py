@@ -21,7 +21,6 @@ from scipy.special import erfc, ndtr
 from .channel import DEFAULT_GAMMA
 from .errors import DomainError
 from .hadamard import fwht
-from .modem_hcm import encode_levels
 
 DCO_HEADROOM_FACTOR = 6.0  # AC std = min(bias, p_max - bias) / this
 
@@ -241,23 +240,14 @@ def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
 
 
 def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator) -> float:
-    """Monte-Carlo eta = E{chip} / (E{chip} - E{min chip}); ratio >= 1."""
-    _check_power_of_two(n)
-    _check_order(m)
+    """Monte-Carlo eta = E{chip} / (E{chip} - E{min chip}); ratio >= 1.
+
+    E{chip} is exactly (N-1)/2, and E{chip} - E{min chip} is the mean
+    DC-reduced chip, read from dcr_amplitude_pmf over trials frames of rng.
+    """
     if trials < 10_000:
         raise DomainError("need at least 1e4 trials for a stable estimate")
-    mean_chip = (n - 1) / 2.0
-    total_min = 0.0
-    chunk = 8192
-    done = 0
-    while done < trials:
-        k = min(chunk, trials - done)
-        levels = np.zeros((k, n))
-        levels[:, 1:] = rng.integers(0, m, size=(k, n - 1)) / (m - 1)
-        total_min += encode_levels(levels).min(axis=-1).sum()
-        done += k
-    e_min = total_min / trials
-    return mean_chip / (mean_chip - e_min)
+    return (n - 1) / 2.0 / dcr_amplitude_pmf(n, m, trials, rng).mean()
 
 
 def hcm_drive_peak(avg_power: float, n: int) -> float:

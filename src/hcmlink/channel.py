@@ -23,11 +23,9 @@ DEFAULT_GAMMA = 1.21  # sinc pulse-shaping SNR penalty, 10*log10 = 0.83 dB
 class LinkConfig:
     """Physical-link parameters shared by all schemes.
 
-    p is the scheme drive amplitude (unclipped peak for HCM, waveform scale
-    for OFDM); sigma2_n is the receiver noise variance in W^2.
+    sigma2_n is the receiver noise variance in W^2.
     """
 
-    p: float
     p_max: float
     sigma2_n: float
     gamma: float = DEFAULT_GAMMA
@@ -37,13 +35,13 @@ class LinkConfig:
     def __post_init__(self):
         object.__setattr__(self, "h", check_taps(self.h))
         if abs(self.h.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"impulse response must sum to 1, got {self.h.sum()!r}")
-        if self.p_max <= 0:
-            raise ConfigError("p_max must be positive")
-        if self.sigma2_n < 0:
+            raise ConfigError(f"impulse response must sum to 1, got {float(self.h.sum())!r}")
+        if not self.p_max > 0:
+            raise ConfigError(f"p_max must be positive, got {self.p_max!r}")
+        if not self.sigma2_n >= 0:
             raise ConfigError("sigma2_n must be non-negative")
-        if self.gamma < 1.0:
-            raise ConfigError("gamma must be >= 1")
+        if not self.gamma >= 1.0:
+            raise ConfigError(f"gamma must be >= 1, got {self.gamma!r}")
         if self.cp_len < 0:
             raise ConfigError("cp_len must be >= 0")
 

@@ -30,6 +30,14 @@ def _read_config(args) -> harness.ExperimentConfig:
     return harness.parse_config(text, overrides)
 
 
+def _numbers(items, parse, flag: str) -> list:
+    """Each item of a list flag parsed by parse; ConfigError naming the flag on a bad one."""
+    try:
+        return [parse(v) for v in items]
+    except ValueError as exc:
+        raise ConfigError(f"bad number in {flag}: {exc}") from exc
+
+
 def _output(args):
     """Context manager for the output: the --out file, closed on exit, or stdout."""
     return open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout)
@@ -37,7 +45,7 @@ def _output(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config(args)
-    records = harness.sweep(cfg, threads=args.threads)
+    records = harness.sweep(cfg)
     with _output(args) as out:
         harness.write_ber_csv(records, out)
     return 0
@@ -66,7 +74,7 @@ def _cmd_pmf(args) -> int:
 
 def _cmd_eta(args) -> int:
     lo, _, hi = args.n_range.partition(":")
-    n_lo, n_hi = int(lo), int(hi or lo)
+    n_lo, n_hi = _numbers((lo, hi or lo), int, "--n-range")
     if n_lo > n_hi:
         raise ConfigError(f"--n-range low {n_lo} is above high {n_hi}")
     rng = np.random.default_rng(args.seed)
@@ -86,7 +94,7 @@ def _cmd_interleaver_search(args) -> int:
     if args.taps_file:
         taps = load_impulse_response(args.taps_file)
     else:
-        taps = check_taps([float(v) for v in args.taps.split(",")], "--taps")
+        taps = check_taps(_numbers(args.taps.split(","), float, "--taps"), "--taps")
     if args.n < 1 or args.n & (args.n - 1) or args.n > 1 << MAX_ORDER_LOG2:
         raise ConfigError(f"n must be a power of two <= {1 << MAX_ORDER_LOG2}, got {args.n}")
     g = channel_matrix(taps, args.n)
@@ -104,7 +112,7 @@ def _cmd_interleaver_search(args) -> int:
 
 def _cmd_snr(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",")]
-    m_list = [int(v) for v in args.m_list.split(",")]
+    m_list = _numbers(args.m_list.split(","), int, "--m-list")
     sigma2 = args.noise_std_w**2
     rows = [
         (scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m,
@@ -132,7 +140,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="Monte-Carlo BER sweep from a config file")
     sim.add_argument("config")
     sim.add_argument("--out", help="output CSV path (default stdout)")
-    sim.add_argument("--threads", type=int, default=1)
     sim.add_argument("--set", action="append", metavar="KEY=VALUE",
                      help="override a config key (repeatable)")
     sim.set_defaults(func=_cmd_simulate)

@@ -2,31 +2,31 @@
 
 Reproducibility model: every power point gets a fixed schedule of
 256-symbol chunks, and chunk j of point i draws all of its randomness from
-an independent stream seeded by (master_seed, 0, i, j). Chunks are always
-accounted in index order and the stopping rule (target_errors or
-max_symbols) is evaluated on that ordered prefix, so results are
-bit-identical for any thread count. Calibration samples (DCR chip pmf, ACO
-waveform mean, interleaver search) use reserved stream keys (1, *) and
-(2, *) so they never collide with trial streams.
+an independent stream seeded by (master_seed, 0, i, j). A point runs its
+chunks one after another in index order and applies the stopping rule
+(target_errors or max_symbols) after each, so those streams and that order
+fix every result. Calibration samples (DCR chip pmf, ACO waveform mean,
+interleaver search) use reserved stream keys (1, *) and (2, *) so they
+never collide with trial streams.
 
 Each scheme is one entry of the table _SCHEMES: its order check, bits per
 symbol, calibration, drive mapping, analytic SNR and BER, and transmit and
 receive stages. The engine itself names no scheme.
 
-Chunk buffers: every thread that runs chunks of a sweep gets its own
-_ChunkBuffers (a threading.local on the _SweepContext), CHUNK_SYMBOLS rows
-of N or N + cp_len samples each, and the HCM stages write into them through
-their `out=` arguments; propagate writes every scheme's received samples
-into one, and the MMSE step writes v - v_mean and its estimate into two
-others. After its first chunk a thread allocates per chunk only the bit
-array of rng.integers and a few transient chunk-sized arrays (an fwht
-intermediate, the slicer's scaled estimates, the level lookup). This
-matters because a chunk array at N=128 is 256 KiB, above glibc's initial
-mmap threshold of 128 KiB: without the buffers each chunk allocated about
-ten of them, each mapped fresh from the kernel and page-faulted in unless a
-block of 4 MiB or more had been freed earlier in the process (as the old
-4 MiB DCR calibration blocks did). On a 2-core host an hcm sweep at N=128
-then took 132-162 ms against 87-92 ms after such a free.
+Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows of N or
+N + cp_len samples each, allocated on its first chunk, and the HCM stages
+write into them through their `out=` arguments; propagate writes every
+scheme's received samples into one, and the MMSE step writes v - v_mean and
+its estimate into two others. After the first chunk a sweep allocates per
+chunk only the bit array of rng.integers and a few transient chunk-sized
+arrays (an fwht intermediate, the slicer's scaled estimates, the level
+lookup). This matters because a chunk array at N=128 is 256 KiB, above
+glibc's initial mmap threshold of 128 KiB: without the buffers each chunk
+allocated about ten of them, each mapped fresh from the kernel and
+page-faulted in unless a block of 4 MiB or more had been freed earlier in
+the process (as the old 4 MiB DCR calibration blocks did). On a 2-core host
+an hcm sweep at N=128 then took 132-162 ms against 87-92 ms after such a
+free.
 
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
@@ -37,9 +37,7 @@ operating points meaningful for schemes whose post-clip average saturates
 
 import csv
 import math
-import threading
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -90,7 +88,7 @@ from .modem_ofdm import (
     qam_symbols,
 )
 
-CHUNK_SYMBOLS = 256  # symbols per RNG stream; fixed so threading cannot change results
+CHUNK_SYMBOLS = 256  # symbols per chunk and its RNG stream; changing it changes every result
 
 BER_CSV_HEADER = ("avg_power_w", "symbols", "bit_errors", "ber", "ci95", "analytical_ber")
 ANALYZE_CSV_HEADER = ("avg_power_w", "analytical_ber", "snr")
@@ -224,13 +222,14 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
     return cfg
 
 
-def validate_config(cfg: ExperimentConfig):
+def validate_config(cfg: ExperimentConfig) -> LinkConfig:
+    """Check cfg before any work; returns its link, which checks p_max, noise, gamma and taps."""
     if cfg.scheme not in _SCHEMES:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     if cfg.n < 4 or cfg.n & (cfg.n - 1) or cfg.n > 1 << MAX_ORDER_LOG2:
         raise ConfigError(f"n must be a power of two in [4, {1 << MAX_ORDER_LOG2}], got {cfg.n}")
-    if cfg.p_max <= 0:
-        raise ConfigError("p_max_w must be positive")
+    link = LinkConfig(p_max=cfg.p_max, sigma2_n=cfg.sigma2_n, gamma=cfg.gamma, h=cfg.h,
+                      cp_len=cfg.cp_len)
     grid = np.asarray(cfg.power_grid, dtype=np.float64)
     if not np.all(np.isfinite(grid)):
         raise ConfigError("power grid values must be finite")
@@ -242,7 +241,7 @@ def validate_config(cfg: ExperimentConfig):
         raise ConfigError("max_symbols must be >= 1")
     if cfg.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
-    if cfg.cp_len < 0 or cfg.cp_len >= cfg.n:
+    if cfg.cp_len >= cfg.n:
         raise ConfigError("cp_len must be in [0, n)")
     if cfg.equalizer not in ("slicer", "mmse"):
         raise ConfigError(f"equalizer must be slicer or mmse, got {cfg.equalizer!r}")
@@ -251,6 +250,7 @@ def validate_config(cfg: ExperimentConfig):
         # covariance has rank N-1 on every channel and cannot be inverted
         raise ConfigError("mmse equalization needs noise_std_w > 0")
     _SCHEMES[cfg.scheme].check(cfg)
+    return link
 
 
 def _stream(master_seed: int, *key) -> np.random.Generator:
@@ -304,7 +304,7 @@ def _hcm_snr(ctx: "_SweepContext", avg: float) -> float:
 
 def _hcm_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray,
             reduce_dc: bool = False) -> np.ndarray:
-    cfg, work, k = ctx.cfg, ctx.work(), len(bits)
+    cfg, work, k = ctx.cfg, ctx.work, len(bits)
     levels, chips = work.levels[:k], work.chips[:k]
     levels_from_bits(bits, cfg.m, cfg.n, out=levels)
     encode_levels(levels, out=chips)
@@ -312,11 +312,11 @@ def _hcm_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray,
         chips -= chips.min(axis=-1, keepdims=True)
     if ctx.perm is not None:
         chips = interleave(chips, ctx.perm, out=levels)
-    return frame_chips(chips, point.link.p, cfg.cp_len, out=work.tx[:k])
+    return frame_chips(chips, point.p, cfg.cp_len, out=work.tx[:k])
 
 
 def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.ndarray:
-    n, p, work, k = ctx.cfg.n, point.link.p, ctx.work(), len(y)
+    n, p, work, k = ctx.cfg.n, point.p, ctx.work, len(y)
     if ctx.perm is not None:
         y = deinterleave(y, ctx.perm, out=work.levels[:k])
     v = decode_samples(y, p, out=work.chips[:k])
@@ -330,12 +330,12 @@ def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.nda
 
 def _aco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
     raw = aco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
-    return prepend_cyclic_prefix(point.link.p * np.maximum(raw, 0.0), ctx.cfg.cp_len)
+    return prepend_cyclic_prefix(point.p * np.maximum(raw, 0.0), ctx.cfg.cp_len)
 
 
 def _dco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
     raw = dco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
-    return prepend_cyclic_prefix(point.link.p * raw + point.avg_power, ctx.cfg.cp_len)
+    return prepend_cyclic_prefix(point.p * raw + point.avg_power, ctx.cfg.cp_len)
 
 
 @dataclass(frozen=True)
@@ -390,7 +390,7 @@ _SCHEMES = {
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.qam_ber(snr, m),
         tx=_aco_tx,
-        rx=lambda ctx, point, y: qam_bits(aco_extract(y, ctx.gains) / point.link.p, ctx.cfg.m),
+        rx=lambda ctx, point, y: qam_bits(aco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
     ),
     "dco-ofdm": _Scheme(
         check=_check_dco,
@@ -402,14 +402,14 @@ _SCHEMES = {
             ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.qam_ber(snr, m),
         tx=_dco_tx,
-        rx=lambda ctx, point, y: qam_bits(dco_extract(y, ctx.gains) / point.link.p, ctx.cfg.m),
+        rx=lambda ctx, point, y: qam_bits(dco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
     ),
 }
 SCHEMES = tuple(_SCHEMES)
 
 
 class _ChunkBuffers:
-    """One thread's work arrays for the HCM chunk pipeline, CHUNK_SYMBOLS rows each.
+    """A sweep's work arrays for the chunk pipeline, CHUNK_SYMBOLS rows each.
 
     levels holds the PAM levels, then the interleaved chips, then the
     deinterleaved payload, then v - v_mean; chips holds the chips, then the
@@ -433,20 +433,17 @@ class _SweepContext:
     """Per-sweep precomputation shared by all power points."""
 
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
-        validate_config(cfg)
+        self.link = validate_config(cfg)
         self.cfg = cfg
         self.scheme = _SCHEMES[cfg.scheme]
         self.bits_per_symbol = self.scheme.data_count(cfg.n) * int(math.log2(cfg.m))
         self.perm = self._resolve_interleaver()
         self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
-        self._local = threading.local()
 
+    @cached_property
     def work(self) -> _ChunkBuffers:
-        """The calling thread's chunk buffers, allocated on its first chunk."""
-        work = getattr(self._local, "work", None)
-        if work is None:
-            work = self._local.work = _ChunkBuffers(self.cfg)
-        return work
+        """The sweep's chunk buffers, allocated on its first chunk."""
+        return _ChunkBuffers(self.cfg)
 
     @cached_property
     def calib(self):
@@ -482,7 +479,7 @@ class _SweepContext:
 @dataclass(frozen=True)
 class _PointSetup:
     avg_power: float
-    link: LinkConfig  # link.p is the scheme's drive amplitude
+    p: float  # the scheme's drive amplitude
     weights: MmseWeights | None
     analytic: float
     snr: float
@@ -500,33 +497,25 @@ def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
 
 def _point_setup(ctx: _SweepContext, avg_power: float) -> _PointSetup:
     cfg = ctx.cfg
-    link = LinkConfig(
-        p=ctx.scheme.drive(ctx, avg_power),
-        p_max=cfg.p_max,
-        sigma2_n=cfg.sigma2_n,
-        gamma=cfg.gamma,
-        h=cfg.h,
-        cp_len=cfg.cp_len,
-    )
+    p = ctx.scheme.drive(ctx, avg_power)
     weights = None
     if cfg.equalizer == "mmse":
-        weights = mmse_weights(ctx.interference, link.p, cfg.gamma * cfg.sigma2_n, cfg.m)
+        weights = mmse_weights(ctx.interference, p, cfg.gamma * cfg.sigma2_n, cfg.m)
         analytic, snr = _mmse_analytic(weights, cfg.m)
     else:
         snr = ctx.scheme.snr(ctx, avg_power)
         analytic = ctx.scheme.ber(snr, cfg.m)
-    return _PointSetup(avg_power=avg_power, link=link, weights=weights, analytic=analytic,
-                       snr=snr)
+    return _PointSetup(avg_power=avg_power, p=p, weights=weights, analytic=analytic, snr=snr)
 
 
 def _run_chunk(ctx: _SweepContext, point: _PointSetup, rng: np.random.Generator,
-               k: int) -> tuple[int, int]:
-    """One chunk of k symbols: tx, propagate, rx; returns (bit errors, bits sent)."""
+               k: int) -> int:
+    """One chunk of k symbols: tx, propagate, rx; returns its bit errors."""
     bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol), dtype=np.int64)
     tx = ctx.scheme.tx(ctx, point, bits)
-    y = deframe(propagate(tx, point.link, rng, out=ctx.work().rx[:k]), ctx.cfg.cp_len)
+    y = deframe(propagate(tx, ctx.link, rng, out=ctx.work.rx[:k]), ctx.cfg.cp_len)
     bits_hat = ctx.scheme.rx(ctx, point, y)
-    return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits)), bits.size
+    return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
 
 
 def _chunk_sizes(max_symbols: int) -> list:
@@ -535,46 +524,24 @@ def _chunk_sizes(max_symbols: int) -> list:
 
 
 def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
-              threads: int = 1, ctx: _SweepContext | None = None) -> BerRecord:
+              ctx: _SweepContext | None = None) -> BerRecord:
     """Monte-Carlo one power point until target_errors or max_symbols.
 
-    Identical results for any `threads`: chunk j always uses the stream
-    keyed (0, power_index, j) and the stopping rule is applied to chunks in
-    index order. avg_power is checked like a value of cfg's power grid.
+    Chunk j draws from the stream keyed (0, power_index, j); the chunks run
+    in index order and the point stops after the first one that brings the
+    bit errors to target_errors. avg_power is checked like a value of cfg's
+    power grid.
     """
     validate_config(replace(cfg, power_grid=np.array([avg_power])))
     ctx = ctx or _SweepContext(cfg)
     point = _point_setup(ctx, avg_power)
-    sizes = _chunk_sizes(cfg.max_symbols)
-
-    def job(j):
-        rng = _stream(cfg.master_seed, 0, power_index, j)
-        return _run_chunk(ctx, point, rng, sizes[j])
-
-    errors = bits = symbols = 0
-
-    def absorb(j, out) -> bool:
-        nonlocal errors, bits, symbols
-        errors += out[0]
-        bits += out[1]
-        symbols += sizes[j]
-        return errors >= cfg.target_errors
-
-    if threads <= 1:
-        for j in range(len(sizes)):
-            if absorb(j, job(j)):
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            start = 0
-            stopped = False
-            while start < len(sizes) and not stopped:
-                wave = range(start, min(start + threads, len(sizes)))
-                for j, out in zip(wave, pool.map(job, wave)):
-                    if absorb(j, out):
-                        stopped = True
-                        break
-                start += threads
+    errors = symbols = 0
+    for j, k in enumerate(_chunk_sizes(cfg.max_symbols)):
+        errors += _run_chunk(ctx, point, _stream(cfg.master_seed, 0, power_index, j), k)
+        symbols += k
+        if errors >= cfg.target_errors:
+            break
+    bits = symbols * ctx.bits_per_symbol
 
     ber = errors / bits if bits else 0.0
     if errors:
@@ -591,11 +558,11 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
     )
 
 
-def sweep(cfg: ExperimentConfig, threads: int = 1) -> list:
+def sweep(cfg: ExperimentConfig) -> list:
     """Run every grid point; returns BerRecords in grid order."""
     ctx = _SweepContext(cfg)
     return [
-        run_point(cfg, float(p), i, threads, ctx)
+        run_point(cfg, float(p), i, ctx)
         for i, p in enumerate(np.asarray(cfg.power_grid, dtype=np.float64))
     ]
 

@@ -41,14 +41,14 @@ def test_hcm_never_clips_below_half_peak_drive():
 
 
 def test_propagate_identity_channel_noise_free():
-    cfg = LinkConfig(p=1.0, p_max=10.0, sigma2_n=0.0, h=[1.0])
+    cfg = LinkConfig(p_max=10.0, sigma2_n=0.0, h=[1.0])
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 5, size=32)
     assert_allclose(propagate(x, cfg, rng), x)
 
 
 def test_propagate_steady_state_of_unit_sum_taps():
-    cfg = LinkConfig(p=1.0, p_max=10.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=2)
+    cfg = LinkConfig(p_max=10.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=2)
     rng = np.random.default_rng(3)
     out = propagate(np.full(16, 3.0), cfg, rng)
     assert_allclose(out[2:], 3.0)  # after the taps fill, sum(h) = 1 holds the level
@@ -56,14 +56,14 @@ def test_propagate_steady_state_of_unit_sum_taps():
 
 def test_propagate_noise_variance_includes_gamma():
     sigma2, gamma = 2.5e-4, 1.21
-    cfg = LinkConfig(p=1.0, p_max=1.0, sigma2_n=sigma2, gamma=gamma, h=[1.0])
+    cfg = LinkConfig(p_max=1.0, sigma2_n=sigma2, gamma=gamma, h=[1.0])
     rng = np.random.default_rng(4)
     out = propagate(np.zeros(1_000_000), cfg, rng)
     assert out.var() == pytest.approx(sigma2 * gamma, rel=0.01)
 
 
 def test_propagate_checks_prefix_against_taps():
-    cfg = LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=1)
+    cfg = LinkConfig(p_max=1.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=1)
     with pytest.raises(ConfigError):
         propagate(np.zeros(8), cfg, np.random.default_rng(0))
 
@@ -72,7 +72,7 @@ def test_propagate_matches_cyclic_convolution_after_deframe():
     rng = np.random.default_rng(5)
     n, cp = 16, 4
     h = np.array([0.4, 0.3, 0.3])
-    cfg = LinkConfig(p=1.0, p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
+    cfg = LinkConfig(p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
     chips = rng.uniform(0, n, size=n)
     tx = frame_chips(chips, 1.0, cp)
     payload = propagate(tx, cfg, rng)[cp:]
@@ -91,7 +91,7 @@ def _normal_propagate(samples, cfg, rng):
 
 @pytest.mark.parametrize("h, cp", [([1.0], 0), ([0.5, 0.3, 0.2], 2)])
 def test_propagate_into_out_matches_allocating_call(h, cp):
-    cfg = LinkConfig(p=1.0, p_max=0.8, sigma2_n=1e-3, h=h, cp_len=cp)
+    cfg = LinkConfig(p_max=0.8, sigma2_n=1e-3, h=h, cp_len=cp)
     samples = np.random.default_rng(9).uniform(-0.2, 1.0, size=(64, 16 + cp))
     keep = samples.copy()
     want = _normal_propagate(samples, cfg, np.random.default_rng(10))
@@ -104,9 +104,9 @@ def test_propagate_into_out_matches_allocating_call(h, cp):
 
 def test_linkconfig_validates_taps():
     with pytest.raises(ConfigError):
-        LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[0.5, 0.4])
+        LinkConfig(p_max=1.0, sigma2_n=0.0, h=[0.5, 0.4])
     with pytest.raises(ConfigError):
-        LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=[1.5, -0.5])
+        LinkConfig(p_max=1.0, sigma2_n=0.0, h=[1.5, -0.5])
 
 
 @pytest.mark.parametrize("taps", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [-0.5, 1.5], [],
@@ -116,7 +116,7 @@ def test_bad_taps_rejected_everywhere(tmp_path, taps):
     with pytest.raises(ConfigError):
         check_taps(taps)
     with pytest.raises(ConfigError):
-        LinkConfig(p=1.0, p_max=1.0, sigma2_n=0.0, h=taps)
+        LinkConfig(p_max=1.0, sigma2_n=0.0, h=taps)
     path = tmp_path / "taps.txt"
     path.write_text(" ".join(str(v) for v in np.ravel(taps)) + "\n")
     if np.size(taps) > 1:

@@ -116,6 +116,11 @@ def test_eta_reversed_range_exits_2(capsys):
     (["interleaver-search", "--taps=-0.5,1.5", "--n", "16"], "non-negative taps"),
     (["interleaver-search", "--taps", "nan,1", "--n", "16"], "non-negative taps"),
     (["interleaver-search", "--taps", "0,0", "--n", "16"], "positive sum"),
+    # a bad number in a list flag is a config error that names the flag
+    (["interleaver-search", "--taps", "0.5,x", "--n", "16"], "bad number in --taps"),
+    (["snr", "--m-list", "4,x"], "bad number in --m-list"),
+    (["eta", "--n-range", "4:x"], "bad number in --n-range"),
+    (["snr", "--gamma", "0.5"], "gamma must be >= 1"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

@@ -73,7 +73,7 @@ class TestChannelMatrix:
         n, cp = 16, 4
         h = np.array([0.4, 0.3, 0.3])
         g = channel_matrix(h, n)
-        link = LinkConfig(p=1.0, p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
+        link = LinkConfig(p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
         chips = rng.uniform(0, n, size=n)
         payload = deframe(propagate(frame_chips(chips, 1.0, cp), link, rng), cp)
         assert_allclose(payload, g @ (chips / n), atol=1e-12)

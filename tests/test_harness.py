@@ -1,4 +1,3 @@
-import sys
 import tracemalloc
 from pathlib import Path
 
@@ -8,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcmlink import cli, harness
-from hcmlink.channel import LinkConfig, propagate
+from hcmlink.channel import propagate
 from hcmlink.errors import ConfigError
 from hcmlink.modem_hcm import deframe
 
@@ -23,7 +22,7 @@ def _config(**keys) -> str:
     return "scheme = hcm\n" + BASE + "".join(f"{k} = {v}\n" for k, v in keys.items())
 
 
-THREAD_CONFIGS = {
+SWEEP_CONFIGS = {
     "hcm-n32": """
         scheme = hcm
         n = 32
@@ -83,42 +82,48 @@ THREAD_CONFIGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(THREAD_CONFIGS))
-def test_sweep_identical_for_any_thread_count(name):
-    cfg = harness.parse_config(THREAD_CONFIGS[name])
-    records = [harness.sweep(cfg, threads=t) for t in (1, 2, 3)]
-    assert records[0] == records[1] == records[2]
+# simulate's CSV rows for each config, pinned byte for byte: a record is fixed
+# by the per-chunk streams (0, i, j) and the chunk order, so an engine change
+# that keeps both keeps these rows
+SWEEP_CSV_ROWS = {
+    "aco-ofdm-n32": [
+        "5e-06,512,183,0.02233886719,0.003200264306,0.0219967833",
+        "3e-05,1000,0,0,0.0001875,0.0001542479023",
+    ],
+    "dco-ofdm-n16-taps": [
+        "5e-06,256,1364,0.3805803571,0.01589599591,0.3427603387",
+        "5e-05,1000,123,0.008785714286,0.001545839384,2.567315772e-05",
+    ],
+    "dcr-hcm-n16-mmse-search": [
+        "1e-05,256,994,0.2588541667,0.01385383066,0.1152302646",
+        "4e-05,512,106,0.01380208333,0.002609334908,0.008888556066",
+        "6.3e-05,768,103,0.008940972222,0.001718984519,0.0003949052321",
+    ],
+    "dcr-hcm-n32": [
+        "1e-05,256,1105,0.1392389113,0.007616875629,0.1374096264",
+        "2.5e-05,1000,97,0.003129032258,0.0006217269866,0.003165959737",
+        "4e-05,1000,0,0,9.677419355e-05,6.393863287e-06",
+    ],
+    "hcm-n32": [
+        "1e-05,256,2654,0.3344254032,0.0103801407,0.3391714736",
+        "6.3e-05,1000,131,0.004225806452,0.0007221218046,0.004495294259",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CONFIGS))
+def test_simulate_output_is_frozen(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.conf"
+    path.write_text(SWEEP_CONFIGS[name])
+    assert cli.main(["simulate", str(path)]) == 0
+    header = "avg_power_w,symbols,bit_errors,ber,ci95,analytical_ber"
+    assert capsys.readouterr().out.split("\r\n") == [header, *SWEEP_CSV_ROWS[name], ""]
     # one point stops on target_errors and one runs past its first chunk, so
-    # both the stopping rule and chunks spread over thread waves are compared
-    symbols = [r.symbols_run for r in records[0]]
+    # both the stopping rule and the order of several chunks are pinned
+    cfg = harness.parse_config(SWEEP_CONFIGS[name])
+    symbols = [int(row.split(",")[1]) for row in SWEEP_CSV_ROWS[name]]
     assert min(symbols) < cfg.max_symbols
     assert max(symbols) > harness.CHUNK_SYMBOLS
-
-
-@pytest.mark.parametrize("name", sorted(THREAD_CONFIGS))
-def test_cli_simulate_identical_for_any_thread_count(tmp_path, capsys, name):
-    path = tmp_path / f"{name}.conf"
-    path.write_text(THREAD_CONFIGS[name])
-    outputs = []
-    for threads in ("1", "2", "3"):
-        assert cli.main(["simulate", str(path), "--threads", threads]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0].startswith("avg_power_w,symbols,")
-    assert outputs[0] == outputs[1] == outputs[2]
-
-
-def test_threads_never_share_chunk_buffers():
-    # switching threads every microsecond interleaves chunks mid-pipeline,
-    # which would corrupt results if two threads wrote the same buffers
-    cfg = harness.parse_config(THREAD_CONFIGS["dcr-hcm-n32"])
-    want = harness.sweep(cfg, threads=1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        got = harness.sweep(cfg, threads=4)
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == want
 
 
 def test_negative_noise_std_rejected():
@@ -150,6 +155,26 @@ def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     path.write_text(_config())
     assert cli.main(["simulate", str(path), "--set", f"{key}={value}"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("gamma", "0.5", "gamma must be >= 1"),
+    ("gamma", "nan", "gamma must be >= 1"),
+    ("p_max_w", "nan", "p_max must be positive"),
+    ("taps", "0.5,0.3", "sum to 1, got 0.8"),
+])
+def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, value, message):
+    # the link is checked with the config, not at the first point after the search
+    searches = []
+    monkeypatch.setattr(harness, "interleaver_search", lambda *a, **k: searches.append(a))
+    text = _config(**{"taps": "0.5,0.3,0.2", "cp_len": 2, "interleaver": "search", key: value})
+    with pytest.raises(ConfigError, match=message):
+        harness.parse_config(text)
+    path = tmp_path / "bad.conf"
+    path.write_text(text)
+    assert cli.main(["simulate", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert searches == []
 
 
 def test_dco_grid_at_p_max_rejected(tmp_path, capsys):
@@ -233,11 +258,10 @@ def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
     if hcm:
         ctx.perm = rng.permutation(n)
     avg = 4e-5  # every scheme's peak stays far below p_max
-    link = LinkConfig(p=ctx.scheme.drive(ctx, avg), p_max=cfg.p_max, sigma2_n=0.0, h=h,
-                      cp_len=cp_len)
-    point = harness._PointSetup(avg_power=avg, link=link, weights=None, analytic=0.0, snr=0.0)
+    point = harness._PointSetup(avg_power=avg, p=ctx.scheme.drive(ctx, avg), weights=None,
+                                analytic=0.0, snr=0.0)
     bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol))
-    y = deframe(propagate(ctx.scheme.tx(ctx, point, bits), link, rng), cp_len)
+    y = deframe(propagate(ctx.scheme.tx(ctx, point, bits), ctx.link, rng), cp_len)
     assert np.array_equal(ctx.scheme.rx(ctx, point, y).reshape(8, -1), bits)
 
 
@@ -261,12 +285,12 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
         monkeypatch.setattr(harness, name, counted)
     # the interleaver search and the MMSE weights share one channel matrix,
     # and the weights of all three points share one interference matrix
-    harness.analyze(harness.parse_config(THREAD_CONFIGS["dcr-hcm-n16-mmse-search"]))
+    harness.analyze(harness.parse_config(SWEEP_CONFIGS["dcr-hcm-n16-mmse-search"]))
     assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
     harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, grid_points=20)
     assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
     # an OFDM receiver reads the one-tap gains, built once per sweep
-    harness.sweep(harness.parse_config(THREAD_CONFIGS["aco-ofdm-n32"]))
+    harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
     assert calls == {"channel_matrix": 1, "one_tap_gains": 1, "interference_matrix": 1}
 
 
