@@ -15,7 +15,7 @@ from .analysis import (
     hcm_amplitude_pmf,
     qfunc,
 )
-from .channel import LinkConfig, clip, load_impulse_response, propagate
+from .channel import LinkConfig, load_impulse_response, propagate
 from .equalization import (
     MmseWeights,
     channel_matrix,
@@ -25,9 +25,9 @@ from .equalization import (
     mmse_weights,
     save_permutation,
 )
-from .errors import ConfigError, DomainError, FramingError, SizeError
+from .errors import ConfigError, DomainError, SizeError
 from .hadamard import fwht
 from .harness import BerRecord, ExperimentConfig, achievable_snr, parse_config, run_point, sweep
-from .modem_hcm import deframe, deinterleave, interleave
+from .modem_hcm import deinterleave, interleave
 
 __version__ = "0.1.0"

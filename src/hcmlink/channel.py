@@ -23,7 +23,7 @@ DEFAULT_GAMMA = 1.21  # sinc pulse-shaping SNR penalty, 10*log10 = 0.83 dB
 class LinkConfig:
     """Physical-link parameters shared by all schemes.
 
-    sigma2_n is the receiver noise variance in W^2.
+    sigma2_n is the receiver noise variance in W^2; cp_len must be at least len(h) - 1.
     """
 
     p_max: float
@@ -42,8 +42,9 @@ class LinkConfig:
             raise ConfigError("sigma2_n must be non-negative")
         if not self.gamma >= 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma!r}")
-        if self.cp_len < 0:
-            raise ConfigError("cp_len must be >= 0")
+        if self.cp_len < self.h.size - 1:
+            raise ConfigError(
+                f"cyclic prefix {self.cp_len} too short for {self.h.size}-tap channel")
 
 
 def check_taps(taps, source: str = "impulse response") -> np.ndarray:
@@ -55,18 +56,13 @@ def check_taps(taps, source: str = "impulse response") -> np.ndarray:
     return h
 
 
-def clip(samples: np.ndarray, p_max: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Hard-limit samples to [0, p_max], into `out` when given."""
-    return np.clip(samples, 0.0, p_max, out=out)
-
-
 def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
               out: np.ndarray | None = None) -> np.ndarray:
     """LED clip, FIR channel, then AWGN; vectorized over leading axes.
 
-    The FIR output is truncated to the input length, so with a cyclic prefix
-    of at least len(h)-1 the deframed payload equals the cyclic convolution
-    of the payload with h.
+    The FIR output is truncated to the input length, so with the cyclic
+    prefix of at least len(h)-1 that LinkConfig requires, the deframed
+    payload equals the cyclic convolution of the payload with h.
 
     With `out` (float64, the shape of samples, not overlapping them) the
     received samples are written there, and samples, which must then be a
@@ -75,14 +71,10 @@ def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
     does that, so both forms draw the same noise from rng.
     """
     h = config.h
-    if h.size > 1 and config.cp_len < h.size - 1:
-        raise ConfigError(
-            f"cyclic prefix {config.cp_len} too short for {h.size}-tap channel"
-        )
     if out is None:
         samples = np.array(samples, dtype=np.float64, order="C")
         out = np.empty_like(samples)
-    x = clip(samples, config.p_max, out=samples)
+    x = np.clip(samples, 0.0, config.p_max, out=samples)  # the LED limiter
     np.multiply(x, h[0], out=out)
     for ell in range(1, h.size):
         out[..., ell:] += h[ell] * x[..., :-ell]

@@ -103,10 +103,8 @@ def _cmd_interleaver_search(args) -> int:
     before = interference_spread(interference_matrix(np.arange(args.n), g))
     after = interference_spread(interference_matrix(perm, g))
     print(f"objective: identity={before:.6g} found={after:.6g}", file=sys.stderr)
-    if args.out:
-        save_permutation(perm, args.out)
-    else:
-        sys.stdout.write("\n".join(str(int(i)) for i in perm) + "\n")
+    with _output(args) as out:
+        save_permutation(perm, out)
     return 0
 
 

@@ -23,22 +23,21 @@ C, with e = e_perm[j] - e_perm[i] and d = B_i - B_j, hence
                                   b = B (G^T e)[perm] + (e^T G e) d.
 
 A step takes (G e)[perm] and (G^T e)[perm] as column and row differences of
-the tracked Gt, transforms them and e[perm] with fwht's Kronecker factors
-on buffers built once per search, and gets the candidate's row energies and
-diagonal from M d and M b: O(N^2) against two N x N transforms for a full
+the tracked Gt, transforms them and e[perm] with one fwht of a 3 x N buffer
+built once per search, and gets the candidate's row energies and diagonal
+from M d and M b: O(N^2) against two N x N transforms for a full
 evaluation. Accepting a swap updates Gt, M and its row energies in place.
 """
 
 import itertools
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 from scipy.linalg import circulant
 
 from .errors import ConfigError, DomainError
-from .hadamard import _bipolar_block, _factor_sizes, fwht
+from .hadamard import fwht
 
 
 @dataclass(frozen=True)
@@ -67,7 +66,7 @@ def pam_level_variance(m: int) -> float:
 def interference_matrix(perm: np.ndarray, g: np.ndarray) -> np.ndarray:
     """M = (1/N) B Pi^T G Pi B for the N x N channel matrix g, with two fast transforms."""
     gt = g[np.ix_(perm, perm)]  # Pi^T G Pi, Pi the matrix of out[perm[i]] = x[i]
-    return fwht(fwht(gt, axis=0), axis=1) / g.shape[0]
+    return fwht(fwht(gt.T).T) / g.shape[0]
 
 
 def mmse_weights(mat: np.ndarray, p: float, sigma2_n: float, m: int = 2) -> MmseWeights:
@@ -128,18 +127,9 @@ class _SwapScorer:
         self.perm, self.gt = perm, g[np.ix_(perm, perm)]
         self.mat = interference_matrix(perm, g)
         self.energy = np.einsum("ij,ij->i", self.mat, self.mat)
-        # fwht's factors take rows (G e)[perm], (G^T e)[perm], e[perm] to a, b - (e^T G e) d, d
+        # fwht takes rows (G e)[perm], (G^T e)[perm], e[perm] to terms a, b - (e^T G e) d, d
         self.rows, self.terms = np.zeros((3, n)), np.empty((3, n))
         self.pair, self.prod = np.empty((n, 2)), np.empty((n, 2))
-        *leading, last = _factor_sizes(n.bit_length() - 1)
-        src, self.factors = self.rows, []
-        for f in leading:
-            dst = np.empty(3 * n).reshape(-1, f, src.shape[-1] // f)
-            block = _bipolar_block(f, dst.dtype)
-            self.factors.append(partial(np.matmul, block, src.reshape(dst.shape), out=dst))
-            src = dst
-        block, dst = _bipolar_block(last, src.dtype), self.terms.reshape(-1, last)
-        self.factors.append(partial(np.matmul, src.reshape(-1, last), block, out=dst))
 
     def score(self, i: int, j: int) -> float:
         gt, rows, (a, b, d) = self.gt, self.rows, self.terms
@@ -147,8 +137,7 @@ class _SwapScorer:
         np.subtract(gt[:, j], gt[:, i], out=rows[0])
         np.subtract(gt[j], gt[i], out=rows[1])
         rows[2, i], rows[2, j] = 1.0, -1.0
-        for factor in self.factors:
-            factor()
+        fwht(rows, out=self.terms)
         rows[2, i] = rows[2, j] = 0.0
         b += (rows[0, j] - rows[0, i]) * d  # e^T G e = (G e)[perm][j] - (G e)[perm][i]
         self.pair[:, 0], self.pair[:, 1] = d, b
@@ -233,10 +222,9 @@ def _search(g: np.ndarray, budget: int, rng: np.random.Generator) -> tuple[np.nd
     return best, best_j
 
 
-def save_permutation(perm: np.ndarray, path):
-    """Write a permutation as newline-separated 0-based indices."""
-    with open(path, "w") as fh:
-        fh.write("\n".join(str(int(i)) for i in perm) + "\n")
+def save_permutation(perm: np.ndarray, fh):
+    """Write a permutation to the open text file fh as newline-separated 0-based indices."""
+    fh.write("\n".join(str(int(i)) for i in perm) + "\n")
 
 
 def load_permutation(path, n: int | None = None) -> np.ndarray:

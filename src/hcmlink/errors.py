@@ -6,11 +6,7 @@ to exit code 3, so raising the right class here matters.
 
 
 class SizeError(ValueError):
-    """A vector or matrix dimension is invalid (wrong length, not a power of two)."""
-
-
-class FramingError(ValueError):
-    """A bitstring does not match the expected frame geometry."""
+    """An array has the wrong length (not a power of two, or bits that do not fill a frame)."""
 
 
 class ConfigError(ValueError):

@@ -9,9 +9,11 @@ formed: modem_hcm works with B through `fwht`.
 B_N = B_a (x) B_b (x) ... with N = a * b * ... (Fino & Algazi, IEEE Trans.
 Comput. 1976; Van Loan, Computational Frameworks for the FFT, 1992): each
 factor of at most 32 points is one dense +/-1 matrix product on a reshaped
-axis. On integer-valued inputs every partial sum is exact, so the result is
-exact; on other floats it can differ from a radix-2 butterfly in the last
-ulp because the additions run in another order.
+axis. It transforms the last axis only; a caller that needs another axis
+passes a transposed view. On integer-valued inputs every partial sum is
+exact, so the result is exact; on other floats it can differ from a
+radix-2 butterfly in the last ulp because the additions run in another
+order.
 
 float32 input stays float32 (any other input is transformed in float64).
 Every partial sum of B v is bounded by N max|v|, so integer-valued float32
@@ -23,6 +25,7 @@ chips, odd integers of magnitude at most M-1, are exact while
 from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import hadamard
 
 from .errors import SizeError
 
@@ -41,20 +44,19 @@ def _factor_sizes(order_log2: int) -> list:
 
 @lru_cache(maxsize=None)
 def _bipolar_block(n: int, dtype: np.dtype) -> np.ndarray:
-    block = np.ones((1, 1), dtype)
-    while len(block) < n:
-        block = np.block([[block, block], [block, -block]])
+    block = hadamard(n, dtype)
     block.setflags(write=False)
     return block
 
 
-def fwht(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.ndarray:
+def fwht(v: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
     """Multiply by the bipolar Sylvester Hadamard matrix in O(N log N).
 
-    Equivalent to B @ v without materializing the matrix. Accepts
-    any array and transforms along `axis`; leading axes are treated as a
-    batch. Since B is symmetric with B @ B = N*I, applying fwht twice
-    returns N times the input.
+    Equivalent to B @ v without materializing the matrix. Accepts any array
+    and transforms along its last axis; leading axes are treated as a batch.
+    To transform along another axis, pass a transposed view, as in
+    fwht(v.T).T for the columns of a matrix. Since B is symmetric with
+    B @ B = N*I, applying fwht twice returns N times the input.
 
     The length N = f_1 * f_2 * ... * f_k is split into balanced factors of
     at most 32, and B_N = B_f1 (x) B_f2 (x) ... (x) B_fk. Factor i multiplies
@@ -64,37 +66,32 @@ def fwht(v: np.ndarray, axis: int = -1, out: np.ndarray | None = None) -> np.nda
     a radix-2 butterfly in the last ulp.
 
     float32 input is transformed in float32, anything else in float64. The
-    result goes to `out` when given (same shape and dtype as the result; it
-    may be v itself) and is returned. Each factor but the last allocates an
-    intermediate of the input's size; the last product writes straight into
-    a C-contiguous `out`.
+    result goes to `out` when given (keyword-only; same shape and dtype as
+    the result; it may be v itself) and is returned. Each factor but the
+    last allocates an intermediate of the input's size; the last product
+    writes straight into a C-contiguous `out`.
     """
     a = np.asarray(v)
     if a.dtype != np.float32:
         a = a.astype(np.float64, copy=False)
-    a = np.moveaxis(a, axis, -1)
     n = a.shape[-1]
     if n == 0 or n & (n - 1):
         raise SizeError(f"fwht length must be a power of two, got {n}")
     if out is None:
-        res = np.empty(a.shape, a.dtype)
-        out = np.moveaxis(res, -1, axis)
-    else:
-        res = np.moveaxis(out, axis, -1)
-        if res.shape != a.shape or res.dtype != a.dtype:
-            raise SizeError(f"fwht out must be {a.dtype} with the input's shape, "
-                            f"got {out.dtype} {out.shape}")
+        out = np.empty(a.shape, a.dtype)
+    elif out.shape != a.shape or out.dtype != a.dtype:
+        raise SizeError(f"fwht out must be {a.dtype} with the input's shape, "
+                        f"got {out.dtype} {out.shape}")
     if n == 1:
-        res[...] = a
+        out[...] = a
         return out
     *leading, last = _factor_sizes(n.bit_length() - 1)
     x, rest = a, n
     for f in leading:
         rest //= f
         x = np.matmul(_bipolar_block(f, a.dtype), x.reshape(-1, f, rest))
-    dst = res.reshape(-1, last)  # a copy unless res is C-contiguous
+    dst = out.reshape(-1, last)  # a copy unless out is C-contiguous
     np.matmul(x.reshape(-1, last), _bipolar_block(last, a.dtype), out=dst)
-    if not np.may_share_memory(dst, res):
-        res[...] = dst.reshape(res.shape)
+    if not np.may_share_memory(dst, out):
+        out[...] = dst.reshape(out.shape)
     return out
-

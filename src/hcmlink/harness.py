@@ -65,7 +65,6 @@ from .errors import ConfigError, DomainError
 from .hadamard import MAX_ORDER_LOG2
 from .modem_hcm import (
     _check_pam_order,
-    deframe,
     deinterleave,
     decode_samples,
     encode_levels,
@@ -113,12 +112,15 @@ class ExperimentConfig:
     interleaver_budget: int = 2000
     dco_headroom: float = analysis.DCO_HEADROOM_FACTOR
     calib_symbols: int = 20_000
-    label: str = ""
 
 
 @dataclass(frozen=True)
 class BerPoint:
+    """One power point's set-up: drive, MMSE weights and the analytic curve."""
+
     avg_power: float
+    p: float  # the scheme's drive amplitude
+    weights: MmseWeights | None
     analytical_ber: float
     snr: float
 
@@ -181,7 +183,6 @@ _CONFIG_KEYS = {
     "interleaver_budget": ("interleaver_budget", int),
     "dco_headroom": ("dco_headroom", float),
     "calib_symbols": ("calib_symbols", int),
-    "label": ("label", str),
 }
 
 
@@ -302,7 +303,7 @@ def _hcm_snr(ctx: "_SweepContext", avg: float) -> float:
     return analysis.hcm_snr(cfg.m, cfg.n, p, cfg.sigma2_n, sigma2_clip, cfg.gamma)
 
 
-def _hcm_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray,
+def _hcm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray,
             reduce_dc: bool = False) -> np.ndarray:
     cfg, work, k = ctx.cfg, ctx.work, len(bits)
     levels, chips = work.levels[:k], work.chips[:k]
@@ -315,7 +316,7 @@ def _hcm_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray,
     return frame_chips(chips, point.p, cfg.cp_len, out=work.tx[:k])
 
 
-def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.ndarray:
+def _hcm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
     n, p, work, k = ctx.cfg.n, point.p, ctx.work, len(y)
     if ctx.perm is not None:
         y = deinterleave(y, ctx.perm, out=work.levels[:k])
@@ -328,12 +329,12 @@ def _hcm_rx(ctx: "_SweepContext", point: "_PointSetup", y: np.ndarray) -> np.nda
     return slice_levels(est, ctx.cfg.m, out=(work.idx[:k], work.bits[:k]))[1]
 
 
-def _aco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
+def _aco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
     raw = aco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
     return prepend_cyclic_prefix(point.p * np.maximum(raw, 0.0), ctx.cfg.cp_len)
 
 
-def _dco_tx(ctx: "_SweepContext", point: "_PointSetup", bits: np.ndarray) -> np.ndarray:
+def _dco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
     raw = dco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
     return prepend_cyclic_prefix(point.p * raw + point.avg_power, ctx.cfg.cp_len)
 
@@ -476,15 +477,6 @@ class _SweepContext:
         return load_permutation(cfg.interleaver, cfg.n)
 
 
-@dataclass(frozen=True)
-class _PointSetup:
-    avg_power: float
-    p: float  # the scheme's drive amplitude
-    weights: MmseWeights | None
-    analytic: float
-    snr: float
-
-
 def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
     # Gaussian approximation on the per-component residual error
     err = np.sqrt(np.maximum(weights.error_diag[1:], 1e-300))
@@ -495,7 +487,7 @@ def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
     return min(ber, 0.5), snr
 
 
-def _point_setup(ctx: _SweepContext, avg_power: float) -> _PointSetup:
+def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
     cfg = ctx.cfg
     p = ctx.scheme.drive(ctx, avg_power)
     weights = None
@@ -505,15 +497,15 @@ def _point_setup(ctx: _SweepContext, avg_power: float) -> _PointSetup:
     else:
         snr = ctx.scheme.snr(ctx, avg_power)
         analytic = ctx.scheme.ber(snr, cfg.m)
-    return _PointSetup(avg_power=avg_power, p=p, weights=weights, analytic=analytic, snr=snr)
+    return BerPoint(avg_power=avg_power, p=p, weights=weights, analytical_ber=analytic, snr=snr)
 
 
-def _run_chunk(ctx: _SweepContext, point: _PointSetup, rng: np.random.Generator,
+def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
                k: int) -> int:
-    """One chunk of k symbols: tx, propagate, rx; returns its bit errors."""
+    """One chunk of k symbols: tx, propagate, drop the prefix, rx; returns its bit errors."""
     bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol), dtype=np.int64)
     tx = ctx.scheme.tx(ctx, point, bits)
-    y = deframe(propagate(tx, ctx.link, rng, out=ctx.work.rx[:k]), ctx.cfg.cp_len)
+    y = propagate(tx, ctx.link, rng, out=ctx.work.rx[:k])[:, ctx.cfg.cp_len:]
     bits_hat = ctx.scheme.rx(ctx, point, y)
     return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
 
@@ -553,7 +545,7 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
         symbols_run=symbols,
         bit_errors=errors,
         ber=ber,
-        analytical_ber=point.analytic,
+        analytical_ber=point.analytical_ber,
         ci_95=ci,
     )
 
@@ -570,36 +562,29 @@ def sweep(cfg: ExperimentConfig) -> list:
 def analyze(cfg: ExperimentConfig) -> list:
     """Analytical curve only: one BerPoint per grid value, no Monte-Carlo."""
     ctx = _SweepContext(cfg)
-    points = []
-    for p in np.asarray(cfg.power_grid, dtype=np.float64):
-        setup = _point_setup(ctx, float(p))
-        points.append(BerPoint(avg_power=float(p), analytical_ber=setup.analytic,
-                               snr=setup.snr))
-    return points
+    return [_point_setup(ctx, float(p)) for p in np.asarray(cfg.power_grid, dtype=np.float64)]
 
 
 def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int = 128,
-                   m: int = 2, gamma: float = DEFAULT_GAMMA, grid_points: int = 200,
-                   dcr_symbols: int = 30_000, rng: np.random.Generator | None = None,
-                   headroom_factor: float = analysis.DCO_HEADROOM_FACTOR) -> AchievableSnr:
+                   m: int = 2, gamma: float = DEFAULT_GAMMA) -> AchievableSnr:
     """Scan average power over (0, p_max] and return the best per-point SNR.
 
-    The grid is log-spaced from p_max/100 with 200 points by default; m is
+    The grid is log-spaced from p_max/100 with 200 points; m is
     the PAM or QAM order and is checked like a config's. The per-point SNR
     is the squared Q-argument of the scheme's analytic BER, times the
     scheme's peak_snr_factor: hcm and dcr-hcm report 4x that, the squared
     ratio of the PAM level spacing to the noise std, which for m = 2 is the
     peak SNR (the decision distance is half the peak of the unipolar grid).
-    The dcr-hcm chip pmf is a Monte-Carlo estimate over dcr_symbols frames
-    drawn from rng (default np.random.default_rng(0x5EED)).
+    The dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
+    from np.random.default_rng(0x5EED); dco-ofdm uses the headroom factor
+    analysis.DCO_HEADROOM_FACTOR.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
-                           sigma2_n=sigma2_n, gamma=gamma, dco_headroom=headroom_factor,
-                           calib_symbols=dcr_symbols)
-    ctx = _SweepContext(cfg, rng if rng is not None else np.random.default_rng(0x5EED))
-    grid = np.geomspace(p_max * 1e-2, p_max, grid_points)
+                           sigma2_n=sigma2_n, gamma=gamma, calib_symbols=30_000)
+    ctx = _SweepContext(cfg, np.random.default_rng(0x5EED))
+    grid = np.geomspace(p_max * 1e-2, p_max, 200)
     factor = ctx.scheme.peak_snr_factor
     snrs = np.array([factor * ctx.scheme.snr(ctx, float(a)) for a in grid])
     best = int(np.argmax(snrs))

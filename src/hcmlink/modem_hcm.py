@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, FramingError
+from .errors import ConfigError, SizeError
 from .hadamard import fwht
 
 
@@ -78,7 +78,7 @@ def levels_from_bits(bits: np.ndarray, m: int, n: int,
     bits = np.asarray(bits)
     b = int(np.log2(m))
     if bits.shape[-1] != (n - 1) * b:
-        raise FramingError(
+        raise SizeError(
             f"expected {(n - 1) * b} bits for n={n}, m={m}, got {bits.shape[-1]}"
         )
     labels = _group_values(bits.reshape(*bits.shape[:-1], n - 1, b))
@@ -161,12 +161,6 @@ def frame_chips(chips: np.ndarray, p: float, cp_len: int,
     np.multiply(chips, p / n, out=out[..., cp_len:])
     out[..., :cp_len] = out[..., n:]
     return out
-
-
-def deframe(samples: np.ndarray, cp_len: int) -> np.ndarray:
-    """Drop the cyclic prefix; returns the N payload samples."""
-    samples = np.asarray(samples)
-    return samples[..., cp_len:]
 
 
 def _check_permutation(perm: np.ndarray, n: int):

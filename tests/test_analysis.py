@@ -369,18 +369,22 @@ class TestAchievableSnr:
     def test_dcr_dominates_hcm(self):
         s2 = (0.5e-6) ** 2
         hcm = achievable_snr("hcm", 1e-4, s2, n=64, m=2)
-        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2,
-                             rng=np.random.default_rng(4))
+        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2)
         assert dcr.max_snr >= hcm.max_snr
 
     def test_grid_scan_close_to_fine_scan(self):
         s2 = (0.5e-6) ** 2
-        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16, grid_points=200)
-        fine = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16, grid_points=2000)
-        assert coarse.max_snr == pytest.approx(fine.max_snr, rel=0.01)
+        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16)
+        # the same per-point SNR on a 2,000-point grid
+        cfg = harness.ExperimentConfig(scheme="aco-ofdm", n=128, m=16, p_max=1e-4, sigma2_n=s2)
+        ctx = harness._SweepContext(cfg)
+        fine_grid = np.geomspace(1e-6, 1e-4, 2000)
+        fine = np.array([ctx.scheme.snr(ctx, float(a)) for a in fine_grid])
+        assert coarse.max_snr == pytest.approx(fine.max(), rel=0.01)
         # optimum within one coarse grid step of the refined optimum
-        step = np.log(1e2) / 199  # log spacing of the coarse grid
-        assert abs(np.log(coarse.best_avg_power) - np.log(fine.best_avg_power)) <= step
+        step = np.log(1e2) / 199  # log spacing of the 200-point coarse grid
+        best = fine_grid[int(np.argmax(fine))]
+        assert abs(np.log(coarse.best_avg_power) - np.log(best)) <= step
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):

@@ -7,12 +7,16 @@ from numpy.testing import assert_allclose
 from hcmlink.channel import (
     LinkConfig,
     check_taps,
-    clip,
     load_impulse_response,
     propagate,
 )
 from hcmlink.errors import ConfigError
 from hcmlink.modem_hcm import encode_levels, frame_chips
+
+
+def clip(samples, p_max):
+    """The LED limiter alone: propagate on one tap without noise."""
+    return propagate(samples, LinkConfig(p_max=p_max, sigma2_n=0.0), np.random.default_rng(0))
 
 
 def test_clip_examples():
@@ -26,6 +30,7 @@ def test_clip_never_moves_samples_away_from_midpoint():
     p_max = 0.8
     s = rng.normal(0.4, 2.0, size=1000)
     c = clip(s, p_max)
+    assert np.array_equal(c, np.clip(s, 0.0, p_max))
     assert np.all(np.abs(c - p_max / 2) <= np.abs(s - p_max / 2) + 1e-15)
 
 
@@ -62,10 +67,11 @@ def test_propagate_noise_variance_includes_gamma():
     assert out.var() == pytest.approx(sigma2 * gamma, rel=0.01)
 
 
-def test_propagate_checks_prefix_against_taps():
-    cfg = LinkConfig(p_max=1.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=1)
-    with pytest.raises(ConfigError):
-        propagate(np.zeros(8), cfg, np.random.default_rng(0))
+def test_linkconfig_checks_prefix_against_taps():
+    for h, cp_len in (([0.5, 0.3, 0.2], 1), ([0.5, 0.3, 0.2], 0), ([1.0], -1)):
+        with pytest.raises(ConfigError, match=f"cyclic prefix {cp_len} too short"):
+            LinkConfig(p_max=1.0, sigma2_n=0.0, h=h, cp_len=cp_len)
+    LinkConfig(p_max=1.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=2)
 
 
 def test_propagate_matches_cyclic_convolution_after_deframe():

@@ -65,6 +65,16 @@ def test_interleaver_search(capsys):
     assert err.startswith("objective:")
 
 
+def test_interleaver_search_out_file_matches_stdout(tmp_path, capsys):
+    argv = ["interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "16", "--budget", "20"]
+    code, lines, _ = run(capsys, *argv)
+    assert code == 0
+    path = tmp_path / "perm.txt"
+    code, out_lines, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out_lines == []
+    assert path.read_text() == "".join(f"{line}\n" for line in lines)
+
+
 @pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm\ndco_headroom = 40"])
 def test_analyze_without_noise_or_clipping(tmp_path, capsys, scheme):
     # neither noise nor clipping distortion: an infinite SNR, not a division by zero

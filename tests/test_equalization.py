@@ -25,7 +25,7 @@ from hcmlink.equalization import (
 from hcmlink.errors import ConfigError, DomainError
 from hcmlink.hadamard import fwht
 from hcmlink.harness import _stream
-from hcmlink.modem_hcm import decode_samples, deframe, encode_levels, frame_chips, slice_levels
+from hcmlink.modem_hcm import decode_samples, encode_levels, frame_chips, slice_levels
 
 
 def random_frames(rng, count, n, m=2):
@@ -75,7 +75,7 @@ class TestChannelMatrix:
         g = channel_matrix(h, n)
         link = LinkConfig(p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
         chips = rng.uniform(0, n, size=n)
-        payload = deframe(propagate(frame_chips(chips, 1.0, cp), link, rng), cp)
+        payload = propagate(frame_chips(chips, 1.0, cp), link, rng)[cp:]
         assert_allclose(payload, g @ (chips / n), atol=1e-12)
 
     def test_too_many_taps(self):
@@ -401,7 +401,9 @@ class TestPermutationFiles:
     def test_roundtrip(self, tmp_path):
         perm = np.random.default_rng(3).permutation(16)
         path = tmp_path / "perm.txt"
-        save_permutation(perm, path)
+        with open(path, "w") as fh:
+            save_permutation(perm, fh)
+        assert path.read_text() == "".join(f"{i}\n" for i in perm)
         assert np.array_equal(load_permutation(path, 16), perm)
 
     def test_rejects_non_bijection(self, tmp_path):

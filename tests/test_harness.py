@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hcmlink import cli, harness
 from hcmlink.channel import propagate
 from hcmlink.errors import ConfigError
-from hcmlink.modem_hcm import deframe
 
 BASE = """
 p_max_w = 1e-4
@@ -162,6 +161,7 @@ def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     ("gamma", "nan", "gamma must be >= 1"),
     ("p_max_w", "nan", "p_max must be positive"),
     ("taps", "0.5,0.3", "sum to 1, got 0.8"),
+    ("cp_len", "0", "too short for 3-tap channel"),
 ])
 def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, value, message):
     # the link is checked with the config, not at the first point after the search
@@ -172,8 +172,9 @@ def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, valu
         harness.parse_config(text)
     path = tmp_path / "bad.conf"
     path.write_text(text)
-    assert cli.main(["simulate", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    for command in ("simulate", "analyze"):
+        assert cli.main([command, str(path)]) == 2
+        assert message in capsys.readouterr().err
     assert searches == []
 
 
@@ -242,7 +243,7 @@ def test_snr_exits_2_on_bad_scheme_or_order(capsys, args):
 @settings(max_examples=60)
 @given(scheme=st.sampled_from(harness.SCHEMES), k=st.integers(2, 8), data=st.data())
 def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
-    # bits -> tx -> propagate without noise or clipping -> deframe -> rx
+    # bits -> tx -> propagate without noise or clipping -> drop the prefix -> rx
     n = 1 << k
     hcm = scheme in ("hcm", "dcr-hcm")
     m = data.draw(st.sampled_from([2, 4, 8, 16] if hcm else [4, 16, 64]))
@@ -258,10 +259,10 @@ def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
     if hcm:
         ctx.perm = rng.permutation(n)
     avg = 4e-5  # every scheme's peak stays far below p_max
-    point = harness._PointSetup(avg_power=avg, p=ctx.scheme.drive(ctx, avg), weights=None,
-                                analytic=0.0, snr=0.0)
+    point = harness.BerPoint(avg_power=avg, p=ctx.scheme.drive(ctx, avg), weights=None,
+                             analytical_ber=0.0, snr=0.0)
     bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol))
-    y = deframe(propagate(ctx.scheme.tx(ctx, point, bits), ctx.link, rng), cp_len)
+    y = propagate(ctx.scheme.tx(ctx, point, bits), ctx.link, rng)[:, cp_len:]
     assert np.array_equal(ctx.scheme.rx(ctx, point, y).reshape(8, -1), bits)
 
 
@@ -269,9 +270,9 @@ def test_achievable_snr_scans_the_point_snr():
     # the scan maximum is the best per-point SNR over the log grid, 4x for HCM
     cfg = harness.ExperimentConfig(scheme="hcm", n=16, p_max=1e-4, sigma2_n=1e-12)
     ctx = harness._SweepContext(cfg)
-    grid = np.geomspace(1e-6, 1e-4, 50)
+    grid = np.geomspace(1e-6, 1e-4, 200)
     want = max(4.0 * ctx.scheme.snr(ctx, float(a)) for a in grid)
-    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, grid_points=50)
+    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16)
     assert got.max_snr == want
     assert got.spectral_efficiency == 15 / 16
 
@@ -287,7 +288,7 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
     # and the weights of all three points share one interference matrix
     harness.analyze(harness.parse_config(SWEEP_CONFIGS["dcr-hcm-n16-mmse-search"]))
     assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
-    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, grid_points=20)
+    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16)
     assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
     # an OFDM receiver reads the one-tap gains, built once per sweep
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
@@ -303,7 +304,7 @@ BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
     ("dispersive-mmse.dcr-hcm", 3.0),
 ])
 def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
-    # a chunk runs through its thread's buffers: what it allocates at its
+    # a chunk runs through the sweep's buffers: what it allocates at its
     # peak, in 256 x N float64 arrays, is the bit array plus a few temporaries
     cfg = harness.parse_config((BENCH_CONFIGS / f"{stem}.conf").read_text())
     ctx = harness._SweepContext(cfg)
