@@ -20,7 +20,7 @@ from scipy.special import erfc, ndtr
 
 from .channel import DEFAULT_GAMMA
 from .errors import DomainError
-from .hadamard import fwht
+from .hadamard import MAX_ORDER_LOG2, fwht
 
 DCO_HEADROOM_FACTOR = 6.0  # AC std = min(bias, p_max - bias) / this
 
@@ -42,8 +42,8 @@ def qfunc(x) -> np.ndarray:
 
 
 def _check_power_of_two(n: int):
-    if n < 2 or n & (n - 1):
-        raise DomainError(f"n must be a power of two >= 2, got {n}")
+    if n < 2 or n & (n - 1) or n > 1 << MAX_ORDER_LOG2:
+        raise DomainError(f"n must be a power of two in [2, {1 << MAX_ORDER_LOG2}], got {n}")
 
 
 def _check_order(m: int):

@@ -4,11 +4,12 @@ The LED is an ideal hard limiter on [0, p_max]. The discrete impulse
 response is normalized to unit sum (channel loss folded out), and receiver
 noise is AWGN whose variance is inflated by the pulse-shaping penalty gamma
 (1.21, i.e. 0.83 dB). Noise levels quoted in microwatts are interpreted as
-the noise standard deviation in watts.
+the noise standard deviation in watts. The link's parameters are fields of
+harness.ExperimentConfig, which checks them when it is built; propagate
+takes only the values it reads.
 """
 
 import logging
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,34 +18,6 @@ from .errors import ConfigError
 log = logging.getLogger(__name__)
 
 DEFAULT_GAMMA = 1.21  # sinc pulse-shaping SNR penalty, 10*log10 = 0.83 dB
-
-
-@dataclass(frozen=True)
-class LinkConfig:
-    """Physical-link parameters shared by all schemes.
-
-    sigma2_n is the receiver noise variance in W^2; cp_len must be at least len(h) - 1.
-    """
-
-    p_max: float
-    sigma2_n: float
-    gamma: float = DEFAULT_GAMMA
-    h: np.ndarray = field(default_factory=lambda: np.array([1.0]))
-    cp_len: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "h", check_taps(self.h))
-        if abs(self.h.sum() - 1.0) > 1e-9:
-            raise ConfigError(f"impulse response must sum to 1, got {float(self.h.sum())!r}")
-        if not self.p_max > 0:
-            raise ConfigError(f"p_max must be positive, got {self.p_max!r}")
-        if not self.sigma2_n >= 0:
-            raise ConfigError("sigma2_n must be non-negative")
-        if not self.gamma >= 1.0:
-            raise ConfigError(f"gamma must be >= 1, got {self.gamma!r}")
-        if self.cp_len < self.h.size - 1:
-            raise ConfigError(
-                f"cyclic prefix {self.cp_len} too short for {self.h.size}-tap channel")
 
 
 def check_taps(taps, source: str = "impulse response") -> np.ndarray:
@@ -56,12 +29,14 @@ def check_taps(taps, source: str = "impulse response") -> np.ndarray:
     return h
 
 
-def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """LED clip, FIR channel, then AWGN; vectorized over leading axes.
+def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float,
+              rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
+    """LED clip to [0, p_max], FIR taps h, then AWGN of variance noise_var.
 
-    The FIR output is truncated to the input length, so with the cyclic
-    prefix of at least len(h)-1 that LinkConfig requires, the deframed
+    Vectorized over leading axes. noise_var is the receiver noise variance
+    with the pulse-shaping penalty already applied (gamma * sigma2_n). The
+    FIR output is truncated to the input length, so with a cyclic prefix of
+    at least len(h)-1, which every ExperimentConfig has, the deframed
     payload equals the cyclic convolution of the payload with h.
 
     With `out` (float64, the shape of samples, not overlapping them) the
@@ -70,17 +45,16 @@ def propagate(samples: np.ndarray, config: LinkConfig, rng: np.random.Generator,
     and then overwritten with the noise. Without `out` a copy of samples
     does that, so both forms draw the same noise from rng.
     """
-    h = config.h
     if out is None:
         samples = np.array(samples, dtype=np.float64, order="C")
         out = np.empty_like(samples)
-    x = np.clip(samples, 0.0, config.p_max, out=samples)  # the LED limiter
+    x = np.clip(samples, 0.0, p_max, out=samples)  # the LED limiter
     np.multiply(x, h[0], out=out)
     for ell in range(1, h.size):
         out[..., ell:] += h[ell] * x[..., :-ell]
     # rng.normal(0, std) draws loc + std * z from the same stream of z
     noise = rng.standard_normal(out=x)
-    noise *= np.sqrt(config.sigma2_n * config.gamma)
+    noise *= np.sqrt(noise_var)
     out += noise
     return out
 

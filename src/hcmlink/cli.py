@@ -111,7 +111,7 @@ def _cmd_interleaver_search(args) -> int:
 def _cmd_snr(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",")]
     m_list = _numbers(args.m_list.split(","), int, "--m-list")
-    sigma2 = args.noise_std_w**2
+    sigma2 = harness._noise_variance(args.noise_std_w)
     rows = [
         (scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m,
                                            gamma=args.gamma))
@@ -181,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="comma separated; OFDM schemes need --m-list of QAM orders")
     snr.add_argument("--m-list", default="2", help="PAM/QAM orders, comma separated")
     snr.add_argument("--n", type=int, default=128)
-    snr.add_argument("--p-max-w", type=float, default=1e-4)
+    snr.add_argument("--p-max-w", type=float, default=harness.ExperimentConfig.p_max)
     snr.add_argument("--noise-std-w", type=float, default=5e-7)
-    snr.add_argument("--gamma", type=float, default=1.21)
+    snr.add_argument("--gamma", type=float, default=harness.ExperimentConfig.gamma)
     snr.add_argument("--out")
     snr.set_defaults(func=_cmd_snr)
 

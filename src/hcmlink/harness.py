@@ -9,9 +9,11 @@ fix every result. Calibration samples (DCR chip pmf, ACO waveform mean,
 interleaver search) use reserved stream keys (1, *) and (2, *) so they
 never collide with trial streams.
 
-Each scheme is one entry of the table _SCHEMES: its order check, bits per
-symbol, calibration, drive mapping, analytic SNR and BER, and transmit and
-receive stages. The engine itself names no scheme.
+An ExperimentConfig holds the link and the sweep and checks both when it is
+built, so every config the engine sees is valid. Each scheme is one entry
+of the table _SCHEMES: its order check, bits per symbol, calibration, drive
+mapping, analytic SNR and BER, and transmit and receive stages. The engine
+itself names no scheme.
 
 Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows of N or
 N + cp_len samples each, allocated on its first chunk, and the HCM stages
@@ -51,7 +53,7 @@ from .analysis import (
     hcm_drive_peak,
     qfunc,
 )
-from .channel import DEFAULT_GAMMA, LinkConfig, check_taps, load_impulse_response, propagate
+from .channel import DEFAULT_GAMMA, check_taps, load_impulse_response, propagate
 from .equalization import (
     MmseWeights,
     channel_matrix,
@@ -95,6 +97,13 @@ ANALYZE_CSV_HEADER = ("avg_power_w", "analytical_ber", "snr")
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: scheme, link and sweep. Building one checks it (ConfigError).
+
+    The link is an LED clipped at p_max, unit-sum FIR taps h behind a
+    cyclic prefix of at least len(h) - 1 samples, and AWGN of variance
+    sigma2_n (W^2) times the pulse-shaping penalty gamma.
+    """
+
     scheme: str
     n: int = 128
     m: int = 2
@@ -112,6 +121,45 @@ class ExperimentConfig:
     interleaver_budget: int = 2000
     dco_headroom: float = analysis.DCO_HEADROOM_FACTOR
     calib_symbols: int = 20_000
+
+    def __post_init__(self):
+        if self.scheme not in _SCHEMES:
+            raise ConfigError(f"unknown scheme {self.scheme!r}")
+        if self.n < 4 or self.n & (self.n - 1) or self.n > 1 << MAX_ORDER_LOG2:
+            raise ConfigError(
+                f"n must be a power of two in [4, {1 << MAX_ORDER_LOG2}], got {self.n}")
+        object.__setattr__(self, "h", check_taps(self.h))
+        if abs(self.h.sum() - 1.0) > 1e-9:
+            raise ConfigError(f"impulse response must sum to 1, got {float(self.h.sum())!r}")
+        if not self.p_max > 0:
+            raise ConfigError(f"p_max must be positive, got {self.p_max!r}")
+        if not self.sigma2_n >= 0:
+            raise ConfigError("sigma2_n must be non-negative")
+        if not self.gamma >= 1.0:
+            raise ConfigError(f"gamma must be >= 1, got {self.gamma!r}")
+        if self.cp_len < self.h.size - 1:
+            raise ConfigError(
+                f"cyclic prefix {self.cp_len} too short for {self.h.size}-tap channel")
+        grid = np.asarray(self.power_grid, dtype=np.float64)
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("power grid values must be finite")
+        if grid.size and (np.any(grid <= 0) or np.any(grid > self.p_max)):
+            raise ConfigError("power grid values must lie in (0, p_max]")
+        if self.target_errors < 100:
+            raise ConfigError("target_errors must be >= 100 for a meaningful CI")
+        if self.max_symbols < 1:
+            raise ConfigError("max_symbols must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.cp_len >= self.n:
+            raise ConfigError("cp_len must be in [0, n)")
+        if self.equalizer not in ("slicer", "mmse"):
+            raise ConfigError(f"equalizer must be slicer or mmse, got {self.equalizer!r}")
+        if self.equalizer == "mmse" and self.sigma2_n == 0:
+            # u[0] has zero prior variance, so without noise the decoded-vector
+            # covariance has rank N-1 on every channel and cannot be inverted
+            raise ConfigError("mmse equalization needs noise_std_w > 0")
+        _SCHEMES[self.scheme].check(self)
 
 
 @dataclass(frozen=True)
@@ -155,8 +203,9 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array([float(v) for v in text.split(",")])
 
 
-def _noise_variance(text: str) -> float:
-    std = float(text)
+def _noise_variance(value) -> float:
+    """The variance of a noise std given in watts (text or number); ConfigError if negative."""
+    std = float(value)
     if not std >= 0:
         raise ConfigError(f"noise_std_w must be >= 0, got {std!r}")
     return std * std
@@ -218,40 +267,7 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
-    cfg = ExperimentConfig(**fields)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> LinkConfig:
-    """Check cfg before any work; returns its link, which checks p_max, noise, gamma and taps."""
-    if cfg.scheme not in _SCHEMES:
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
-    if cfg.n < 4 or cfg.n & (cfg.n - 1) or cfg.n > 1 << MAX_ORDER_LOG2:
-        raise ConfigError(f"n must be a power of two in [4, {1 << MAX_ORDER_LOG2}], got {cfg.n}")
-    link = LinkConfig(p_max=cfg.p_max, sigma2_n=cfg.sigma2_n, gamma=cfg.gamma, h=cfg.h,
-                      cp_len=cfg.cp_len)
-    grid = np.asarray(cfg.power_grid, dtype=np.float64)
-    if not np.all(np.isfinite(grid)):
-        raise ConfigError("power grid values must be finite")
-    if grid.size and (np.any(grid <= 0) or np.any(grid > cfg.p_max)):
-        raise ConfigError("power grid values must lie in (0, p_max]")
-    if cfg.target_errors < 100:
-        raise ConfigError("target_errors must be >= 100 for a meaningful CI")
-    if cfg.max_symbols < 1:
-        raise ConfigError("max_symbols must be >= 1")
-    if cfg.master_seed < 0:
-        raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
-    if cfg.cp_len >= cfg.n:
-        raise ConfigError("cp_len must be in [0, n)")
-    if cfg.equalizer not in ("slicer", "mmse"):
-        raise ConfigError(f"equalizer must be slicer or mmse, got {cfg.equalizer!r}")
-    if cfg.equalizer == "mmse" and cfg.sigma2_n == 0:
-        # u[0] has zero prior variance, so without noise the decoded-vector
-        # covariance has rank N-1 on every channel and cannot be inverted
-        raise ConfigError("mmse equalization needs noise_std_w > 0")
-    _SCHEMES[cfg.scheme].check(cfg)
-    return link
+    return ExperimentConfig(**fields)
 
 
 def _stream(master_seed: int, *key) -> np.random.Generator:
@@ -268,6 +284,8 @@ def _check_ofdm(cfg: ExperimentConfig):
 
 def _check_dco(cfg: ExperimentConfig):
     _check_ofdm(cfg)
+    if not (math.isfinite(cfg.dco_headroom) and cfg.dco_headroom > 0):
+        raise ConfigError(f"dco_headroom must be finite and > 0, got {cfg.dco_headroom!r}")
     # the bias is the average power, so a point at p_max leaves no AC headroom
     if np.any(np.asarray(cfg.power_grid, dtype=np.float64) >= cfg.p_max):
         raise ConfigError(f"dco-ofdm power grid values must lie below p_max={cfg.p_max:g}")
@@ -434,7 +452,6 @@ class _SweepContext:
     """Per-sweep precomputation shared by all power points."""
 
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
-        self.link = validate_config(cfg)
         self.cfg = cfg
         self.scheme = _SCHEMES[cfg.scheme]
         self.bits_per_symbol = self.scheme.data_count(cfg.n) * int(math.log2(cfg.m))
@@ -505,7 +522,9 @@ def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
     """One chunk of k symbols: tx, propagate, drop the prefix, rx; returns its bit errors."""
     bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol), dtype=np.int64)
     tx = ctx.scheme.tx(ctx, point, bits)
-    y = propagate(tx, ctx.link, rng, out=ctx.work.rx[:k])[:, ctx.cfg.cp_len:]
+    cfg = ctx.cfg
+    y = propagate(tx, cfg.h, cfg.p_max, cfg.gamma * cfg.sigma2_n, rng,
+                  out=ctx.work.rx[:k])[:, cfg.cp_len:]
     bits_hat = ctx.scheme.rx(ctx, point, y)
     return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
 
@@ -524,7 +543,7 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
     bit errors to target_errors. avg_power is checked like a value of cfg's
     power grid.
     """
-    validate_config(replace(cfg, power_grid=np.array([avg_power])))
+    replace(cfg, power_grid=np.array([avg_power]))  # the new config checks avg_power
     ctx = ctx or _SweepContext(cfg)
     point = _point_setup(ctx, avg_power)
     errors = symbols = 0

@@ -78,28 +78,26 @@ def dco_data_count(n_fft: int) -> int:
     return n_fft // 2 - 1
 
 
+def _time_samples(symbols: np.ndarray, n_fft: int, step: int) -> np.ndarray:
+    """Real IFFT of symbols on subcarriers 1, 1 + step, ... below n_fft/2."""
+    symbols = np.asarray(symbols)
+    half = np.zeros((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128)
+    data = half[..., 1 : n_fft // 2 : step]
+    if symbols.shape[-1] != data.shape[-1]:
+        raise ConfigError(f"a {n_fft}-point frame with subcarrier step {step} carries "
+                          f"{data.shape[-1]} symbols, got {symbols.shape[-1]}")
+    data[...] = symbols
+    return np.fft.irfft(half, n_fft, axis=-1)
+
+
 def aco_time_samples(symbols: np.ndarray, n_fft: int) -> np.ndarray:
     """Real IFFT output with data on odd subcarriers (before any clipping)."""
-    symbols = np.asarray(symbols)
-    if symbols.shape[-1] != aco_data_count(n_fft):
-        raise ConfigError(
-            f"ACO frame must carry {aco_data_count(n_fft)} symbols, got {symbols.shape[-1]}"
-        )
-    half = np.zeros((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128)
-    half[..., 1 : n_fft // 2 : 2] = symbols
-    return np.fft.irfft(half, n_fft, axis=-1)
+    return _time_samples(symbols, n_fft, 2)
 
 
 def dco_time_samples(symbols: np.ndarray, n_fft: int) -> np.ndarray:
     """Real IFFT output with data on subcarriers 1..n_fft/2-1 (zero-mean AC)."""
-    symbols = np.asarray(symbols)
-    if symbols.shape[-1] != dco_data_count(n_fft):
-        raise ConfigError(
-            f"DCO frame must carry {dco_data_count(n_fft)} symbols, got {symbols.shape[-1]}"
-        )
-    half = np.zeros((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128)
-    half[..., 1 : n_fft // 2] = symbols
-    return np.fft.irfft(half, n_fft, axis=-1)
+    return _time_samples(symbols, n_fft, 1)
 
 
 def one_tap_gains(h: np.ndarray, n_fft: int) -> np.ndarray:
@@ -107,21 +105,18 @@ def one_tap_gains(h: np.ndarray, n_fft: int) -> np.ndarray:
     return np.fft.rfft(np.asarray(h, dtype=np.float64), n_fft)
 
 
+def _extract(payload: np.ndarray, channel_gains: np.ndarray, step: int) -> np.ndarray:
+    """FFT and one-tap ZF equalization on subcarriers 1, 1 + step, ... below n_fft/2."""
+    payload = np.asarray(payload, dtype=np.float64)
+    data = slice(1, payload.shape[-1] // 2, step)
+    return np.fft.rfft(payload, axis=-1)[..., data] / np.asarray(channel_gains)[data]
+
+
 def aco_extract(payload: np.ndarray, channel_gains: np.ndarray) -> np.ndarray:
     """FFT, one-tap ZF equalization, odd-subcarrier pick, clip-attenuation undo."""
-    payload = np.asarray(payload, dtype=np.float64)
-    n_fft = payload.shape[-1]
-    spectrum = np.fft.rfft(payload, axis=-1)
-    data = spectrum[..., 1 : n_fft // 2 : 2]
-    gains = np.asarray(channel_gains)[1 : n_fft // 2 : 2]
-    return 2.0 * data / gains
+    return 2.0 * _extract(payload, channel_gains, 2)
 
 
 def dco_extract(payload: np.ndarray, channel_gains: np.ndarray) -> np.ndarray:
     """FFT and one-tap ZF equalization on subcarriers 1..n_fft/2-1."""
-    payload = np.asarray(payload, dtype=np.float64)
-    n_fft = payload.shape[-1]
-    spectrum = np.fft.rfft(payload, axis=-1)
-    data = spectrum[..., 1 : n_fft // 2]
-    gains = np.asarray(channel_gains)[1 : n_fft // 2]
-    return data / gains
+    return _extract(payload, channel_gains, 1)

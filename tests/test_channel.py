@@ -4,19 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hcmlink.channel import (
-    LinkConfig,
-    check_taps,
-    load_impulse_response,
-    propagate,
-)
+from hcmlink.channel import check_taps, load_impulse_response, propagate
 from hcmlink.errors import ConfigError
+from hcmlink.harness import ExperimentConfig
 from hcmlink.modem_hcm import encode_levels, frame_chips
 
 
 def clip(samples, p_max):
     """The LED limiter alone: propagate on one tap without noise."""
-    return propagate(samples, LinkConfig(p_max=p_max, sigma2_n=0.0), np.random.default_rng(0))
+    return propagate(samples, np.array([1.0]), p_max, 0.0, np.random.default_rng(0))
 
 
 def test_clip_examples():
@@ -46,73 +42,70 @@ def test_hcm_never_clips_below_half_peak_drive():
 
 
 def test_propagate_identity_channel_noise_free():
-    cfg = LinkConfig(p_max=10.0, sigma2_n=0.0, h=[1.0])
     rng = np.random.default_rng(2)
     x = rng.uniform(0, 5, size=32)
-    assert_allclose(propagate(x, cfg, rng), x)
+    assert_allclose(propagate(x, np.array([1.0]), 10.0, 0.0, rng), x)
 
 
 def test_propagate_steady_state_of_unit_sum_taps():
-    cfg = LinkConfig(p_max=10.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=2)
     rng = np.random.default_rng(3)
-    out = propagate(np.full(16, 3.0), cfg, rng)
+    out = propagate(np.full(16, 3.0), np.array([0.5, 0.3, 0.2]), 10.0, 0.0, rng)
     assert_allclose(out[2:], 3.0)  # after the taps fill, sum(h) = 1 holds the level
 
 
-def test_propagate_noise_variance_includes_gamma():
-    sigma2, gamma = 2.5e-4, 1.21
-    cfg = LinkConfig(p_max=1.0, sigma2_n=sigma2, gamma=gamma, h=[1.0])
+def test_propagate_noise_has_the_given_variance():
+    # the chunk path passes gamma * sigma2_n: test_harness pins that argument
+    noise_var = 2.5e-4 * 1.21
     rng = np.random.default_rng(4)
-    out = propagate(np.zeros(1_000_000), cfg, rng)
-    assert out.var() == pytest.approx(sigma2 * gamma, rel=0.01)
+    out = propagate(np.zeros(1_000_000), np.array([1.0]), 1.0, noise_var, rng)
+    assert out.var() == pytest.approx(noise_var, rel=0.01)
 
 
-def test_linkconfig_checks_prefix_against_taps():
+def test_config_checks_prefix_against_taps():
     for h, cp_len in (([0.5, 0.3, 0.2], 1), ([0.5, 0.3, 0.2], 0), ([1.0], -1)):
         with pytest.raises(ConfigError, match=f"cyclic prefix {cp_len} too short"):
-            LinkConfig(p_max=1.0, sigma2_n=0.0, h=h, cp_len=cp_len)
-    LinkConfig(p_max=1.0, sigma2_n=0.0, h=[0.5, 0.3, 0.2], cp_len=2)
+            ExperimentConfig(scheme="hcm", h=h, cp_len=cp_len)
+    ExperimentConfig(scheme="hcm", h=[0.5, 0.3, 0.2], cp_len=2)
 
 
 def test_propagate_matches_cyclic_convolution_after_deframe():
     rng = np.random.default_rng(5)
     n, cp = 16, 4
     h = np.array([0.4, 0.3, 0.3])
-    cfg = LinkConfig(p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
     chips = rng.uniform(0, n, size=n)
     tx = frame_chips(chips, 1.0, cp)
-    payload = propagate(tx, cfg, rng)[cp:]
+    payload = propagate(tx, h, np.inf, 0.0, rng)[cp:]
     want = sum(tap * np.roll(chips / n, ell) for ell, tap in enumerate(h))
     assert_allclose(payload, want, atol=1e-12)
 
 
-def _normal_propagate(samples, cfg, rng):
+def _normal_propagate(samples, h, p_max, noise_var, rng):
     """Clip, FIR, then noise from rng.normal(0, std): the reference for the noise draws."""
-    x = np.clip(samples, 0.0, cfg.p_max)
-    out = cfg.h[0] * x
-    for ell in range(1, cfg.h.size):
-        out[..., ell:] += cfg.h[ell] * x[..., :-ell]
-    return out + rng.normal(0.0, np.sqrt(cfg.sigma2_n * cfg.gamma), size=out.shape)
+    x = np.clip(samples, 0.0, p_max)
+    out = h[0] * x
+    for ell in range(1, h.size):
+        out[..., ell:] += h[ell] * x[..., :-ell]
+    return out + rng.normal(0.0, np.sqrt(noise_var), size=out.shape)
 
 
 @pytest.mark.parametrize("h, cp", [([1.0], 0), ([0.5, 0.3, 0.2], 2)])
 def test_propagate_into_out_matches_allocating_call(h, cp):
-    cfg = LinkConfig(p_max=0.8, sigma2_n=1e-3, h=h, cp_len=cp)
+    link = (np.array(h), 0.8, 1e-3 * 1.21)  # taps, p_max, noise variance
     samples = np.random.default_rng(9).uniform(-0.2, 1.0, size=(64, 16 + cp))
     keep = samples.copy()
-    want = _normal_propagate(samples, cfg, np.random.default_rng(10))
-    assert np.array_equal(propagate(samples, cfg, np.random.default_rng(10)), want)
+    want = _normal_propagate(samples, *link, np.random.default_rng(10))
+    assert np.array_equal(propagate(samples, *link, np.random.default_rng(10)), want)
     assert np.array_equal(samples, keep)  # the allocating form works on a copy
     out = np.empty_like(samples)
-    assert propagate(samples, cfg, np.random.default_rng(10), out=out) is out
+    assert propagate(samples, *link, np.random.default_rng(10), out=out) is out
     assert np.array_equal(out, want)
 
 
-def test_linkconfig_validates_taps():
-    with pytest.raises(ConfigError):
-        LinkConfig(p_max=1.0, sigma2_n=0.0, h=[0.5, 0.4])
-    with pytest.raises(ConfigError):
-        LinkConfig(p_max=1.0, sigma2_n=0.0, h=[1.5, -0.5])
+def test_config_validates_taps():
+    with pytest.raises(ConfigError, match="sum to 1"):
+        ExperimentConfig(scheme="hcm", h=[0.5, 0.4], cp_len=1)
+    with pytest.raises(ConfigError, match="non-negative taps"):
+        ExperimentConfig(scheme="hcm", h=[1.5, -0.5], cp_len=1)
 
 
 @pytest.mark.parametrize("taps", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [-0.5, 1.5], [],
@@ -122,7 +115,7 @@ def test_bad_taps_rejected_everywhere(tmp_path, taps):
     with pytest.raises(ConfigError):
         check_taps(taps)
     with pytest.raises(ConfigError):
-        LinkConfig(p_max=1.0, sigma2_n=0.0, h=taps)
+        ExperimentConfig(scheme="hcm", h=taps, cp_len=1)
     path = tmp_path / "taps.txt"
     path.write_text(" ".join(str(v) for v in np.ravel(taps)) + "\n")
     if np.size(taps) > 1:

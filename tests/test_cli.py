@@ -131,6 +131,12 @@ def test_eta_reversed_range_exits_2(capsys):
     (["snr", "--m-list", "4,x"], "bad number in --m-list"),
     (["eta", "--n-range", "4:x"], "bad number in --n-range"),
     (["snr", "--gamma", "0.5"], "gamma must be >= 1"),
+    # a negative std is rejected like a config's, not squared into a valid variance
+    (["snr", "--noise-std-w=-5e-7"], "noise_std_w must be >= 0"),
+    # above the largest supported order, rejected before any frame is drawn
+    (["pmf", "--n", str(2 << MAX_ORDER_LOG2)], "power of two"),
+    (["pmf", "--n", str(2 << MAX_ORDER_LOG2), "--dcr", "--symbols", "1"], "power of two"),
+    (["eta", "--n-range", f"{2 << MAX_ORDER_LOG2}:{2 << MAX_ORDER_LOG2}"], "power of two"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

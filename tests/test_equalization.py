@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from hcmlink.channel import LinkConfig, propagate
+from hcmlink.channel import propagate
 from hcmlink.equalization import (
     _objective,
     _search,
@@ -73,9 +73,8 @@ class TestChannelMatrix:
         n, cp = 16, 4
         h = np.array([0.4, 0.3, 0.3])
         g = channel_matrix(h, n)
-        link = LinkConfig(p_max=np.inf, sigma2_n=0.0, h=h, cp_len=cp)
         chips = rng.uniform(0, n, size=n)
-        payload = propagate(frame_chips(chips, 1.0, cp), link, rng)[cp:]
+        payload = propagate(frame_chips(chips, 1.0, cp), h, np.inf, 0.0, rng)[cp:]
         assert_allclose(payload, g @ (chips / n), atol=1e-12)
 
     def test_too_many_taps(self):

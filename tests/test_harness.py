@@ -10,6 +10,8 @@ from hcmlink import cli, harness
 from hcmlink.channel import propagate
 from hcmlink.errors import ConfigError
 
+BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
+
 BASE = """
 p_max_w = 1e-4
 noise_std_w = 2e-6
@@ -178,6 +180,48 @@ def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, valu
     assert searches == []
 
 
+@pytest.mark.parametrize("link, message", [
+    ({"h": [0.5, 0.4]}, "sum to 1"),
+    ({"p_max": float("nan")}, "p_max must be positive"),
+    ({"h": [0.5, 0.3, 0.2], "cp_len": 0}, "cyclic prefix 0 too short"),
+])
+def test_building_a_config_checks_its_link(link, message):
+    with pytest.raises(ConfigError, match=message):
+        harness.ExperimentConfig(scheme="hcm", **link)
+
+
+def test_chunk_noise_variance_includes_gamma(monkeypatch):
+    # each chunk's propagate call gets the config's taps and peak, and the
+    # noise variance sigma2_n inflated by the pulse-shaping penalty gamma
+    calls = []
+
+    def recorded(samples, h, p_max, noise_var, rng, out=None):
+        calls.append((h, p_max, noise_var))
+        return propagate(samples, h, p_max, noise_var, rng, out=out)
+
+    monkeypatch.setattr(harness, "propagate", recorded)
+    cfg = harness.parse_config(_config(gamma="1.5", taps="0.5,0.5", cp_len="1",
+                                       max_symbols="300", target_errors="1000000"))
+    harness.sweep(cfg)
+    assert len(calls) == 2
+    for h, p_max, noise_var in calls:
+        assert h is cfg.h and p_max == 1e-4
+        assert noise_var == 1.5 * 2e-6**2
+
+
+@pytest.mark.parametrize("headroom", ["0", "-6", "nan"])
+def test_bad_dco_headroom_rejected(capsys, headroom):
+    # at 0 analyze divided by zero (exit 3), at -6 simulate ran to a wrong
+    # BER, and at nan analyze printed nan rows
+    path = BENCH_CONFIGS / "awgn-ofdm.dco-ofdm.conf"
+    with pytest.raises(ConfigError, match="dco_headroom"):
+        harness.parse_config(path.read_text(), {"dco_headroom": headroom})
+    for command in ("simulate", "analyze"):
+        assert cli.main([command, str(path), "--set", f"dco_headroom={headroom}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dco_headroom" in captured.err
+
+
 def test_dco_grid_at_p_max_rejected(tmp_path, capsys):
     text = "scheme = dco-ofdm\nm = 4\npower_grid_w = 5e-5,1e-4\n"
     with pytest.raises(ConfigError, match="below p_max"):
@@ -262,7 +306,7 @@ def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
     point = harness.BerPoint(avg_power=avg, p=ctx.scheme.drive(ctx, avg), weights=None,
                              analytical_ber=0.0, snr=0.0)
     bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol))
-    y = propagate(ctx.scheme.tx(ctx, point, bits), ctx.link, rng)[:, cp_len:]
+    y = propagate(ctx.scheme.tx(ctx, point, bits), cfg.h, cfg.p_max, 0.0, rng)[:, cp_len:]
     assert np.array_equal(ctx.scheme.rx(ctx, point, y).reshape(8, -1), bits)
 
 
@@ -293,9 +337,6 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
     # an OFDM receiver reads the one-tap gains, built once per sweep
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
     assert calls == {"channel_matrix": 1, "one_tap_gains": 1, "interference_matrix": 1}
-
-
-BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
 
 @pytest.mark.parametrize("stem, limit", [
