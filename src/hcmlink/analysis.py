@@ -13,12 +13,12 @@ is exactly (N-1)/2 for every frame, which the drive calibration relies on.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, ndtr
 
-from .channel import DEFAULT_GAMMA
 from .errors import DomainError
 from .hadamard import MAX_ORDER_LOG2, fwht
 
@@ -51,23 +51,26 @@ def _check_order(m: int):
         raise DomainError(f"need m >= 2 levels, got m={m}")
 
 
-def _window_power_row(m: int, n: int) -> list:
-    """Coefficients c_k of (1 + x + ... + x**(m-1))**n as exact integers.
+def _window_power_row(m: int, n: int):
+    """Coefficients c_k of (1 + x + ... + x**(m-1))**n as exact integers, in order.
 
     J. C. P. Miller's recurrence for a power of a polynomial (Knuth, TAOCP
     Vol. 2, 4.7): k c_k = (n+1) S1 - k S0 with S0 = sum c_(k-i) and
     S1 = sum i c_(k-i) over i = 1..m-1. Both window sums are updated in
     O(1) per coefficient, so the row takes O(n m) big-integer steps, and the
-    division by k is exact.
+    division by k is exact. Only the last m coefficients are kept, so a
+    caller that consumes the row as it goes holds m big integers, not the
+    n (m-1) + 1 of the whole row.
     """
-    c = [1]
+    window = deque([1], maxlen=m)
+    yield 1
     s0 = s1 = 0
     for k in range(1, n * (m - 1) + 1):
-        old = c[k - m] if k >= m else 0
-        s0 += c[k - 1] - old
+        old = window[0] if k >= m else 0
+        s0 += window[-1] - old
         s1 += s0 - (m - 1) * old
-        c.append(((n + 1) * s1 - k * s0) // k)
-    return c
+        window.append(((n + 1) * s1 - k * s0) // k)
+        yield window[-1]
 
 
 def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
@@ -80,9 +83,51 @@ def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
     _check_power_of_two(n)
     _check_order(m)
     denom = m ** (n - 1)
-    probs = np.array([c / denom for c in _window_power_row(m, n - 1)])
+    # int / int is correctly rounded, however large the integers
+    probs = np.fromiter((c / denom for c in _window_power_row(m, n - 1)), np.float64,
+                        count=(n - 1) * (m - 1) + 1)
     support = np.arange(probs.size) / (m - 1)
     return AmplitudePmf(support=support, probs=probs)
+
+
+def _uniform_ints(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
+    """rng.integers(0, m, size=shape), read from raw words when that is cheaper.
+
+    The values, their dtype (int64) and the state rng is left in are those
+    of rng.integers. For a PCG64 generator and a power-of-two m <= 2**32,
+    numpy draws each value from one 32-bit word: the low half, then the high
+    half, of each 64-bit output, with the unused high half buffered in the
+    state (has_uint32, uinteger) for the next 32-bit draw. Lemire's bounded
+    multiply never rejects when m divides 2**32, so each value is the word's
+    top log2(m) bits. This reads those words with random_raw, two values per
+    call of the generator, and writes the buffer back into the state. Any
+    other generator or m calls rng.integers.
+
+    Reading, then writing, the state is not atomic: rng must not be shared
+    with another thread during the call (the package runs one thread).
+    """
+    bitgen = rng.bit_generator
+    if type(bitgen) is not np.random.PCG64 or m < 2 or m > 1 << 32 or m & (m - 1):
+        return rng.integers(0, m, size=shape)
+    out = np.empty(shape, dtype=np.int64)
+    if out.size == 0:
+        return out
+    flat = out.reshape(-1)
+    shift = 33 - int(m).bit_length()
+    state = bitgen.state
+    buffered = state["has_uint32"]
+    if buffered:
+        flat[0] = state["uinteger"] >> shift
+    need = out.size - buffered
+    halves = bitgen.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
+    np.right_shift(halves[:need], shift, out=flat[buffered:])
+    # numpy leaves uinteger at the last word's high half, used or not
+    state = bitgen.state
+    state["has_uint32"] = need % 2
+    if need:
+        state["uinteger"] = int(halves[-1])
+    bitgen.state = state
+    return out
 
 
 DCR_BLOCK_CHIPS = 1 << 16  # chips per calibration block: 256 KiB in float32
@@ -91,14 +136,15 @@ DCR_BLOCK_CHIPS = 1 << 16  # chips per calibration block: 256 KiB in float32
 def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) -> AmplitudePmf:
     """Monte-Carlo pmf of DC-reduced chips (no closed form is known).
 
-    Counted in the integer domain: with level indices idx (idx[0] = 0) the
-    scaled chips are (m-1) x = ((m-1) N + s) / 2 with s = B c and
-    c = 2 idx - (m-1), so a DC-reduced chip sits on grid point
-    k = (s - min s) / 2. Every entry of c and s is an integer of magnitude
-    at most (m-1) N, held exactly in float32 while that is below 2**24
-    (float64 otherwise), and fwht is exact on integers, so the counts, and
-    the pmf, equal those of rounding the float chips of encode_levels for
-    the same draws from rng.
+    Counted in the integer domain: with level indices idx in [0, m-1]
+    (idx[0] = 0) the scaled chips are (m-1) x = ((m-1) N 1 + B c) / 2 with
+    c = 2 idx - (m-1) 1. Since B 1 = N e_0, B c / 2 = t - (m-1) N / 2 e_0
+    with t = B idx, so a DC-reduced chip sits on grid point k = t' - min t',
+    where t' is t with (m-1) N / 2 taken off t[0]. Every entry of idx and
+    every partial sum of fwht has magnitude at most (m-1) N, held exactly
+    in float32 while that is below 2**24 (float64 otherwise), and fwht is
+    exact on integers, so the counts, and the pmf, equal those of rounding
+    the float chips of encode_levels for the same draws from rng.
 
     Frames are drawn and transformed in blocks of DCR_BLOCK_CHIPS chips,
     which stay in cache. The block size does not change the draws: rng
@@ -110,18 +156,18 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
         raise DomainError(f"need at least one symbol, got {symbols}")
     dtype = np.float32 if (m - 1) * n < 1 << 24 else np.float64
     rows = max(1, DCR_BLOCK_CHIPS // n)
-    c = np.empty((rows, n), dtype=dtype)
-    c[:, 0] = 1 - m
+    idx = np.zeros((rows, n), dtype=dtype)  # column 0 stays the pinned idx[0] = 0
+    lows = np.empty((rows, 1), dtype=dtype)
     grid = np.empty((rows, n), dtype=np.intp)
     counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
     done = 0
     while done < symbols:
         k = min(rows, symbols - done)
-        np.multiply(rng.integers(0, m, size=(k, n - 1)), 2, out=c[:k, 1:], casting="unsafe")
-        c[:k, 1:] += 1 - m
-        s = fwht(c[:k])
-        s -= s.min(axis=-1, keepdims=True)
-        np.multiply(s, 0.5, out=grid[:k], casting="unsafe")
+        idx[:k, 1:] = _uniform_ints(rng, m, (k, n - 1))
+        t = fwht(idx[:k])
+        t[:, 0] -= (m - 1) * n // 2
+        t.min(axis=-1, keepdims=True, out=lows[:k])
+        np.subtract(t, lows[:k], out=grid[:k], casting="unsafe")
         counts += np.bincount(grid[:k].reshape(-1), minlength=counts.size)
         done += k
     last = int(np.max(np.nonzero(counts)))
@@ -168,7 +214,7 @@ def clipping_variance_gaussian(mean: float, variance: float, p_max: float) -> fl
 
 
 def hcm_snr(m: int, n: int, p: float, sigma2_n: float, sigma2_clip: float,
-            gamma: float = DEFAULT_GAMMA) -> float:
+            gamma: float) -> float:
     """Squared Q-argument of the dominant HCM/DCR-HCM error event.
 
     The decoded data components are (p/N) u + noise with noise variance
@@ -208,7 +254,7 @@ def dco_time_std(n_fft: int) -> float:
 
 
 def aco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
-               gamma: float = DEFAULT_GAMMA) -> float:
+               gamma: float) -> float:
     """Per-symbol SNR of ACO-OFDM at a nominal drive average power.
 
     The drive average (before the peak limiter) of a zero-clipped Gaussian
@@ -222,8 +268,7 @@ def aco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
 
 
 def dco_es_snr(avg_power: float, n_fft: int, p_max: float, sigma2_n: float,
-               gamma: float = DEFAULT_GAMMA,
-               headroom_factor: float = DCO_HEADROOM_FACTOR) -> float:
+               gamma: float, headroom_factor: float) -> float:
     """Per-symbol SNR of DCO-OFDM biased at its average power.
 
     The AC std is tied to the clipping headroom min(bias, p_max - bias), so

@@ -77,12 +77,13 @@ def _cmd_eta(args) -> int:
     n_lo, n_hi = _numbers((lo, hi or lo), int, "--n-range")
     if n_lo > n_hi:
         raise ConfigError(f"--n-range low {n_lo} is above high {n_hi}")
+    orders = []
+    while n_lo <= n_hi:  # every order is checked before the first is computed
+        analysis._check_power_of_two(n_lo)
+        orders.append(n_lo)
+        n_lo *= 2
     rng = np.random.default_rng(args.seed)
-    rows = []
-    n = n_lo
-    while n <= n_hi:
-        rows.append((n, analysis.dcr_energy_efficiency(n, args.m, args.trials, rng)))
-        n *= 2
+    rows = [(n, analysis.dcr_energy_efficiency(n, args.m, args.trials, rng)) for n in orders]
     with _output(args) as out:
         out.write("n,m,trials,eta\n")
         for n, eta in rows:
@@ -199,7 +200,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 3
 
 

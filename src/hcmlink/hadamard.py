@@ -18,7 +18,7 @@ order.
 float32 input stays float32 (any other input is transformed in float64).
 Every partial sum of B v is bounded by N max|v|, so integer-valued float32
 input is transformed exactly while N max|v| < 2**24: the DCR calibration's
-chips, odd integers of magnitude at most M-1, are exact while
+input, level indices in [0, M-1], is transformed exactly while
 (M-1) N < 2**24, i.e. for every M < 257 up to N = 2**16.
 """
 

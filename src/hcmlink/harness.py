@@ -20,15 +20,17 @@ N + cp_len samples each, allocated on its first chunk, and the HCM stages
 write into them through their `out=` arguments; propagate writes every
 scheme's received samples into one, and the MMSE step writes v - v_mean and
 its estimate into two others. After the first chunk a sweep allocates per
-chunk only the bit array of rng.integers and a few transient chunk-sized
-arrays (an fwht intermediate, the slicer's scaled estimates, the level
-lookup). This matters because a chunk array at N=128 is 256 KiB, above
-glibc's initial mmap threshold of 128 KiB: without the buffers each chunk
-allocated about ten of them, each mapped fresh from the kernel and
-page-faulted in unless a block of 4 MiB or more had been freed earlier in
-the process (as the old 4 MiB DCR calibration blocks did). On a 2-core host
-an hcm sweep at N=128 then took 132-162 ms against 87-92 ms after such a
-free.
+chunk only the payload bit array, its raw generator words and a few
+transient chunk-sized arrays (an fwht intermediate, the slicer's scaled
+estimates, the level lookup). The payload bits are those of
+rng.integers(0, 2), read by analysis._uniform_ints two to a 64-bit PCG64
+word instead of one bounded draw per bit. The buffers matter because a
+chunk array at N=128 is 256 KiB, above glibc's initial mmap threshold of
+128 KiB: without the buffers each chunk allocated about ten of them, each
+mapped fresh from the kernel and page-faulted in unless a block of 4 MiB
+or more had been freed earlier in the process (as the old 4 MiB DCR
+calibration blocks did). On a 2-core host an hcm sweep at N=128 then took
+132-162 ms against 87-92 ms after such a free.
 
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
@@ -47,6 +49,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import (
+    _uniform_ints,
     clipping_variance_discrete,
     dcr_amplitude_pmf,
     hcm_amplitude_pmf,
@@ -302,7 +305,7 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
     cfg, rng = ctx.cfg, ctx.calib_rng
     if rng is None:
         rng = _stream(cfg.master_seed, 1, 1)
-    bits = rng.integers(0, 2, size=(4096, ctx.bits_per_symbol))
+    bits = _uniform_ints(rng, 2, (4096, ctx.bits_per_symbol))
     raw = aco_time_samples(qam_symbols(bits, cfg.m), cfg.n)
     return float(np.maximum(raw, 0.0).mean())
 
@@ -520,7 +523,7 @@ def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
 def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
                k: int) -> int:
     """One chunk of k symbols: tx, propagate, drop the prefix, rx; returns its bit errors."""
-    bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol), dtype=np.int64)
+    bits = _uniform_ints(rng, 2, (k, ctx.bits_per_symbol))
     tx = ctx.scheme.tx(ctx, point, bits)
     cfg = ctx.cfg
     y = propagate(tx, cfg.h, cfg.p_max, cfg.gamma * cfg.sigma2_n, rng,
@@ -584,8 +587,8 @@ def analyze(cfg: ExperimentConfig) -> list:
     return [_point_setup(ctx, float(p)) for p in np.asarray(cfg.power_grid, dtype=np.float64)]
 
 
-def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int = 128,
-                   m: int = 2, gamma: float = DEFAULT_GAMMA) -> AchievableSnr:
+def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int,
+                   gamma: float) -> AchievableSnr:
     """Scan average power over (0, p_max] and return the best per-point SNR.
 
     The grid is log-spaced from p_max/100 with 200 points; m is

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hcmlink.analysis import (
     qam_ber,
     qfunc,
 )
+from hcmlink.channel import DEFAULT_GAMMA
 from hcmlink.errors import DomainError
 from hcmlink.hadamard import MAX_ORDER_LOG2
 from hcmlink.harness import achievable_snr
@@ -85,7 +87,31 @@ class TestExtendedBinomial:
 
 @pytest.mark.parametrize("m, n", [(2, 127), (4, 127), (8, 63), (3, 50), (16, 255), (4, 1023)])
 def test_miller_recurrence_equals_extended_binomial(m, n):
-    assert analysis._window_power_row(m, n) == extended_binomial(m, n)
+    assert list(analysis._window_power_row(m, n)) == extended_binomial(m, n)
+
+
+@pytest.mark.parametrize("n, m", [(8, 2), (64, 4), (64, 3), (128, 8)])
+def test_windowed_row_floats_equal_full_row(n, m):
+    # the pmf divides each coefficient as the row is generated; the floats
+    # equal those of dividing the whole exact row, held at once
+    denom = m ** (n - 1)
+    row = list(analysis._window_power_row(m, n - 1))
+    assert row == extended_binomial(m, n - 1)
+    assert hcm_amplitude_pmf(n, m).probs.tolist() == [c / denom for c in row]
+
+
+def test_pmf_row_memory_stays_windowed():
+    # the whole row at N = 2**12, M = 8 holds about 36 MiB of big integers;
+    # the window holds M of them, and the float pmf is 224 KiB
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pmf = hcm_amplitude_pmf(1 << 12, 8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert pmf.probs.size == 4095 * 7 + 1
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("n, m", [(128, 4), (64, 8), (16, 16)])
@@ -212,6 +238,62 @@ def test_dcr_pmf_equals_float_pipeline(n, m, symbols):
     assert np.array_equal(pmf.probs, probs)
 
 
+def _draw_pair(seed: int, buffered: bool):
+    """Two generators in the same state; buffered leaves a half-word in PCG64's buffer."""
+    pair = np.random.default_rng(seed), np.random.default_rng(seed)
+    for rng in pair:
+        rng.integers(0, 2, size=3 if buffered else 4)
+    assert pair[0].bit_generator.state["has_uint32"] == buffered
+    return pair
+
+
+def _assert_same_draw(want_rng, got_rng, m, shape):
+    want = want_rng.integers(0, m, size=shape)
+    got = analysis._uniform_ints(got_rng, m, shape)
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    # later draws of either width see the same stream
+    assert np.array_equal(got_rng.integers(0, 7, size=5), want_rng.integers(0, 7, size=5))
+    assert np.array_equal(got_rng.standard_normal(3), want_rng.standard_normal(3))
+
+
+@pytest.mark.parametrize("m", [2, 4, 16, 256, 1 << 32])
+@pytest.mark.parametrize("shape", [(4, 6), (3, 5), (7,), (1,), (0,), (0, 5)])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_uniform_ints_reads_the_words_of_integers(m, shape, buffered):
+    _assert_same_draw(*_draw_pair(21, buffered), m, shape)
+
+
+def test_uniform_ints_over_many_calls():
+    want, got = np.random.default_rng(22), np.random.default_rng(22)
+    for shape in [(5,), (256, 127), (3, 3), (0,), (1,), (2, 2)]:
+        _assert_same_draw(want, got, 2, shape)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6, 2 << 32])
+@pytest.mark.parametrize("buffered", [False, True])
+def test_uniform_ints_falls_back_for_other_m(m, buffered):
+    _assert_same_draw(*_draw_pair(23, buffered), m, (3, 5))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_uniform_ints_falls_back_for_other_generators(m):
+    want, got = (np.random.Generator(np.random.MT19937(24)) for _ in range(2))
+    _assert_same_draw(want, got, m, (3, 5))
+
+
+@pytest.mark.parametrize("n, m, symbols", [(16, 3, 3000), (32, 2, 1000)])
+def test_dcr_pmf_of_fallback_draws_equals_float_pipeline(n, m, symbols):
+    # m = 3 and an MT19937 stream take rng.integers in place of raw words
+    rng = np.random.Generator(np.random.MT19937(11))
+    pmf = dcr_amplitude_pmf(n, m, symbols, rng)
+    support, probs = _float_dcr_pmf(n, m, symbols, np.random.Generator(np.random.MT19937(11)))
+    assert np.array_equal(pmf.support, support)
+    assert np.array_equal(pmf.probs, probs)
+
+
 class TestClippingVarianceDiscrete:
     def test_no_clipping_when_peak_within_limiter(self):
         pmf = hcm_amplitude_pmf(16, 2)
@@ -291,10 +373,11 @@ class TestAnalyticalBer:
 
     def test_peak_snr_is_four_times_decision_snr(self):
         # achievable_snr reports 4x the squared Q-argument for hcm
-        res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2)
+        res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2, gamma=DEFAULT_GAMMA)
         p = analysis.hcm_drive_peak(res.best_avg_power, 64)
         clip = clipping_variance_discrete(hcm_amplitude_pmf(64, 2), p, 64, 1e-4)
-        assert res.max_snr == pytest.approx(4 * hcm_snr(2, 64, p, 1e-12, clip), rel=1e-12)
+        want = 4 * hcm_snr(2, 64, p, 1e-12, clip, DEFAULT_GAMMA)
+        assert res.max_snr == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m, noise_std", [(4, 0.5e-6), (8, 0.2e-6)])
     def test_mpam_ber_matches_monte_carlo(self, m, noise_std):
@@ -310,10 +393,10 @@ class TestAnalyticalBer:
 
     def test_monotonicity(self):
         powers = np.linspace(1e-5, 1e-4, 20)
-        bers = [pam_ber(hcm_snr(2, 128, p, 4e-12, 0.0), 2) for p in powers]
+        bers = [pam_ber(hcm_snr(2, 128, p, 4e-12, 0.0, DEFAULT_GAMMA), 2) for p in powers]
         assert all(a > b for a, b in zip(bers, bers[1:]))
         clips = np.linspace(0.0, 1e-11, 10)
-        bers = [pam_ber(hcm_snr(2, 128, 5e-5, 4e-12, c), 2) for c in clips]
+        bers = [pam_ber(hcm_snr(2, 128, 5e-5, 4e-12, c, DEFAULT_GAMMA), 2) for c in clips]
         assert all(a < b for a, b in zip(bers, bers[1:]))
 
     def test_ber_is_prefactor_times_q_of_root_snr(self):
@@ -326,7 +409,7 @@ class TestAnalyticalBer:
         assert pam_ber(math.inf, 2) == qam_ber(math.inf, 16) == 0.0
 
     def test_ber_approaches_half_at_zero_snr(self):
-        ber = pam_ber(hcm_snr(2, 128, 1e-9, 4e-12, 0.0), 2)
+        ber = pam_ber(hcm_snr(2, 128, 1e-9, 4e-12, 0.0, DEFAULT_GAMMA), 2)
         assert ber <= 0.5
         assert ber == pytest.approx(0.5, rel=1e-3)
 
@@ -355,12 +438,13 @@ class TestAchievableSnr:
     def test_no_clip_regime_peaks_at_grid_boundary(self):
         # cap the scan at half the limiter: clipping never engages and the
         # SNR is monotone in power, so the optimum sits on the boundary
-        res = achievable_snr("hcm", 1e-4, 4e-12, n=64, m=2)
+        res = achievable_snr("hcm", 1e-4, 4e-12, n=64, m=2, gamma=DEFAULT_GAMMA)
         grid_capped = np.geomspace(1e-6, 5e-5, 50)
         pmf = hcm_amplitude_pmf(64, 2)
         snrs = [
             4 * hcm_snr(2, 64, analysis.hcm_drive_peak(a, 64), 4e-12,
-                        clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4))
+                        clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4),
+                        DEFAULT_GAMMA)
             for a in grid_capped
         ]
         assert int(np.argmax(snrs)) == len(grid_capped) - 1
@@ -368,13 +452,13 @@ class TestAchievableSnr:
 
     def test_dcr_dominates_hcm(self):
         s2 = (0.5e-6) ** 2
-        hcm = achievable_snr("hcm", 1e-4, s2, n=64, m=2)
-        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2)
+        hcm = achievable_snr("hcm", 1e-4, s2, n=64, m=2, gamma=DEFAULT_GAMMA)
+        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2, gamma=DEFAULT_GAMMA)
         assert dcr.max_snr >= hcm.max_snr
 
     def test_grid_scan_close_to_fine_scan(self):
         s2 = (0.5e-6) ** 2
-        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16)
+        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16, gamma=DEFAULT_GAMMA)
         # the same per-point SNR on a 2,000-point grid
         cfg = harness.ExperimentConfig(scheme="aco-ofdm", n=128, m=16, p_max=1e-4, sigma2_n=s2)
         ctx = harness._SweepContext(cfg)
@@ -388,4 +472,4 @@ class TestAchievableSnr:
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
-            achievable_snr("qam", 1e-4, 1e-12)
+            achievable_snr("qam", 1e-4, 1e-12, n=128, m=2, gamma=DEFAULT_GAMMA)

@@ -108,6 +108,25 @@ def test_non_power_of_two_n_exits_2(capsys, argv):
     assert lines == [] and "power of two" in err
 
 
+def test_eta_checks_every_order_before_computing_any(capsys, monkeypatch):
+    def computed(*args):
+        raise AssertionError("an order was computed before the range was checked")
+    monkeypatch.setattr(cli.analysis, "dcr_energy_efficiency", computed)
+    code, lines, err = run(capsys, "eta", "--n-range", f"4:{2 << MAX_ORDER_LOG2}",
+                           "--trials", "10000")
+    assert code == 2
+    assert lines == [] and "power of two" in err
+
+
+def test_runtime_error_without_message_names_its_type(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError()
+    monkeypatch.setattr(cli.analysis, "hcm_amplitude_pmf", exhausted)
+    code, lines, err = run(capsys, "pmf", "--n", "8")
+    assert code == 3
+    assert lines == [] and err == "error: MemoryError\n"
+
+
 def test_eta_reversed_range_exits_2(capsys):
     code, lines, err = run(capsys, "eta", "--n-range", "16:8")
     assert code == 2

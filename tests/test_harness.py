@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcmlink import cli, harness
-from hcmlink.channel import propagate
+from hcmlink.channel import DEFAULT_GAMMA, propagate
 from hcmlink.errors import ConfigError
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -316,7 +316,7 @@ def test_achievable_snr_scans_the_point_snr():
     ctx = harness._SweepContext(cfg)
     grid = np.geomspace(1e-6, 1e-4, 200)
     want = max(4.0 * ctx.scheme.snr(ctx, float(a)) for a in grid)
-    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16)
+    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=cfg.m, gamma=cfg.gamma)
     assert got.max_snr == want
     assert got.spectral_efficiency == 15 / 16
 
@@ -332,7 +332,7 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
     # and the weights of all three points share one interference matrix
     harness.analyze(harness.parse_config(SWEEP_CONFIGS["dcr-hcm-n16-mmse-search"]))
     assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
-    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16)
+    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=2, gamma=DEFAULT_GAMMA)
     assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
     # an OFDM receiver reads the one-tap gains, built once per sweep
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
