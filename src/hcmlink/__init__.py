@@ -18,7 +18,6 @@ from .analysis import (
 from .channel import load_impulse_response, propagate
 from .equalization import (
     MmseWeights,
-    channel_matrix,
     interleaver_search,
     load_permutation,
     mmse_apply,

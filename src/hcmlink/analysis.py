@@ -2,9 +2,10 @@
 and DCR energy efficiency.
 
 All BER expressions are of the form alpha * Q(sqrt(SNR)) where SNR is the
-squared argument of the dominant nearest-neighbor error event (pam_ber,
-qam_ber). The pulse-shaping penalty gamma multiplies the thermal noise
-variance, matching what the simulator does.
+squared argument of the dominant nearest-neighbor error event (pam_ber).
+Gray square M-QAM is sqrt(M)-PAM on each axis, so its BER is
+pam_ber(snr, isqrt(M)), to the last bit. The pulse-shaping penalty gamma
+multiplies the thermal noise variance, matching what the simulator does.
 
 The HCM chip amplitude pmf accounts for the pinned u[0] = 0: each chip is a
 sum of N-1 independent uniform M-ary terms, so the binary case is
@@ -234,13 +235,6 @@ def pam_ber(snr: float, m: int) -> float:
     """Gray M-PAM bit error rate at squared Q-argument snr."""
     prefactor = 2.0 * (m - 1) / (m * math.log2(m))
     return min(prefactor * float(qfunc(math.sqrt(snr))), 0.5)
-
-
-def qam_ber(snr: float, m_qam: int) -> float:
-    """Gray square-QAM bit error rate at squared Q-argument snr = 3 Es/N0 / (M-1)."""
-    side = math.sqrt(m_qam)
-    ber = 4.0 * (side - 1.0) / (side * math.log2(m_qam)) * float(qfunc(math.sqrt(snr)))
-    return min(ber, 0.5)
 
 
 def aco_time_std(n_fft: int) -> float:

@@ -12,10 +12,9 @@ import numpy as np
 
 from . import analysis, harness
 from .channel import check_taps, load_impulse_response
-from .equalization import channel_matrix, interference_matrix, interference_spread, \
+from .equalization import MAX_MATRIX_ORDER, interference_matrix, interference_spread, \
     interleaver_search, save_permutation
 from .errors import ConfigError, DomainError
-from .hadamard import MAX_ORDER_LOG2
 
 
 def _read_config(args) -> harness.ExperimentConfig:
@@ -96,13 +95,13 @@ def _cmd_interleaver_search(args) -> int:
         taps = load_impulse_response(args.taps_file)
     else:
         taps = check_taps(_numbers(args.taps.split(","), float, "--taps"), "--taps")
-    if args.n < 1 or args.n & (args.n - 1) or args.n > 1 << MAX_ORDER_LOG2:
-        raise ConfigError(f"n must be a power of two <= {1 << MAX_ORDER_LOG2}, got {args.n}")
-    g = channel_matrix(taps, args.n)
+    analysis._check_power_of_two(args.n)
+    if args.n > MAX_MATRIX_ORDER:
+        raise ConfigError(f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    perm = interleaver_search(g, budget=args.budget, rng=rng)
-    before = interference_spread(interference_matrix(np.arange(args.n), g))
-    after = interference_spread(interference_matrix(perm, g))
+    perm = interleaver_search(taps, args.n, budget=args.budget, rng=rng)
+    before = interference_spread(interference_matrix(np.arange(args.n), taps))
+    after = interference_spread(interference_matrix(perm, taps))
     print(f"objective: identity={before:.6g} found={after:.6g}", file=sys.stderr)
     with _output(args) as out:
         save_permutation(perm, out)

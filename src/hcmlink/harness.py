@@ -58,8 +58,8 @@ from .analysis import (
 )
 from .channel import DEFAULT_GAMMA, check_taps, load_impulse_response, propagate
 from .equalization import (
+    MAX_MATRIX_ORDER,
     MmseWeights,
-    channel_matrix,
     interference_matrix,
     interleaver_search,
     load_permutation,
@@ -162,6 +162,10 @@ class ExperimentConfig:
             # u[0] has zero prior variance, so without noise the decoded-vector
             # covariance has rank N-1 on every channel and cannot be inverted
             raise ConfigError("mmse equalization needs noise_std_w > 0")
+        if self.n > MAX_MATRIX_ORDER and (self.equalizer == "mmse"
+                                          or self.interleaver == "search"):
+            raise ConfigError(
+                f"mmse and the interleaver search support n <= {MAX_MATRIX_ORDER}, got {self.n}")
         _SCHEMES[self.scheme].check(self)
 
 
@@ -410,7 +414,7 @@ _SCHEMES = {
         drive=lambda ctx, avg: avg / ctx.calib,
         snr=lambda ctx, avg: 3.0 * analysis.aco_es_snr(
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma) / (ctx.cfg.m - 1.0),
-        ber=lambda snr, m: analysis.qam_ber(snr, m),
+        ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_aco_tx,
         rx=lambda ctx, point, y: qam_bits(aco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
     ),
@@ -422,7 +426,7 @@ _SCHEMES = {
         snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma,
             ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
-        ber=lambda snr, m: analysis.qam_ber(snr, m),
+        ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_dco_tx,
         rx=lambda ctx, point, y: qam_bits(dco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
     ),
@@ -452,7 +456,7 @@ class _ChunkBuffers:
 
 
 class _SweepContext:
-    """Per-sweep precomputation shared by all power points."""
+    """Per-sweep precomputation shared by all power points; the channel is cfg.h."""
 
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
         self.cfg = cfg
@@ -472,15 +476,10 @@ class _SweepContext:
         return self.scheme.calibrate(self)
 
     @cached_property
-    def g(self):
-        """Circulant channel matrix, shared by the interleaver search and the MMSE weights."""
-        return channel_matrix(self.cfg.h, self.cfg.n)
-
-    @cached_property
     def interference(self) -> np.ndarray:
-        """Interference matrix of the interleaved channel, read by the MMSE weights."""
+        """Interference matrix of the interleaved taps, read by every point's MMSE weights."""
         perm = self.perm if self.perm is not None else np.arange(self.cfg.n)
-        return interference_matrix(perm, self.g)
+        return interference_matrix(perm, self.cfg.h)
 
     @cached_property
     def gains(self):
@@ -492,7 +491,7 @@ class _SweepContext:
         if cfg.interleaver == "none":
             return None
         if cfg.interleaver == "search":
-            return interleaver_search(self.g, budget=cfg.interleaver_budget,
+            return interleaver_search(cfg.h, cfg.n, budget=cfg.interleaver_budget,
                                       rng=_stream(cfg.master_seed, 2, 0))
         return load_permutation(cfg.interleaver, cfg.n)
 

@@ -17,13 +17,12 @@ from hcmlink.analysis import (
     hcm_amplitude_pmf,
     hcm_snr,
     pam_ber,
-    qam_ber,
     qfunc,
 )
 from hcmlink.channel import DEFAULT_GAMMA
 from hcmlink.errors import DomainError
 from hcmlink.hadamard import MAX_ORDER_LOG2
-from hcmlink.harness import achievable_snr
+from hcmlink.harness import _SCHEMES, achievable_snr
 from hcmlink.modem_hcm import encode_levels
 
 
@@ -403,10 +402,25 @@ class TestAnalyticalBer:
         # Gray M-PAM: 2(M-1)/(M log2 M); Gray square QAM: 4(sqrt M - 1)/(sqrt M log2 M)
         assert pam_ber(9.0, 2) == pytest.approx(float(qfunc(3.0)), rel=1e-15)
         assert pam_ber(9.0, 4) == pytest.approx(0.75 * float(qfunc(3.0)), rel=1e-15)
-        assert qam_ber(9.0, 4) == pytest.approx(float(qfunc(3.0)), rel=1e-15)
-        assert qam_ber(9.0, 16) == pytest.approx(0.75 * float(qfunc(3.0)), rel=1e-15)
-        assert pam_ber(0.0, 2) == qam_ber(0.0, 4) == 0.5
-        assert pam_ber(math.inf, 2) == qam_ber(math.inf, 16) == 0.0
+        ofdm_ber = _SCHEMES["aco-ofdm"].ber
+        assert ofdm_ber(9.0, 4) == pytest.approx(float(qfunc(3.0)), rel=1e-15)
+        assert ofdm_ber(9.0, 16) == pytest.approx(0.75 * float(qfunc(3.0)), rel=1e-15)
+        assert pam_ber(0.0, 2) == ofdm_ber(0.0, 4) == 0.5
+        assert pam_ber(math.inf, 2) == ofdm_ber(math.inf, 16) == 0.0
+
+    @pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
+    def test_qam_ber_is_pam_ber_per_axis(self, scheme):
+        # the Gray square-QAM formula as its own oracle: both prefactors are
+        # the same rational, so they round to the same double
+        def qam_ber(snr, m_qam):
+            side = math.sqrt(m_qam)
+            ber = 4.0 * (side - 1.0) / (side * math.log2(m_qam)) * float(qfunc(math.sqrt(snr)))
+            return min(ber, 0.5)
+
+        snrs = [0.0, math.inf, *np.geomspace(1e-3, 1e3, 2000).tolist()]
+        for m in (4, 16, 64, 256, 1024, 4096):
+            got = [_SCHEMES[scheme].ber(snr, m) for snr in snrs]
+            assert got == [qam_ber(snr, m) for snr in snrs]
 
     def test_ber_approaches_half_at_zero_snr(self):
         ber = pam_ber(hcm_snr(2, 128, 1e-9, 4e-12, 0.0, DEFAULT_GAMMA), 2)

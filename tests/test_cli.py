@@ -2,7 +2,8 @@
 
 import pytest
 
-from hcmlink import cli
+from hcmlink import cli, equalization
+from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.hadamard import MAX_ORDER_LOG2
 
 CONFIG = """
@@ -63,6 +64,17 @@ def test_interleaver_search(capsys):
     assert code == 0
     assert sorted(int(v) for v in lines) == list(range(16))
     assert err.startswith("objective:")
+
+
+def test_interleaver_search_above_the_size_limit_fails_first(capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("interference_matrix called")
+    monkeypatch.setattr(cli, "interference_matrix", fail)
+    monkeypatch.setattr(equalization, "interference_matrix", fail)
+    n = str(2 * MAX_MATRIX_ORDER)
+    code, lines, err = run(capsys, "interleaver-search", "--taps", "0.5,0.3,0.2", "--n", n)
+    assert code == 2 and lines == []
+    assert f"n <= {MAX_MATRIX_ORDER}" in err
 
 
 def test_interleaver_search_out_file_matches_stdout(tmp_path, capsys):

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmlink import cli, harness
+from hcmlink import cli, equalization, harness
 from hcmlink.channel import DEFAULT_GAMMA, propagate
+from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.errors import ConfigError
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
@@ -321,22 +322,49 @@ def test_achievable_snr_scans_the_point_snr():
     assert got.spectral_efficiency == 15 / 16
 
 
+@pytest.mark.parametrize("keys", [{"equalizer": "mmse"}, {"interleaver": "search"}])
+def test_matrix_work_above_the_size_limit_fails_first(tmp_path, capsys, monkeypatch, keys):
+    # MMSE and the search build N x N matrices: the config stops them at twice
+    # the limit, before the first one is built
+    def fail(*args, **kwargs):
+        raise AssertionError("interference_matrix called")
+    monkeypatch.setattr(harness, "interference_matrix", fail)
+    monkeypatch.setattr(equalization, "interference_matrix", fail)
+    text = _config(n=2 * MAX_MATRIX_ORDER, **keys)
+    with pytest.raises(ConfigError, match=f"n <= {MAX_MATRIX_ORDER}"):
+        harness.parse_config(text)
+    path = tmp_path / "big.conf"
+    path.write_text(text)
+    for command in ("simulate", "analyze"):
+        assert cli.main([command, str(path)]) == 2
+        assert f"n <= {MAX_MATRIX_ORDER}" in capsys.readouterr().err
+
+
+def test_searched_interleaver_beats_identity_under_mmse():
+    # what the interleaver search buys on a dispersive link: the MMSE BER
+    # falls about fourfold, well outside both 95 % intervals
+    text = ("scheme = dcr-hcm\n" + BASE + "n = 128\ntaps = 0.5,0.3,0.2\ncp_len = 2\n"
+            "equalizer = mmse\ntarget_errors = 400\nmaster_seed = 1\n")
+    (plain,) = harness.sweep(harness.parse_config(text))
+    (searched,) = harness.sweep(harness.parse_config(text + "interleaver = search\n"))
+    assert searched.ber + searched.ci_95 < plain.ber - plain.ci_95
+
+
 def test_context_builds_only_what_its_scheme_reads(monkeypatch):
-    calls = {"channel_matrix": 0, "one_tap_gains": 0, "interference_matrix": 0}
+    calls = {"one_tap_gains": 0, "interference_matrix": 0}
     for name in calls:
         def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, counted)
-    # the interleaver search and the MMSE weights share one channel matrix,
-    # and the weights of all three points share one interference matrix
+    # the weights of all three points share one interference matrix
     harness.analyze(harness.parse_config(SWEEP_CONFIGS["dcr-hcm-n16-mmse-search"]))
-    assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
+    assert calls == {"one_tap_gains": 0, "interference_matrix": 1}
     harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=2, gamma=DEFAULT_GAMMA)
-    assert calls == {"channel_matrix": 1, "one_tap_gains": 0, "interference_matrix": 1}
+    assert calls == {"one_tap_gains": 0, "interference_matrix": 1}
     # an OFDM receiver reads the one-tap gains, built once per sweep
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
-    assert calls == {"channel_matrix": 1, "one_tap_gains": 1, "interference_matrix": 1}
+    assert calls == {"one_tap_gains": 1, "interference_matrix": 1}
 
 
 @pytest.mark.parametrize("stem, limit", [
