@@ -20,12 +20,15 @@ log = logging.getLogger(__name__)
 DEFAULT_GAMMA = 1.21  # sinc pulse-shaping SNR penalty, 10*log10 = 0.83 dB
 
 
-def check_taps(taps, source: str = "impulse response") -> np.ndarray:
-    """taps as a float64 vector; ConfigError unless finite, non-negative, summing above 0."""
+def check_taps(taps, source: str = "impulse response", *, unit_sum: bool = False) -> np.ndarray:
+    """taps as a float64 vector; ConfigError unless finite, non-negative, summing above 0,
+    and with unit_sum, summing to 1 within 1e-9."""
     h = np.asarray(taps, dtype=np.float64)
     if h.ndim != 1 or not (np.all(np.isfinite(h)) and np.all(h >= 0) and h.sum() > 0):
         raise ConfigError(f"{source} must be a vector of finite, non-negative taps with a "
                           f"positive sum, got {h.tolist()}")
+    if unit_sum and abs(h.sum() - 1.0) > 1e-9:
+        raise ConfigError(f"{source} must sum to 1, got {float(h.sum())!r}")
     return h
 
 

@@ -94,7 +94,8 @@ def _cmd_interleaver_search(args) -> int:
     if args.taps_file:
         taps = load_impulse_response(args.taps_file)
     else:
-        taps = check_taps(_numbers(args.taps.split(","), float, "--taps"), "--taps")
+        taps = check_taps(_numbers(args.taps.split(","), float, "--taps"), "--taps",
+                          unit_sum=True)
     analysis._check_power_of_two(args.n)
     if args.n > MAX_MATRIX_ORDER:
         raise ConfigError(f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {args.n}")

@@ -15,19 +15,27 @@ optimal weights ignore v[0]; that is what allows one set of weights to
 serve both plain and DC-reduced transmission, because a per-symbol DC shift
 only moves v[0]. The estimator is u_hat = u_mean + W (v - v_mean).
 
-The interleaver search scores each pairwise swap with a rank-2 update of M
-instead of recomputing it. Write M = C^T G C / N with C = Pi^T B, so that
+The interleaver search scores each pairwise swap from circulant lines of
+the taps, with no N x N state. Write M = C^T G C / N with C = Pi^T B, so that
 row perm[a] of C is row a of B. Swapping perm[i] and perm[j] adds e d^T to
 C, with e = e_perm[j] - e_perm[i] and d = B_i - B_j, hence
 
     N M' = N M + a d^T + d b^T,   a = B (G e)[perm],
-                                  b = B (G^T e)[perm] + (e^T G e) d.
+                                  b = B (G^T e)[perm] + c d,   c = e^T G e.
 
-A step takes (G e)[perm] and (G^T e)[perm] as the differences of columns
-and rows perm[j] and perm[i] of G, taken at perm, transforms them and
-e[perm] with one fwht, and gets the candidate's row energies and diagonal
-from M d and M b: O(N^2), against two N x N transforms for a full
-evaluation. The state is perm, M and its row energies, updated on accept.
+M never has to be multiplied: M d = B Gt (e_i - e_j) = -a exactly, and
+M b = B (A e)[perm] - c a, where A = G G^T is the symmetric circulant of
+the taps' circular autocorrelation. With |d|^2 = 2N the a^2 terms of the
+new row energies cancel, leaving
+
+    E' = E + d * ((2/N) M b + (2 d.b / N^2) a + (b.b / N^2) d),
+    diag' = diag + d * (a + b) / N.
+
+A step takes (G e)[perm], (G^T e)[perm] and (A e)[perm] as differences of
+columns and rows perm[j] and perm[i] of G and A, taken at perm, and
+transforms them and e[perm] with one fwht of a 4 x N block: O(N log N),
+against two N x N transforms for a full evaluation. The state is perm and
+M's row energies and diagonal; M is built once, for the start, and dropped.
 """
 
 import itertools
@@ -41,8 +49,11 @@ from .errors import ConfigError, DomainError
 from .hadamard import fwht
 
 # Largest N for MMSE and the interleaver search, whose N x N matrices cost
-# O(N**2) memory and more time: at N = 4096, `hcmlink analyze` with both on four
-# powers (budget 2000) takes 270 s at 1.2 GiB peak RSS (2-core Xeon, 1 BLAS thread).
+# O(N**2) memory and more time: at N = 4096, `hcmlink analyze` on the
+# dispersive-mmse bench config (four powers, budget 2000) takes 31 s at 844 MiB
+# peak RSS, most of it the four mmse_weights solves (2-core Xeon, 1 BLAS thread).
+# The search's steps hold N-vectors only; it is limited through its full
+# evaluations of the identity and the start (2.0 of its 2.1 s at N = 4096).
 MAX_MATRIX_ORDER = 4096
 
 
@@ -55,15 +66,17 @@ class MmseWeights:
 
 
 def _circulant_lines(h: np.ndarray, n: int) -> np.ndarray:
-    """Columns and rows of G as windows on its column 0 and row 0, each written
-    twice: G[:, c] = out[0, N - c] and G[r, :] = out[1, N - r] (views)."""
+    """Columns and rows of G, and columns of A = G G^T, as windows on their
+    first line written twice: G[:, c] = out[0, N - c], G[r, :] = out[1, N - r]
+    and A[:, c] = out[2, N - c] (views)."""
     h = np.asarray(h, dtype=np.float64)
     if h.size > n:
         raise ConfigError(f"{h.size} taps do not fit a {n}-point symbol")
     col = np.zeros(n)
     col[: h.size] = h
-    doubled = np.tile(np.stack((col, np.roll(col[::-1], 1))), 2)  # G[0, c] = col[-c mod N]
-    return sliding_window_view(doubled, n, axis=1)
+    row = np.roll(col[::-1], 1)  # G[0, c] = col[-c mod N]
+    gram = h @ sliding_window_view(np.tile(col, 2), n)[: h.size]  # A[t, 0] = sum_k h[k] col[t + k]
+    return sliding_window_view(np.tile(np.stack((col, row, gram)), 2), n, axis=1)
 
 
 def pam_level_variance(m: int) -> float:
@@ -125,43 +138,45 @@ def interference_spread(mat: np.ndarray) -> float:
 
 
 class _SwapScorer:
-    """perm with its M and row energies: score(i, j) is interference_spread
-    after swapping perm[i] and perm[j]; accept(i, j) makes that swap in place."""
+    """perm with M's row energies and diagonal: score(i, j) is interference_spread
+    after swapping perm[i] and perm[j]; accept(i, j), right after score(i, j),
+    makes that swap in place. spread is the objective of the starting perm."""
 
     def __init__(self, h: np.ndarray, perm: np.ndarray):
         n = perm.size
         self.perm, self.lines = perm, _circulant_lines(h, n)
-        self.mat = interference_matrix(perm, h)
-        self.energy = np.einsum("ij,ij->i", self.mat, self.mat)
-        # fwht takes rows (G e)[perm], (G^T e)[perm], e[perm] to terms a, b - (e^T G e) d, d
-        self.rows, self.terms = np.zeros((3, n)), np.empty((3, n))
-        self.diff, self.pair, self.prod = np.empty((2, n)), np.empty((n, 2)), np.empty((n, 2))
+        mat = interference_matrix(perm, h)
+        self.spread = interference_spread(mat)
+        # M's row energies E and diagonal; score writes the candidate's to cand
+        self.state = np.stack((np.einsum("ij,ij->i", mat, mat), mat.diagonal()))
+        self.cand = np.empty_like(self.state)
+        # fwht takes rows (G e)[perm], (G^T e)[perm], (A e)[perm], e[perm] to terms
+        # a, b - c d, ae = B (A e)[perm] and d
+        self.rows, self.terms, self.diff = np.zeros((4, n)), np.empty((4, n)), np.empty((3, n))
 
     def score(self, i: int, j: int) -> float:
-        perm, rows, (a, b, d) = self.perm, self.rows, self.terms
+        perm, rows, (a, b, ae, d) = self.perm, self.rows, self.terms
         n = perm.size
-        # column and row perm[j] minus perm[i] of G, then taken at perm: those of Gt
+        # column and row perm[j] minus perm[i] of G, and column of A, taken at perm
         np.subtract(self.lines[:, n - perm[j]], self.lines[:, n - perm[i]], out=self.diff)
-        np.take(self.diff, perm, axis=1, out=rows[:2])
-        rows[2, i], rows[2, j] = 1.0, -1.0
+        np.take(self.diff, perm, axis=1, out=rows[:3])
+        rows[3, i], rows[3, j] = 1.0, -1.0
         fwht(rows, out=self.terms)
-        rows[2, i] = rows[2, j] = 0.0
-        b += (rows[0, j] - rows[0, i]) * d  # e^T G e = (G e)[perm][j] - (G e)[perm][i]
-        self.pair[:, 0], self.pair[:, 1] = d, b
-        md, mb = np.matmul(self.mat, self.pair, out=self.prod).T
-        energy = (self.energy + (2.0 / n) * (a * md + d * mb)
-                  + (a * a * (d @ d) + 2.0 * (d @ b) * a * d + (b @ b) * d * d) / (n * n))
-        diag = self.mat.diagonal() + d * (a + b) / n
+        rows[3, i] = rows[3, j] = 0.0
+        c = rows[0, j] - rows[0, i]  # e^T G e = (G e)[perm][j] - (G e)[perm][i]
+        b += c * d
+        energy, diag = self.cand  # E' and diag' of the module docstring, with M b = ae - c a
+        np.add(self.state[0], d * ((2.0 / n) * (ae - c * a) + (2.0 * (d @ b) / (n * n)) * a
+                                   + ((b @ b) / (n * n)) * d), out=energy)
+        np.add(self.state[1], d * (a + b) / n, out=diag)
         x = energy - diag * diag
         x -= np.add.reduce(x) / n  # np.var's steps, without its checks
         return float(np.add.reduce(x * x) / n)
 
     def accept(self, i: int, j: int):
-        perm, terms = self.perm, self.terms
+        perm = self.perm
         perm[i], perm[j] = perm[j], perm[i]
-        self.pair[:, 0], self.pair[:, 1] = terms[0], terms[2]
-        self.mat += self.pair @ (terms[2:0:-1] / perm.size)  # [a d] @ [d b]^T / N
-        np.einsum("ij,ij->i", self.mat, self.mat, out=self.energy)
+        self.state, self.cand = self.cand, self.state
 
 
 def interleaver_search(h: np.ndarray, n: int, *, budget: int,
@@ -174,9 +189,15 @@ def interleaver_search(h: np.ndarray, n: int, *, budget: int,
     always evaluated, so the result is never worse than no interleaving.
 
     The identity and the random start are evaluated in full; each step
-    scores one swap by the rank-2 update of the module docstring. The search
-    keeps one N x N float64 array, M, and peaks at four while
-    interference_matrix builds one (512 MiB at N = MAX_MATRIX_ORDER). The
+    scores one swap from the taps, as in the module docstring. The state is
+    perm, M's row energies and diagonal and the circulant lines, about 22
+    N-vectors (0.7 MiB at N = MAX_MATRIX_ORDER), and a step allocates about 7
+    more. The peak, four N x N float64 arrays, is interference_matrix building
+    the start's M (512 MiB at N = MAX_MATRIX_ORDER), which is then dropped.
+    With taps 0.5,0.3,0.2 and budget 2000 a step takes 0.035 ms at N = 128,
+    0.074 ms at 1024 and 0.10 ms at 2048, and the whole search 0.07, 0.22
+    and 0.51 s (2-core Xeon, 1 BLAS thread; the O(N^2) steps it replaced took
+    0.054 ms at N = 128, and 5.6 and 34 s in all at 1024 and 2048). The
     tracked objective agrees with a full evaluation to about 1e-13
     (relative), not always to the last ulp, so where two candidates tie (as
     on taps 0.7,0.3) the search can branch other than a full evaluation would.
@@ -211,7 +232,7 @@ def _search(h: np.ndarray, n: int, budget: int,
 
     perm = rng.permutation(n)
     swaps = _SwapScorer(h, perm)
-    cur_j = interference_spread(swaps.mat)
+    cur_j = swaps.spread
     if cur_j < best_j:
         best, best_j = perm.copy(), cur_j
     decay = (1e-3) ** (1.0 / budget)

@@ -87,6 +87,25 @@ def test_interleaver_search_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text() == "".join(f"{line}\n" for line in lines)
 
 
+def test_interleaver_search_taps_follow_the_config_rule(tmp_path, capsys):
+    # taps off a unit sum by more than 1e-9 exit 2, as a config's taps do,
+    # rather than being searched unnormalized
+    message = "must sum to 1, got 10.0"
+    code, lines, err = run(capsys, "interleaver-search", "--taps", "5,3,2", "--n", "16")
+    assert code == 2 and lines == [] and message in err
+    path = tmp_path / "taps.conf"
+    path.write_text("scheme = dcr-hcm\nn = 16\ntaps = 5,3,2\ncp_len = 2\n")
+    code, lines, err = run(capsys, "analyze", str(path))
+    assert code == 2 and lines == [] and message in err
+    # unit-sum taps search as before: the same permutation as from a file
+    taps_file = tmp_path / "taps.txt"
+    taps_file.write_text("0.5 0.3 0.2\n")
+    argv = ["interleaver-search", "--n", "16", "--budget", "20"]
+    _, from_flag, _ = run(capsys, *argv, "--taps", "0.5,0.3,0.2")
+    _, from_file, _ = run(capsys, *argv, "--taps-file", str(taps_file))
+    assert from_flag == from_file and sorted(map(int, from_flag)) == list(range(16))
+
+
 @pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm\ndco_headroom = 40"])
 def test_analyze_without_noise_or_clipping(tmp_path, capsys, scheme):
     # neither noise nor clipping distortion: an infinite SNR, not a division by zero

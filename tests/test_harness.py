@@ -391,3 +391,21 @@ def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit * harness.CHUNK_SYMBOLS * cfg.n * 8
+
+
+def test_analyze_keeps_no_mmse_weights():
+    # the CSV needs each point's analytic values only: once analyze returns,
+    # none of its N x N weights, nor the interference matrix, is held
+    n = 512
+    cfg = harness.parse_config((BENCH_CONFIGS / "dispersive-mmse.dcr-hcm.conf").read_text(),
+                               {"n": str(n), "interleaver": "none"})
+    assert cfg.power_grid.size == 4
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        points = harness.analyze(cfg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert [p.weights for p in points] == [None] * 4
+    assert held < n * n * 8
