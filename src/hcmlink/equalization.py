@@ -65,18 +65,19 @@ class MmseWeights:
     error_diag: np.ndarray  # per-component error variance, length N
 
 
-def _circulant_lines(h: np.ndarray, n: int) -> np.ndarray:
-    """Columns and rows of G, and columns of A = G G^T, as windows on their
-    first line written twice: G[:, c] = out[0, N - c], G[r, :] = out[1, N - r]
-    and A[:, c] = out[2, N - c] (views)."""
+def _circulant_lines(h: np.ndarray, n: int, gram: bool = True) -> np.ndarray:
+    """Columns and rows of G, and if gram columns of A = G G^T, as windows on
+    their first line written twice: G[:, c] = out[0, N - c], G[r, :] =
+    out[1, N - r] and A[:, c] = out[2, N - c] (views)."""
     h = np.asarray(h, dtype=np.float64)
     if h.size > n:
         raise ConfigError(f"{h.size} taps do not fit a {n}-point symbol")
     col = np.zeros(n)
     col[: h.size] = h
-    row = np.roll(col[::-1], 1)  # G[0, c] = col[-c mod N]
-    gram = h @ sliding_window_view(np.tile(col, 2), n)[: h.size]  # A[t, 0] = sum_k h[k] col[t + k]
-    return sliding_window_view(np.tile(np.stack((col, row, gram)), 2), n, axis=1)
+    first = [col, np.roll(col[::-1], 1)]  # G[0, c] = col[-c mod N]
+    if gram:  # A[t, 0] = sum_k h[k] col[t + k]
+        first.append(h @ sliding_window_view(np.tile(col, 2), n)[: h.size])
+    return sliding_window_view(np.tile(np.stack(first), 2), n, axis=1)
 
 
 def pam_level_variance(m: int) -> float:
@@ -88,7 +89,7 @@ def interference_matrix(perm: np.ndarray, h: np.ndarray) -> np.ndarray:
     """M = (1/N) B Pi^T G Pi B for the channel taps h (ConfigError if over N), with two fwhts."""
     n = perm.size
     # Pi^T G Pi, Pi the matrix of out[perm[i]] = x[i]: Gt[a, b] = G[perm[a], perm[b]]
-    gt = _circulant_lines(h, n)[1][(n - perm)[:, None], perm]
+    gt = _circulant_lines(h, n, gram=False)[1][(n - perm)[:, None], perm]
     return fwht(fwht(gt.T).T) / n
 
 

@@ -312,8 +312,8 @@ def _reference_search(g, budget, rng):
 def _rank_two_search(g, budget, rng):
     """Frozen copy of the annealing loop that kept M and scored each swap
     by its rank-2 update; the search must branch as it does wherever no two
-    candidates tie (TIED). Returns the permutation and its tracked objective
-    (N > 8)."""
+    candidates tie (TIED, TIED_SEEDS). Returns the permutation and its
+    tracked objective (N > 8)."""
     n = g.shape[0]
 
     def swap_terms(perm, i, j):
@@ -369,9 +369,16 @@ def _rank_two_search(g, budget, rng):
 # side the last ulp lands on, and the accepting side draws one uniform less,
 # so there the two searches may walk apart. Value: the tolerance on the full
 # objective, against the worst of the five seeds as measured: 0.141 and 0.036
-# at N = 16, 1.7e-3 at 64, 9.1e-4 at 128.
-TIED = {((0.7, 0.3), 16): 0.25, ((0.7, 0.3), 64): 0.01, ((0.7, 0.3), 128): 0.01,
-        ((0.5, 0.3, 0.2), 16): 0.25}
+# at N = 16, 1.7e-3 at 64.
+TIED = {((0.7, 0.3), 16): 0.25, ((0.7, 0.3), 64): 0.01, ((0.5, 0.3, 0.2), 16): 0.25}
+
+# Single seeds of otherwise matching cases where such a tie parts the walks.
+# Taps 0.7,0.3, N = 128, seed 4, step 170: the rank-two loop rounds the
+# candidate 2 ulps below the current objective and accepts without a draw,
+# while the scorer computes the two equal and draws. No ordering tried of the
+# score's terms matches both this seed and seed 1 of the same case. The full
+# objective ends 1.9e-4 above the full-evaluation search's.
+TIED_SEEDS = {((0.7, 0.3), 128, 4): 0.01}
 
 
 class TestRankTwoSwap:
@@ -398,11 +405,11 @@ class TestRankTwoSwap:
     @pytest.mark.parametrize("taps", [[0.5, 0.3, 0.2], [0.7, 0.3], [0.4, 0.3, 0.2, 0.1]])
     def test_bit_identical_to_rank_two_loop(self, taps, n, budget):
         # without ties: the same permutation as the rank-two loop, and the
-        # tracked objective to rounding; with ties (TIED): an objective as good
-        # as full evaluation's, within the tolerance
+        # tracked objective to rounding; with ties (TIED, TIED_SEEDS): an
+        # objective as good as full evaluation's, within the tolerance
         g = circulant_channel(taps, n)
-        tol = TIED.get((tuple(taps), n))
         for seed in range(1, 6):
+            tol = TIED.get((tuple(taps), n), TIED_SEEDS.get((tuple(taps), n, seed)))
             perm, tracked = _search(taps, n, budget, _stream(seed, 2, 0))
             if tol is None:
                 want_perm, want_tracked = _rank_two_search(g, budget, _stream(seed, 2, 0))
