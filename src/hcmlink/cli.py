@@ -12,8 +12,7 @@ import numpy as np
 
 from . import analysis, harness
 from .channel import check_taps, load_impulse_response
-from .equalization import MAX_MATRIX_ORDER, interference_matrix, interference_spread, \
-    interleaver_search, save_permutation
+from .equalization import interleaver_search, save_permutation
 from .errors import ConfigError, DomainError
 
 
@@ -96,13 +95,8 @@ def _cmd_interleaver_search(args) -> int:
     else:
         taps = check_taps(_numbers(args.taps.split(","), float, "--taps"), "--taps",
                           unit_sum=True)
-    analysis._check_power_of_two(args.n)
-    if args.n > MAX_MATRIX_ORDER:
-        raise ConfigError(f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {args.n}")
     rng = np.random.default_rng(args.seed)
-    perm = interleaver_search(taps, args.n, budget=args.budget, rng=rng)
-    before = interference_spread(interference_matrix(np.arange(args.n), taps))
-    after = interference_spread(interference_matrix(perm, taps))
+    perm, before, after = interleaver_search(taps, args.n, budget=args.budget, rng=rng)
     print(f"objective: identity={before:.6g} found={after:.6g}", file=sys.stderr)
     with _output(args) as out:
         save_permutation(perm, out)

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .analysis import _check_power_of_two
 from .errors import ConfigError, DomainError
 from .hadamard import fwht
 
@@ -52,8 +53,8 @@ from .hadamard import fwht
 # O(N**2) memory and more time: at N = 4096, `hcmlink analyze` on the
 # dispersive-mmse bench config (four powers, budget 2000) takes 31 s at 844 MiB
 # peak RSS, most of it the four mmse_weights solves (2-core Xeon, 1 BLAS thread).
-# The search's steps hold N-vectors only; it is limited through its full
-# evaluations of the identity and the start (2.0 of its 2.1 s at N = 4096).
+# The search's steps hold N-vectors only; interleaver_search enforces the limit
+# for its full evaluations of the identity and the start (2.0 of 2.1 s at 4096).
 MAX_MATRIX_ORDER = 4096
 
 
@@ -181,8 +182,13 @@ class _SwapScorer:
 
 
 def interleaver_search(h: np.ndarray, n: int, *, budget: int,
-                       rng: np.random.Generator) -> np.ndarray:
+                       rng: np.random.Generator) -> tuple[np.ndarray, float, float]:
     """Find an N-point permutation that evens out the per-component interference.
+
+    Returns (perm, identity_objective, objective), the objectives being
+    interference_spread of the identity and of perm. Before any matrix is
+    built, n must be a power of two (DomainError) and <= MAX_MATRIX_ORDER
+    (ConfigError); h are the channel taps (ConfigError if more than n).
 
     Exhaustive for N <= 8; otherwise simulated annealing over pairwise swaps
     with a geometric temperature schedule (T0 = half the identity objective,
@@ -197,39 +203,34 @@ def interleaver_search(h: np.ndarray, n: int, *, budget: int,
     the start's M (512 MiB at N = MAX_MATRIX_ORDER), which is then dropped.
     With taps 0.5,0.3,0.2 and budget 2000 a step takes 0.035 ms at N = 128,
     0.074 ms at 1024 and 0.10 ms at 2048, and the whole search 0.07, 0.22
-    and 0.51 s (2-core Xeon, 1 BLAS thread; the O(N^2) steps it replaced took
-    0.054 ms at N = 128, and 5.6 and 34 s in all at 1024 and 2048). The
-    tracked objective agrees with a full evaluation to about 1e-13
-    (relative), not always to the last ulp, so where two candidates tie (as
-    on taps 0.7,0.3) the search can branch other than a full evaluation would.
+    and 0.51 s (2-core Xeon, 1 BLAS thread). The tracked objective agrees
+    with a full evaluation to about 1e-13 (relative), not always to the last
+    ulp, so where two candidates tie (as on taps 0.7,0.3) the search can
+    branch other than a full evaluation would.
 
     The gain is the MMSE receiver's: on dcr-hcm, N = 128, taps 0.5,0.3,0.2,
     noise std 2 uW, 5e-5 W, its BER falls from 9.2e-4 to 2.1e-4 (a tier-1
     test pins this), while the plain slicer's rises from 0.086 to 0.094.
 
-    h are the channel taps (ConfigError if more than n). budget and rng are
-    keyword-only: wrappers that record the budget, such as the benchmark's
-    tracer in bench/spans.py, read it by name.
+    budget and rng are keyword-only: wrappers that record the budget, such as
+    the benchmark's tracer in bench/spans.py, read it by name.
     """
-    return _search(h, n, budget, rng)[0]
-
-
-def _search(h: np.ndarray, n: int, budget: int,
-            rng: np.random.Generator) -> tuple[np.ndarray, float]:
-    """interleaver_search, plus the objective it tracked for the result."""
+    _check_power_of_two(n)
+    if n > MAX_MATRIX_ORDER:
+        raise ConfigError(f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {n}")
     if budget < 1:
         raise DomainError("budget must be >= 1")
     best = np.arange(n)
-    best_j = interference_spread(interference_matrix(best, h))
+    identity_j = best_j = interference_spread(interference_matrix(best, h))
     if best_j == 0.0:
-        return best, best_j
+        return best, identity_j, best_j
 
     if n <= 8:
         for cand in itertools.permutations(range(n)):
             j = interference_spread(interference_matrix(np.array(cand), h))
             if j < best_j:
                 best, best_j = np.array(cand), j
-        return best, best_j
+        return best, identity_j, best_j
 
     perm = rng.permutation(n)
     swaps = _SwapScorer(h, perm)
@@ -250,7 +251,7 @@ def _search(h: np.ndarray, n: int, budget: int,
             if cur_j < best_j:
                 best, best_j = perm.copy(), cur_j
         temp *= decay
-    return best, best_j
+    return best, identity_j, best_j
 
 
 def save_permutation(perm: np.ndarray, fh):

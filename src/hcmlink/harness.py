@@ -139,8 +139,8 @@ class ExperimentConfig:
         object.__setattr__(self, "h", check_taps(self.h, unit_sum=True))
         if not self.p_max > 0:
             raise ConfigError(f"p_max must be positive, got {self.p_max!r}")
-        if not self.sigma2_n >= 0:
-            raise ConfigError("sigma2_n must be non-negative")
+        if not 0 <= self.sigma2_n < math.inf:
+            raise ConfigError(f"sigma2_n must be finite and >= 0, got {self.sigma2_n!r}")
         if not self.gamma >= 1.0:
             raise ConfigError(f"gamma must be >= 1, got {self.gamma!r}")
         if self.cp_len < self.h.size - 1:
@@ -155,6 +155,8 @@ class ExperimentConfig:
             raise ConfigError("target_errors must be >= 100 for a meaningful CI")
         if self.max_symbols < 1:
             raise ConfigError("max_symbols must be >= 1")
+        if self.calib_symbols < 1:
+            raise ConfigError(f"calib_symbols must be >= 1, got {self.calib_symbols}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.cp_len >= self.n:
@@ -495,7 +497,7 @@ class _SweepContext:
             return None
         if cfg.interleaver == "search":
             return interleaver_search(cfg.h, cfg.n, budget=cfg.interleaver_budget,
-                                      rng=_stream(cfg.master_seed, 2, 0))
+                                      rng=_stream(cfg.master_seed, 2, 0))[0]
         return load_permutation(cfg.interleaver, cfg.n)
 
 
@@ -595,12 +597,12 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
                    gamma: float) -> AchievableSnr:
     """Scan average power over (0, p_max] and return the best per-point SNR.
 
-    The grid is log-spaced from p_max/100 with 200 points; m is
-    the PAM or QAM order and is checked like a config's. The per-point SNR
-    is the squared Q-argument of the scheme's analytic BER, times the
-    scheme's peak_snr_factor: hcm and dcr-hcm report 4x that, the squared
-    ratio of the PAM level spacing to the noise std, which for m = 2 is the
-    peak SNR (the decision distance is half the peak of the unipolar grid).
+    The grid is log-spaced from p_max/100 with 200 points, so p_max must be
+    finite (DomainError); m is the PAM or QAM order, checked like a config's.
+    The per-point SNR is the squared Q-argument of the scheme's analytic BER,
+    times the scheme's peak_snr_factor: hcm and dcr-hcm report 4x that, the
+    squared ratio of the PAM level spacing to the noise std, which for m = 2
+    is the peak SNR (the decision distance is half the unipolar grid's peak).
     The dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
     from np.random.default_rng(0x5EED); dco-ofdm uses the headroom factor
     analysis.DCO_HEADROOM_FACTOR.
@@ -609,13 +611,15 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
         raise DomainError(f"unknown scheme {scheme!r}")
     cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
                            sigma2_n=sigma2_n, gamma=gamma, calib_symbols=30_000)
+    if math.isinf(p_max):  # a valid config, an unclipped LED, but no grid to scan
+        raise DomainError("the scan over (0, p_max] needs a finite p_max")
     ctx = _SweepContext(cfg, np.random.default_rng(0x5EED))
     grid = np.geomspace(p_max * 1e-2, p_max, 200)
     factor = ctx.scheme.peak_snr_factor
     snrs = np.array([factor * ctx.scheme.snr(ctx, float(a)) for a in grid])
     best = int(np.argmax(snrs))
     return AchievableSnr(
-        spectral_efficiency=ctx.scheme.data_count(n) * math.log2(m) / n,
+        spectral_efficiency=ctx.bits_per_symbol / n,
         max_snr=float(snrs[best]),
         best_avg_power=float(grid[best]),
     )

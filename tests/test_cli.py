@@ -1,5 +1,6 @@
 """Exit codes and output shape of every CLI command on tiny inputs."""
 
+import numpy as np
 import pytest
 
 from hcmlink import cli, equalization
@@ -69,12 +70,32 @@ def test_interleaver_search(capsys):
 def test_interleaver_search_above_the_size_limit_fails_first(capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("interference_matrix called")
-    monkeypatch.setattr(cli, "interference_matrix", fail)
     monkeypatch.setattr(equalization, "interference_matrix", fail)
     n = str(2 * MAX_MATRIX_ORDER)
     code, lines, err = run(capsys, "interleaver-search", "--taps", "0.5,0.3,0.2", "--n", n)
     assert code == 2 and lines == []
     assert f"n <= {MAX_MATRIX_ORDER}" in err
+
+
+def test_interleaver_search_prints_the_objectives_it_searched(capsys, monkeypatch):
+    # two matrices, the identity's and the start's, built by the search itself;
+    # the printed objectives are the ones it tracked
+    real = equalization.interference_matrix
+    calls = []
+
+    def counted(perm, h):
+        calls.append(perm.size)
+        return real(perm, h)
+    for module in (cli, equalization):  # every binding the command could call
+        if hasattr(module, "interference_matrix"):
+            monkeypatch.setattr(module, "interference_matrix", counted)
+    taps = [0.5, 0.3, 0.2]
+    code, lines, err = run(capsys, "interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "64",
+                           "--budget", "200")
+    assert code == 0 and calls == [64, 64]
+    identity, found = (equalization.interference_spread(real(perm, taps))
+                       for perm in (np.arange(64), np.array([int(v) for v in lines])))
+    assert err == f"objective: identity={identity:.6g} found={found:.6g}\n"
 
 
 def test_interleaver_search_out_file_matches_stdout(tmp_path, capsys):
@@ -187,6 +208,9 @@ def test_eta_reversed_range_exits_2(capsys):
     (["pmf", "--n", str(2 << MAX_ORDER_LOG2)], "power of two"),
     (["pmf", "--n", str(2 << MAX_ORDER_LOG2), "--dcr", "--symbols", "1"], "power of two"),
     (["eta", "--n-range", f"{2 << MAX_ORDER_LOG2}:{2 << MAX_ORDER_LOG2}"], "power of two"),
+    # an infinite std or peak gives no finite SNR to scan for
+    (["snr", "--noise-std-w", "inf"], "sigma2_n must be finite"),
+    (["snr", "--p-max-w", "inf"], "needs a finite p_max"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

@@ -18,7 +18,7 @@ except ImportError:  # numpy < 2
 from hcmlink import equalization
 from hcmlink.channel import propagate
 from hcmlink.equalization import (
-    _search,
+    MAX_MATRIX_ORDER,
     _SwapScorer,
     interference_matrix,
     interference_spread,
@@ -253,7 +253,7 @@ class TestMmseEstimate:
 
 class TestInterleaverSearch:
     def test_identity_channel_returns_identity(self):
-        perm = interleaver_search([1.0], 8, budget=50, rng=np.random.default_rng(0))
+        perm = interleaver_search([1.0], 8, budget=50, rng=np.random.default_rng(0))[0]
         assert np.array_equal(perm, np.arange(8))
 
     def test_exhaustive_matches_brute_force_n4(self):
@@ -262,20 +262,31 @@ class TestInterleaverSearch:
             interference_spread(interference_matrix(np.array(p), h))
             for p in itertools.permutations(range(4))
         )
-        perm = interleaver_search(h, 4, budget=30, rng=np.random.default_rng(1))
+        perm = interleaver_search(h, 4, budget=30, rng=np.random.default_rng(1))[0]
         got = interference_spread(interference_matrix(perm, h))
         assert got == pytest.approx(best_j, abs=1e-15)
 
     def test_never_worse_than_identity_n128(self):
         h = [0.5, 0.3, 0.2]
-        perm = interleaver_search(h, 128, budget=300, rng=np.random.default_rng(2))
-        j_pi = interference_spread(interference_matrix(perm, h))
-        j_id = interference_spread(interference_matrix(np.arange(128), h))
+        perm, j_id, j_pi = interleaver_search(h, 128, budget=300, rng=np.random.default_rng(2))
+        assert j_id == interference_spread(interference_matrix(np.arange(128), h))
+        assert j_pi == pytest.approx(interference_spread(interference_matrix(perm, h)), rel=1e-9)
         assert j_pi <= j_id
 
     def test_budget_validation(self):
         with pytest.raises(DomainError):
             interleaver_search([1.0], 8, budget=0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n, error, message", [
+        (2 * MAX_MATRIX_ORDER, ConfigError, f"n <= {MAX_MATRIX_ORDER}"),
+        (12, DomainError, "power of two"),
+    ])
+    def test_size_is_checked_before_any_matrix(self, monkeypatch, n, error, message):
+        def fail(*args, **kwargs):
+            raise AssertionError("interference_matrix called")
+        monkeypatch.setattr(equalization, "interference_matrix", fail)
+        with pytest.raises(error, match=message):
+            interleaver_search([0.5, 0.3, 0.2], n, budget=10, rng=np.random.default_rng(0))
 
 
 def _reference_search(g, budget, rng):
@@ -410,7 +421,7 @@ class TestRankTwoSwap:
         g = circulant_channel(taps, n)
         for seed in range(1, 6):
             tol = TIED.get((tuple(taps), n), TIED_SEEDS.get((tuple(taps), n, seed)))
-            perm, tracked = _search(taps, n, budget, _stream(seed, 2, 0))
+            perm, _, tracked = interleaver_search(taps, n, budget=budget, rng=_stream(seed, 2, 0))
             if tol is None:
                 want_perm, want_tracked = _rank_two_search(g, budget, _stream(seed, 2, 0))
                 assert np.array_equal(perm, want_perm)
@@ -422,7 +433,7 @@ class TestRankTwoSwap:
     @pytest.mark.parametrize("seed", range(1, 6))
     def test_same_permutation_as_full_evaluation(self, seed):
         h = [0.5, 0.3, 0.2]
-        got = interleaver_search(h, 128, budget=500, rng=_stream(seed, 2, 0))
+        got = interleaver_search(h, 128, budget=500, rng=_stream(seed, 2, 0))[0]
         want = _reference_search(circulant_channel(h, 128), 500, _stream(seed, 2, 0))
         assert np.array_equal(got, want)
 
@@ -431,7 +442,7 @@ class TestRankTwoSwap:
         # taps 0.7,0.3 give exactly tied objectives, where the two searches
         # may branch differently
         h = [0.7, 0.3]
-        got = objective(interleaver_search(h, 128, budget=500, rng=_stream(seed, 2, 0)), h)
+        got = objective(interleaver_search(h, 128, budget=500, rng=_stream(seed, 2, 0))[0], h)
         g = circulant_channel(h, 128)
         want = objective(_reference_search(g, 500, _stream(seed, 2, 0)), h)
         assert got == pytest.approx(want, rel=0.01)
@@ -439,7 +450,7 @@ class TestRankTwoSwap:
     def test_tracked_objective_n512(self):
         # N = 512: the Hadamard products all go through fwht
         h = [0.5, 0.3, 0.2]
-        perm, tracked = _search(h, 512, 20, np.random.default_rng(3))
+        perm, _, tracked = interleaver_search(h, 512, budget=20, rng=np.random.default_rng(3))
         assert sorted(perm) == list(range(512))
         assert tracked == pytest.approx(objective(perm, h), rel=1e-9)
 
@@ -449,7 +460,7 @@ class TestRankTwoSwap:
     ])
     def test_large_search_keeps_its_permutation(self, n, digest):
         # the SHA-256 of the permutation the rank-two loop found (5.8 s and 36 s)
-        perm = interleaver_search([0.5, 0.3, 0.2], n, budget=2000, rng=_stream(1, 2, 0))
+        perm = interleaver_search([0.5, 0.3, 0.2], n, budget=2000, rng=_stream(1, 2, 0))[0]
         assert hashlib.sha256(perm.astype(np.int64).tobytes()).hexdigest() == digest
 
     def test_search_holds_no_channel_matrix(self):
@@ -496,7 +507,7 @@ class TestRankTwoSwap:
             calls.append(perm.size)
             return interference_matrix(perm, h)
         monkeypatch.setattr(equalization, "interference_matrix", counted)
-        _search([0.5, 0.3, 0.2], 64, budget, np.random.default_rng(4))
+        interleaver_search([0.5, 0.3, 0.2], 64, budget=budget, rng=np.random.default_rng(4))
         assert calls == [64, 64]
 
 

@@ -145,6 +145,7 @@ def test_negative_master_seed_rejected():
 
 @pytest.mark.parametrize("key, value", [
     ("noise_std_w", "-1"),
+    ("noise_std_w", "inf"),
     ("power_grid_w", "nan"),
     ("master_seed", "-1"),
     ("taps", "0.5,x"),
@@ -165,6 +166,7 @@ def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     ("p_max_w", "nan", "p_max must be positive"),
     ("taps", "0.5,0.3", "sum to 1, got 0.8"),
     ("cp_len", "0", "too short for 3-tap channel"),
+    ("calib_symbols", "0", "calib_symbols must be >= 1"),
 ])
 def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, value, message):
     # the link is checked with the config, not at the first point after the search
