@@ -9,11 +9,11 @@ formed: modem_hcm works with B through `fwht`.
 B_N = B_a (x) B_b (x) ... with N = a * b * ... (Fino & Algazi, IEEE Trans.
 Comput. 1976; Van Loan, Computational Frameworks for the FFT, 1992): each
 factor of at most 32 points is one dense +/-1 matrix product on a reshaped
-axis. It transforms the last axis only; a caller that needs another axis
-passes a transposed view. On integer-valued inputs every partial sum is
-exact, so the result is exact; on other floats it can differ from a
-radix-2 butterfly in the last ulp because the additions run in another
-order.
+axis, with the block B_f built once by the Sylvester recurrence above. It
+transforms the last axis only; a caller that needs another axis passes a
+transposed view. On integer-valued inputs every partial sum is exact, so
+the result is exact; on other floats it can differ from a radix-2
+butterfly in the last ulp because the additions run in another order.
 
 float32 input stays float32 (any other input is transformed in float64).
 Every partial sum of B v is bounded by N max|v|, so integer-valued float32
@@ -25,7 +25,6 @@ input, level indices in [0, M-1], is transformed exactly while
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .errors import SizeError
 
@@ -44,7 +43,10 @@ def _factor_sizes(order_log2: int) -> list:
 
 @lru_cache(maxsize=None)
 def _bipolar_block(n: int, dtype: np.dtype) -> np.ndarray:
-    block = hadamard(n, dtype)
+    """B_n by the Sylvester recurrence B_2N = [[B_N, B_N], [B_N, -B_N]] from B_1 = [1]."""
+    block = np.ones((1, 1), dtype)
+    while len(block) < n:
+        block = np.block([[block, block], [block, -block]])
     block.setflags(write=False)
     return block
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
-from scipy.special import comb
+from scipy.special import comb, erfc, ndtr
 from scipy.stats import norm
 
 from hcmlink import analysis, harness
@@ -228,7 +228,7 @@ def _float_dcr_pmf(n, m, symbols, rng):
 @pytest.mark.parametrize("n, m, symbols", [
     (128, 2, 20_000), (128, 4, 20_000), (16, 8, 5000), (64, 16, 9000), (1024, 2, 8192),
     # symbols not a multiple of a block (512 at n=128), and fewer than one block
-    (128, 2, analysis.DCR_BLOCK_CHIPS // 128 * 3 + 77), (256, 4, 100),
+    (128, 2, analysis.CALIB_BLOCK_CHIPS // 128 * 3 + 77), (256, 4, 100),
 ])
 def test_dcr_pmf_equals_float_pipeline(n, m, symbols):
     pmf = dcr_amplitude_pmf(n, m, symbols, np.random.default_rng(11))
@@ -341,6 +341,34 @@ class TestClippingVarianceGaussian:
         assert lower == pytest.approx(upper, rel=1e-12)
         assert v == pytest.approx(lower + upper, rel=1e-12)
 
+    @pytest.mark.parametrize("std", [1e-6, 0.3, 7.0])
+    def test_tail_variances_match_scipy_ndtr(self, std):
+        # the formulas as written, with scipy's ndtr for Phi = Q(-a)
+        def lower(mean, floor):
+            a, mu = (floor - mean) / std, mean - floor
+            term = (mu * mu + std * std) * ndtr(a)
+            return float(term - mu * std * analysis._phi(a)), term
+
+        def upper(mean, cap):
+            b, mu = (cap - mean) / std, mean - cap
+            term = (mu * mu + std * std) * (1.0 - ndtr(b))
+            return float(term + mu * std * analysis._phi(b)), term
+
+        def check(got, want, scale):
+            if want < 1e-300:
+                assert got < 1e-300
+            else:
+                assert abs(got - want) <= 1e-12 * scale
+
+        # z is the floor's or cap's distance from the mean in std
+        for z in np.linspace(-38.0, 38.0, 761):
+            want, term = lower(-z * std, 0.0)
+            # the two terms cancel when the floor lies over 4 std below the
+            # mean, which magnifies any ulp of Phi: there, 1e-12 of its term
+            check(analysis._lower_tail_var(-z * std, std, 0.0), want, want if z >= -4.0 else term)
+            want, _ = upper(0.5, 0.5 + z * std)
+            check(analysis._upper_tail_var(0.5, std, 0.5 + z * std), want, want)
+
     @pytest.mark.parametrize(
         "mean,var,p_max", [(0.2, 1.3, 1.7), (-0.5, 0.04, 0.5), (2.0, 4.0, 2.5)]
     )
@@ -359,6 +387,26 @@ class TestClippingVarianceGaussian:
 class TestAnalyticalBer:
     def test_qfunc_at_three(self):
         assert qfunc(3.0) == pytest.approx(1.3499e-3, rel=1e-4)
+
+    @pytest.mark.parametrize("x", [
+        3.0,
+        np.float64(-1.5),
+        np.array(37.0),
+        np.concatenate([np.linspace(-40.0, 40.0, 8001), [-np.inf, np.inf]]),
+        np.linspace(-6.0, 38.0, 12).reshape(3, 4),
+        np.array([]),
+    ], ids=["scalar", "np-scalar", "0-d", "1-d", "2-d", "empty"])
+    def test_qfunc_matches_scipy_erfc(self, x):
+        # math.erfc applied elementwise, held to scipy's erfc to 1e-12 relative
+        got = qfunc(x)
+        want = 0.5 * erfc(np.asarray(x, dtype=np.float64) / np.sqrt(2.0))
+        assert type(got) is type(want)
+        assert got.dtype == np.float64 and np.shape(got) == np.shape(x)
+        got, want = np.atleast_1d(got), np.atleast_1d(want)
+        kept = want >= 1e-300
+        assert_allclose(got[kept], want[kept], rtol=1e-12, atol=0)
+        # below that both are subnormal or zero
+        assert np.all(got[~kept] < 1e-300)
 
     def test_binary_form_and_q_argument(self):
         # pick (p, sigma) so the decision Q-argument is exactly 3

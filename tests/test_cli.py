@@ -1,5 +1,10 @@
 """Exit codes and output shape of every CLI command on tiny inputs."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -15,6 +20,21 @@ noise_std_w = 4e-6
 max_symbols = 300
 target_errors = 100
 calib_symbols = 1000
+"""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# runs cli.main on its arguments with every scipy import failing, then
+# prints the scipy modules that did load
+NO_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from hcmlink import cli
+code = cli.main(sys.argv[1:])
+print(sorted(k for k, v in sys.modules.items() if v and k.split(".")[0] == "scipy"),
+      file=sys.stderr)
+sys.exit(code)
 """
 
 
@@ -216,3 +236,26 @@ def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)
     assert code == 2
     assert lines == [] and message in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{conf}"],
+    ["analyze", "{conf}"],
+    ["pmf", "--n", "16", "--m", "4"],
+    ["pmf", "--n", "16", "--dcr", "--symbols", "500"],
+    ["eta", "--n-range", "4:8", "--trials", "10000"],
+    ["interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "16", "--budget", "20"],
+    ["snr", "--schemes", "hcm,dcr-hcm,aco-ofdm,dco-ofdm", "--m-list", "4"],
+], ids=["simulate", "analyze", "pmf", "pmf-dcr", "eta", "interleaver-search", "snr"])
+def test_every_command_runs_without_scipy(tmp_path, argv):
+    # the package needs numpy only: scipy is a test dependency
+    conf = tmp_path / "tiny.conf"
+    conf.write_text(CONFIG)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", NO_SCIPY,
+                           *(a.format(conf=conf) for a in argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert done.stdout
+    assert done.stderr.splitlines()[-1] == "[]"

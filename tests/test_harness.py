@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hcmlink import cli, equalization, harness
+from hcmlink import analysis, cli, equalization, harness
 from hcmlink.channel import DEFAULT_GAMMA, propagate
 from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.errors import ConfigError
+from hcmlink.modem_ofdm import aco_time_samples, qam_symbols
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -411,3 +412,37 @@ def test_analyze_keeps_no_mmse_weights():
         tracemalloc.stop()
     assert [p.weights for p in points] == [None] * 4
     assert held < n * n * 8
+
+
+def _aco_context(n: int, m: int, seed: int) -> "harness._SweepContext":
+    text = f"scheme = aco-ofdm\nn = {n}\nm = {m}\nmaster_seed = {seed}\n" + BASE
+    return harness._SweepContext(harness.parse_config(text))
+
+
+def _aco_unit_mean_whole(ctx) -> float:
+    """Oracle: the ACO unit mean over one whole-array draw and transform."""
+    rng = harness._stream(ctx.cfg.master_seed, 1, 1)
+    bits = analysis._uniform_ints(rng, 2, (harness.ACO_CALIB_FRAMES, ctx.bits_per_symbol))
+    raw = aco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
+    return float(np.maximum(raw, 0.0).mean())
+
+
+@pytest.mark.parametrize("n", [4, 32, 128, 1024, 4096])
+@pytest.mark.parametrize("m", [4, 16, 64])
+def test_aco_calibration_in_blocks_is_the_whole_array_mean(n, m):
+    for seed in (1, 2, 3):
+        ctx = _aco_context(n, m, seed)
+        assert harness._aco_unit_mean(ctx) == _aco_unit_mean_whole(ctx)
+
+
+def test_aco_calibration_holds_one_block():
+    # at N = 1,024 the whole (4096, N) calibration peaked at 96 MiB, a
+    # block at a few of its 2**16-chip arrays (2.1 MiB)
+    ctx = _aco_context(1024, 4, 1)
+    tracemalloc.start()
+    try:
+        harness._aco_unit_mean(ctx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * analysis.CALIB_BLOCK_CHIPS * 8
