@@ -93,6 +93,7 @@ from .modem_ofdm import (
 )
 
 CHUNK_SYMBOLS = 256  # symbols per chunk and its RNG stream; changing it changes every result
+MAX_POWER_W = 1e150  # largest grid power: the closed forms' squares stay finite to N = 2**16
 
 BER_CSV_HEADER = ("avg_power_w", "symbols", "bit_errors", "ber", "ci95", "analytical_ber")
 ANALYZE_CSV_HEADER = ("avg_power_w", "analytical_ber", "snr")
@@ -151,6 +152,8 @@ class ExperimentConfig:
             raise ConfigError("power grid values must be finite")
         if grid.size and (np.any(grid <= 0) or np.any(grid > self.p_max)):
             raise ConfigError("power grid values must lie in (0, p_max]")
+        if np.any(grid > MAX_POWER_W):
+            raise ConfigError(f"power grid values must be at most {MAX_POWER_W:g} W")
         if self.target_errors < 100:
             raise ConfigError("target_errors must be >= 100 for a meaningful CI")
         if self.max_symbols < 1:
@@ -342,14 +345,14 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
     return float(sums[0] / (ACO_CALIB_FRAMES * cfg.n))
 
 
-def _dco_scale(ctx: "_SweepContext", avg: float) -> float:
+def _dco_scale(ctx: "_SweepContext", avg):
     # the bias is the average; the AC std uses the clipping headroom
     cfg = ctx.cfg
-    sigma_x = min(avg, cfg.p_max - avg) / cfg.dco_headroom
+    sigma_x = np.minimum(avg, cfg.p_max - avg) / cfg.dco_headroom
     return sigma_x / analysis.dco_time_std(cfg.n)
 
 
-def _hcm_snr(ctx: "_SweepContext", avg: float) -> float:
+def _hcm_snr(ctx: "_SweepContext", avg):
     cfg = ctx.cfg
     p = ctx.scheme.drive(ctx, avg)
     sigma2_clip = clipping_variance_discrete(ctx.calib, p, cfg.n, cfg.p_max)
@@ -405,6 +408,7 @@ class _Scheme:
     check: Callable  # (cfg): PAM/QAM order and scheme limits; raises ConfigError
     data_count: Callable  # (n): PAM levels or QAM symbols per symbol
     calibrate: Callable  # (ctx): chip pmf, ACO unit mean or None
+    # drive, snr and ber take a scalar or an array (of powers; ber of SNRs)
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
     ber: Callable  # (snr, m): analytic bit error rate
@@ -620,12 +624,14 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
                    gamma: float) -> AchievableSnr:
     """Scan average power over (0, p_max] and return the best per-point SNR.
 
-    The grid is log-spaced from p_max/100 with 200 points, so p_max must be
-    finite (DomainError); m is the PAM or QAM order, checked like a config's.
-    The per-point SNR is the squared Q-argument of the scheme's analytic BER,
-    times the scheme's peak_snr_factor: hcm and dcr-hcm report 4x that, the
-    squared ratio of the PAM level spacing to the noise std, which for m = 2
-    is the peak SNR (the decision distance is half the unipolar grid's peak).
+    The grid is log-spaced from p_max/100 with 200 points and scored in one
+    array pass. p_max must be at most MAX_POWER_W, so that no squared
+    amplitude of the scan overflows (DomainError); m is the PAM or QAM
+    order, checked like a config's. max_snr is the squared Q-argument of the
+    scheme's analytic BER times its peak_snr_factor: 4x for hcm and dcr-hcm,
+    the squared ratio of the PAM level spacing to the noise std, which for
+    m = 2 is the peak SNR (the decision distance is half the unipolar grid's
+    peak), and 1x for the OFDM schemes.
     The dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
     from np.random.default_rng(0x5EED); dco-ofdm uses the headroom factor
     analysis.DCO_HEADROOM_FACTOR.
@@ -634,12 +640,12 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
         raise DomainError(f"unknown scheme {scheme!r}")
     cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
                            sigma2_n=sigma2_n, gamma=gamma, calib_symbols=30_000)
-    if math.isinf(p_max):  # a valid config, an unclipped LED, but no grid to scan
-        raise DomainError("the scan over (0, p_max] needs a finite p_max")
+    if not p_max <= MAX_POWER_W:  # a valid config (inf: an unclipped LED), but no grid to scan
+        raise DomainError(
+            f"the scan over (0, p_max] needs a finite p_max <= {MAX_POWER_W:g}, got {p_max:g}")
     ctx = _SweepContext(cfg, np.random.default_rng(0x5EED))
     grid = np.geomspace(p_max * 1e-2, p_max, 200)
-    factor = ctx.scheme.peak_snr_factor
-    snrs = np.array([factor * ctx.scheme.snr(ctx, float(a)) for a in grid])
+    snrs = ctx.scheme.peak_snr_factor * ctx.scheme.snr(ctx, grid)
     best = int(np.argmax(snrs))
     return AchievableSnr(
         spectral_efficiency=ctx.bits_per_symbol / n,

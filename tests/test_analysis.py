@@ -336,8 +336,8 @@ class TestClippingVarianceGaussian:
 
     def test_symmetric_caps_split_evenly(self):
         v = clipping_variance_gaussian(1.0, 0.3, 2.0)
-        lower = analysis._lower_tail_var(1.0, math.sqrt(0.3), 0.0)
-        upper = analysis._upper_tail_var(1.0, math.sqrt(0.3), 2.0)
+        lower = analysis._tail_var(1.0, math.sqrt(0.3), 0.0, side=-1.0)
+        upper = analysis._tail_var(1.0, math.sqrt(0.3), 2.0, side=1.0)
         assert lower == pytest.approx(upper, rel=1e-12)
         assert v == pytest.approx(lower + upper, rel=1e-12)
 
@@ -365,9 +365,10 @@ class TestClippingVarianceGaussian:
             want, term = lower(-z * std, 0.0)
             # the two terms cancel when the floor lies over 4 std below the
             # mean, which magnifies any ulp of Phi: there, 1e-12 of its term
-            check(analysis._lower_tail_var(-z * std, std, 0.0), want, want if z >= -4.0 else term)
+            got = analysis._tail_var(-z * std, std, 0.0, side=-1.0)
+            check(got, want, want if z >= -4.0 else term)
             want, _ = upper(0.5, 0.5 + z * std)
-            check(analysis._upper_tail_var(0.5, std, 0.5 + z * std), want, want)
+            check(analysis._tail_var(0.5, std, 0.5 + z * std, side=1.0), want, want)
 
     @pytest.mark.parametrize(
         "mean,var,p_max", [(0.2, 1.3, 1.7), (-0.5, 0.04, 0.5), (2.0, 4.0, 2.5)]

@@ -11,6 +11,7 @@ import pytest
 from hcmlink import cli, equalization
 from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.hadamard import MAX_ORDER_LOG2
+from hcmlink.harness import MAX_POWER_W
 
 CONFIG = """
 scheme = dcr-hcm
@@ -168,6 +169,43 @@ def test_snr(capsys, extra):
     assert len(lines) == (5 if extra else 3)
 
 
+@pytest.mark.parametrize("n, schemes, m", [
+    (16, "hcm,dcr-hcm,aco-ofdm,dco-ofdm", "4"),
+    # the largest order; dcr-hcm's 30,000 calibration frames would take minutes there
+    (1 << MAX_ORDER_LOG2, "hcm", "2"),
+    (1 << MAX_ORDER_LOG2, "aco-ofdm,dco-ofdm", "4"),
+])
+def test_snr_at_the_largest_p_max(capsys, n, schemes, m):
+    # p_max = MAX_POWER_W with a noise std of 1e140 W: every square of the scan stays finite
+    code, lines, _ = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--noise-std-w", "1e140",
+                         "--n", str(n), "--schemes", schemes, "--m-list", m)
+    assert code == 0
+    assert len(lines) == 2 + schemes.count(",")
+    assert not any("nan" in line or "inf" in line for line in lines)
+
+
+def test_snr_beyond_every_float_is_inf(capsys):
+    # at p_max = MAX_POWER_W and the default noise the best SNRs pass 1e307:
+    # inf, and no overflow warning when 4x them gives hcm's peak SNR
+    code, lines, _ = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--n", "16",
+                         "--schemes", "hcm,dcr-hcm,aco-ofdm", "--m-list", "4")
+    assert code == 0
+    assert [line.split(",")[3] for line in lines[1:]] == ["inf"] * 3
+
+
+@pytest.mark.parametrize("power, code", [(MAX_POWER_W, 0), (1e160, 2)])
+def test_analyze_power_grid_bound(tmp_path, capsys, power, code):
+    # the grid's bound is the scan's: 1e160 W would square to inf and print NaN
+    path = tmp_path / "huge.conf"
+    path.write_text(f"scheme = hcm\nn = 16\np_max_w = inf\npower_grid_w = {power:g}\n")
+    got, lines, err = run(capsys, "analyze", str(path))
+    assert got == code
+    if code:
+        assert lines == [] and f"at most {MAX_POWER_W:g} W" in err
+    else:
+        assert lines[1:] == ["1e+150,0,inf"]
+
+
 @pytest.mark.parametrize("argv", [
     ["eta", "--n-range", "12:12"],
     ["eta", "--n-range", "0:4"],
@@ -231,6 +269,9 @@ def test_eta_reversed_range_exits_2(capsys):
     # an infinite std or peak gives no finite SNR to scan for
     (["snr", "--noise-std-w", "inf"], "sigma2_n must be finite"),
     (["snr", "--p-max-w", "inf"], "needs a finite p_max"),
+    # a finite peak whose squares overflow: no NaN table, no overflow warning
+    (["snr", "--p-max-w", "1e300"], f"p_max <= {MAX_POWER_W:g}"),
+    (["snr", "--p-max-w", "1e160", "--schemes", "hcm"], f"p_max <= {MAX_POWER_W:g}"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

@@ -129,6 +129,122 @@ def test_simulate_output_is_frozen(tmp_path, capsys, name):
     assert max(symbols) > harness.CHUNK_SYMBOLS
 
 
+# analyze runs the sweep configs and these edge cases: no noise (an infinite
+# SNR where nothing clips), an unclipped LED and a DCO bias just below p_max
+ANALYZE_CONFIGS = {
+    **SWEEP_CONFIGS,
+    "hcm-n32-noiseless": """
+        scheme = hcm
+        n = 32
+        power_grid_w = 1e-5,6.3e-5,1e-4
+        noise_std_w = 0
+    """,
+    "dcr-hcm-n32-noiseless": """
+        scheme = dcr-hcm
+        n = 32
+        power_grid_w = 1e-5,4e-5,1e-4
+        noise_std_w = 0
+        calib_symbols = 2000
+    """,
+    "hcm-n32-p-max-inf": """
+        scheme = hcm
+        n = 32
+        p_max_w = inf
+        power_grid_w = 1e-5,1
+        noise_std_w = 4e-6
+    """,
+    "aco-ofdm-p-max-inf": """
+        scheme = aco-ofdm
+        m = 4
+        p_max_w = inf
+        power_grid_w = 1e-5,1e-3
+        noise_std_w = 1e-6
+    """,
+    "dco-ofdm-p-max-inf": """
+        scheme = dco-ofdm
+        n = 16
+        m = 4
+        p_max_w = inf
+        power_grid_w = 1e-5
+        noise_std_w = 1e-6
+    """,
+    "dco-ofdm-below-p-max": """
+        scheme = dco-ofdm
+        n = 16
+        m = 16
+        power_grid_w = 5e-5,9.9e-5,9.999999999999999e-05
+        noise_std_w = 2e-6
+    """,
+}
+
+# analyze's CSV rows for each config, pinned byte for byte
+ANALYZE_CSV_ROWS = {
+    "aco-ofdm-n32": ["5e-06,0.0219967833,4.056808695", "3e-05,0.0001542479023,13.01809303"],
+    "aco-ofdm-p-max-inf": ["1e-05,1.030107955e-58,259.6357565", "0.001,0,2596357.565"],
+    "dco-ofdm-below-p-max": [
+        "5e-05,0.02630558044,3.27954873",
+        "9.9e-05,0.3641653865,0.001311819494",
+        "0.0001,0.375,2.409431881e-31",
+    ],
+    "dco-ofdm-n16-taps": ["5e-06,0.3427603387,0.1639774367", "5e-05,2.567315772e-05,16.39774365"],
+    "dco-ofdm-p-max-inf": ["1e-05,0.05264137268,2.623638987"],
+    "dcr-hcm-n16-mmse-search": [
+        "1e-05,0.1152302646,1.4370195",
+        "4e-05,0.008888556066,5.767279498",
+        "6.3e-05,0.0003949052321,12.23313379",
+    ],
+    "dcr-hcm-n32": [
+        "1e-05,0.1374096264,1.192532812",
+        "2.5e-05,0.003165959737,7.453330075",
+        "4e-05,6.393863287e-06,19.0419322",
+    ],
+    "dcr-hcm-n32-noiseless": [
+        "1e-05,0,inf",
+        "4e-05,0,7661.158339",
+        "0.0001,0.09469026257,1.7224302",
+    ],
+    "hcm-n32": ["1e-05,0.3391714736,0.1719971448", "6.3e-05,0.004495294259,6.824695456"],
+    "hcm-n32-noiseless": [
+        "1e-05,0,inf",
+        "6.3e-05,0,24897.74394",
+        "0.0001,0.07538138751,2.064516129",
+    ],
+    "hcm-n32-p-max-inf": ["1e-05,0.3391714736,0.1719971448", "1,0,1719971448"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_CONFIGS))
+def test_analyze_output_is_frozen(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.conf"
+    path.write_text(ANALYZE_CONFIGS[name])
+    assert cli.main(["analyze", str(path)]) == 0
+    header = "avg_power_w,analytical_ber,snr"
+    assert capsys.readouterr().out.split("\r\n") == [header, *ANALYZE_CSV_ROWS[name], ""]
+
+
+# snr's rows with its defaults (hcm and dcr-hcm, m = 2, N = 128) and with the
+# OFDM baselines, pinned byte for byte
+SNR_ROWS = {
+    (): [
+        "hcm,2,0.992188,635.654,7.9341e-05",
+        "dcr-hcm,2,0.992188,3275.46,4.24757e-05",
+    ],
+    ("--schemes", "aco-ofdm,dco-ofdm", "--m-list", "4,16"): [
+        "aco-ofdm,4,0.5,1277.77,1.18953e-05",
+        "aco-ofdm,16,1,255.554,1.18953e-05",
+        "dco-ofdm,4,0.984375,232.7,4.99451e-05",
+        "dco-ofdm,16,1.96875,46.54,4.99451e-05",
+    ],
+}
+
+
+@pytest.mark.parametrize("args", list(SNR_ROWS), ids=["defaults", "ofdm"])
+def test_snr_output_is_frozen(capsys, args):
+    assert cli.main(["snr", *args]) == 0
+    header = "scheme,m,spectral_efficiency,max_snr,best_avg_power_w"
+    assert capsys.readouterr().out.splitlines() == [header, *SNR_ROWS[args]]
+
+
 def test_negative_noise_std_rejected():
     with pytest.raises(ConfigError, match="noise_std_w"):
         harness.parse_config(_config(noise_std_w="-1e-6"))
@@ -323,6 +439,67 @@ def test_achievable_snr_scans_the_point_snr():
     got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=cfg.m, gamma=cfg.gamma)
     assert got.max_snr == want
     assert got.spectral_efficiency == 15 / 16
+
+
+@pytest.mark.parametrize("sigma2_n", [0.0, 2.5e-13])
+@pytest.mark.parametrize("scheme, m", [("hcm", 2), ("dcr-hcm", 4), ("aco-ofdm", 16),
+                                       ("dco-ofdm", 4)])
+def test_array_scan_is_the_per_power_scan(scheme, m, sigma2_n):
+    # one array pass over the scan grid gives each power's own values; the
+    # grid ends at p_max, where dco-ofdm has no headroom and scores 0
+    cfg = harness.ExperimentConfig(scheme=scheme, n=64, m=m, p_max=1e-4, sigma2_n=sigma2_n,
+                                   calib_symbols=2000)
+    ctx = harness._SweepContext(cfg)
+    grid = np.geomspace(1e-6, 1e-4, 200)
+    snrs = ctx.scheme.snr(ctx, grid)
+    each = np.array([ctx.scheme.snr(ctx, float(a)) for a in grid])
+    if scheme == "dcr-hcm":  # a row of a block may sum its terms in another order
+        assert np.array_equal(np.isfinite(snrs), np.isfinite(each))
+        finite = np.isfinite(each)
+        np.testing.assert_array_max_ulp(snrs[finite], each[finite], maxulp=4)
+    else:
+        assert np.array_equal(snrs, each)
+    assert np.array_equal(ctx.scheme.drive(ctx, grid), [ctx.scheme.drive(ctx, a) for a in grid])
+    assert np.array_equal(ctx.scheme.ber(snrs, m), [ctx.scheme.ber(s, m) for s in snrs])
+    assert (scheme == "dco-ofdm") == (snrs[-1] == 0.0)
+    # no negative SNR: without noise, a far ACO tail whose terms cancel
+    # once made one, and its BER a math domain error
+    assert np.all(snrs >= 0)
+
+
+@pytest.mark.parametrize("scheme", ["hcm", "dcr-hcm"])
+def test_hcm_family_scan_holds_one_block(scheme):
+    # the 200-power scan at N = 2**14 forms its (power, chip) terms one block
+    # of CALIB_BLOCK_CHIPS at a time: 4 support vectors for hcm, not 200
+    cfg = harness.ExperimentConfig(scheme=scheme, n=1 << 14, p_max=1e-4, sigma2_n=2.5e-13,
+                                   calib_symbols=100)
+    ctx = harness._SweepContext(cfg)
+    block = analysis.CALIB_BLOCK_CHIPS * 8
+    assert 200 * ctx.calib.support.size * 8 > 1.5 * block  # the whole scan would not fit
+    grid = np.geomspace(1e-6, 1e-4, 200)
+    tracemalloc.start()
+    try:
+        snrs = ctx.scheme.snr(ctx, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * block
+    assert np.all(snrs > 0)
+
+
+@pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
+def test_huge_finite_p_max_analyzes_like_an_unclipped_led(tmp_path, capsys, scheme):
+    # a cap 1e160 W away has tail probability 0, so its clipping variance is
+    # 0, not (1e160)**2 * 0 = NaN
+    rows = {}
+    for p_max in ("1e160", "inf"):
+        path = tmp_path / f"{p_max}.conf"
+        path.write_text(f"scheme = {scheme}\nm = 4\nnoise_std_w = 1e-6\n"
+                        f"power_grid_w = 1e-5\np_max_w = {p_max}\n")
+        assert cli.main(["analyze", str(path)]) == 0
+        rows[p_max] = capsys.readouterr().out
+    assert rows["1e160"] == rows["inf"]
+    assert "nan" not in rows["inf"]
 
 
 @pytest.mark.parametrize("keys", [{"equalizer": "mmse"}, {"interleaver": "search"}])
