@@ -20,7 +20,6 @@ from .equalization import (
     MmseWeights,
     interleaver_search,
     load_permutation,
-    mmse_apply,
     mmse_weights,
     save_permutation,
 )

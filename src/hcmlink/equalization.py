@@ -1,24 +1,33 @@
-"""Dispersive-channel machinery: interference matrix of an interleaved
-channel, linear MMSE estimation of the data frame from the decoded vector,
-and a heuristic interleaver search.
+"""Dispersive-channel machinery: the linear MMSE receiver as a Wiener filter
+on the received chips, and a heuristic interleaver search.
 
 The channel is its taps h: zero-padded to N, column 0 of the circulant
-G[i, j] = h[(i - j) mod N], which is never formed (_circulant_lines). With
-interleaver permutation pi and Gt = Pi^T G Pi, the decoded vector (see
-modem_hcm) for a transmitted frame u is
+G[i, j] = h[(i - j) mod N] (never formed, see _circulant_lines), with
+spectrum H = rfft(h, N). With interleaver Pi (out[perm[i]] = x[i]), a frame
+u (u[0] = 0, levels of variance var_u) arrives as the chips
+y = (P/N) G Pi (N + B(2u - 1)) / 2 + noise of covariance sigma2 I. As
+B D B = N I - 1 1^T for D = diag(0, 1, ..., 1), and G 1 = 1, y has
+covariance (P/N)^2 var_u (N G G^T - 1 1^T) + sigma2 I for every Pi. Its
+1 1^T terms and the mean of y, like the per-symbol DC shift of DC-reduced
+transmission, reach only component 0 of the decoded vector (B 1 = N e_0),
+which the slicer drops. So the MMSE estimate of u[1:] is exactly the
+slicer's v[1:] N / P (modem_hcm) computed on the filtered chips F y,
 
-    v = (P / 2N) * M (2u - 1) + (P / 2N) * 1 + noise,   M = (1/N) B Gt B
+    F = P^2 var_u conj(H) / T,   T = P^2 var_u |H|^2 + N sigma2.
 
-with noise covariance (sigma2/N) I. Since u[0] is pinned to 0 it is
-excluded from the prior (its variance is zero), which also makes the
-optimal weights ignore v[0]; that is what allows one set of weights to
-serve both plain and DC-reduced transmission, because a per-symbol DC shift
-only moves v[0]. The estimator is u_hat = u_mean + W (v - v_mean).
+On components 1..N-1 its error covariance is B Pi^T Q Pi B, Q the
+symmetric circulant with spectrum var_u sigma2 / T, the noise's share (the
+textbook var_u minus the explained variance cancels), and column
+k = irfft(var_u sigma2 / T). As B[i, a] B[i, b] = B[i, a ^ b], its diagonal
+is e = fwht(r), r[t] = sum_a k[(pi[a] - pi[a ^ t]) mod N], and e[0] = 0.
 
-The interleaver search scores each pairwise swap from circulant lines of
-the taps, with no N x N state. Write M = C^T G C / N with C = Pi^T B, so that
-row perm[a] of C is row a of B. Swapping perm[i] and perm[j] adds e d^T to
-C, with e = e_perm[j] - e_perm[i] and d = B_i - B_j, hence
+The interleaver search evens out the rows of M = (1/N) B Gt B, Gt = Pi^T G Pi,
+the interference matrix of the noiseless decoded vector
+v = (P/2N) (M (2u - 1) + 1). It scores each pairwise swap from circulant
+lines of the taps, with no N x N state. Write M = C^T G C / N with
+C = Pi^T B, so that row perm[a] of C is row a of B. Swapping perm[i] and
+perm[j] adds e d^T to C, with e = e_perm[j] - e_perm[i] and d = B_i - B_j,
+hence
 
     N M' = N M + a d^T + d b^T,   a = B (G e)[perm],
                                   b = B (G^T e)[perm] + c d,   c = e^T G e.
@@ -49,20 +58,17 @@ from .analysis import _check_power_of_two
 from .errors import ConfigError, DomainError
 from .hadamard import fwht
 
-# Largest N for MMSE and the interleaver search, whose N x N matrices cost
-# O(N**2) memory and more time: at N = 4096, `hcmlink analyze` on the
-# dispersive-mmse bench config (four powers, budget 2000) takes 31 s at 844 MiB
-# peak RSS, most of it the four mmse_weights solves (2-core Xeon, 1 BLAS thread).
-# The search's steps hold N-vectors only; interleaver_search enforces the limit
-# for its full evaluations of the identity and the start (2.0 of 2.1 s at 4096).
+# Largest N for the interleaver search, which evaluates the identity and the
+# start with N x N matrices (2.0 of its 2.1 s at N = 4096; 2-core Xeon).
 MAX_MATRIX_ORDER = 4096
+DIAG_BLOCK = 1 << 16  # (t, a) terms per block of mmse_weights' error diagonal
 
 
 @dataclass(frozen=True)
 class MmseWeights:
-    """Linear MMSE weights plus the predicted residual error."""
+    """The MMSE filter on the received chips plus the predicted residual error."""
 
-    w: np.ndarray
+    spectrum: np.ndarray  # F on the rfft bins, length N/2 + 1
     error_diag: np.ndarray  # per-component error variance, length N
 
 
@@ -94,43 +100,29 @@ def interference_matrix(perm: np.ndarray, h: np.ndarray) -> np.ndarray:
     return fwht(fwht(gt.T).T) / n
 
 
-def mmse_weights(mat: np.ndarray, p: float, sigma2_n: float, m: int = 2) -> MmseWeights:
-    """Optimal linear weights for estimating u from the decoded vector.
+def mmse_weights(gains: np.ndarray, perm: np.ndarray, p: float, sigma2_n: float,
+                 m: int = 2) -> MmseWeights:
+    """The MMSE filter and its error diagonal at drive p (module docstring).
 
-    mat is the interference matrix M of the interleaved channel
-    (interference_matrix); it depends only on the permutation and the
-    channel, so a sweep builds it once for all its power points. sigma2_n is
-    the per-sample noise variance seen at the receiver (include any
-    pulse-shaping penalty). It must be positive: u[0] has zero prior
-    variance, so with sigma2_n = 0 the covariance of v has rank at most N-1
-    on every channel, flat included, and numpy raises LinAlgError.
+    gains is rfft(h, N) and perm the interleaver (arange(N) for none);
+    sigma2_n, the per-sample noise variance at the receiver, must be > 0:
+    without noise the filter is 0/0 at a channel null. The error diagonal
+    takes O(N**2) time, in blocks of DIAG_BLOCK terms, and O(N) memory:
+    0.11 s at N = 4096, 0.35 s at 8192 and 36 s at 2**16 (2-core Xeon).
     """
-    n = mat.shape[0]
-    var_u = pam_level_variance(m)
-    d = np.ones(n)
-    d[0] = 0.0  # u[0] carries no data
-    scale = p / n
-    c_uv = var_u * scale * (d[:, None] * mat.T)
-    cov_v = (scale * scale * var_u) * ((mat * d[None, :]) @ mat.T)
-    cov_v[np.diag_indices(n)] += sigma2_n / n
-    w = np.linalg.solve(cov_v, c_uv.T).T
-    error_diag = var_u * d - np.einsum("ij,ij->i", w, c_uv)
-    return MmseWeights(w=w, error_diag=error_diag)
-
-
-def mmse_apply(weights: MmseWeights, v: np.ndarray, p: float, out=(None, None)) -> np.ndarray:
-    """Affine MMSE estimate u_hat = u_mean + W (v - v_mean), vectorized; given
-    out = (centred, est), arrays of v's shape, v - v_mean goes to centred and
-    the estimate to est, which is returned."""
-    w = weights.w
-    n = w.shape[0]
-    v_mean = np.full(n, p / (2.0 * n))
-    v_mean[0] = 0.0
-    u_mean = np.full(n, 0.5)
-    u_mean[0] = 0.0
-    est = np.matmul(np.subtract(v, v_mean, out=out[0]), w.T, out=out[1])
-    est += u_mean
-    return est
+    n, var_u = perm.size, pam_level_variance(m)
+    total = (p * p * var_u) * (gains.real * gains.real + gains.imag * gains.imag) + n * sigma2_n
+    spectrum = gains.conj() * (p * p * var_u / total)
+    k = np.fft.irfft(var_u * sigma2_n / total, n)
+    a, r = np.arange(n), np.empty(n)
+    rows = min(n, max(1, DIAG_BLOCK // n))
+    for t in range(0, n, rows):  # lag (pi[a] - pi[a ^ t]) mod N, N a power of two
+        lag = perm[a ^ np.arange(t, t + rows)[:, None]]
+        np.subtract(perm, lag, out=lag)
+        r[t:t + rows] = k[np.bitwise_and(lag, n - 1, out=lag)].sum(axis=1)
+    error_diag = fwht(r)
+    error_diag[0] = 0.0  # u[0] carries no data
+    return MmseWeights(spectrum=spectrum, error_diag=error_diag)
 
 
 def interference_spread(mat: np.ndarray) -> float:

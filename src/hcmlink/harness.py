@@ -18,9 +18,10 @@ itself names no scheme.
 Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows of N or
 N + cp_len samples each, allocated on its first chunk, and the HCM stages
 write into them through their `out=` arguments; propagate writes every
-scheme's received samples into one, and the MMSE step writes v - v_mean and
-its estimate into two others. After the first chunk a sweep allocates per
-chunk only the payload bit array, its raw generator words and a few
+scheme's received samples into one, using the framed samples as scratch,
+and the MMSE filter writes their spectrum into a complex one and the
+filtered samples over that scratch. After the first chunk a sweep allocates
+per chunk only the payload bit array, its raw generator words and a few
 transient chunk-sized arrays (an fwht intermediate, the slicer's scaled
 estimates, the level lookup). The payload bits are those of
 rng.integers(0, 2), read by analysis._uniform_ints two to a 64-bit PCG64
@@ -60,10 +61,8 @@ from .channel import DEFAULT_GAMMA, check_taps, load_impulse_response, propagate
 from .equalization import (
     MAX_MATRIX_ORDER,
     MmseWeights,
-    interference_matrix,
     interleaver_search,
     load_permutation,
-    mmse_apply,
     mmse_weights,
 )
 from .errors import ConfigError, DomainError
@@ -110,7 +109,9 @@ class ExperimentConfig:
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
     one power takes 2.5 s at N = 2^14 and 11 s at N = 2^16, at 63-64 MiB peak
-    RSS (2-core Xeon, 1 BLAS thread).
+    RSS (2-core Xeon, 1 BLAS thread). The MMSE equalizer adds, per power, the
+    O(N^2) error diagonal of equalization.mmse_weights: 0.11 s at N = 4,096,
+    0.35 s at 8,192 and 36 s at 2^16, in O(N) memory.
     """
 
     scheme: str
@@ -167,19 +168,17 @@ class ExperimentConfig:
         if self.equalizer not in ("slicer", "mmse"):
             raise ConfigError(f"equalizer must be slicer or mmse, got {self.equalizer!r}")
         if self.equalizer == "mmse" and self.sigma2_n == 0:
-            # u[0] has zero prior variance, so without noise the decoded-vector
-            # covariance has rank N-1 on every channel and cannot be inverted
+            # without noise the MMSE filter is 0/0 at a channel null
             raise ConfigError("mmse equalization needs noise_std_w > 0")
-        if self.n > MAX_MATRIX_ORDER and (self.equalizer == "mmse"
-                                          or self.interleaver == "search"):
+        if self.n > MAX_MATRIX_ORDER and self.interleaver == "search":
             raise ConfigError(
-                f"mmse and the interleaver search support n <= {MAX_MATRIX_ORDER}, got {self.n}")
+                f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {self.n}")
         _SCHEMES[self.scheme].check(self)
 
 
 @dataclass(frozen=True)
 class BerPoint:
-    """One power point's set-up: drive, MMSE weights and the analytic curve."""
+    """One power point's set-up: drive, MMSE filter and the analytic curve."""
 
     avg_power: float
     p: float  # the scheme's drive amplitude
@@ -301,9 +300,14 @@ def _check_dco(cfg: ExperimentConfig):
     _check_ofdm(cfg)
     if not (math.isfinite(cfg.dco_headroom) and cfg.dco_headroom > 0):
         raise ConfigError(f"dco_headroom must be finite and > 0, got {cfg.dco_headroom!r}")
+    grid = np.asarray(cfg.power_grid, dtype=np.float64)
     # the bias is the average power, so a point at p_max leaves no AC headroom
-    if np.any(np.asarray(cfg.power_grid, dtype=np.float64) >= cfg.p_max):
+    if np.any(grid >= cfg.p_max):
         raise ConfigError(f"dco-ofdm power grid values must lie below p_max={cfg.p_max:g}")
+    scale = float(np.max(_dco_scale(cfg, grid), initial=0.0))
+    if not scale * scale < math.inf:  # dco_es_snr squares it
+        raise ConfigError(f"dco-ofdm power grid values up to {grid.max():g} W overflow the "
+                          f"analytic SNR at dco_headroom={cfg.dco_headroom:g}")
 
 
 def _dcr_pmf(ctx: "_SweepContext"):
@@ -345,9 +349,8 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
     return float(sums[0] / (ACO_CALIB_FRAMES * cfg.n))
 
 
-def _dco_scale(ctx: "_SweepContext", avg):
+def _dco_scale(cfg: ExperimentConfig, avg):
     # the bias is the average; the AC std uses the clipping headroom
-    cfg = ctx.cfg
     sigma_x = np.minimum(avg, cfg.p_max - avg) / cfg.dco_headroom
     return sigma_x / analysis.dco_time_std(cfg.n)
 
@@ -374,14 +377,14 @@ def _hcm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray,
 
 def _hcm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
     n, p, work, k = ctx.cfg.n, point.p, ctx.work, len(y)
+    if point.weights is not None:  # MMSE: the Wiener filter on the received chips
+        spec = np.fft.rfft(y, out=work.spec[:k])
+        spec *= point.weights.spectrum
+        y = np.fft.irfft(spec, n, out=work.tx[:k, :n])
     if ctx.perm is not None:
         y = deinterleave(y, ctx.perm, out=work.levels[:k])
-    v = decode_samples(y, p, out=work.chips[:k])
-    if point.weights is not None:
-        est = mmse_apply(point.weights, v, p, out=(work.levels[:k], work.tx[:k, :n]))[:, 1:]
-    else:
-        est = v[:, 1:]
-        est *= n / p
+    est = decode_samples(y, p, out=work.chips[:k])[:, 1:]
+    est *= n / p
     return slice_levels(est, ctx.cfg.m, out=(work.idx[:k], work.bits[:k]))[1]
 
 
@@ -454,7 +457,7 @@ _SCHEMES = {
         check=_check_dco,
         data_count=lambda n: dco_data_count(n),
         calibrate=lambda ctx: None,
-        drive=_dco_scale,
+        drive=lambda ctx, avg: _dco_scale(ctx.cfg, avg),
         snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma,
             ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
@@ -470,10 +473,11 @@ class _ChunkBuffers:
     """A sweep's work arrays for the chunk pipeline, CHUNK_SYMBOLS rows each.
 
     levels holds the PAM levels, then the interleaved chips, then the
-    deinterleaved payload, then v - v_mean; chips holds the chips, then the
-    decoded vectors v; tx and rx hold the framed samples (tx is propagate's
-    scratch, then the MMSE estimate); idx and bits receive the slicer's
-    decisions. A shorter last chunk uses [:k].
+    deinterleaved payload; chips holds the chips, then the decoded vectors
+    v; tx and rx hold the framed samples (tx is propagate's scratch, then
+    the MMSE-filtered payload); spec holds the payload's spectrum for the
+    MMSE filter; idx and bits receive the slicer's decisions. A shorter last
+    chunk uses [:k].
     OFDM chunks write only rx; np.empty commits no memory to the others.
     """
 
@@ -483,6 +487,7 @@ class _ChunkBuffers:
         self.chips = np.empty((rows, n))
         self.tx = np.empty((rows, n + cfg.cp_len))
         self.rx = np.empty((rows, n + cfg.cp_len))
+        self.spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
         self.idx = np.empty((rows, n - 1), dtype=np.int64)
         self.bits = np.empty((rows, n - 1, int(math.log2(cfg.m))), dtype=np.int64)
 
@@ -508,14 +513,8 @@ class _SweepContext:
         return self.scheme.calibrate(self)
 
     @cached_property
-    def interference(self) -> np.ndarray:
-        """Interference matrix of the interleaved taps, read by every point's MMSE weights."""
-        perm = self.perm if self.perm is not None else np.arange(self.cfg.n)
-        return interference_matrix(perm, self.cfg.h)
-
-    @cached_property
     def gains(self):
-        """One-tap subcarrier gains, built on first use (only the OFDM receivers read them)."""
+        """The channel spectrum rfft(h, N), built on first use (OFDM and MMSE read it)."""
         return one_tap_gains(self.cfg.h, self.cfg.n)
 
     def _resolve_interleaver(self):
@@ -543,7 +542,8 @@ def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
     p = ctx.scheme.drive(ctx, avg_power)
     weights = None
     if cfg.equalizer == "mmse":
-        weights = mmse_weights(ctx.interference, p, cfg.gamma * cfg.sigma2_n, cfg.m)
+        perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
+        weights = mmse_weights(ctx.gains, perm, p, cfg.gamma * cfg.sigma2_n, cfg.m)
         analytic, snr = _mmse_analytic(weights, cfg.m)
     else:
         snr = ctx.scheme.snr(ctx, avg_power)
@@ -614,7 +614,7 @@ def sweep(cfg: ExperimentConfig) -> list:
 
 def analyze(cfg: ExperimentConfig) -> list:
     """Analytical curve only, no Monte-Carlo: one BerPoint per grid value; the points
-    keep no MMSE weights."""
+    keep no MMSE filter."""
     ctx = _SweepContext(cfg)
     return [replace(_point_setup(ctx, float(p)), weights=None)
             for p in np.asarray(cfg.power_grid, dtype=np.float64)]

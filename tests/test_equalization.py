@@ -10,21 +10,18 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import circulant
 
-try:
-    from numpy.lib.array_utils import byte_bounds
-except ImportError:  # numpy < 2
-    from numpy import byte_bounds
+from numpy.lib.array_utils import byte_bounds
 
 from hcmlink import equalization
 from hcmlink.channel import propagate
 from hcmlink.equalization import (
+    DIAG_BLOCK,
     MAX_MATRIX_ORDER,
     _SwapScorer,
     interference_matrix,
     interference_spread,
     interleaver_search,
     load_permutation,
-    mmse_apply,
     mmse_weights,
     pam_level_variance,
     save_permutation,
@@ -68,19 +65,68 @@ def objective(perm, h):
     return interference_spread(interference_matrix(perm, h))
 
 
-def received_vectors(rng, levels, g, p, sigma2, perm=None):
-    """Simulate decode-domain observations through the matrix channel model."""
+TAP_SETS = ([0.5, 0.3, 0.2], [0.7, 0.3], [0.4, 0.3, 0.2, 0.1])
+
+
+def received_samples(rng, levels, h, p, sigma2, perm=None):
+    """Received chips of the frames levels through the matrix channel model, with noise."""
     n = levels.shape[-1]
     chips = encode_levels(levels)
     if perm is not None:
-        tx = np.empty_like(chips)
-        tx[..., perm] = chips
-    else:
-        tx = chips
-    y = (p / n) * tx @ g.T + rng.normal(0.0, np.sqrt(sigma2), size=chips.shape)
-    if perm is not None:
-        y = y[..., perm]
-    return decode_samples(y, p)
+        chips = interleave(chips, perm)
+    return (p / n) * chips @ circulant_channel(h, n).T + rng.normal(
+        0.0, np.sqrt(sigma2), size=chips.shape)
+
+
+def decoded(y, p, perm=None):
+    """The decoded vector v of the received chips y."""
+    return decode_samples(y if perm is None else deinterleave(y, perm), p)
+
+
+def dense_mmse(perm, h, p, sigma2, m=2):
+    """Oracle: the dense LMMSE weights W for u_hat = u_mean + W (v - v_mean) on the
+    decoded vector, solved from the N x N covariance of v, and their error diagonal.
+
+    With M = interference_matrix(perm, h), v = (P/2N) M (2u - 1) + P/2N + noise of
+    covariance (sigma2/N) I, and u[0] = 0 excluded from the prior.
+    """
+    mat = interference_matrix(perm, h)
+    n = mat.shape[0]
+    var_u = pam_level_variance(m)
+    d = np.ones(n)
+    d[0] = 0.0
+    scale = p / n
+    c_uv = var_u * scale * (d[:, None] * mat.T)
+    cov_v = (scale * scale * var_u) * ((mat * d[None, :]) @ mat.T)
+    cov_v[np.diag_indices(n)] += sigma2 / n
+    w = np.linalg.solve(cov_v, c_uv.T).T
+    return w, var_u * d - np.einsum("ij,ij->i", w, c_uv)
+
+
+def _v_mean(p, n):
+    vm = np.full(n, p / (2.0 * n))
+    vm[0] = 0.0
+    return vm
+
+
+def dense_estimate(w, v, p):
+    """The oracle's estimate u_mean + W (v - v_mean)."""
+    n = w.shape[0]
+    u_mean = np.full(n, 0.5)
+    u_mean[0] = 0.0
+    return u_mean + (v - _v_mean(p, n)) @ w.T
+
+
+def filtered_estimate(weights, y, p, perm=None):
+    """The MMSE receiver's level estimates, as the harness forms them: the slicer's
+    v N / p on the Wiener-filtered chips (component 0 carries no data)."""
+    n = y.shape[-1]
+    return decoded(np.fft.irfft(np.fft.rfft(y) * weights.spectrum, n), p, perm) * (n / p)
+
+
+def filter_for(h, n, p, sigma2, perm=None, m=2):
+    perm = np.arange(n) if perm is None else perm
+    return mmse_weights(np.fft.rfft(h, n), perm, p, sigma2, m)
 
 
 class TestInterferenceMatrix:
@@ -105,34 +151,38 @@ class TestInterferenceMatrix:
 
 
 class TestMmseWeights:
+    """The dense oracle's properties; TestWienerFilter ties the filter to it."""
+
     def test_level_variance(self):
         assert pam_level_variance(2) == pytest.approx(0.25)
         assert pam_level_variance(4) == pytest.approx(5 / 36)
 
     def test_identity_channel_reduces_to_scaled_identity(self):
         n, p, sigma2 = 8, 2.0, 1e-3
-        mat = interference_matrix(np.arange(n), [1.0])
-        w = mmse_weights(mat, p, sigma2)
-        off = w.w - np.diag(np.diag(w.w))
+        w, error_diag = dense_mmse(np.arange(n), [1.0], p, sigma2)
+        off = w - np.diag(np.diag(w))
         assert np.abs(off).max() < 1e-12
         # diagonal gain matches the scalar Wiener solution
         var_u = 0.25
         scale = p / n
         want = scale * var_u / (scale * scale * var_u + sigma2 / n)
-        assert_allclose(np.diag(w.w)[1:], want)
-        assert w.w[0, 0] == 0.0
+        assert_allclose(np.diag(w)[1:], want)
+        assert w[0, 0] == 0.0
         # closed-form error: (n-1) identical scalar residuals
         resid = var_u - scale * var_u * want
-        assert w.error_diag.sum() == pytest.approx((n - 1) * resid, rel=1e-12)
+        assert error_diag.sum() == pytest.approx((n - 1) * resid, rel=1e-12)
+        # the filter: the same gain, on every bin, in level units
+        got = filter_for([1.0], n, p, sigma2)
+        assert_allclose(got.spectrum, want * scale, rtol=1e-14)
+        assert_allclose(got.error_diag, error_diag, rtol=1e-14, atol=0)
 
     def test_recovers_data_as_noise_vanishes(self):
         rng = np.random.default_rng(2)
         n, p = 16, 1.0
-        mat = interference_matrix(np.arange(n), [1.0])
-        w = mmse_weights(mat, p, 1e-15)
-        u = random_frames(rng, 1, n)[0]
-        v = decode_samples(encode_levels(u) * (p / n), p)
-        assert np.abs(mmse_apply(w, v, p) - u).max() < 1e-6
+        weights = filter_for([1.0], n, p, 1e-15)
+        u = random_frames(rng, 1, n)
+        est = filtered_estimate(weights, encode_levels(u) * (p / n), p)
+        assert np.abs(est[:, 1:] - u[:, 1:]).max() < 1e-6
 
     def test_normal_equations_residual(self):
         n, p, sigma2 = 16, 1.0, 4e-4
@@ -143,82 +193,59 @@ class TestMmseWeights:
         d[0] = 0.0
         c_uv = var_u * (p / n) * (d[:, None] * mat.T)
         cov_v = (p / n) ** 2 * var_u * ((mat * d) @ mat.T) + (sigma2 / n) * np.eye(n)
-        w = mmse_weights(interference_matrix(np.arange(n), h), p, sigma2)
-        resid = np.linalg.norm(w.w @ cov_v - c_uv) / np.linalg.norm(c_uv)
+        w = dense_mmse(np.arange(n), h, p, sigma2)[0]
+        resid = np.linalg.norm(w @ cov_v - c_uv) / np.linalg.norm(c_uv)
         assert resid < 1e-8
 
     def test_lmmse_matches_empirical_mse(self):
         rng = np.random.default_rng(3)
         n, p, sigma2 = 16, 1.0, 2e-4
         h = [0.5, 0.3, 0.2]
-        g = circulant_channel(h, n)
-        w = mmse_weights(interference_matrix(np.arange(n), h), p, sigma2)
+        w, error_diag = dense_mmse(np.arange(n), h, p, sigma2)
         levels = random_frames(rng, 200_000, n)
-        v = received_vectors(rng, levels, g, p, sigma2)
-        err = mmse_apply(w, v, p) - levels
+        v = decoded(received_samples(rng, levels, h, p, sigma2), p)
+        err = dense_estimate(w, v, p) - levels
         empirical = np.sum(err * err, axis=1).mean()
-        assert empirical == pytest.approx(w.error_diag.sum(), rel=0.03)
+        assert empirical == pytest.approx(error_diag.sum(), rel=0.03)
 
     def test_beats_random_perturbations(self):
         rng = np.random.default_rng(4)
         n, p, sigma2 = 16, 1.0, 2e-4
         h = [0.5, 0.3, 0.2]
-        g = circulant_channel(h, n)
-        w = mmse_weights(interference_matrix(np.arange(n), h), p, sigma2)
+        w = dense_mmse(np.arange(n), h, p, sigma2)[0]
         levels = random_frames(rng, 100_000, n)
-        v = received_vectors(rng, levels, g, p, sigma2)
-        base_err = mmse_apply(w, v, p) - levels
+        v = decoded(received_samples(rng, levels, h, p, sigma2), p)
+        base_err = dense_estimate(w, v, p) - levels
         base_mse = np.sum(base_err * base_err, axis=1).mean()
-        norm_w = np.linalg.norm(w.w)
+        norm_w = np.linalg.norm(w)
+        centred = v - _v_mean(p, n)
         for _ in range(100):
-            delta = rng.normal(size=w.w.shape)
+            delta = rng.normal(size=w.shape)
             delta *= 0.01 * norm_w / np.linalg.norm(delta)
-            err = base_err + (v - _v_mean(p, n)) @ delta.T
+            err = base_err + centred @ delta.T
             mse = np.sum(err * err, axis=1).mean()
             assert base_mse <= mse
-
-
-def _v_mean(p, n):
-    vm = np.full(n, p / (2.0 * n))
-    vm[0] = 0.0
-    return vm
 
 
 class TestMmseEstimate:
     def test_noiseless_roundtrip_after_slicing(self):
         rng = np.random.default_rng(5)
         n, p = 16, 1.0
-        mat = interference_matrix(np.arange(n), [1.0])
-        w = mmse_weights(mat, p, 1e-9)
-        u = random_frames(rng, 1, n)[0]
-        v = decode_samples(encode_levels(u) * (p / n), p)
-        idx, _ = slice_levels(mmse_apply(w, v, p)[1:], 2)
-        assert_allclose(idx, u[1:])
+        weights = filter_for([1.0], n, p, 1e-9)
+        u = random_frames(rng, 1, n)
+        est = filtered_estimate(weights, encode_levels(u) * (p / n), p)
+        idx, _ = slice_levels(est[:, 1:], 2)
+        assert_allclose(idx, u[:, 1:])
 
     def test_centered_observation_gives_prior_mean(self):
+        # a constant received symbol, such as the mean or a per-symbol DC
+        # shift, reaches component 0 only: every data level reads the prior mean
         n, p = 8, 1.0
-        mat = interference_matrix(np.arange(n), [1.0])
-        w = mmse_weights(mat, p, 1e-3)
-        est = mmse_apply(w, _v_mean(p, n), p)
-        assert_allclose(est[1:], 0.5)
-        assert est[0] == 0.0
-
-    def test_out_pair_matches_allocating_call(self):
-        # the chunk pipeline passes a strided view of its framed-sample buffer
-        rng = np.random.default_rng(8)
-        n, p, sigma2 = 32, 1.0, 2e-4
-        h = [0.5, 0.3, 0.2]
-        g = circulant_channel(h, n)
-        w = mmse_weights(interference_matrix(rng.permutation(n), h), p, sigma2)
-        v = received_vectors(rng, random_frames(rng, 256, n), g, p, sigma2)
-        want = mmse_apply(w, v, p)
-        u_mean = np.full(n, 0.5)
-        u_mean[0] = 0.0
-        assert np.array_equal(want, u_mean + (v - _v_mean(p, n)) @ w.w.T)
-        centred, framed = np.empty_like(v), np.full((256, n + 2), np.nan)
-        got = mmse_apply(w, v, p, out=(centred, framed[:, :n]))
-        assert np.shares_memory(got, framed) and np.array_equal(got, want)
-        assert np.array_equal(centred, v - _v_mean(p, n))
+        perm = np.random.default_rng(9).permutation(n)
+        weights = filter_for([0.5, 0.3, 0.2], n, p, 1e-3, perm)
+        y = np.full((3, n), [[p * (n - 1) / (2 * n)], [0.0], [5.0]])
+        est = filtered_estimate(weights, y, p, perm)
+        assert_allclose(est[:, 1:], 0.5, rtol=1e-14)
 
     def test_equivalent_to_plain_slicer_on_clean_channel(self):
         # identity channel, binary levels: the Wiener shrinkage never moves
@@ -226,29 +253,72 @@ class TestMmseEstimate:
         rng = np.random.default_rng(6)
         n, p, sigma2 = 16, 1.0, 3e-4
         h = [1.0]
-        g = circulant_channel(h, n)
-        w = mmse_weights(interference_matrix(np.arange(n), h), p, sigma2)
         levels = random_frames(rng, 2000, n)
-        v = received_vectors(rng, levels, g, p, sigma2)
-        est_mmse = mmse_apply(w, v, p)[..., 1:]
-        idx_mmse, _ = slice_levels(est_mmse, 2)
-        idx_plain, _ = slice_levels(v[..., 1:] * (n / p), 2)
+        y = received_samples(rng, levels, h, p, sigma2)
+        idx_mmse, _ = slice_levels(filtered_estimate(filter_for(h, n, p, sigma2), y, p)[:, 1:], 2)
+        idx_plain, _ = slice_levels(decoded(y, p)[:, 1:] * (n / p), 2)
         assert np.array_equal(idx_mmse, idx_plain)
 
     def test_mmse_beats_plain_slicing_on_dispersive_channel(self):
         rng = np.random.default_rng(7)
         n, p, sigma2 = 8, 1.0, 2e-4
         h = [0.5, 0.3, 0.2]
-        g = circulant_channel(h, n)
-        w = mmse_weights(interference_matrix(np.arange(n), h), p, sigma2)
         levels = random_frames(rng, 30_000, n)
-        v = received_vectors(rng, levels, g, p, sigma2)
+        y = received_samples(rng, levels, h, p, sigma2)
         idx_truth = (levels[:, 1:] > 0.5).astype(int)
-        idx_mmse, _ = slice_levels(mmse_apply(w, v, p)[..., 1:], 2)
-        idx_plain, _ = slice_levels(v[..., 1:] * (n / p), 2)
+        idx_mmse, _ = slice_levels(filtered_estimate(filter_for(h, n, p, sigma2), y, p)[:, 1:], 2)
+        idx_plain, _ = slice_levels(decoded(y, p)[:, 1:] * (n / p), 2)
         ber_mmse = np.mean(idx_mmse != idx_truth)
         ber_plain = np.mean(idx_plain != idx_truth)
         assert ber_mmse < ber_plain
+
+
+class TestWienerFilter:
+    @pytest.mark.parametrize("n", [16, 128, 1024])
+    @pytest.mark.parametrize("taps, m", [(TAP_SETS[0], 2), (TAP_SETS[1], 4), (TAP_SETS[2], 2)])
+    def test_matches_dense_oracle(self, taps, m, n):
+        # estimates and error diagonal, at a noise-limited and an ISI-limited
+        # drive. The oracle's error is var_u minus a nearly equal term, so it
+        # rounds at var_u's scale (1.9e-11 of max(e) at N = 1,024 against a
+        # per-component FFT form, which the filter's e meets to 1.3e-12)
+        rng = np.random.default_rng(n + m)
+        perm, sigma2 = rng.permutation(n), 4e-12
+        for p in (2e-5 * n, 2e-3 * n):
+            w, error_diag = dense_mmse(perm, taps, p, sigma2, m)
+            weights = mmse_weights(np.fft.rfft(taps, n), perm, p, sigma2, m)
+            y = received_samples(rng, random_frames(rng, 64, n, m), taps, p, sigma2, perm)
+            want = dense_estimate(w, decoded(y, p, perm), p)[:, 1:]
+            got = filtered_estimate(weights, y, p, perm)[:, 1:]
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), p
+            error = np.abs(weights.error_diag - error_diag).max()
+            assert error <= 1e-12 * pam_level_variance(m), p
+            assert weights.error_diag[0] == 0.0 and np.all(weights.error_diag[1:] > 0)
+
+    @pytest.mark.parametrize("taps", TAP_SETS)
+    def test_total_error_does_not_depend_on_the_permutation(self, taps):
+        # the search's premise: components 1..N-1 of fwht(r) sum to
+        # N r[0] - sum(r), with r[0] = N k[0] and sum(r) = N sum(k)
+        n, p, sigma2 = 256, 1e-4 * 256 / 128, 4e-12
+        rng = np.random.default_rng(10)
+        gains = np.fft.rfft(taps, n)
+        totals = [mmse_weights(gains, perm, p, sigma2).error_diag.sum()
+                  for perm in [np.arange(n)] + [rng.permutation(n) for _ in range(5)]]
+        assert np.ptp(totals) <= 1e-10 * totals[0]
+
+    def test_holds_no_square_matrix(self):
+        # the error diagonal runs in blocks of DIAG_BLOCK terms: O(N) memory,
+        # where the dense path held several N x N arrays (128 MiB each at 4,096)
+        n = 4096
+        gains = np.fft.rfft([0.5, 0.3, 0.2], n)
+        perm = np.random.default_rng(11).permutation(n)
+        tracemalloc.start()
+        try:
+            weights = mmse_weights(gains, perm, 1e-4 * n / 128, 4e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * DIAG_BLOCK * 8 + 16 * n * 8
+        assert np.all(weights.error_diag[1:] > 0)
 
 
 class TestInterleaverSearch:

@@ -342,6 +342,22 @@ def test_bad_dco_headroom_rejected(capsys, headroom):
         assert captured.out == "" and "dco_headroom" in captured.err
 
 
+def test_dco_grid_that_overflows_the_snr_rejected(tmp_path, capsys):
+    # at N = 2**16 and headroom 0.01 a 1e150 W bias squares the waveform
+    # scale past the float range: analyze printed 1e+150,0,inf with exit 0
+    text = ("scheme = dco-ofdm\nm = 4\nn = 65536\ndco_headroom = 0.01\np_max_w = inf\n"
+            "power_grid_w = 1e-5,1e150\n")
+    with pytest.raises(ConfigError, match="overflow"):
+        harness.parse_config(text)
+    harness.parse_config(text.replace("0.01", "0.03"))
+    path = tmp_path / "dco.conf"
+    path.write_text(text)
+    for command in ("simulate", "analyze"):
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "dco_headroom=0.01" in captured.err
+
+
 def test_dco_grid_at_p_max_rejected(tmp_path, capsys):
     text = "scheme = dco-ofdm\nm = 4\npower_grid_w = 5e-5,1e-4\n"
     with pytest.raises(ConfigError, match="below p_max"):
@@ -502,15 +518,13 @@ def test_huge_finite_p_max_analyzes_like_an_unclipped_led(tmp_path, capsys, sche
     assert "nan" not in rows["inf"]
 
 
-@pytest.mark.parametrize("keys", [{"equalizer": "mmse"}, {"interleaver": "search"}])
-def test_matrix_work_above_the_size_limit_fails_first(tmp_path, capsys, monkeypatch, keys):
-    # MMSE and the search build N x N matrices: the config stops them at twice
-    # the limit, before the first one is built
+def test_search_above_the_size_limit_fails_first(tmp_path, capsys, monkeypatch):
+    # the search builds N x N matrices: the config stops it at twice the
+    # limit, before the first one is built
     def fail(*args, **kwargs):
         raise AssertionError("interference_matrix called")
-    monkeypatch.setattr(harness, "interference_matrix", fail)
     monkeypatch.setattr(equalization, "interference_matrix", fail)
-    text = _config(n=2 * MAX_MATRIX_ORDER, **keys)
+    text = _config(n=2 * MAX_MATRIX_ORDER, interleaver="search")
     with pytest.raises(ConfigError, match=f"n <= {MAX_MATRIX_ORDER}"):
         harness.parse_config(text)
     path = tmp_path / "big.conf"
@@ -518,6 +532,18 @@ def test_matrix_work_above_the_size_limit_fails_first(tmp_path, capsys, monkeypa
     for command in ("simulate", "analyze"):
         assert cli.main([command, str(path)]) == 2
         assert f"n <= {MAX_MATRIX_ORDER}" in capsys.readouterr().err
+
+
+def test_mmse_runs_above_the_search_size_limit(tmp_path, capsys):
+    # MMSE holds no N x N array: 256 symbols at twice the search's limit
+    path = tmp_path / "mmse.conf"
+    path.write_text(_config(n=2 * MAX_MATRIX_ORDER, taps="0.5,0.3,0.2", cp_len=2,
+                            equalizer="mmse", max_symbols=256))
+    assert cli.main(["simulate", str(path)]) == 0
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    assert header.startswith("avg_power_w,symbols") and captured.err == ""
+    assert row.split(",")[:2] == ["5e-05", "256"]
 
 
 def test_searched_interleaver_beats_identity_under_mmse():
@@ -531,20 +557,25 @@ def test_searched_interleaver_beats_identity_under_mmse():
 
 
 def test_context_builds_only_what_its_scheme_reads(monkeypatch):
+    # one channel spectrum per sweep, read by every point's MMSE filter and by
+    # the OFDM one-tap receivers; no interference matrix outside the search
     calls = {"one_tap_gains": 0, "interference_matrix": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(harness, name), **kwargs):
+    for module, name in ((harness, "one_tap_gains"), (equalization, "interference_matrix")):
+        def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
             calls[_name] += 1
             return _real(*args, **kwargs)
-        monkeypatch.setattr(harness, name, counted)
-    # the weights of all three points share one interference matrix
-    harness.analyze(harness.parse_config(SWEEP_CONFIGS["dcr-hcm-n16-mmse-search"]))
-    assert calls == {"one_tap_gains": 0, "interference_matrix": 1}
+        monkeypatch.setattr(module, name, counted)
+    mmse = harness.parse_config(SWEEP_CONFIGS["dcr-hcm-n16-mmse-search"],
+                                {"interleaver": "none"})
+    harness.analyze(mmse)
+    assert calls == {"one_tap_gains": 1, "interference_matrix": 0}
+    harness.sweep(mmse)
+    assert calls == {"one_tap_gains": 2, "interference_matrix": 0}
     harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=2, gamma=DEFAULT_GAMMA)
-    assert calls == {"one_tap_gains": 0, "interference_matrix": 1}
-    # an OFDM receiver reads the one-tap gains, built once per sweep
+    harness.sweep(harness.parse_config(SWEEP_CONFIGS["hcm-n32"]))
+    assert calls == {"one_tap_gains": 2, "interference_matrix": 0}
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
-    assert calls == {"one_tap_gains": 1, "interference_matrix": 1}
+    assert calls == {"one_tap_gains": 3, "interference_matrix": 0}
 
 
 @pytest.mark.parametrize("stem, limit", [
@@ -575,7 +606,7 @@ def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
 
 def test_analyze_keeps_no_mmse_weights():
     # the CSV needs each point's analytic values only: once analyze returns,
-    # none of its N x N weights, nor the interference matrix, is held
+    # no point holds its MMSE filter, and no N x N array is held
     n = 512
     cfg = harness.parse_config((BENCH_CONFIGS / "dispersive-mmse.dcr-hcm.conf").read_text(),
                                {"n": str(n), "interleaver": "none"})
