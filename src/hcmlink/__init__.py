@@ -21,7 +21,6 @@ from .equalization import (
     interleaver_search,
     load_permutation,
     mmse_weights,
-    save_permutation,
 )
 from .errors import ConfigError, DomainError, SizeError
 from .hadamard import fwht

@@ -4,8 +4,8 @@ and DCR energy efficiency.
 All BER expressions are of the form alpha * Q(sqrt(SNR)) where SNR is the
 squared argument of the dominant nearest-neighbor error event (pam_ber).
 Gray square M-QAM is sqrt(M)-PAM on each axis, so its BER is
-pam_ber(snr, isqrt(M)), to the last bit. The pulse-shaping penalty gamma
-multiplies the thermal noise variance, matching what the simulator does.
+pam_ber(snr, isqrt(M)), to the last bit. The SNRs take noise_var, the
+receiver noise variance gamma * sigma2_n that the simulator draws.
 
 The closed forms take scalars or arrays of powers, drives or SNRs
 elementwise, so a power scan is one array pass. Degenerate points are
@@ -240,15 +240,15 @@ def clipping_variance_gaussian(mean, variance, p_max: float):
     return _tail_var(mean, std, 0.0, side=-1.0) + _tail_var(mean, std, p_max, side=1.0)
 
 
-def hcm_snr(m: int, n: int, p, sigma2_n: float, sigma2_clip, gamma: float):
+def hcm_snr(m: int, n: int, p, noise_var: float, sigma2_clip):
     """Squared Q-argument of the dominant HCM/DCR-HCM error event.
 
     The decoded data components are (p/N) u + noise with noise variance
-    (gamma*sigma2_n + sigma2_clip)/N, and the unipolar level grid spans
+    (noise_var + sigma2_clip)/N, and the unipolar level grid spans
     [0, p/N], so the half-distance between neighbors is p/(2N(M-1)) and
     the squared Q-argument is (p/(2N(M-1)))**2 / (noise/N).
     """
-    return _snr(1.0 / (m - 1.0) ** 2 * (p * p / (4.0 * n)), gamma * sigma2_n + sigma2_clip)
+    return _snr(1.0 / (m - 1.0) ** 2 * (p * p / (4.0 * n)), noise_var + sigma2_clip)
 
 
 def _snr(signal, noise):
@@ -275,7 +275,7 @@ def dco_time_std(n_fft: int) -> float:
     return math.sqrt((n_fft - 2.0) / (n_fft * n_fft))
 
 
-def aco_es_snr(avg_power, n_fft: int, p_max: float, sigma2_n: float, gamma: float):
+def aco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float):
     """Per-symbol SNR of ACO-OFDM at each nominal drive average power.
 
     The drive average (before the peak limiter) of a zero-clipped Gaussian
@@ -285,11 +285,16 @@ def aco_es_snr(avg_power, n_fft: int, p_max: float, sigma2_n: float, gamma: floa
     sigma_x = np.asarray(avg_power, dtype=np.float64) * math.sqrt(2.0 * math.pi)
     sigma2_clip = _tail_var(0.0, sigma_x, p_max, side=1.0)
     scale = sigma_x / aco_time_std(n_fft)
-    return _snr(scale * scale, 4.0 * n_fft * (gamma * sigma2_n + sigma2_clip))
+    return _snr(scale * scale, 4.0 * n_fft * (noise_var + sigma2_clip))
 
 
-def dco_es_snr(avg_power, n_fft: int, p_max: float, sigma2_n: float, gamma: float,
-               headroom_factor: float):
+def dco_ac_std(bias, p_max: float, headroom_factor: float):
+    """AC std of the DCO waveform biased at each average power: the clipping
+    headroom min(bias, p_max - bias) over headroom_factor."""
+    return np.minimum(bias, p_max - bias) / headroom_factor
+
+
+def dco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float, headroom_factor: float):
     """Per-symbol SNR of DCO-OFDM biased at each average power.
 
     The AC std is tied to the clipping headroom min(bias, p_max - bias), so
@@ -297,12 +302,12 @@ def dco_es_snr(avg_power, n_fft: int, p_max: float, sigma2_n: float, gamma: floa
     best point sits at p_max/2. A bias with no headroom scores 0.
     """
     bias = np.asarray(avg_power, dtype=np.float64)
-    sigma_x = np.minimum(bias, p_max - bias) / headroom_factor
+    sigma_x = dco_ac_std(bias, p_max, headroom_factor)
     room = sigma_x > 0
     bias, sigma_x, snr = bias[room], sigma_x[room], np.zeros(room.shape)
     sigma2_clip = clipping_variance_gaussian(bias, sigma_x * sigma_x, p_max)
     scale = sigma_x / dco_time_std(n_fft)
-    snr[room] = _snr(scale * scale, n_fft * (gamma * sigma2_n + sigma2_clip))
+    snr[room] = _snr(scale * scale, n_fft * (noise_var + sigma2_clip))
     return snr[()]
 
 

@@ -11,8 +11,6 @@ import sys
 import numpy as np
 
 from . import analysis, harness
-from .channel import check_taps, load_impulse_response
-from .equalization import interleaver_search, save_permutation
 from .errors import ConfigError, DomainError
 
 
@@ -89,20 +87,6 @@ def _cmd_eta(args) -> int:
     return 0
 
 
-def _cmd_interleaver_search(args) -> int:
-    if args.taps_file:
-        taps = load_impulse_response(args.taps_file)
-    else:
-        taps = check_taps(_numbers(args.taps.split(","), float, "--taps"), "--taps",
-                          unit_sum=True)
-    rng = np.random.default_rng(args.seed)
-    perm, before, after = interleaver_search(taps, args.n, budget=args.budget, rng=rng)
-    print(f"objective: identity={before:.6g} found={after:.6g}", file=sys.stderr)
-    with _output(args) as out:
-        save_permutation(perm, out)
-    return 0
-
-
 def _cmd_snr(args) -> int:
     schemes = [s.strip() for s in args.schemes.split(",")]
     m_list = _numbers(args.m_list.split(","), int, "--m-list")
@@ -160,16 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
     eta.add_argument("--seed", type=int, default=1)
     eta.add_argument("--out")
     eta.set_defaults(func=_cmd_eta)
-
-    ils = sub.add_parser("interleaver-search", help="heuristic interference-spreading search")
-    group = ils.add_mutually_exclusive_group(required=True)
-    group.add_argument("--taps", help="comma-separated impulse response")
-    group.add_argument("--taps-file")
-    ils.add_argument("--n", type=int, required=True)
-    ils.add_argument("--budget", type=int, default=2000)
-    ils.add_argument("--seed", type=int, default=1)
-    ils.add_argument("--out", help="write permutation here instead of stdout")
-    ils.set_defaults(func=_cmd_interleaver_search)
 
     snr = sub.add_parser("snr", help="maximum achievable SNR vs spectral efficiency")
     snr.add_argument("--schemes", default="hcm,dcr-hcm",

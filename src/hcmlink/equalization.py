@@ -47,7 +47,6 @@ against two N x N transforms for a full evaluation. The state is perm and
 M's row energies and diagonal; M is built once, for the start, and dropped.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -100,20 +99,20 @@ def interference_matrix(perm: np.ndarray, h: np.ndarray) -> np.ndarray:
     return fwht(fwht(gt.T).T) / n
 
 
-def mmse_weights(gains: np.ndarray, perm: np.ndarray, p: float, sigma2_n: float,
+def mmse_weights(gains: np.ndarray, perm: np.ndarray, p: float, noise_var: float,
                  m: int = 2) -> MmseWeights:
     """The MMSE filter and its error diagonal at drive p (module docstring).
 
     gains is rfft(h, N) and perm the interleaver (arange(N) for none);
-    sigma2_n, the per-sample noise variance at the receiver, must be > 0:
+    noise_var, the per-sample noise variance at the receiver, must be > 0:
     without noise the filter is 0/0 at a channel null. The error diagonal
     takes O(N**2) time, in blocks of DIAG_BLOCK terms, and O(N) memory:
     0.11 s at N = 4096, 0.35 s at 8192 and 36 s at 2**16 (2-core Xeon).
     """
     n, var_u = perm.size, pam_level_variance(m)
-    total = (p * p * var_u) * (gains.real * gains.real + gains.imag * gains.imag) + n * sigma2_n
+    total = (p * p * var_u) * (gains.real * gains.real + gains.imag * gains.imag) + n * noise_var
     spectrum = gains.conj() * (p * p * var_u / total)
-    k = np.fft.irfft(var_u * sigma2_n / total, n)
+    k = np.fft.irfft(var_u * noise_var / total, n)
     a, r = np.arange(n), np.empty(n)
     rows = min(n, max(1, DIAG_BLOCK // n))
     for t in range(0, n, rows):  # lag (pi[a] - pi[a ^ t]) mod N, N a power of two
@@ -182,10 +181,10 @@ def interleaver_search(h: np.ndarray, n: int, *, budget: int,
     built, n must be a power of two (DomainError) and <= MAX_MATRIX_ORDER
     (ConfigError); h are the channel taps (ConfigError if more than n).
 
-    Exhaustive for N <= 8; otherwise simulated annealing over pairwise swaps
-    with a geometric temperature schedule (T0 = half the identity objective,
-    decaying to 1e-3 * T0 over the budget). The identity permutation is
-    always evaluated, so the result is never worse than no interleaving.
+    Simulated annealing over pairwise swaps with a geometric temperature
+    schedule (T0 = half the identity objective, decaying to 1e-3 * T0 over
+    the budget). The identity permutation is always evaluated, so the result
+    is never worse than no interleaving.
 
     The identity and the random start are evaluated in full; each step
     scores one swap from the taps, as in the module docstring. The state is
@@ -217,13 +216,6 @@ def interleaver_search(h: np.ndarray, n: int, *, budget: int,
     if best_j == 0.0:
         return best, identity_j, best_j
 
-    if n <= 8:
-        for cand in itertools.permutations(range(n)):
-            j = interference_spread(interference_matrix(np.array(cand), h))
-            if j < best_j:
-                best, best_j = np.array(cand), j
-        return best, identity_j, best_j
-
     perm = rng.permutation(n)
     swaps = _SwapScorer(h, perm)
     cur_j = swaps.spread
@@ -244,11 +236,6 @@ def interleaver_search(h: np.ndarray, n: int, *, budget: int,
                 best, best_j = perm.copy(), cur_j
         temp *= decay
     return best, identity_j, best_j
-
-
-def save_permutation(perm: np.ndarray, fh):
-    """Write a permutation to the open text file fh as newline-separated 0-based indices."""
-    fh.write("\n".join(str(int(i)) for i in perm) + "\n")
 
 
 def load_permutation(path, n: int | None = None) -> np.ndarray:

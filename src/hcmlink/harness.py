@@ -55,7 +55,6 @@ from .analysis import (
     dcr_amplitude_pmf,
     hcm_amplitude_pmf,
     hcm_drive_peak,
-    qfunc,
 )
 from .channel import DEFAULT_GAMMA, check_taps, load_impulse_response, propagate
 from .equalization import (
@@ -174,6 +173,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {self.n}")
         _SCHEMES[self.scheme].check(self)
+
+    @property
+    def noise_var(self) -> float:
+        """The receiver noise variance, gamma * sigma2_n."""
+        return self.gamma * self.sigma2_n
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,10 @@ def _check_dco(cfg: ExperimentConfig):
     # the bias is the average power, so a point at p_max leaves no AC headroom
     if np.any(grid >= cfg.p_max):
         raise ConfigError(f"dco-ofdm power grid values must lie below p_max={cfg.p_max:g}")
-    scale = float(np.max(_dco_scale(cfg, grid), initial=0.0))
+    # the largest headroom (the AC std at factor 1), then divided as Python floats,
+    # which give inf without a warning where numpy's division would overflow
+    room = float(np.max(analysis.dco_ac_std(grid, cfg.p_max, 1.0), initial=0.0))
+    scale = room / cfg.dco_headroom / analysis.dco_time_std(cfg.n)
     if not scale * scale < math.inf:  # dco_es_snr squares it
         raise ConfigError(f"dco-ofdm power grid values up to {grid.max():g} W overflow the "
                           f"analytic SNR at dco_headroom={cfg.dco_headroom:g}")
@@ -351,7 +358,7 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
 
 def _dco_scale(cfg: ExperimentConfig, avg):
     # the bias is the average; the AC std uses the clipping headroom
-    sigma_x = np.minimum(avg, cfg.p_max - avg) / cfg.dco_headroom
+    sigma_x = analysis.dco_ac_std(avg, cfg.p_max, cfg.dco_headroom)
     return sigma_x / analysis.dco_time_std(cfg.n)
 
 
@@ -359,7 +366,7 @@ def _hcm_snr(ctx: "_SweepContext", avg):
     cfg = ctx.cfg
     p = ctx.scheme.drive(ctx, avg)
     sigma2_clip = clipping_variance_discrete(ctx.calib, p, cfg.n, cfg.p_max)
-    return analysis.hcm_snr(cfg.m, cfg.n, p, cfg.sigma2_n, sigma2_clip, cfg.gamma)
+    return analysis.hcm_snr(cfg.m, cfg.n, p, cfg.noise_var, sigma2_clip)
 
 
 def _hcm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray,
@@ -448,7 +455,7 @@ _SCHEMES = {
         calibrate=_aco_unit_mean,
         drive=lambda ctx, avg: avg / ctx.calib,
         snr=lambda ctx, avg: 3.0 * analysis.aco_es_snr(
-            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma) / (ctx.cfg.m - 1.0),
+            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_aco_tx,
         rx=lambda ctx, point, y: qam_bits(aco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
@@ -459,7 +466,7 @@ _SCHEMES = {
         calibrate=lambda ctx: None,
         drive=lambda ctx, avg: _dco_scale(ctx.cfg, avg),
         snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
-            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.sigma2_n, ctx.cfg.gamma,
+            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var,
             ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_dco_tx,
@@ -531,10 +538,8 @@ def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
     # Gaussian approximation on the per-component residual error
     err = np.sqrt(np.maximum(weights.error_diag[1:], 1e-300))
     half_dist = 0.5 / (m - 1)
-    prefactor = 2.0 * (m - 1) / (m * math.log2(m))
-    ber = prefactor * float(np.mean(qfunc(half_dist / err)))
-    snr = float((half_dist / err.mean()) ** 2)
-    return min(ber, 0.5), snr
+    ber = float(np.mean(analysis.pam_ber((half_dist / err) ** 2, m)))
+    return ber, float((half_dist / err.mean()) ** 2)
 
 
 def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
@@ -543,7 +548,7 @@ def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
     weights = None
     if cfg.equalizer == "mmse":
         perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
-        weights = mmse_weights(ctx.gains, perm, p, cfg.gamma * cfg.sigma2_n, cfg.m)
+        weights = mmse_weights(ctx.gains, perm, p, cfg.noise_var, cfg.m)
         analytic, snr = _mmse_analytic(weights, cfg.m)
     else:
         snr = ctx.scheme.snr(ctx, avg_power)
@@ -557,8 +562,7 @@ def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
     bits = _uniform_ints(rng, 2, (k, ctx.bits_per_symbol))
     tx = ctx.scheme.tx(ctx, point, bits)
     cfg = ctx.cfg
-    y = propagate(tx, cfg.h, cfg.p_max, cfg.gamma * cfg.sigma2_n, rng,
-                  out=ctx.work.rx[:k])[:, cfg.cp_len:]
+    y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, rng, out=ctx.work.rx[:k])[:, cfg.cp_len:]
     bits_hat = ctx.scheme.rx(ctx, point, y)
     return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
 

@@ -414,8 +414,8 @@ class TestAnalyticalBer:
         n, gamma = 128, 1.21
         sigma2 = 1e-12
         p = 3.0 * 2.0 * math.sqrt(n * gamma * sigma2)
-        assert hcm_snr(2, n, p, sigma2, 0.0, gamma) == pytest.approx(9.0, rel=1e-12)
-        assert pam_ber(hcm_snr(2, n, p, sigma2, 0.0, gamma), 2) == pytest.approx(
+        assert hcm_snr(2, n, p, gamma * sigma2, 0.0) == pytest.approx(9.0, rel=1e-12)
+        assert pam_ber(hcm_snr(2, n, p, gamma * sigma2, 0.0), 2) == pytest.approx(
             float(qfunc(3.0)), rel=1e-12
         )
 
@@ -424,7 +424,7 @@ class TestAnalyticalBer:
         res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2, gamma=DEFAULT_GAMMA)
         p = analysis.hcm_drive_peak(res.best_avg_power, 64)
         clip = clipping_variance_discrete(hcm_amplitude_pmf(64, 2), p, 64, 1e-4)
-        want = 4 * hcm_snr(2, 64, p, 1e-12, clip, DEFAULT_GAMMA)
+        want = 4 * hcm_snr(2, 64, p, DEFAULT_GAMMA * 1e-12, clip)
         assert res.max_snr == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m, noise_std", [(4, 0.5e-6), (8, 0.2e-6)])
@@ -441,10 +441,10 @@ class TestAnalyticalBer:
 
     def test_monotonicity(self):
         powers = np.linspace(1e-5, 1e-4, 20)
-        bers = [pam_ber(hcm_snr(2, 128, p, 4e-12, 0.0, DEFAULT_GAMMA), 2) for p in powers]
+        bers = [pam_ber(hcm_snr(2, 128, p, DEFAULT_GAMMA * 4e-12, 0.0), 2) for p in powers]
         assert all(a > b for a, b in zip(bers, bers[1:]))
         clips = np.linspace(0.0, 1e-11, 10)
-        bers = [pam_ber(hcm_snr(2, 128, 5e-5, 4e-12, c, DEFAULT_GAMMA), 2) for c in clips]
+        bers = [pam_ber(hcm_snr(2, 128, 5e-5, DEFAULT_GAMMA * 4e-12, c), 2) for c in clips]
         assert all(a < b for a, b in zip(bers, bers[1:]))
 
     def test_ber_is_prefactor_times_q_of_root_snr(self):
@@ -472,7 +472,7 @@ class TestAnalyticalBer:
             assert got == [qam_ber(snr, m) for snr in snrs]
 
     def test_ber_approaches_half_at_zero_snr(self):
-        ber = pam_ber(hcm_snr(2, 128, 1e-9, 4e-12, 0.0, DEFAULT_GAMMA), 2)
+        ber = pam_ber(hcm_snr(2, 128, 1e-9, DEFAULT_GAMMA * 4e-12, 0.0), 2)
         assert ber <= 0.5
         assert ber == pytest.approx(0.5, rel=1e-3)
 
@@ -505,9 +505,8 @@ class TestAchievableSnr:
         grid_capped = np.geomspace(1e-6, 5e-5, 50)
         pmf = hcm_amplitude_pmf(64, 2)
         snrs = [
-            4 * hcm_snr(2, 64, analysis.hcm_drive_peak(a, 64), 4e-12,
-                        clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4),
-                        DEFAULT_GAMMA)
+            4 * hcm_snr(2, 64, analysis.hcm_drive_peak(a, 64), DEFAULT_GAMMA * 4e-12,
+                        clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4))
             for a in grid_capped
         ]
         assert int(np.argmax(snrs)) == len(grid_capped) - 1

@@ -5,11 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from hcmlink import cli, equalization
-from hcmlink.equalization import MAX_MATRIX_ORDER
+from hcmlink import cli
 from hcmlink.hadamard import MAX_ORDER_LOG2
 from hcmlink.harness import MAX_POWER_W
 
@@ -25,6 +23,8 @@ calib_symbols = 1000
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a config whose interleaver is the search, the one way into it
+SEARCH_CONF = str(SRC.parent / "bench" / "configs" / "dispersive-mmse.dcr-hcm.conf")
 
 # runs cli.main on its arguments with every scipy import failing, then
 # prints the scipy modules that did load
@@ -78,74 +78,6 @@ def test_eta(capsys):
     assert code == 0
     assert lines[0] == "n,m,trials,eta"
     assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
-
-
-def test_interleaver_search(capsys):
-    code, lines, err = run(capsys, "interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "16",
-                           "--budget", "20")
-    assert code == 0
-    assert sorted(int(v) for v in lines) == list(range(16))
-    assert err.startswith("objective:")
-
-
-def test_interleaver_search_above_the_size_limit_fails_first(capsys, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("interference_matrix called")
-    monkeypatch.setattr(equalization, "interference_matrix", fail)
-    n = str(2 * MAX_MATRIX_ORDER)
-    code, lines, err = run(capsys, "interleaver-search", "--taps", "0.5,0.3,0.2", "--n", n)
-    assert code == 2 and lines == []
-    assert f"n <= {MAX_MATRIX_ORDER}" in err
-
-
-def test_interleaver_search_prints_the_objectives_it_searched(capsys, monkeypatch):
-    # two matrices, the identity's and the start's, built by the search itself;
-    # the printed objectives are the ones it tracked
-    real = equalization.interference_matrix
-    calls = []
-
-    def counted(perm, h):
-        calls.append(perm.size)
-        return real(perm, h)
-    for module in (cli, equalization):  # every binding the command could call
-        if hasattr(module, "interference_matrix"):
-            monkeypatch.setattr(module, "interference_matrix", counted)
-    taps = [0.5, 0.3, 0.2]
-    code, lines, err = run(capsys, "interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "64",
-                           "--budget", "200")
-    assert code == 0 and calls == [64, 64]
-    identity, found = (equalization.interference_spread(real(perm, taps))
-                       for perm in (np.arange(64), np.array([int(v) for v in lines])))
-    assert err == f"objective: identity={identity:.6g} found={found:.6g}\n"
-
-
-def test_interleaver_search_out_file_matches_stdout(tmp_path, capsys):
-    argv = ["interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "16", "--budget", "20"]
-    code, lines, _ = run(capsys, *argv)
-    assert code == 0
-    path = tmp_path / "perm.txt"
-    code, out_lines, _ = run(capsys, *argv, "--out", str(path))
-    assert code == 0 and out_lines == []
-    assert path.read_text() == "".join(f"{line}\n" for line in lines)
-
-
-def test_interleaver_search_taps_follow_the_config_rule(tmp_path, capsys):
-    # taps off a unit sum by more than 1e-9 exit 2, as a config's taps do,
-    # rather than being searched unnormalized
-    message = "must sum to 1, got 10.0"
-    code, lines, err = run(capsys, "interleaver-search", "--taps", "5,3,2", "--n", "16")
-    assert code == 2 and lines == [] and message in err
-    path = tmp_path / "taps.conf"
-    path.write_text("scheme = dcr-hcm\nn = 16\ntaps = 5,3,2\ncp_len = 2\n")
-    code, lines, err = run(capsys, "analyze", str(path))
-    assert code == 2 and lines == [] and message in err
-    # unit-sum taps search as before: the same permutation as from a file
-    taps_file = tmp_path / "taps.txt"
-    taps_file.write_text("0.5 0.3 0.2\n")
-    argv = ["interleaver-search", "--n", "16", "--budget", "20"]
-    _, from_flag, _ = run(capsys, *argv, "--taps", "0.5,0.3,0.2")
-    _, from_file, _ = run(capsys, *argv, "--taps-file", str(taps_file))
-    assert from_flag == from_file and sorted(map(int, from_flag)) == list(range(16))
 
 
 @pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm\ndco_headroom = 40"])
@@ -228,6 +160,13 @@ def test_eta_checks_every_order_before_computing_any(capsys, monkeypatch):
     assert lines == [] and "power of two" in err
 
 
+def test_interleaver_search_is_not_a_command(capsys):
+    # the search runs only from a config's interleaver = search
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["interleaver-search", "--n", "16"])
+    assert exc.value.code == 2 and "invalid choice: 'interleaver-search'" in capsys.readouterr().err
+
+
 def test_runtime_error_without_message_names_its_type(capsys, monkeypatch):
     def exhausted(*args):
         raise MemoryError()
@@ -248,15 +187,15 @@ def test_eta_reversed_range_exits_2(capsys):
     (["eta", "--n-range", "16:16", "--m", "1"], "m >= 2"),
     (["pmf", "--n", "16", "--dcr", "--symbols", "0"], "at least one symbol"),
     (["pmf", "--n", "16", "--dcr", "--symbols", "-5"], "at least one symbol"),
-    (["interleaver-search", "--taps", "0.5,0.5", "--n", "0"], "power of two"),
+    (["analyze", SEARCH_CONF, "--set", "n=0"], "power of two"),
     # above the largest supported order, rejected before any matrix is built
-    (["interleaver-search", "--taps", "0.5,0.5", "--n", str(2 << MAX_ORDER_LOG2)], "power of two"),
+    (["analyze", SEARCH_CONF, "--set", f"n={2 << MAX_ORDER_LOG2}"], "power of two"),
     # taps that are not finite, negative or all zero: no NaN objective
-    (["interleaver-search", "--taps=-0.5,1.5", "--n", "16"], "non-negative taps"),
-    (["interleaver-search", "--taps", "nan,1", "--n", "16"], "non-negative taps"),
-    (["interleaver-search", "--taps", "0,0", "--n", "16"], "positive sum"),
-    # a bad number in a list flag is a config error that names the flag
-    (["interleaver-search", "--taps", "0.5,x", "--n", "16"], "bad number in --taps"),
+    (["analyze", SEARCH_CONF, "--set", "taps=-0.5,1.5"], "non-negative taps"),
+    (["analyze", SEARCH_CONF, "--set", "taps=nan,1"], "non-negative taps"),
+    (["analyze", SEARCH_CONF, "--set", "taps=0,0"], "positive sum"),
+    # a bad number in a list is a config error that names the flag or key
+    (["analyze", SEARCH_CONF, "--set", "taps=0.5,x"], "bad value for 'taps'"),
     (["snr", "--m-list", "4,x"], "bad number in --m-list"),
     (["eta", "--n-range", "4:x"], "bad number in --n-range"),
     (["snr", "--gamma", "0.5"], "gamma must be >= 1"),
@@ -285,9 +224,8 @@ def test_degenerate_input_exits_2(capsys, argv, message):
     ["pmf", "--n", "16", "--m", "4"],
     ["pmf", "--n", "16", "--dcr", "--symbols", "500"],
     ["eta", "--n-range", "4:8", "--trials", "10000"],
-    ["interleaver-search", "--taps", "0.5,0.3,0.2", "--n", "16", "--budget", "20"],
     ["snr", "--schemes", "hcm,dcr-hcm,aco-ofdm,dco-ofdm", "--m-list", "4"],
-], ids=["simulate", "analyze", "pmf", "pmf-dcr", "eta", "interleaver-search", "snr"])
+], ids=["simulate", "analyze", "pmf", "pmf-dcr", "eta", "snr"])
 def test_every_command_runs_without_scipy(tmp_path, argv):
     # the package needs numpy only: scipy is a test dependency
     conf = tmp_path / "tiny.conf"

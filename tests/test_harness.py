@@ -344,18 +344,22 @@ def test_bad_dco_headroom_rejected(capsys, headroom):
 
 def test_dco_grid_that_overflows_the_snr_rejected(tmp_path, capsys):
     # at N = 2**16 and headroom 0.01 a 1e150 W bias squares the waveform
-    # scale past the float range: analyze printed 1e+150,0,inf with exit 0
-    text = ("scheme = dco-ofdm\nm = 4\nn = 65536\ndco_headroom = 0.01\np_max_w = inf\n"
-            "power_grid_w = 1e-5,1e150\n")
-    with pytest.raises(ConfigError, match="overflow"):
-        harness.parse_config(text)
-    harness.parse_config(text.replace("0.01", "0.03"))
-    path = tmp_path / "dco.conf"
-    path.write_text(text)
-    for command in ("simulate", "analyze"):
-        assert cli.main([command, str(path)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "dco_headroom=0.01" in captured.err
+    # scale past the float range: analyze printed 1e+150,0,inf with exit 0;
+    # at headroom 1e-200 the check's own division overflowed, which the
+    # tests' warnings-as-errors turned into exit 3
+    base = "scheme = dco-ofdm\nm = 4\np_max_w = inf\n"
+    harness.parse_config(base + "n = 65536\ndco_headroom = 0.03\npower_grid_w = 1e-5,1e150\n")
+    for keys, headroom in (("n = 65536\npower_grid_w = 1e-5,1e150\n", "0.01"),
+                           ("power_grid_w = 1e150\n", "1e-200")):
+        text = f"{base}{keys}dco_headroom = {headroom}\n"
+        with pytest.raises(ConfigError, match="overflow"):
+            harness.parse_config(text)
+        path = tmp_path / "dco.conf"
+        path.write_text(text)
+        for command in ("simulate", "analyze"):
+            assert cli.main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and f"dco_headroom={headroom}" in captured.err
 
 
 def test_dco_grid_at_p_max_rejected(tmp_path, capsys):
