@@ -22,9 +22,9 @@ math.erfc (applied elementwise to arrays), so the package needs numpy only.
 The tests hold Q to within 1e-12 relative of scipy.special.erfc wherever
 scipy's value is at least 1e-300, and the Gaussian clipping tail variances
 to 1e-12 relative of the same formulas on scipy.special.ndtr. The one
-exception is a lower tail whose floor lies more than 4 std below the mean:
-its two terms cancel there, which magnifies the last ulp of Phi, so it is
-held to 1e-12 of its Phi term instead.
+exception is a tail whose edge lies more than 4 std beyond the mean: its
+two terms cancel there, which magnifies the last ulp of the probability, so
+it is held to 1e-12 of its probability term instead.
 """
 
 import math
@@ -226,7 +226,7 @@ def _tail_var(mean, std, edge, side: float):
     +1 above; 0 where the tail's probability term is 0 (an infinite edge, or one so far
     out that (mean - edge)^2 would overflow), and never below 0 where its terms cancel."""
     mu = mean - edge  # = -z * std, for z = (edge - mean) / std
-    prob = qfunc(mu / std) if side < 0 else 1.0 - qfunc(mu / std)  # Phi(z) or 1 - Phi(z)
+    prob = qfunc(-side * mu / std)  # Phi(z) below, Q(z) above
     mu = np.where(prob > 0, mu, 0.0)
     var = (mu * mu + std * std) * prob + side * mu * std * _phi(mu / std)
     return np.maximum(var, 0.0)[()]

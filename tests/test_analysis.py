@@ -351,7 +351,7 @@ class TestClippingVarianceGaussian:
 
         def upper(mean, cap):
             b, mu = (cap - mean) / std, mean - cap
-            term = (mu * mu + std * std) * (1.0 - ndtr(b))
+            term = (mu * mu + std * std) * ndtr(-b)
             return float(term + mu * std * analysis._phi(b)), term
 
         def check(got, want, scale):
@@ -360,15 +360,16 @@ class TestClippingVarianceGaussian:
             else:
                 assert abs(got - want) <= 1e-12 * scale
 
-        # z is the floor's or cap's distance from the mean in std
+        # z is the floor's or cap's distance from the mean in std; the two
+        # terms cancel when the edge lies over 4 std beyond the mean, which
+        # magnifies any ulp of the probability: there, 1e-12 of its term
         for z in np.linspace(-38.0, 38.0, 761):
             want, term = lower(-z * std, 0.0)
-            # the two terms cancel when the floor lies over 4 std below the
-            # mean, which magnifies any ulp of Phi: there, 1e-12 of its term
             got = analysis._tail_var(-z * std, std, 0.0, side=-1.0)
             check(got, want, want if z >= -4.0 else term)
-            want, _ = upper(0.5, 0.5 + z * std)
-            check(analysis._tail_var(0.5, std, 0.5 + z * std, side=1.0), want, want)
+            want, term = upper(0.5, 0.5 + z * std)
+            got = analysis._tail_var(0.5, std, 0.5 + z * std, side=1.0)
+            check(got, want, want if z <= 4.0 else term)
 
     @pytest.mark.parametrize(
         "mean,var,p_max", [(0.2, 1.3, 1.7), (-0.5, 0.04, 0.5), (2.0, 4.0, 2.5)]
