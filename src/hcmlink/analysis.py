@@ -144,13 +144,15 @@ def _uniform_ints(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
         flat[0] = state["uinteger"] >> shift
     need = out.size - buffered
     halves = bitgen.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
-    np.right_shift(halves[:need], shift, out=flat[buffered:])
-    # numpy leaves uinteger at the last word's high half, used or not
     state = bitgen.state
     state["has_uint32"] = need % 2
     if need:
+        # numpy leaves uinteger at the last word's high half, used or not
         state["uinteger"] = int(halves[-1])
     bitgen.state = state
+    # shifting in place, then casting in the copy, needs no cast buffer
+    np.right_shift(halves, shift, out=halves)
+    flat[buffered:] = halves[:need]
     return out
 
 

@@ -15,17 +15,18 @@ of the table _SCHEMES: its order check, bits per symbol, calibration, drive
 mapping, analytic SNR and BER, and transmit and receive stages. The engine
 itself names no scheme.
 
-Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows of N or
-N + cp_len samples each, allocated on its first chunk, and the HCM stages
-write into them through their `out=` arguments; propagate writes every
-scheme's received samples into one, using the framed samples as scratch,
-and the MMSE filter writes their spectrum into a complex one and the
-filtered samples over that scratch. After the first chunk a sweep allocates
-per chunk only the payload bit array, its raw generator words and a few
-transient chunk-sized arrays (an fwht intermediate, the slicer's scaled
-estimates, the level lookup). The payload bits are those of
-rng.integers(0, 2), read by analysis._uniform_ints two to a 64-bit PCG64
-word instead of one bounded draw per bit. The buffers matter because a
+Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows each,
+allocated on its first chunk, and every scheme's stages write into them
+through their `out=` arguments; propagate writes the received samples into
+one, using the framed samples as scratch. The OFDM receiver multiplies the
+data bins of the received spectrum once by c / (p H_k): the one-tap
+equalizer, ACO's clipping factor c = 2 (1 for DCO) and the drive p in one
+vector. After the first chunk a sweep allocates per chunk only the payload
+bit array, its raw generator words and a few transient arrays (bit-group
+values, an fwht intermediate, the slicer's scaled estimates, numpy's ufunc
+buffers). The payload bits are those of rng.integers(0, 2), read by
+analysis._uniform_ints two to a 64-bit PCG64 word instead of one bounded
+draw per bit. The buffers matter because a
 chunk array at N=128 is 256 KiB, above glibc's initial mmap threshold of
 128 KiB: without the buffers each chunk allocated about ten of them, each
 mapped fresh from the kernel and page-faulted in unless a block of 4 MiB
@@ -74,7 +75,6 @@ from .modem_hcm import (
     frame_chips,
     interleave,
     levels_from_bits,
-    prepend_cyclic_prefix,
     slice_levels,
 )
 from .modem_ofdm import (
@@ -327,33 +327,45 @@ def _dcr_pmf(ctx: "_SweepContext"):
 ACO_CALIB_FRAMES = 4096  # random frames behind the ACO unit mean
 
 
+def _aco_frames(m: int, bits: np.ndarray, symbols: np.ndarray, spec: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """The zero-clipped unit ACO frames of bits, written to out (float64, (k, N))
+    through the buffers symbols (complex128, (k, N/4)) and spec (complex128, (k, N/2 + 1))."""
+    qam_symbols(bits, m, out=symbols)
+    raw = aco_time_samples(symbols, out.shape[-1], out=(spec, out))
+    return np.maximum(raw, 0.0, out=raw)
+
+
 def _aco_unit_mean(ctx: "_SweepContext") -> float:
     """Mean of the zero-clipped unit ACO waveform over ACO_CALIB_FRAMES frames.
 
-    Frames are drawn, transformed and clipped in place in blocks of
-    CALIB_BLOCK_CHIPS chips, and each block is summed on its own. rng hands
-    out the bits in order across calls, so the draws are those of one
-    whole-array call. numpy sums a contiguous array pairwise, halving it
-    down to 128 elements; the blocks are equal power-of-two slices of the
-    power-of-two whole, so adding their sums in a pairwise tree repeats its
-    additions, and the mean is the same float as that of the whole
-    (ACO_CALIB_FRAMES, N) array. On a 2-core host, `analyze` at m = 4 takes
-    1.5 s at 39 MiB peak RSS for N = 2**14 (the whole array: 2.9 s, 1.6 GiB)
-    and 7.0 s at 40 MiB for N = 2**16, where the whole array needed over
-    2.6 GiB.
+    Frames are drawn and transformed by the chunks' transmit stage, into
+    buffers of CALIB_BLOCK_CHIPS chips that every block reuses, and each
+    block is summed on its own. rng hands out the bits in order across
+    calls, so the draws are those of one whole-array call. numpy sums a
+    contiguous array pairwise, halving it down to 128 elements; the blocks
+    are equal power-of-two slices of the power-of-two whole, so adding their
+    sums in a pairwise tree repeats its additions, and the mean is the same
+    float as that of the whole (ACO_CALIB_FRAMES, N) array. On a 2-core
+    host, `analyze` at m = 4 takes 1.5 s at 39 MiB peak RSS for N = 2**14
+    (the whole array: 2.9 s, 1.6 GiB) and 7.0 s at 40 MiB for N = 2**16,
+    where the whole array needed over 2.6 GiB.
     """
     cfg, rng = ctx.cfg, ctx.calib_rng
     if rng is None:
         rng = _stream(cfg.master_seed, 1, 1)
-    rows = min(ACO_CALIB_FRAMES, analysis.CALIB_BLOCK_CHIPS // cfg.n)  # n <= 2**16
+    n = cfg.n
+    rows = min(ACO_CALIB_FRAMES, analysis.CALIB_BLOCK_CHIPS // n)  # n <= 2**16
+    symbols = np.empty((rows, aco_data_count(n)), dtype=np.complex128)
+    spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
+    raw = np.empty((rows, n))
     sums = []
     for _ in range(ACO_CALIB_FRAMES // rows):
         bits = _uniform_ints(rng, 2, (rows, ctx.bits_per_symbol))
-        raw = aco_time_samples(qam_symbols(bits, cfg.m), cfg.n)
-        sums.append(np.maximum(raw, 0.0, out=raw).sum())
+        sums.append(_aco_frames(cfg.m, bits, symbols, spec, raw).sum())
     while len(sums) > 1:
         sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return float(sums[0] / (ACO_CALIB_FRAMES * cfg.n))
+    return float(sums[0] / (ACO_CALIB_FRAMES * n))
 
 
 def _dco_scale(cfg: ExperimentConfig, avg):
@@ -396,13 +408,31 @@ def _hcm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
 
 
 def _aco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
-    raw = aco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
-    return prepend_cyclic_prefix(point.p * np.maximum(raw, 0.0), ctx.cfg.cp_len)
+    cfg, work, k = ctx.cfg, ctx.work, len(bits)
+    tx = work.tx[:k]
+    x = _aco_frames(cfg.m, bits, work.symbols[:k], work.spec[:k], tx[:, cfg.cp_len:])
+    x *= point.p
+    tx[:, :cfg.cp_len] = tx[:, cfg.n:]
+    return tx
 
 
 def _dco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
-    raw = dco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
-    return prepend_cyclic_prefix(point.p * raw + point.avg_power, ctx.cfg.cp_len)
+    cfg, work, k = ctx.cfg, ctx.work, len(bits)
+    tx = work.tx[:k]
+    symbols = qam_symbols(bits, cfg.m, out=work.symbols[:k])
+    x = dco_time_samples(symbols, cfg.n, out=(work.spec[:k], tx[:, cfg.cp_len:]))
+    x *= point.p
+    x += point.avg_power
+    tx[:, :cfg.cp_len] = tx[:, cfg.n:]
+    return tx
+
+
+def _ofdm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray,
+             extract: Callable) -> np.ndarray:
+    # equalizing against p * H_k folds the drive into the one multiply by c / (p H_k)
+    work, k = ctx.work, len(y)
+    symbols = extract(y, point.p * ctx.gains, out=(work.spec[:k], work.symbols[:k]))
+    return qam_bits(symbols, ctx.cfg.m, out=(work.idx[:k], work.bits[:k]))
 
 
 @dataclass(frozen=True)
@@ -458,7 +488,7 @@ _SCHEMES = {
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_aco_tx,
-        rx=lambda ctx, point, y: qam_bits(aco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
+        rx=lambda ctx, point, y: _ofdm_rx(ctx, point, y, aco_extract),
     ),
     "dco-ofdm": _Scheme(
         check=_check_dco,
@@ -470,7 +500,7 @@ _SCHEMES = {
             ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_dco_tx,
-        rx=lambda ctx, point, y: qam_bits(dco_extract(y, ctx.gains) / point.p, ctx.cfg.m),
+        rx=lambda ctx, point, y: _ofdm_rx(ctx, point, y, dco_extract),
     ),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -479,24 +509,32 @@ SCHEMES = tuple(_SCHEMES)
 class _ChunkBuffers:
     """A sweep's work arrays for the chunk pipeline, CHUNK_SYMBOLS rows each.
 
-    levels holds the PAM levels, then the interleaved chips, then the
+    HCM: levels holds the PAM levels, then the interleaved chips, then the
     deinterleaved payload; chips holds the chips, then the decoded vectors
-    v; tx and rx hold the framed samples (tx is propagate's scratch, then
-    the MMSE-filtered payload); spec holds the payload's spectrum for the
-    MMSE filter; idx and bits receive the slicer's decisions. A shorter last
-    chunk uses [:k].
-    OFDM chunks write only rx; np.empty commits no memory to the others.
+    v; spec holds the payload's spectrum for the MMSE filter. OFDM: symbols
+    holds the QAM symbols sent, then those received; spec holds the half
+    spectrum of the frames, then that of the payload. tx and rx hold the
+    framed samples (tx is propagate's scratch, then the MMSE-filtered
+    payload); idx and bits receive the slicer's decisions, an index and its
+    bits for each PAM level or QAM symbol. A shorter last chunk uses [:k].
+    np.empty commits no memory to the arrays a scheme never writes.
     """
 
     def __init__(self, cfg: ExperimentConfig):
         rows, n = CHUNK_SYMBOLS, cfg.n
+        data = _SCHEMES[cfg.scheme].data_count(n)
         self.levels = np.empty((rows, n))
         self.chips = np.empty((rows, n))
         self.tx = np.empty((rows, n + cfg.cp_len))
         self.rx = np.empty((rows, n + cfg.cp_len))
         self.spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
-        self.idx = np.empty((rows, n - 1), dtype=np.int64)
-        self.bits = np.empty((rows, n - 1, int(math.log2(cfg.m))), dtype=np.int64)
+        self.idx = np.empty((rows, data), dtype=np.int64)
+        self.bits = np.empty((rows, data, int(math.log2(cfg.m))), dtype=np.int64)
+
+    @cached_property
+    def symbols(self) -> np.ndarray:
+        # allocated on first use: HCM sweeps never read it
+        return np.empty(self.idx.shape, dtype=np.complex128)
 
 
 class _SweepContext:

@@ -48,10 +48,15 @@ def _group_values(groups: np.ndarray) -> np.ndarray:
     """MSB-first value of each bit group along the last axis.
 
     A one-bit group is its own value: the result is then a view of groups.
+    Longer groups are summed in place into one new array.
     """
     value = groups[..., 0]
     for j in range(1, groups.shape[-1]):
-        value = 2 * value + groups[..., j]
+        if j == 1:
+            value = 2 * value  # a new array: groups stay as they are
+        else:
+            value *= 2
+        value += groups[..., j]
     return value
 
 
@@ -136,14 +141,6 @@ def slice_levels(estimates: np.ndarray, m: int, out: tuple | None = None):
     np.copyto(idx, scaled, casting="unsafe")
     bits = np.take(_gray_tables(int(np.log2(m)))[1], idx, axis=0, out=bits, mode="clip")
     return idx, bits
-
-
-def prepend_cyclic_prefix(x: np.ndarray, cp_len: int) -> np.ndarray:
-    """Copy the last cp_len samples to the front (along the last axis)."""
-    if cp_len == 0:
-        return np.asarray(x)
-    x = np.asarray(x)
-    return np.concatenate([x[..., -cp_len:], x], axis=-1)
 
 
 def frame_chips(chips: np.ndarray, p: float, cp_len: int,

@@ -46,28 +46,49 @@ def _qam_tables(m_qam: int) -> tuple[np.ndarray, np.ndarray]:
     return symbols, bits
 
 
-def qam_symbols(bits: np.ndarray, m_qam: int) -> np.ndarray:
-    """Map bit groups (..., k*log2(m)) to k unit-energy QAM symbols."""
+def qam_symbols(bits: np.ndarray, m_qam: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Map bit groups (..., k*log2(m)) to k unit-energy QAM symbols.
+
+    With `out` (complex128, shape (..., k), C-contiguous) the symbols are written there.
+    """
     symbols = _qam_tables(m_qam)[0]
     bits = np.asarray(bits)
     bps = int(np.log2(m_qam))
     if bits.shape[-1] % bps:
         raise SizeError(f"bit count must be a multiple of {bps}")
-    return symbols[_group_values(bits.reshape(*bits.shape[:-1], -1, bps))]
+    values = _group_values(bits.reshape(*bits.shape[:-1], -1, bps))
+    return np.take(symbols, values, out=out, mode="clip")
 
 
-def qam_bits(symbols: np.ndarray, m_qam: int) -> np.ndarray:
-    """Slice QAM symbols per axis (nearest level, ties to the lower index)."""
+def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.ndarray:
+    """Slice QAM symbols per axis (nearest level, ties to the lower index).
+
+    Returns the bits (..., k*log2(m)) of k symbols. With `out`, a pair of
+    int64 arrays (the pair indices I * side + Q, shaped (..., k), and the bits,
+    shaped (..., k, log2(m)), C-contiguous), both are written there, and
+    symbols, which must then be a complex128 array, serve as scratch.
+    """
     side = _check_qam_order(m_qam)
     norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
     symbols = np.asarray(symbols)
-
-    def axis_index(x):
-        idx_f = (side - 1 - x * norm) / 2.0
-        return np.clip(np.ceil(idx_f - 0.5), 0, side - 1).astype(np.int64)
-
-    pairs = axis_index(symbols.real) * side + axis_index(symbols.imag)
-    return _qam_tables(m_qam)[1][pairs].reshape(*symbols.shape[:-1], -1)
+    if out is None:
+        xy = np.empty((*symbols.shape, 2))
+        xy[..., 0], xy[..., 1] = symbols.real, symbols.imag
+        pairs, bits = np.empty(symbols.shape, dtype=np.int64), None
+    else:
+        xy = symbols[..., None].view(np.float64)  # re and im of each symbol
+        pairs, bits = out
+    # the nearest level's index, ties down: ceil((side - 1 - x * norm) / 2 - 0.5);
+    # halving is exact, so scaling by -norm / 2 and adding (side - 1) / 2 gives its floats
+    np.multiply(xy, -0.5 * norm, out=xy)
+    xy += 0.5 * (side - 1)
+    xy -= 0.5
+    np.ceil(xy, out=xy)
+    np.clip(xy, 0, side - 1, out=xy)
+    xy[..., 0] *= side
+    np.add(xy[..., 0], xy[..., 1], out=pairs, casting="unsafe")
+    bits = np.take(_qam_tables(m_qam)[1], pairs, axis=0, out=bits, mode="clip")
+    return bits.reshape(*symbols.shape[:-1], -1)
 
 
 def aco_data_count(n_fft: int) -> int:
@@ -78,26 +99,40 @@ def dco_data_count(n_fft: int) -> int:
     return n_fft // 2 - 1
 
 
-def _time_samples(symbols: np.ndarray, n_fft: int, step: int) -> np.ndarray:
-    """Real IFFT of symbols on subcarriers 1, 1 + step, ... below n_fft/2."""
+def _time_samples(symbols: np.ndarray, n_fft: int, step: int,
+                  out: tuple | None = None) -> np.ndarray:
+    """Real IFFT of symbols on subcarriers 1, 1 + step, ... below n_fft/2.
+
+    With `out`, a pair of a complex128 half spectrum (..., n_fft // 2 + 1)
+    and float64 samples (..., n_fft), the symbols are loaded into the data
+    bins of the first, its other bins zeroed, and the samples written to the
+    second.
+    """
     symbols = np.asarray(symbols)
-    half = np.zeros((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128)
+    if out is None:
+        half = np.zeros((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128)
+        samples = None
+    else:
+        half, samples = out
+        half[...] = 0.0  # one contiguous pass: zeroing only the strided bins is slower
     data = half[..., 1 : n_fft // 2 : step]
     if symbols.shape[-1] != data.shape[-1]:
         raise ConfigError(f"a {n_fft}-point frame with subcarrier step {step} carries "
                           f"{data.shape[-1]} symbols, got {symbols.shape[-1]}")
     data[...] = symbols
-    return np.fft.irfft(half, n_fft, axis=-1)
+    return np.fft.irfft(half, n_fft, axis=-1, out=samples)
 
 
-def aco_time_samples(symbols: np.ndarray, n_fft: int) -> np.ndarray:
-    """Real IFFT output with data on odd subcarriers (before any clipping)."""
-    return _time_samples(symbols, n_fft, 2)
+def aco_time_samples(symbols: np.ndarray, n_fft: int, out: tuple | None = None) -> np.ndarray:
+    """Real IFFT output with data on odd subcarriers (before any clipping); `out` as in
+    _time_samples."""
+    return _time_samples(symbols, n_fft, 2, out)
 
 
-def dco_time_samples(symbols: np.ndarray, n_fft: int) -> np.ndarray:
-    """Real IFFT output with data on subcarriers 1..n_fft/2-1 (zero-mean AC)."""
-    return _time_samples(symbols, n_fft, 1)
+def dco_time_samples(symbols: np.ndarray, n_fft: int, out: tuple | None = None) -> np.ndarray:
+    """Real IFFT output with data on subcarriers 1..n_fft/2-1 (zero-mean AC); `out` as in
+    _time_samples."""
+    return _time_samples(symbols, n_fft, 1, out)
 
 
 def one_tap_gains(h: np.ndarray, n_fft: int) -> np.ndarray:
@@ -105,18 +140,35 @@ def one_tap_gains(h: np.ndarray, n_fft: int) -> np.ndarray:
     return np.fft.rfft(np.asarray(h, dtype=np.float64), n_fft)
 
 
-def _extract(payload: np.ndarray, channel_gains: np.ndarray, step: int) -> np.ndarray:
-    """FFT and one-tap ZF equalization on subcarriers 1, 1 + step, ... below n_fft/2."""
+def _extract(payload: np.ndarray, channel_gains: np.ndarray, step: int, scale: float,
+             out: tuple | None = None) -> np.ndarray:
+    """FFT and one-tap ZF equalization on subcarriers 1, 1 + step, ... below n_fft/2:
+    one complex multiply of those bins by scale / channel_gains.
+
+    With `out`, a pair of a complex128 spectrum (..., n_fft // 2 + 1) and
+    complex128 symbols (..., k), the FFT is written to the first and the
+    equalized symbols to the second.
+    """
     payload = np.asarray(payload, dtype=np.float64)
     data = slice(1, payload.shape[-1] // 2, step)
-    return np.fft.rfft(payload, axis=-1)[..., data] / np.asarray(channel_gains)[data]
+    factor = scale / np.asarray(channel_gains)[data]
+    if out is None:
+        return np.fft.rfft(payload, axis=-1)[..., data] * factor
+    spectrum, symbols = out
+    # a copy, then an in-place multiply, allocates no ufunc buffers for the strided bins
+    np.copyto(symbols, np.fft.rfft(payload, axis=-1, out=spectrum)[..., data])
+    symbols *= factor
+    return symbols
 
 
-def aco_extract(payload: np.ndarray, channel_gains: np.ndarray) -> np.ndarray:
-    """FFT, one-tap ZF equalization, odd-subcarrier pick, clip-attenuation undo."""
-    return 2.0 * _extract(payload, channel_gains, 2)
+def aco_extract(payload: np.ndarray, channel_gains: np.ndarray,
+                out: tuple | None = None) -> np.ndarray:
+    """FFT, one-tap ZF equalization, odd-subcarrier pick, clip-attenuation undo; `out` as
+    in _extract."""
+    return _extract(payload, channel_gains, 2, 2.0, out)
 
 
-def dco_extract(payload: np.ndarray, channel_gains: np.ndarray) -> np.ndarray:
-    """FFT and one-tap ZF equalization on subcarriers 1..n_fft/2-1."""
-    return _extract(payload, channel_gains, 1)
+def dco_extract(payload: np.ndarray, channel_gains: np.ndarray,
+                out: tuple | None = None) -> np.ndarray:
+    """FFT and one-tap ZF equalization on subcarriers 1..n_fft/2-1; `out` as in _extract."""
+    return _extract(payload, channel_gains, 1, 1.0, out)
