@@ -12,8 +12,12 @@ never collide with trial streams.
 An ExperimentConfig holds the link and the sweep and checks both when it is
 built, so every config the engine sees is valid. Each scheme is one entry
 of the table _SCHEMES: its order check, bits per symbol, calibration, drive
-mapping, analytic SNR and BER, and transmit and receive stages. The engine
-itself names no scheme.
+mapping, analytic SNR and BER, transmit stage, and a receiver in two stages,
+a linear estimate in decision units (PAM levels or QAM symbols) and a
+decision that slices it to bits. The engine itself names no scheme. The
+entries call other modules through this module's globals at call time,
+never stored function objects, so a wrapper on a module attribute sees
+every call.
 
 Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows each,
 allocated on its first chunk, and every scheme's stages write into them
@@ -109,8 +113,9 @@ class ExperimentConfig:
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
     one power takes 2.5 s at N = 2^14 and 11 s at N = 2^16, at 63-64 MiB peak
     RSS (2-core Xeon, 1 BLAS thread). The MMSE equalizer adds, per power, the
-    O(N^2) error diagonal of equalization.mmse_weights: 0.11 s at N = 4,096,
-    0.35 s at 8,192 and 36 s at 2^16, in O(N) memory.
+    O(N^2) error diagonal of equalization.mmse_weights, in O(N) memory: with
+    taps .5,.3,.2 and the identity or a random permutation, 0.06 s at
+    N = 4,096, 0.22 s at 8,192, 0.83-0.94 s at 2^14 and 18-24 s at 2^16.
     """
 
     scheme: str
@@ -394,7 +399,7 @@ def _hcm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray,
     return frame_chips(chips, point.p, cfg.cp_len, out=work.tx[:k])
 
 
-def _hcm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
+def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
     n, p, work, k = ctx.cfg.n, point.p, ctx.work, len(y)
     if point.weights is not None:  # MMSE: the Wiener filter on the received chips
         spec = np.fft.rfft(y, out=work.spec[:k])
@@ -404,7 +409,7 @@ def _hcm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
         y = deinterleave(y, ctx.perm, out=work.levels[:k])
     est = decode_samples(y, p, out=work.chips[:k])[:, 1:]
     est *= n / p
-    return slice_levels(est, ctx.cfg.m, out=(work.idx[:k], work.bits[:k]))[1]
+    return est
 
 
 def _aco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
@@ -427,23 +432,16 @@ def _dco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarr
     return tx
 
 
-def _ofdm_rx(ctx: "_SweepContext", point: BerPoint, y: np.ndarray,
-             extract: Callable) -> np.ndarray:
+def _ofdm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray,
+                   extract: Callable) -> np.ndarray:
     # equalizing against p * H_k folds the drive into the one multiply by c / (p H_k)
     work, k = ctx.work, len(y)
-    symbols = extract(y, point.p * ctx.gains, out=(work.spec[:k], work.symbols[:k]))
-    return qam_bits(symbols, ctx.cfg.m, out=(work.idx[:k], work.bits[:k]))
+    return extract(y, point.p * ctx.gains, out=(work.spec[:k], work.symbols[:k]))
 
 
 @dataclass(frozen=True)
 class _Scheme:
-    """Everything the harness knows about one scheme.
-
-    The fields call modem, channel, equalization and analysis functions
-    through this module's globals at call time, never through stored
-    function objects, so a wrapper installed on a module attribute sees
-    every call.
-    """
+    """Everything the harness knows about one scheme (see the module docstring)."""
 
     check: Callable  # (cfg): PAM/QAM order and scheme limits; raises ConfigError
     data_count: Callable  # (n): PAM levels or QAM symbols per symbol
@@ -454,7 +452,9 @@ class _Scheme:
     ber: Callable  # (snr, m): analytic bit error rate
     tx: Callable  # (ctx, point, bits): transmit samples, cyclic prefix included;
     # a C-contiguous float64 array that propagate then uses as scratch
-    rx: Callable  # (ctx, point, payload): bit decisions
+    estimate: Callable  # (ctx, point, payload): a chunk buffer of PAM levels or QAM symbols
+    decide: Callable  # (estimates, m, out): their bits, written to the pair out = (indices,
+    # bits); the estimates may serve as scratch
     peak_snr_factor: float = 1.0  # achievable_snr reports this times snr
 
 
@@ -467,7 +467,8 @@ _HCM = _Scheme(
     snr=_hcm_snr,
     ber=lambda snr, m: analysis.pam_ber(snr, m),
     tx=_hcm_tx,
-    rx=_hcm_rx,
+    estimate=_hcm_estimate,
+    decide=lambda est, m, out: slice_levels(est, m, out=out)[1],
     peak_snr_factor=4.0,
 )
 
@@ -488,7 +489,8 @@ _SCHEMES = {
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_aco_tx,
-        rx=lambda ctx, point, y: _ofdm_rx(ctx, point, y, aco_extract),
+        estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, aco_extract),
+        decide=lambda est, m, out: qam_bits(est, m, out=out),
     ),
     "dco-ofdm": _Scheme(
         check=_check_dco,
@@ -500,7 +502,8 @@ _SCHEMES = {
             ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_dco_tx,
-        rx=lambda ctx, point, y: _ofdm_rx(ctx, point, y, dco_extract),
+        estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, dco_extract),
+        decide=lambda est, m, out: qam_bits(est, m, out=out),
     ),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -515,21 +518,20 @@ class _ChunkBuffers:
     holds the QAM symbols sent, then those received; spec holds the half
     spectrum of the frames, then that of the payload. tx and rx hold the
     framed samples (tx is propagate's scratch, then the MMSE-filtered
-    payload); idx and bits receive the slicer's decisions, an index and its
-    bits for each PAM level or QAM symbol. A shorter last chunk uses [:k].
+    payload); idx and bits receive the decisions, an index and its bits for
+    each PAM level or QAM symbol. A shorter last chunk uses [:k].
     np.empty commits no memory to the arrays a scheme never writes.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, decision_shape: tuple):
         rows, n = CHUNK_SYMBOLS, cfg.n
-        data = _SCHEMES[cfg.scheme].data_count(n)
         self.levels = np.empty((rows, n))
         self.chips = np.empty((rows, n))
         self.tx = np.empty((rows, n + cfg.cp_len))
         self.rx = np.empty((rows, n + cfg.cp_len))
         self.spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
-        self.idx = np.empty((rows, data), dtype=np.int64)
-        self.bits = np.empty((rows, data, int(math.log2(cfg.m))), dtype=np.int64)
+        self.idx = np.empty((rows, decision_shape[0]), dtype=np.int64)
+        self.bits = np.empty((rows, *decision_shape), dtype=np.int64)
 
     @cached_property
     def symbols(self) -> np.ndarray:
@@ -543,14 +545,15 @@ class _SweepContext:
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
         self.cfg = cfg
         self.scheme = _SCHEMES[cfg.scheme]
-        self.bits_per_symbol = self.scheme.data_count(cfg.n) * int(math.log2(cfg.m))
+        self.decision_shape = self.scheme.data_count(cfg.n), int(math.log2(cfg.m))
+        self.bits_per_symbol = math.prod(self.decision_shape)
         self.perm = self._resolve_interleaver()
         self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
 
     @cached_property
     def work(self) -> _ChunkBuffers:
         """The sweep's chunk buffers, allocated on its first chunk."""
-        return _ChunkBuffers(self.cfg)
+        return _ChunkBuffers(self.cfg, self.decision_shape)
 
     @cached_property
     def calib(self):
@@ -596,12 +599,14 @@ def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
 
 def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
                k: int) -> int:
-    """One chunk of k symbols: tx, propagate, drop the prefix, rx; returns its bit errors."""
+    """One chunk of k symbols: tx, propagate, drop the prefix, estimate and decide;
+    returns its bit errors."""
     bits = _uniform_ints(rng, 2, (k, ctx.bits_per_symbol))
     tx = ctx.scheme.tx(ctx, point, bits)
-    cfg = ctx.cfg
-    y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, rng, out=ctx.work.rx[:k])[:, cfg.cp_len:]
-    bits_hat = ctx.scheme.rx(ctx, point, y)
+    cfg, work = ctx.cfg, ctx.work
+    y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, rng, out=work.rx[:k])[:, cfg.cp_len:]
+    est = ctx.scheme.estimate(ctx, point, y)
+    bits_hat = ctx.scheme.decide(est, cfg.m, (work.idx[:k], work.bits[:k]))
     return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
 
 

@@ -65,19 +65,16 @@ def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.nd
 
     Returns the bits (..., k*log2(m)) of k symbols. With `out`, a pair of
     int64 arrays (the pair indices I * side + Q, shaped (..., k), and the bits,
-    shaped (..., k, log2(m)), C-contiguous), both are written there, and
-    symbols, which must then be a complex128 array, serve as scratch.
+    shaped (..., k, log2(m)), C-contiguous), both are written there and
+    symbols, then a complex128 array, serve as scratch (else a copy does).
     """
     side = _check_qam_order(m_qam)
     norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
-    symbols = np.asarray(symbols)
     if out is None:
-        xy = np.empty((*symbols.shape, 2))
-        xy[..., 0], xy[..., 1] = symbols.real, symbols.imag
-        pairs, bits = np.empty(symbols.shape, dtype=np.int64), None
-    else:
-        xy = symbols[..., None].view(np.float64)  # re and im of each symbol
-        pairs, bits = out
+        symbols = np.array(symbols, dtype=np.complex128, order="C")
+        out = np.empty(symbols.shape, dtype=np.int64), None
+    pairs, bits = out
+    xy = symbols[..., None].view(np.float64)  # re and im of each symbol
     # the nearest level's index, ties down: ceil((side - 1 - x * norm) / 2 - 0.5);
     # halving is exact, so scaling by -norm / 2 and adding (side - 1) / 2 gives its floats
     np.multiply(xy, -0.5 * norm, out=xy)
@@ -110,11 +107,9 @@ def _time_samples(symbols: np.ndarray, n_fft: int, step: int,
     """
     symbols = np.asarray(symbols)
     if out is None:
-        half = np.zeros((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128)
-        samples = None
-    else:
-        half, samples = out
-        half[...] = 0.0  # one contiguous pass: zeroing only the strided bins is slower
+        out = np.empty((*symbols.shape[:-1], n_fft // 2 + 1), dtype=np.complex128), None
+    half, samples = out
+    half[...] = 0.0  # one contiguous pass: zeroing only the strided bins is slower
     data = half[..., 1 : n_fft // 2 : step]
     if symbols.shape[-1] != data.shape[-1]:
         raise ConfigError(f"a {n_fft}-point frame with subcarrier step {step} carries "
@@ -152,9 +147,7 @@ def _extract(payload: np.ndarray, channel_gains: np.ndarray, step: int, scale: f
     payload = np.asarray(payload, dtype=np.float64)
     data = slice(1, payload.shape[-1] // 2, step)
     factor = scale / np.asarray(channel_gains)[data]
-    if out is None:
-        return np.fft.rfft(payload, axis=-1)[..., data] * factor
-    spectrum, symbols = out
+    spectrum, symbols = out or (None, np.empty((*payload.shape[:-1], factor.size), np.complex128))
     # a copy, then an in-place multiply, allocates no ufunc buffers for the strided bins
     np.copyto(symbols, np.fft.rfft(payload, axis=-1, out=spectrum)[..., data])
     symbols *= factor

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from hcmlink import modem_ofdm
 from hcmlink.errors import ConfigError
 from hcmlink.modem_ofdm import (
     aco_data_count,
@@ -142,3 +143,33 @@ def test_aco_large_n_is_gaussian_like():
     t = aco_time_samples(qam_symbols(bits, 16), n).reshape(-1)
     kurt = np.mean(t**4) / np.mean(t**2) ** 2
     assert 2.5 < kurt < 3.5
+
+
+@pytest.mark.parametrize("form", ["qam_bits", "aco_time_samples", "dco_time_samples",
+                                  "aco_extract", "dco_extract"])
+def test_allocating_form_is_the_out_form_on_its_own_buffers(form):
+    # the allocating call runs the out= lines on buffers it makes and leaves its
+    # input as it was, although qam_bits(out=) uses its symbols as scratch
+    rng = np.random.default_rng(7)
+    n, frames = 32, 5
+    k = aco_data_count(n) if form.startswith("aco") else dco_data_count(n)
+    symbols = qam_symbols(rng.integers(0, 2, size=(frames, k * 4)), 16)
+    # the out= forms must write every bin of the spectrum buffer, data or not
+    spectrum = np.full((frames, n // 2 + 1), np.nan, np.complex128)
+    if form == "qam_bits":
+        noise = rng.normal(scale=0.3, size=(2, frames, k))
+        given = symbols + noise[0] + 1j * noise[1]  # off the grid
+        given[0, :2] = 0.0  # a decision tie on both axes
+        args, out = (16,), (np.empty((frames, k), np.int64), np.empty((frames, k, 4), np.int64))
+    elif form.endswith("time_samples"):
+        given, args, out = symbols, (n,), (spectrum, np.empty((frames, n)))
+    else:
+        given, args = rng.normal(size=(frames, n)), (one_tap_gains([0.5, 0.3, 0.2], n),)
+        out = spectrum, np.empty((frames, k), np.complex128)
+    kept = given.copy()
+    transform = getattr(modem_ofdm, form)
+    got = transform(given, *args)
+    want = transform(given.copy(), *args, out=out)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(given, kept)
