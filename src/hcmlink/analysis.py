@@ -114,11 +114,13 @@ def hcm_amplitude_pmf(n: int, m: int) -> AmplitudePmf:
     return AmplitudePmf(support=support, probs=probs)
 
 
-def _uniform_ints(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
+def _uniform_ints(rng: np.random.Generator, m: int, shape: tuple, out=None) -> np.ndarray:
     """rng.integers(0, m, size=shape), read from raw words when that is cheaper.
 
-    The values, their dtype (int64) and the state rng is left in are those
-    of rng.integers. For a PCG64 generator and a power-of-two m <= 2**32,
+    The values and the state rng is left in are those of rng.integers. They
+    are cast into out, of any real dtype and possibly a strided view, and
+    out is returned; without out they go to a new int64 array, the dtype of
+    rng.integers. For a PCG64 generator and a power-of-two m <= 2**32,
     numpy draws each value from one 32-bit word: the low half, then the high
     half, of each 64-bit output, with the unused high half buffered in the
     state (has_uint32, uinteger) for the next 32-bit draw. Lemire's bounded
@@ -127,32 +129,34 @@ def _uniform_ints(rng: np.random.Generator, m: int, shape: tuple) -> np.ndarray:
     call of the generator, and writes the buffer back into the state. Any
     other generator or m calls rng.integers.
 
+    The half-words are shifted in place and cast in one copy into out: a
+    shift from uint32 straight into int64 would allocate a full int64
+    temporary. Drawn straight into the DCR calibration's float32 transform
+    buffer, 20,000 frames at N = 128 take 4.7 ms, against 6.2 ms through an
+    int64 array and a cast (2-core Xeon).
+
     Reading, then writing, the state is not atomic: rng must not be shared
     with another thread during the call (the package runs one thread).
     """
+    out = np.empty(shape, dtype=np.int64) if out is None else out
     bitgen = rng.bit_generator
     if type(bitgen) is not np.random.PCG64 or m < 2 or m > 1 << 32 or m & (m - 1):
-        return rng.integers(0, m, size=shape)
-    out = np.empty(shape, dtype=np.int64)
+        np.copyto(out, rng.integers(0, m, size=out.shape), casting="unsafe")
+        return out
     if out.size == 0:
         return out
-    flat = out.reshape(-1)
-    shift = 33 - int(m).bit_length()
     state = bitgen.state
-    buffered = state["has_uint32"]
-    if buffered:
-        flat[0] = state["uinteger"] >> shift
+    buffered, held = state["has_uint32"], state["uinteger"]
     need = out.size - buffered
     halves = bitgen.random_raw((need + 1) // 2).astype("<u8", copy=False).view("<u4")
+    # numpy leaves uinteger at the last word's high half, used or not
     state = bitgen.state
-    state["has_uint32"] = need % 2
-    if need:
-        # numpy leaves uinteger at the last word's high half, used or not
-        state["uinteger"] = int(halves[-1])
+    state["has_uint32"], state["uinteger"] = need % 2, int(halves[-1]) if need else held
     bitgen.state = state
-    # shifting in place, then casting in the copy, needs no cast buffer
-    np.right_shift(halves, shift, out=halves)
-    flat[buffered:] = halves[:need]
+    if buffered:
+        halves = np.concatenate((np.array([held], dtype=halves.dtype), halves))
+    np.right_shift(halves, 33 - int(m).bit_length(), out=halves)
+    np.copyto(out, halves[:out.size].reshape(out.shape), casting="unsafe")
     return out
 
 
@@ -174,7 +178,13 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
 
     Frames are drawn and transformed in blocks of CALIB_BLOCK_CHIPS chips,
     which stay in cache. The block size does not change the draws: rng
-    hands out the level indices in order across calls.
+    hands out the level indices in order across calls. The indices are
+    drawn straight into the transform buffer, and the transform is copied
+    once into an integer grid (int32; intp beside float64) for the shift
+    and the row minima: on 128-wide rows the minima of 20,000 frames take
+    1.3 ms in int32, 3.4 ms in float32. A block is counted up to its own
+    largest grid point, not over the whole support (512 KiB a block at
+    N = 2**16, to reach about 1,200 bins).
     """
     _check_power_of_two(n)
     _check_order(m)
@@ -183,18 +193,18 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
     dtype = np.float32 if (m - 1) * n < 1 << 24 else np.float64
     rows = max(1, CALIB_BLOCK_CHIPS // n)
     idx = np.zeros((rows, n), dtype=dtype)  # column 0 stays the pinned idx[0] = 0
-    lows = np.empty((rows, 1), dtype=dtype)
-    grid = np.empty((rows, n), dtype=np.intp)
+    grid = np.empty((rows, n), dtype=np.int32 if dtype is np.float32 else np.intp)
     counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
     done = 0
     while done < symbols:
         k = min(rows, symbols - done)
-        idx[:k, 1:] = _uniform_ints(rng, m, (k, n - 1))
-        t = fwht(idx[:k])
+        _uniform_ints(rng, m, (k, n - 1), out=idx[:k, 1:])
+        t = grid[:k]
+        np.copyto(t, fwht(idx[:k]), casting="unsafe")
         t[:, 0] -= (m - 1) * n // 2
-        t.min(axis=-1, keepdims=True, out=lows[:k])
-        np.subtract(t, lows[:k], out=grid[:k], casting="unsafe")
-        counts += np.bincount(grid[:k].reshape(-1), minlength=counts.size)
+        t -= np.minimum.reduce(t, axis=-1, keepdims=True)
+        seen = np.bincount(t.reshape(-1))
+        counts[:seen.size] += seen
         done += k
     last = int(np.max(np.nonzero(counts)))
     probs = counts[: last + 1] / counts.sum()

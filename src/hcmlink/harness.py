@@ -111,7 +111,7 @@ class ExperimentConfig:
 
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
-    one power takes 2.5 s at N = 2^14 and 11 s at N = 2^16, at 63-64 MiB peak
+    one power takes 2.7 s at N = 2^14 and 9.4 s at N = 2^16, at 38 MiB peak
     RSS (2-core Xeon, 1 BLAS thread). The MMSE equalizer adds, per power, the
     O(N^2) error diagonal of equalization.mmse_weights, in O(N) memory: with
     taps .5,.3,.2 and the identity or a random permutation, 0.06 s at

@@ -229,6 +229,10 @@ def _float_dcr_pmf(n, m, symbols, rng):
     (128, 2, 20_000), (128, 4, 20_000), (16, 8, 5000), (64, 16, 9000), (1024, 2, 8192),
     # symbols not a multiple of a block (512 at n=128), and fewer than one block
     (128, 2, analysis.CALIB_BLOCK_CHIPS // 128 * 3 + 77), (256, 4, 100),
+    # (m-1) N >= 2**24: drawn and transformed in float64, counted on an intp grid
+    # (0.6-0.8 s with the oracle, at a 640 MiB tracemalloc peak and 750 MiB
+    # peak RSS: both count 2**24 grid points)
+    (2, 1 << 24, 2000),
 ])
 def test_dcr_pmf_equals_float_pipeline(n, m, symbols):
     pmf = dcr_amplitude_pmf(n, m, symbols, np.random.default_rng(11))
@@ -246,10 +250,28 @@ def _draw_pair(seed: int, buffered: bool):
     return pair
 
 
-def _assert_same_draw(want_rng, got_rng, m, shape):
+# out targets of _uniform_ints: None allocates, a dtype a buffer of it, "view"
+# the float32 columns [:, 1:] of a wider buffer, as the DCR calibration draws
+OUT_TARGETS = [None, np.float32, np.int32, np.uint8, "view"]
+
+
+def _assert_same_draw(want_rng, got_rng, m, shape, target=None):
     want = want_rng.integers(0, m, size=shape)
-    got = analysis._uniform_ints(got_rng, m, shape)
-    assert got.dtype == want.dtype == np.int64
+    if target is None:
+        out = None
+    elif target == "view":
+        wide = np.full(shape[:-1] + (shape[-1] + 1,), -1.0, dtype=np.float32)
+        out = wide[..., 1:]
+    else:
+        out = np.empty(shape, dtype=target)
+    got = analysis._uniform_ints(got_rng, m, shape, out=out)
+    if out is None:
+        assert got.dtype == want.dtype == np.int64
+    else:
+        assert got is out
+        want = want.astype(out.dtype)  # the cast of copyto(casting="unsafe")
+    if target == "view":
+        assert np.all(wide[..., 0] == -1.0)
     assert got.shape == want.shape
     assert np.array_equal(got, want)
     np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
@@ -262,7 +284,8 @@ def _assert_same_draw(want_rng, got_rng, m, shape):
 @pytest.mark.parametrize("shape", [(4, 6), (3, 5), (7,), (1,), (0,), (0, 5)])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_uniform_ints_reads_the_words_of_integers(m, shape, buffered):
-    _assert_same_draw(*_draw_pair(21, buffered), m, shape)
+    for target in OUT_TARGETS:
+        _assert_same_draw(*_draw_pair(21, buffered), m, shape, target)
 
 
 def test_uniform_ints_over_many_calls():
@@ -274,13 +297,15 @@ def test_uniform_ints_over_many_calls():
 @pytest.mark.parametrize("m", [1, 3, 6, 2 << 32])
 @pytest.mark.parametrize("buffered", [False, True])
 def test_uniform_ints_falls_back_for_other_m(m, buffered):
-    _assert_same_draw(*_draw_pair(23, buffered), m, (3, 5))
+    for target in OUT_TARGETS:
+        _assert_same_draw(*_draw_pair(23, buffered), m, (3, 5), target)
 
 
 @pytest.mark.parametrize("m", [2, 3])
 def test_uniform_ints_falls_back_for_other_generators(m):
-    want, got = (np.random.Generator(np.random.MT19937(24)) for _ in range(2))
-    _assert_same_draw(want, got, m, (3, 5))
+    for target in OUT_TARGETS:
+        want, got = (np.random.Generator(np.random.MT19937(24)) for _ in range(2))
+        _assert_same_draw(want, got, m, (3, 5), target)
 
 
 @pytest.mark.parametrize("n, m, symbols", [(16, 3, 3000), (32, 2, 1000)])

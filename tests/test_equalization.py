@@ -568,6 +568,30 @@ class TestRankTwoSwap:
         interleaver_search([0.5, 0.3, 0.2], 64, budget=budget, rng=np.random.default_rng(4))
         assert calls == [64]
 
+    @pytest.mark.parametrize("n", [16, 64, 128, 512])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_raw_pairs_are_the_draws_of_integers(self, n, seed):
+        # a PCG64 subclass takes the rng.integers path with the same stream;
+        # these seeds start the loop with and without a buffered half-word
+        class Subclassed(np.random.PCG64):
+            pass
+        raw = _stream(seed, 2, 0)
+        drawn = np.random.Generator(Subclassed(np.random.SeedSequence(seed, spawn_key=(2, 0))))
+        got = interleaver_search([0.5, 0.3, 0.2], n, budget=300, rng=raw)[0]
+        want = interleaver_search([0.5, 0.3, 0.2], n, budget=300, rng=drawn)[0]
+        assert np.array_equal(got, want)
+        state = drawn.bit_generator.state
+        state["bit_generator"] = "PCG64"
+        np.testing.assert_equal(raw.bit_generator.state, state)
+
+    def test_raw_pairs_meet_both_buffer_states(self):
+        buffered = set()
+        for n, seed in itertools.product([16, 64, 128, 512], range(1, 6)):
+            rng = _stream(seed, 2, 0)
+            rng.permutation(n)
+            buffered.add(rng.bit_generator.state["has_uint32"])
+        assert buffered == {0, 1}
+
 
 class TestPermutationFiles:
     def test_roundtrip(self, tmp_path):
