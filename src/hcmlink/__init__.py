@@ -15,7 +15,7 @@ from .analysis import (
     hcm_amplitude_pmf,
     qfunc,
 )
-from .channel import load_impulse_response, propagate
+from .channel import propagate
 from .equalization import (
     MmseWeights,
     interleaver_search,

@@ -5,7 +5,7 @@ All BER expressions are of the form alpha * Q(sqrt(SNR)) where SNR is the
 squared argument of the dominant nearest-neighbor error event (pam_ber).
 Gray square M-QAM is sqrt(M)-PAM on each axis, so its BER is
 pam_ber(snr, isqrt(M)), to the last bit. The SNRs take noise_var, the
-receiver noise variance gamma * sigma2_n that the simulator draws.
+receiver noise variance channel.GAMMA * sigma2_n that the simulator draws.
 
 The closed forms take scalars or arrays of powers, drives or SNRs
 elementwise, so a power scan is one array pass. Degenerate points are
@@ -238,9 +238,12 @@ def _tail_var(mean, std, edge, side: float):
     +1 above; 0 where the tail's probability term is 0 (an infinite edge, or one so far
     out that (mean - edge)^2 would overflow), and never below 0 where its terms cancel."""
     mu = mean - edge  # = -z * std, for z = (edge - mean) / std
-    prob = qfunc(-side * mu / std)  # Phi(z) below, Q(z) above
+    # mu / std, or +-inf where that reaches 2**1000: Q and phi read the same 0 or 1 there
+    r = np.copysign(np.inf, mu, out=np.empty(np.broadcast(mu, std).shape))
+    np.divide(mu, std, out=r, where=np.abs(mu) * 2.0**-1000 < std)
+    prob = qfunc(-side * r)  # Phi(z) below, Q(z) above
     mu = np.where(prob > 0, mu, 0.0)
-    var = (mu * mu + std * std) * prob + side * mu * std * _phi(mu / std)
+    var = (mu * mu + std * std) * prob + side * mu * std * _phi(np.where(prob > 0, r, 0.0))
     return np.maximum(var, 0.0)[()]
 
 
@@ -300,21 +303,22 @@ def aco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float):
     return _snr(scale * scale, 4.0 * n_fft * (noise_var + sigma2_clip))
 
 
-def dco_ac_std(bias, p_max: float, headroom_factor: float):
+def dco_ac_std(bias, p_max: float):
     """AC std of the DCO waveform biased at each average power: the clipping
-    headroom min(bias, p_max - bias) over headroom_factor."""
-    return np.minimum(bias, p_max - bias) / headroom_factor
+    headroom min(bias, p_max - bias) over the constant DCO_HEADROOM_FACTOR."""
+    return np.minimum(bias, p_max - bias) / DCO_HEADROOM_FACTOR
 
 
-def dco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float, headroom_factor: float):
+def dco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float):
     """Per-symbol SNR of DCO-OFDM biased at each average power.
 
-    The AC std is tied to the clipping headroom min(bias, p_max - bias), so
-    the bias sweep trades signal power against double-sided clipping and the
-    best point sits at p_max/2. A bias with no headroom scores 0.
+    The AC std is the clipping headroom min(bias, p_max - bias) over the
+    constant DCO_HEADROOM_FACTOR, so the bias sweep trades signal power
+    against double-sided clipping and the best point sits at p_max/2. A
+    bias with no headroom scores 0.
     """
     bias = np.asarray(avg_power, dtype=np.float64)
-    sigma_x = dco_ac_std(bias, p_max, headroom_factor)
+    sigma_x = dco_ac_std(bias, p_max)
     room = sigma_x > 0
     bias, sigma_x, snr = bias[room], sigma_x[room], np.zeros(room.shape)
     sigma2_clip = clipping_variance_gaussian(bias, sigma_x * sigma_x, p_max)

@@ -1,34 +1,29 @@
 """Optical front end: peak-power clipping, FIR propagation, receiver noise.
 
 The LED is an ideal hard limiter on [0, p_max]. The discrete impulse
-response is normalized to unit sum (channel loss folded out), and receiver
-noise is AWGN whose variance is inflated by the pulse-shaping penalty gamma
-(1.21, i.e. 0.83 dB). Noise levels quoted in microwatts are interpreted as
-the noise standard deviation in watts. The link's parameters are fields of
-harness.ExperimentConfig, which checks them when it is built; propagate
-takes only the values it reads.
+response has unit sum (channel loss folded out), and receiver noise is
+AWGN whose variance is inflated by the constant pulse-shaping penalty GAMMA
+(1.21, i.e. 0.83 dB), which the paper's link model fixes. Noise levels
+quoted in microwatts are interpreted as the noise standard deviation in
+watts. The link's parameters are fields of harness.ExperimentConfig, which
+checks them when it is built; propagate takes only the values it reads.
 """
-
-import logging
 
 import numpy as np
 
 from .errors import ConfigError
 
-log = logging.getLogger(__name__)
-
-DEFAULT_GAMMA = 1.21  # sinc pulse-shaping SNR penalty, 10*log10 = 0.83 dB
+GAMMA = 1.21  # sinc pulse-shaping SNR penalty, 10*log10 = 0.83 dB
 
 
-def check_taps(taps, source: str = "impulse response", *, unit_sum: bool = False) -> np.ndarray:
-    """taps as a float64 vector; ConfigError unless finite, non-negative, summing above 0,
-    and with unit_sum, summing to 1 within 1e-9."""
+def check_taps(taps) -> np.ndarray:
+    """taps as a float64 vector; ConfigError unless finite, non-negative and of unit sum."""
     h = np.asarray(taps, dtype=np.float64)
     if h.ndim != 1 or not (np.all(np.isfinite(h)) and np.all(h >= 0) and h.sum() > 0):
-        raise ConfigError(f"{source} must be a vector of finite, non-negative taps with a "
+        raise ConfigError(f"taps must be a vector of finite, non-negative taps with a "
                           f"positive sum, got {h.tolist()}")
-    if unit_sum and abs(h.sum() - 1.0) > 1e-9:
-        raise ConfigError(f"{source} must sum to 1, got {float(h.sum())!r}")
+    if abs(h.sum() - 1.0) > 1e-9:
+        raise ConfigError(f"taps must sum to 1, got {float(h.sum())!r}")
     return h
 
 
@@ -37,7 +32,7 @@ def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float
     """LED clip to [0, p_max], FIR taps h, then AWGN of variance noise_var.
 
     Vectorized over leading axes. noise_var is the receiver noise variance
-    with the pulse-shaping penalty already applied (gamma * sigma2_n). The
+    with the pulse-shaping penalty already applied (GAMMA * sigma2_n). The
     FIR output is truncated to the input length, so with a cyclic prefix of
     at least len(h)-1, which every ExperimentConfig has, the deframed
     payload equals the cyclic convolution of the payload with h.
@@ -61,11 +56,3 @@ def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float
     out += noise
     return out
 
-
-def load_impulse_response(path) -> np.ndarray:
-    """Read whitespace-separated taps and normalize them to unit sum."""
-    taps = check_taps(np.loadtxt(path, dtype=np.float64).reshape(-1), str(path))
-    total = taps.sum()
-    if abs(total - 1.0) > 1e-6:
-        log.warning("impulse response in %s sums to %.9g; renormalizing", path, total)
-    return taps / total

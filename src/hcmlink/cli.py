@@ -15,8 +15,11 @@ from .errors import ConfigError, DomainError
 
 
 def _read_config(args) -> harness.ExperimentConfig:
-    with open(args.config) as fh:
-        text = fh.read()
+    try:
+        with open(args.config) as fh:
+            text = fh.read()
+    except (OSError, ValueError) as exc:  # missing, a directory, not text
+        raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     overrides = {}
     for item in args.set or []:
         if "=" not in item:
@@ -92,8 +95,7 @@ def _cmd_snr(args) -> int:
     m_list = _numbers(args.m_list.split(","), int, "--m-list")
     sigma2 = harness._noise_variance(args.noise_std_w)
     rows = [
-        (scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m,
-                                           gamma=args.gamma))
+        (scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m))
         for scheme in schemes
         for m in m_list
     ]
@@ -152,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     snr.add_argument("--n", type=int, default=128)
     snr.add_argument("--p-max-w", type=float, default=harness.ExperimentConfig.p_max)
     snr.add_argument("--noise-std-w", type=float, default=5e-7)
-    snr.add_argument("--gamma", type=float, default=harness.ExperimentConfig.gamma)
     snr.add_argument("--out")
     snr.set_defaults(func=_cmd_snr)
 
@@ -164,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, DomainError, FileNotFoundError) as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

@@ -219,9 +219,12 @@ def interleaver_search(h: np.ndarray, n: int, *, budget: int,
 
 
 def load_permutation(path, n: int | None = None) -> np.ndarray:
-    """Read a permutation file and validate that it is a bijection."""
-    with open(path) as fh:
-        perm = np.array([int(line) for line in fh.read().split()], dtype=np.int64)
+    """Read a permutation file and check that it is a bijection (else ConfigError)."""
+    try:
+        with open(path) as fh:
+            perm = np.array([int(line) for line in fh.read().split()], dtype=np.int64)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"cannot read permutation {path}: {exc}") from exc
     if n is not None and perm.size != n:
         raise ConfigError(f"permutation length {perm.size} != expected {n}")
     if not np.array_equal(np.sort(perm), np.arange(perm.size)):

@@ -61,7 +61,7 @@ from .analysis import (
     hcm_amplitude_pmf,
     hcm_drive_peak,
 )
-from .channel import DEFAULT_GAMMA, check_taps, load_impulse_response, propagate
+from .channel import GAMMA, check_taps, propagate
 from .equalization import (
     MAX_MATRIX_ORDER,
     MmseWeights,
@@ -107,7 +107,8 @@ class ExperimentConfig:
 
     The link is an LED clipped at p_max, unit-sum FIR taps h behind a
     cyclic prefix of at least len(h) - 1 samples, and AWGN of variance
-    sigma2_n (W^2) times the pulse-shaping penalty gamma.
+    sigma2_n (W^2) times the pulse-shaping penalty channel.GAMMA; that and
+    DCO's headroom factor analysis.DCO_HEADROOM_FACTOR are constants.
 
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
@@ -124,7 +125,6 @@ class ExperimentConfig:
     p_max: float = 1e-4
     power_grid: np.ndarray = field(default_factory=lambda: np.array([5e-5]))
     sigma2_n: float = 4e-12
-    gamma: float = DEFAULT_GAMMA
     h: np.ndarray = field(default_factory=lambda: np.array([1.0]))
     cp_len: int = 0
     target_errors: int = 200
@@ -133,7 +133,6 @@ class ExperimentConfig:
     equalizer: str = "slicer"  # "slicer" or "mmse"
     interleaver: str = "none"  # "none", "search" or a permutation file path
     interleaver_budget: int = 2000
-    dco_headroom: float = analysis.DCO_HEADROOM_FACTOR
     calib_symbols: int = 20_000
 
     def __post_init__(self):
@@ -142,13 +141,11 @@ class ExperimentConfig:
         if self.n < 4 or self.n & (self.n - 1) or self.n > 1 << MAX_ORDER_LOG2:
             raise ConfigError(
                 f"n must be a power of two in [4, {1 << MAX_ORDER_LOG2}], got {self.n}")
-        object.__setattr__(self, "h", check_taps(self.h, unit_sum=True))
+        object.__setattr__(self, "h", check_taps(self.h))
         if not self.p_max > 0:
             raise ConfigError(f"p_max must be positive, got {self.p_max!r}")
         if not 0 <= self.sigma2_n < math.inf:
             raise ConfigError(f"sigma2_n must be finite and >= 0, got {self.sigma2_n!r}")
-        if not self.gamma >= 1.0:
-            raise ConfigError(f"gamma must be >= 1, got {self.gamma!r}")
         if self.cp_len < self.h.size - 1:
             raise ConfigError(
                 f"cyclic prefix {self.cp_len} too short for {self.h.size}-tap channel")
@@ -181,8 +178,8 @@ class ExperimentConfig:
 
     @property
     def noise_var(self) -> float:
-        """The receiver noise variance, gamma * sigma2_n."""
-        return self.gamma * self.sigma2_n
+        """The receiver noise variance, GAMMA * sigma2_n."""
+        return GAMMA * self.sigma2_n
 
 
 @dataclass(frozen=True)
@@ -218,12 +215,11 @@ def _parse_grid(text: str) -> np.ndarray:
     for prefix, builder in (("lin:", np.linspace), ("log:", np.geomspace)):
         if text.startswith(prefix):
             parts = text[len(prefix):].split(":")
-            if len(parts) != 3:
-                raise ConfigError(f"grid spec {text!r} must be {prefix}start:stop:count")
+            if len(parts) != 3 or int(parts[2]) < 1:
+                raise ConfigError(f"grid spec {text!r} must be {prefix}start:stop:count "
+                                  "with a count >= 1")
             return builder(float(parts[0]), float(parts[1]), int(parts[2]))
-    if not text:
-        return np.array([])
-    return np.array([float(v) for v in text.split(",")])
+    return np.array([float(v) for v in text.split(",")])  # float("") rejects an empty grid
 
 
 def _noise_variance(value) -> float:
@@ -242,9 +238,7 @@ _CONFIG_KEYS = {
     "m": ("m", int),
     "p_max_w": ("p_max", float),
     "noise_std_w": ("sigma2_n", _noise_variance),
-    "gamma": ("gamma", float),
-    "taps": ("h", lambda text: check_taps([float(v) for v in text.split(",")], "taps")),
-    "taps_file": ("h", load_impulse_response),
+    "taps": ("h", lambda text: [float(v) for v in text.split(",")]),
     "cp_len": ("cp_len", int),
     "power_grid_w": ("power_grid", _parse_grid),
     "target_errors": ("target_errors", int),
@@ -253,7 +247,6 @@ _CONFIG_KEYS = {
     "equalizer": ("equalizer", str),
     "interleaver": ("interleaver", str),
     "interleaver_budget": ("interleaver_budget", int),
-    "dco_headroom": ("dco_headroom", float),
     "calib_symbols": ("calib_symbols", int),
 }
 
@@ -279,8 +272,6 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
 
     if raw.get("scheme") not in SCHEMES:
         raise ConfigError(f"scheme must be one of {SCHEMES}, got {raw.get('scheme')!r}")
-    if "taps" in raw and "taps_file" in raw:
-        raise ConfigError("give either taps or taps_file, not both")
     fields = {}
     for key, value in raw.items():
         name, parse = _CONFIG_KEYS[key]
@@ -307,19 +298,9 @@ def _check_ofdm(cfg: ExperimentConfig):
 
 def _check_dco(cfg: ExperimentConfig):
     _check_ofdm(cfg)
-    if not (math.isfinite(cfg.dco_headroom) and cfg.dco_headroom > 0):
-        raise ConfigError(f"dco_headroom must be finite and > 0, got {cfg.dco_headroom!r}")
-    grid = np.asarray(cfg.power_grid, dtype=np.float64)
     # the bias is the average power, so a point at p_max leaves no AC headroom
-    if np.any(grid >= cfg.p_max):
+    if np.any(np.asarray(cfg.power_grid) >= cfg.p_max):
         raise ConfigError(f"dco-ofdm power grid values must lie below p_max={cfg.p_max:g}")
-    # the largest headroom (the AC std at factor 1), then divided as Python floats,
-    # which give inf without a warning where numpy's division would overflow
-    room = float(np.max(analysis.dco_ac_std(grid, cfg.p_max, 1.0), initial=0.0))
-    scale = room / cfg.dco_headroom / analysis.dco_time_std(cfg.n)
-    if not scale * scale < math.inf:  # dco_es_snr squares it
-        raise ConfigError(f"dco-ofdm power grid values up to {grid.max():g} W overflow the "
-                          f"analytic SNR at dco_headroom={cfg.dco_headroom:g}")
 
 
 def _dcr_pmf(ctx: "_SweepContext"):
@@ -375,7 +356,7 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
 
 def _dco_scale(cfg: ExperimentConfig, avg):
     # the bias is the average; the AC std uses the clipping headroom
-    sigma_x = analysis.dco_ac_std(avg, cfg.p_max, cfg.dco_headroom)
+    sigma_x = analysis.dco_ac_std(avg, cfg.p_max)
     return sigma_x / analysis.dco_time_std(cfg.n)
 
 
@@ -498,8 +479,7 @@ _SCHEMES = {
         calibrate=lambda ctx: None,
         drive=lambda ctx, avg: _dco_scale(ctx.cfg, avg),
         snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
-            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var,
-            ctx.cfg.dco_headroom) / (ctx.cfg.m - 1.0),
+            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
         tx=_dco_tx,
         estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, dco_extract),
@@ -667,8 +647,7 @@ def analyze(cfg: ExperimentConfig) -> list:
             for p in np.asarray(cfg.power_grid, dtype=np.float64)]
 
 
-def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int,
-                   gamma: float) -> AchievableSnr:
+def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int) -> AchievableSnr:
     """Scan average power over (0, p_max] and return the best per-point SNR.
 
     The grid is log-spaced from p_max/100 with 200 points and scored in one
@@ -679,14 +658,15 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
     the squared ratio of the PAM level spacing to the noise std, which for
     m = 2 is the peak SNR (the decision distance is half the unipolar grid's
     peak), and 1x for the OFDM schemes.
-    The dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
-    from np.random.default_rng(0x5EED); dco-ofdm uses the headroom factor
-    analysis.DCO_HEADROOM_FACTOR.
+    The noise variance is channel.GAMMA * sigma2_n, as in a config. The
+    dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
+    from np.random.default_rng(0x5EED); dco-ofdm's AC std is its headroom
+    over the constant analysis.DCO_HEADROOM_FACTOR.
     """
     if scheme not in _SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
-                           sigma2_n=sigma2_n, gamma=gamma, calib_symbols=30_000)
+                           sigma2_n=sigma2_n, calib_symbols=30_000)
     if not p_max <= MAX_POWER_W:  # a valid config (inf: an unclipped LED), but no grid to scan
         raise DomainError(
             f"the scan over (0, p_max] needs a finite p_max <= {MAX_POWER_W:g}, got {p_max:g}")

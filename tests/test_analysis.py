@@ -19,7 +19,7 @@ from hcmlink.analysis import (
     pam_ber,
     qfunc,
 )
-from hcmlink.channel import DEFAULT_GAMMA
+from hcmlink.channel import GAMMA
 from hcmlink.errors import DomainError
 from hcmlink.hadamard import MAX_ORDER_LOG2
 from hcmlink.harness import _SCHEMES, achievable_snr
@@ -447,10 +447,10 @@ class TestAnalyticalBer:
 
     def test_peak_snr_is_four_times_decision_snr(self):
         # achievable_snr reports 4x the squared Q-argument for hcm
-        res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2, gamma=DEFAULT_GAMMA)
+        res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2)
         p = analysis.hcm_drive_peak(res.best_avg_power, 64)
         clip = clipping_variance_discrete(hcm_amplitude_pmf(64, 2), p, 64, 1e-4)
-        want = 4 * hcm_snr(2, 64, p, DEFAULT_GAMMA * 1e-12, clip)
+        want = 4 * hcm_snr(2, 64, p, GAMMA * 1e-12, clip)
         assert res.max_snr == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("m, noise_std", [(4, 0.5e-6), (8, 0.2e-6)])
@@ -467,10 +467,10 @@ class TestAnalyticalBer:
 
     def test_monotonicity(self):
         powers = np.linspace(1e-5, 1e-4, 20)
-        bers = [pam_ber(hcm_snr(2, 128, p, DEFAULT_GAMMA * 4e-12, 0.0), 2) for p in powers]
+        bers = [pam_ber(hcm_snr(2, 128, p, GAMMA * 4e-12, 0.0), 2) for p in powers]
         assert all(a > b for a, b in zip(bers, bers[1:]))
         clips = np.linspace(0.0, 1e-11, 10)
-        bers = [pam_ber(hcm_snr(2, 128, 5e-5, DEFAULT_GAMMA * 4e-12, c), 2) for c in clips]
+        bers = [pam_ber(hcm_snr(2, 128, 5e-5, GAMMA * 4e-12, c), 2) for c in clips]
         assert all(a < b for a, b in zip(bers, bers[1:]))
 
     def test_ber_is_prefactor_times_q_of_root_snr(self):
@@ -498,7 +498,7 @@ class TestAnalyticalBer:
             assert got == [qam_ber(snr, m) for snr in snrs]
 
     def test_ber_approaches_half_at_zero_snr(self):
-        ber = pam_ber(hcm_snr(2, 128, 1e-9, DEFAULT_GAMMA * 4e-12, 0.0), 2)
+        ber = pam_ber(hcm_snr(2, 128, 1e-9, GAMMA * 4e-12, 0.0), 2)
         assert ber <= 0.5
         assert ber == pytest.approx(0.5, rel=1e-3)
 
@@ -527,11 +527,11 @@ class TestAchievableSnr:
     def test_no_clip_regime_peaks_at_grid_boundary(self):
         # cap the scan at half the limiter: clipping never engages and the
         # SNR is monotone in power, so the optimum sits on the boundary
-        res = achievable_snr("hcm", 1e-4, 4e-12, n=64, m=2, gamma=DEFAULT_GAMMA)
+        res = achievable_snr("hcm", 1e-4, 4e-12, n=64, m=2)
         grid_capped = np.geomspace(1e-6, 5e-5, 50)
         pmf = hcm_amplitude_pmf(64, 2)
         snrs = [
-            4 * hcm_snr(2, 64, analysis.hcm_drive_peak(a, 64), DEFAULT_GAMMA * 4e-12,
+            4 * hcm_snr(2, 64, analysis.hcm_drive_peak(a, 64), GAMMA * 4e-12,
                         clipping_variance_discrete(pmf, analysis.hcm_drive_peak(a, 64), 64, 1e-4))
             for a in grid_capped
         ]
@@ -540,13 +540,13 @@ class TestAchievableSnr:
 
     def test_dcr_dominates_hcm(self):
         s2 = (0.5e-6) ** 2
-        hcm = achievable_snr("hcm", 1e-4, s2, n=64, m=2, gamma=DEFAULT_GAMMA)
-        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2, gamma=DEFAULT_GAMMA)
+        hcm = achievable_snr("hcm", 1e-4, s2, n=64, m=2)
+        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2)
         assert dcr.max_snr >= hcm.max_snr
 
     def test_grid_scan_close_to_fine_scan(self):
         s2 = (0.5e-6) ** 2
-        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16, gamma=DEFAULT_GAMMA)
+        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16)
         # the same per-point SNR on a 2,000-point grid
         cfg = harness.ExperimentConfig(scheme="aco-ofdm", n=128, m=16, p_max=1e-4, sigma2_n=s2)
         ctx = harness._SweepContext(cfg)
@@ -560,4 +560,4 @@ class TestAchievableSnr:
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
-            achievable_snr("qam", 1e-4, 1e-12, n=128, m=2, gamma=DEFAULT_GAMMA)
+            achievable_snr("qam", 1e-4, 1e-12, n=128, m=2)

@@ -1,10 +1,8 @@
-import logging
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from hcmlink.channel import check_taps, load_impulse_response, propagate
+from hcmlink.channel import check_taps, propagate
 from hcmlink.errors import ConfigError
 from hcmlink.harness import ExperimentConfig
 from hcmlink.modem_hcm import encode_levels, frame_chips
@@ -54,7 +52,7 @@ def test_propagate_steady_state_of_unit_sum_taps():
 
 
 def test_propagate_noise_has_the_given_variance():
-    # the chunk path passes gamma * sigma2_n: test_harness pins that argument
+    # the chunk path passes GAMMA * sigma2_n: test_harness pins that argument
     noise_var = 2.5e-4 * 1.21
     rng = np.random.default_rng(4)
     out = propagate(np.zeros(1_000_000), np.array([1.0]), 1.0, noise_var, rng)
@@ -110,33 +108,10 @@ def test_config_validates_taps():
 
 @pytest.mark.parametrize("taps", [[np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0], [-0.5, 1.5], [],
                                   [[1.0]]])
-def test_bad_taps_rejected_everywhere(tmp_path, taps):
+def test_bad_taps_rejected_everywhere(taps):
     # abs(nan - 1) > 1e-9 is False, so a sum test alone lets nan,1 through
     with pytest.raises(ConfigError):
         check_taps(taps)
     with pytest.raises(ConfigError):
         ExperimentConfig(scheme="hcm", h=taps, cp_len=1)
-    path = tmp_path / "taps.txt"
-    path.write_text(" ".join(str(v) for v in np.ravel(taps)) + "\n")
-    if np.size(taps) > 1:
-        with pytest.raises(ConfigError):
-            load_impulse_response(path)
 
-
-def test_load_impulse_response_normalizes_with_warning(tmp_path, caplog):
-    path = tmp_path / "taps.txt"
-    path.write_text("0.8 0.6 0.6\n")
-    with caplog.at_level(logging.WARNING):
-        h = load_impulse_response(path)
-    assert h.sum() == pytest.approx(1.0)
-    assert_allclose(h, [0.4, 0.3, 0.3])
-    assert any("renormalizing" in r.message for r in caplog.records)
-
-
-def test_load_impulse_response_accepts_normalized(tmp_path, caplog):
-    path = tmp_path / "taps.txt"
-    path.write_text("0.5\n0.3\n0.2\n")
-    with caplog.at_level(logging.WARNING):
-        h = load_impulse_response(path)
-    assert not caplog.records
-    assert_allclose(h, [0.5, 0.3, 0.2])

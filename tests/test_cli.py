@@ -1,5 +1,6 @@
 """Exit codes and output shape of every CLI command on tiny inputs."""
 
+import math
 import os
 import subprocess
 import sys
@@ -80,14 +81,32 @@ def test_eta(capsys):
     assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
 
 
-@pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm\ndco_headroom = 40"])
+@pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm"])
 def test_analyze_without_noise_or_clipping(tmp_path, capsys, scheme):
-    # neither noise nor clipping distortion: an infinite SNR, not a division by zero
+    # no noise: an infinite SNR where nothing clips, not a division by zero
     path = tmp_path / "clean.conf"
     path.write_text(f"{scheme}\nm = 4\nnoise_std_w = 0\np_max_w = 1\npower_grid_w = 1e-5\n")
     code, lines, _ = run(capsys, "analyze", str(path))
     assert code == 0
-    assert lines == ["avg_power_w,analytical_ber,snr", "1e-05,0,inf"]
+    if scheme.endswith("aco-ofdm"):
+        assert lines == ["avg_power_w,analytical_ber,snr", "1e-05,0,inf"]
+    else:  # the Gaussian tails beyond DCO's 6-sigma headroom always clip a little
+        snr = float(lines[1].split(",")[2])
+        assert 0 < snr < math.inf
+
+
+@pytest.mark.parametrize("scheme, row", [
+    ("aco-ofdm", "1e-150,0.5,6.490893912e-289"),
+    ("dco-ofdm", "1e-150,0.5,5.830308861e-291"),
+], ids=["aco-ofdm", "dco-ofdm"])
+def test_analyze_far_below_a_huge_peak_does_not_warn(tmp_path, capsys, scheme, row):
+    # the peak lies about 1e458 std above the waveform: the Gaussian tail's
+    # z quotient overflowed with a RuntimeWarning, an error in this suite
+    path = tmp_path / "dim.conf"
+    path.write_text(f"scheme = {scheme}\nm = 4\np_max_w = 1e308\npower_grid_w = 1e-150\n")
+    code, lines, err = run(capsys, "analyze", str(path))
+    assert code == 0 and err == ""
+    assert lines == ["avg_power_w,analytical_ber,snr", row]
 
 
 @pytest.mark.parametrize("extra", [
@@ -160,6 +179,39 @@ def test_eta_checks_every_order_before_computing_any(capsys, monkeypatch):
     assert lines == [] and "power of two" in err
 
 
+@pytest.mark.parametrize("key", ["gamma", "dco_headroom", "taps_file", "nosie_std_w"])
+def test_unknown_config_key_exits_2(tmp_path, capsys, key):
+    # the pulse-shaping penalty and the DCO headroom are constants, and taps
+    # come only from the taps key: naming any of them is a misspelt key
+    path = tmp_path / "tiny.conf"
+    path.write_text(f"{CONFIG}{key} = 1.5\n")
+    for command in ("simulate", "analyze"):
+        code, lines, err = run(capsys, command, str(path))
+        assert code == 2
+        assert lines == [] and f"unknown key {key!r}" in err
+        code, lines, err = run(capsys, command, SEARCH_CONF, "--set", f"{key}=1.5")
+        assert code == 2
+        assert lines == [] and f"unknown override key {key!r}" in err
+
+
+def test_snr_has_no_gamma_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["snr", "--gamma", "1.5"])
+    assert exc.value.code == 2 and "unrecognized arguments: --gamma" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["0\n1\nx\n3\n", "0 1 2.5 3\n", f"0 1 2 {2**64}\n"],
+                         ids=["word", "fraction", "beyond-int64"])
+def test_unreadable_permutation_file_exits_2(tmp_path, capsys, text):
+    perm = tmp_path / "perm.txt"
+    perm.write_text(text)
+    path = tmp_path / "perm.conf"
+    path.write_text(f"scheme = hcm\nn = 4\ninterleaver = {perm}\n")
+    code, lines, err = run(capsys, "analyze", str(path))
+    assert code == 2
+    assert lines == [] and f"cannot read permutation {perm}" in err
+
+
 def test_interleaver_search_is_not_a_command(capsys):
     # the search runs only from a config's interleaver = search
     with pytest.raises(SystemExit) as exc:
@@ -198,7 +250,8 @@ def test_eta_reversed_range_exits_2(capsys):
     (["analyze", SEARCH_CONF, "--set", "taps=0.5,x"], "bad value for 'taps'"),
     (["snr", "--m-list", "4,x"], "bad number in --m-list"),
     (["eta", "--n-range", "4:x"], "bad number in --n-range"),
-    (["snr", "--gamma", "0.5"], "gamma must be >= 1"),
+    # a config path that is a directory is unreadable, a config problem
+    (["analyze", str(SRC)], "cannot read config"),
     # a negative std is rejected like a config's, not squared into a valid variance
     (["snr", "--noise-std-w=-5e-7"], "noise_std_w must be >= 0"),
     # above the largest supported order, rejected before any frame is drawn

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import gray_oracle
 from hcmlink import analysis, cli, equalization, harness
-from hcmlink.channel import DEFAULT_GAMMA, propagate
+from hcmlink.channel import GAMMA, propagate
 from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.errors import ConfigError
 from hcmlink.modem_hcm import levels_from_bits
@@ -271,6 +271,9 @@ def test_negative_master_seed_rejected():
     ("taps", "nan,1"),
     ("taps", "0,0"),
     ("power_grid_w", "lin:1e-5:x:3"),
+    # an empty grid printed a header-only CSV with exit 0
+    ("power_grid_w", ""),
+    ("power_grid_w", "lin:1e-5:2e-5:0"),
 ])
 def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     path = tmp_path / "bad.conf"
@@ -280,8 +283,6 @@ def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("gamma", "0.5", "gamma must be >= 1"),
-    ("gamma", "nan", "gamma must be >= 1"),
     ("p_max_w", "nan", "p_max must be positive"),
     ("taps", "0.5,0.3", "sum to 1, got 0.8"),
     ("cp_len", "0", "too short for 3-tap channel"),
@@ -314,7 +315,7 @@ def test_building_a_config_checks_its_link(link, message):
 
 def test_chunk_noise_variance_includes_gamma(monkeypatch):
     # each chunk's propagate call gets the config's taps and peak, and the
-    # noise variance sigma2_n inflated by the pulse-shaping penalty gamma
+    # noise variance sigma2_n inflated by the constant pulse-shaping penalty
     calls = []
 
     def recorded(samples, h, p_max, noise_var, rng, out=None):
@@ -322,46 +323,28 @@ def test_chunk_noise_variance_includes_gamma(monkeypatch):
         return propagate(samples, h, p_max, noise_var, rng, out=out)
 
     monkeypatch.setattr(harness, "propagate", recorded)
-    cfg = harness.parse_config(_config(gamma="1.5", taps="0.5,0.5", cp_len="1",
+    cfg = harness.parse_config(_config(taps="0.5,0.5", cp_len="1",
                                        max_symbols="300", target_errors="1000000"))
     harness.sweep(cfg)
     assert len(calls) == 2
     for h, p_max, noise_var in calls:
         assert h is cfg.h and p_max == 1e-4
-        assert noise_var == 1.5 * 2e-6**2
-
-
-@pytest.mark.parametrize("headroom", ["0", "-6", "nan"])
-def test_bad_dco_headroom_rejected(capsys, headroom):
-    # at 0 analyze divided by zero (exit 3), at -6 simulate ran to a wrong
-    # BER, and at nan analyze printed nan rows
-    path = BENCH_CONFIGS / "awgn-ofdm.dco-ofdm.conf"
-    with pytest.raises(ConfigError, match="dco_headroom"):
-        harness.parse_config(path.read_text(), {"dco_headroom": headroom})
-    for command in ("simulate", "analyze"):
-        assert cli.main([command, str(path), "--set", f"dco_headroom={headroom}"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "dco_headroom" in captured.err
+        assert noise_var == GAMMA * 2e-6**2 == 1.21 * 2e-6**2
 
 
 def test_dco_grid_that_overflows_the_snr_rejected(tmp_path, capsys):
-    # at N = 2**16 and headroom 0.01 a 1e150 W bias squares the waveform
-    # scale past the float range: analyze printed 1e+150,0,inf with exit 0;
-    # at headroom 1e-200 the check's own division overflowed, which the
-    # tests' warnings-as-errors turned into exit 3
-    base = "scheme = dco-ofdm\nm = 4\np_max_w = inf\n"
-    harness.parse_config(base + "n = 65536\ndco_headroom = 0.03\npower_grid_w = 1e-5,1e150\n")
-    for keys, headroom in (("n = 65536\npower_grid_w = 1e-5,1e150\n", "0.01"),
-                           ("power_grid_w = 1e150\n", "1e-200")):
-        text = f"{base}{keys}dco_headroom = {headroom}\n"
-        with pytest.raises(ConfigError, match="overflow"):
-            harness.parse_config(text)
+    # at the fixed headroom factor 6 and p_max = inf, a 1e150 W bias squares
+    # the waveform scale to 2.2e299 at N = 4 and 1.8e303 at N = 2**16, so a
+    # grid up to MAX_POWER_W analyzes without overflow at every order
+    for n in (4, 65536):
+        text = f"scheme = dco-ofdm\nm = 4\np_max_w = inf\nn = {n}\npower_grid_w = 1e-5,1e150\n"
+        (point, top) = harness.analyze(harness.parse_config(text))
+        assert np.isfinite([point.snr, top.snr, point.analytical_ber, top.analytical_ber]).all()
         path = tmp_path / "dco.conf"
         path.write_text(text)
-        for command in ("simulate", "analyze"):
-            assert cli.main([command, str(path)]) == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and f"dco_headroom={headroom}" in captured.err
+        assert cli.main(["analyze", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "nan" not in captured.out and "inf" not in captured.out
 
 
 def test_dco_grid_at_p_max_rejected(tmp_path, capsys):
@@ -466,7 +449,7 @@ def test_achievable_snr_scans_the_point_snr():
     ctx = harness._SweepContext(cfg)
     grid = np.geomspace(1e-6, 1e-4, 200)
     want = max(4.0 * ctx.scheme.snr(ctx, float(a)) for a in grid)
-    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=cfg.m, gamma=cfg.gamma)
+    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=cfg.m)
     assert got.max_snr == want
     assert got.spectral_efficiency == 15 / 16
 
@@ -585,7 +568,7 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
     assert calls == {"one_tap_gains": 1, "interference_matrix": 0}
     harness.sweep(mmse)
     assert calls == {"one_tap_gains": 2, "interference_matrix": 0}
-    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=2, gamma=DEFAULT_GAMMA)
+    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=2)
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["hcm-n32"]))
     assert calls == {"one_tap_gains": 2, "interference_matrix": 0}
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
