@@ -44,17 +44,15 @@ def _output(args):
 
 def _cmd_simulate(args) -> int:
     cfg = _read_config(args)
-    records = harness.sweep(cfg)
-    with _output(args) as out:
-        harness.write_ber_csv(records, out)
+    with _output(args) as out:  # an unwritable --out fails before the sweep
+        harness.write_ber_csv(harness.sweep(cfg), out)
     return 0
 
 
 def _cmd_analyze(args) -> int:
     cfg = _read_config(args)
-    points = harness.analyze(cfg)
     with _output(args) as out:
-        harness.write_analyze_csv(points, out)
+        harness.write_analyze_csv(harness.analyze(cfg), out)
     return 0
 
 

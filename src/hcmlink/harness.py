@@ -184,10 +184,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class BerPoint:
-    """One power point's set-up: drive, MMSE filter and the analytic curve."""
+    """One power point's set-up: drive, MMSE filter and the analytic curve.
+
+    A point of `analyze` carries only the analytic values: p and weights are None.
+    """
 
     avg_power: float
-    p: float  # the scheme's drive amplitude
+    p: float | None  # the scheme's drive amplitude
     weights: MmseWeights | None
     analytical_ber: float
     snr: float
@@ -332,10 +335,11 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
     contiguous array pairwise, halving it down to 128 elements; the blocks
     are equal power-of-two slices of the power-of-two whole, so adding their
     sums in a pairwise tree repeats its additions, and the mean is the same
-    float as that of the whole (ACO_CALIB_FRAMES, N) array. On a 2-core
-    host, `analyze` at m = 4 takes 1.5 s at 39 MiB peak RSS for N = 2**14
-    (the whole array: 2.9 s, 1.6 GiB) and 7.0 s at 40 MiB for N = 2**16,
-    where the whole array needed over 2.6 GiB.
+    float as that of the whole (ACO_CALIB_FRAMES, N) array. Only a
+    simulated point's drive reads it (`analyze` prints closed-form values).
+    On a 2-core host at m = 4 it takes 0.8-1.0 s at 39 MiB peak RSS for
+    N = 2**14 (the whole array: 2.9 s, 1.6 GiB) and 4.9-5.1 s at 39 MiB
+    for N = 2**16, where the whole array needed over 2.6 GiB.
     """
     cfg, rng = ctx.cfg, ctx.calib_rng
     if rng is None:
@@ -555,26 +559,27 @@ class _SweepContext:
         return load_permutation(cfg.interleaver, cfg.n)
 
 
-def _mmse_analytic(weights: MmseWeights, m: int) -> tuple[float, float]:
+def _analytic(ctx: _SweepContext, avg_power: float) -> tuple:
+    """A point's MMSE filter (None for the slicer), analytic BER and SNR. The slicer's are
+    the scheme's snr and ber (aco-ofdm's need no calibration); only MMSE reads the drive."""
+    cfg = ctx.cfg
+    if cfg.equalizer != "mmse":
+        snr = ctx.scheme.snr(ctx, avg_power)
+        return None, ctx.scheme.ber(snr, cfg.m), snr
+    perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
+    weights = mmse_weights(ctx.gains, perm, ctx.scheme.drive(ctx, avg_power), cfg.noise_var,
+                           cfg.m)
     # Gaussian approximation on the per-component residual error
     err = np.sqrt(np.maximum(weights.error_diag[1:], 1e-300))
-    half_dist = 0.5 / (m - 1)
-    ber = float(np.mean(analysis.pam_ber((half_dist / err) ** 2, m)))
-    return ber, float((half_dist / err.mean()) ** 2)
+    half_dist = 0.5 / (cfg.m - 1)
+    ber = float(np.mean(analysis.pam_ber((half_dist / err) ** 2, cfg.m)))
+    return weights, ber, float((half_dist / err.mean()) ** 2)
 
 
 def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
-    cfg = ctx.cfg
-    p = ctx.scheme.drive(ctx, avg_power)
-    weights = None
-    if cfg.equalizer == "mmse":
-        perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
-        weights = mmse_weights(ctx.gains, perm, p, cfg.noise_var, cfg.m)
-        analytic, snr = _mmse_analytic(weights, cfg.m)
-    else:
-        snr = ctx.scheme.snr(ctx, avg_power)
-        analytic = ctx.scheme.ber(snr, cfg.m)
-    return BerPoint(avg_power=avg_power, p=p, weights=weights, analytical_ber=analytic, snr=snr)
+    weights, analytic, snr = _analytic(ctx, avg_power)
+    return BerPoint(avg_power=avg_power, p=ctx.scheme.drive(ctx, avg_power), weights=weights,
+                    analytical_ber=analytic, snr=snr)
 
 
 def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
@@ -640,11 +645,17 @@ def sweep(cfg: ExperimentConfig) -> list:
 
 
 def analyze(cfg: ExperimentConfig) -> list:
-    """Analytical curve only, no Monte-Carlo: one BerPoint per grid value; the points
-    keep no MMSE filter."""
+    """Analytical curve only, no Monte-Carlo: one BerPoint per grid value, with no drive
+    and no MMSE filter.
+
+    Besides the context's interleaver it builds only what the analytic values
+    read: the hcm or dcr-hcm chip pmf, and for MMSE the drive, the channel
+    spectrum and each point's filter, dropped once its error diagonal is read.
+    It never builds the ACO unit mean, which only a simulated point's drive reads.
+    """
     ctx = _SweepContext(cfg)
-    return [replace(_point_setup(ctx, float(p)), weights=None)
-            for p in np.asarray(cfg.power_grid, dtype=np.float64)]
+    return [BerPoint(avg, None, None, *_analytic(ctx, avg)[1:])
+            for avg in np.asarray(cfg.power_grid, dtype=np.float64).tolist()]
 
 
 def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int) -> AchievableSnr:

@@ -66,6 +66,25 @@ def test_simulate_to_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
+@pytest.mark.parametrize("command, work", [("simulate", "sweep"), ("analyze", "analyze")])
+def test_unwritable_out_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, work):
+    # --out is opened once the config is checked, before the sweep or the scan
+    def never(cfg):
+        raise RuntimeError(f"{work} ran")
+    monkeypatch.setattr(cli.harness, work, never)
+    path = tmp_path / "tiny.conf"
+    path.write_text(CONFIG)
+    out = tmp_path / "missing" / "x.csv"
+    code, lines, err = run(capsys, command, str(path), "--out", str(out))
+    assert code == 3
+    assert lines == [] and "No such file or directory" in err
+    # a bad config still exits 2 without creating the file
+    out = tmp_path / "x.csv"
+    code, lines, err = run(capsys, command, str(path), "--out", str(out), "--set", "n=3")
+    assert code == 2
+    assert lines == [] and "power of two" in err and not out.exists()
+
+
 @pytest.mark.parametrize("extra", [[], ["--dcr", "--symbols", "500"]])
 def test_pmf(capsys, extra):
     code, lines, _ = run(capsys, "pmf", "--n", "8", *extra)

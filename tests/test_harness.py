@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -575,6 +576,41 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
     assert calls == {"one_tap_gains": 3, "interference_matrix": 0}
 
 
+@pytest.mark.parametrize("name, counts", [
+    # calls of (_aco_unit_mean, dcr_amplitude_pmf, hcm_amplitude_pmf) under
+    # analyze, sweep and achievable_snr: a calibration is built at most once
+    # per context, and only where a printed value reads it; aco-ofdm's SNR is
+    # closed-form, so only a simulated point's drive calibrates
+    ("hcm-n32", [(0, 0, 1)] * 3),
+    ("dcr-hcm-n32", [(0, 1, 0)] * 3),
+    ("aco-ofdm-n32", [(0, 0, 0), (1, 0, 0), (0, 0, 0)]),
+    ("dco-ofdm-n16-taps", [(0, 0, 0)] * 3),
+])
+def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
+    calls = {}
+
+    def counting(key, real):
+        def counted(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return real(*args, **kwargs)
+        return counted
+    for fn in ("dcr_amplitude_pmf", "hcm_amplitude_pmf"):
+        monkeypatch.setattr(harness, fn, counting(fn, getattr(harness, fn)))
+    # the aco-ofdm entry holds _aco_unit_mean itself, so its wrapper goes in the table
+    aco = harness._SCHEMES["aco-ofdm"]
+    monkeypatch.setitem(harness._SCHEMES, "aco-ofdm",
+                        replace(aco, calibrate=counting("_aco_unit_mean", aco.calibrate)))
+    cfg = harness.parse_config(SWEEP_CONFIGS[name])
+    commands = (harness.analyze, harness.sweep, lambda cfg: harness.achievable_snr(
+        cfg.scheme, cfg.p_max, cfg.sigma2_n, n=cfg.n, m=cfg.m))
+    for command, want in zip(commands, counts):
+        calls.clear()
+        command(cfg)
+        got = tuple(calls.get(fn, 0)
+                    for fn in ("_aco_unit_mean", "dcr_amplitude_pmf", "hcm_amplitude_pmf"))
+        assert got == want
+
+
 @pytest.mark.parametrize("stem, limit", [
     ("awgn-hcm.hcm", 3.0),
     ("awgn-hcm.dcr-hcm", 3.0),
@@ -643,7 +679,7 @@ def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, sche
 
 def test_analyze_keeps_no_mmse_weights():
     # the CSV needs each point's analytic values only: once analyze returns,
-    # no point holds its MMSE filter, and no N x N array is held
+    # no point holds its drive or MMSE filter, and no N x N array is held
     n = 512
     cfg = harness.parse_config((BENCH_CONFIGS / "dispersive-mmse.dcr-hcm.conf").read_text(),
                                {"n": str(n), "interleaver": "none"})
@@ -655,7 +691,7 @@ def test_analyze_keeps_no_mmse_weights():
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert [p.weights for p in points] == [None] * 4
+    assert [(p.p, p.weights) for p in points] == [(None, None)] * 4
     assert held < n * n * 8
 
 
