@@ -224,7 +224,8 @@ def load_permutation(path, n: int | None = None) -> np.ndarray:
         with open(path) as fh:
             perm = np.array([int(line) for line in fh.read().split()], dtype=np.int64)
     except (OSError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"cannot read permutation {path}: {exc}") from exc
+        raise ConfigError(f"cannot read permutation {path} (an interleaver is none, search "
+                          f"or a permutation file): {exc}") from exc
     if n is not None and perm.size != n:
         raise ConfigError(f"permutation length {perm.size} != expected {n}")
     if not np.array_equal(np.sort(perm), np.arange(perm.size)):

@@ -108,15 +108,14 @@ class ExperimentConfig:
     The link is an LED clipped at p_max, unit-sum FIR taps h behind a
     cyclic prefix of at least len(h) - 1 samples, and AWGN of variance
     sigma2_n (W^2) times the pulse-shaping penalty channel.GAMMA; that and
-    DCO's headroom factor analysis.DCO_HEADROOM_FACTOR are constants.
+    DCO's headroom factor analysis.DCO_HEADROOM_FACTOR are constants. A
+    permutation file named as the interleaver is read and checked here.
 
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
     one power takes 2.7 s at N = 2^14 and 9.4 s at N = 2^16, at 38 MiB peak
     RSS (2-core Xeon, 1 BLAS thread). The MMSE equalizer adds, per power, the
-    O(N^2) error diagonal of equalization.mmse_weights, in O(N) memory: with
-    taps .5,.3,.2 and the identity or a random permutation, 0.06 s at
-    N = 4,096, 0.22 s at 8,192, 0.83-0.94 s at 2^14 and 18-24 s at 2^16.
+    O(N^2) error diagonal of equalization.mmse_weights (timed there).
     """
 
     scheme: str
@@ -175,6 +174,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {self.n}")
         _SCHEMES[self.scheme].check(self)
+        if self.interleaver not in ("none", "search"):  # a permutation file
+            load_permutation(self.interleaver, self.n)
 
     @property
     def noise_var(self) -> float:
@@ -341,9 +342,7 @@ def _aco_unit_mean(ctx: "_SweepContext") -> float:
     N = 2**14 (the whole array: 2.9 s, 1.6 GiB) and 4.9-5.1 s at 39 MiB
     for N = 2**16, where the whole array needed over 2.6 GiB.
     """
-    cfg, rng = ctx.cfg, ctx.calib_rng
-    if rng is None:
-        rng = _stream(cfg.master_seed, 1, 1)
+    cfg, rng = ctx.cfg, _stream(ctx.cfg.master_seed, 1, 1)
     n = cfg.n
     rows = min(ACO_CALIB_FRAMES, analysis.CALIB_BLOCK_CHIPS // n)  # n <= 2**16
     symbols = np.empty((rows, aco_data_count(n)), dtype=np.complex128)
@@ -524,15 +523,19 @@ class _ChunkBuffers:
 
 
 class _SweepContext:
-    """Per-sweep precomputation shared by all power points; the channel is cfg.h."""
+    """Per-sweep precomputation shared by all power points; the channel is cfg.h.
+
+    Every value beyond the sizes is built on its first read. perm is read only
+    by _hcm_tx, _hcm_estimate and the MMSE branch of _analytic, so a slicer's
+    analyze never searches; calib_rng (None: the reserved stream) only by _dcr_pmf.
+    """
 
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
         self.cfg = cfg
         self.scheme = _SCHEMES[cfg.scheme]
         self.decision_shape = self.scheme.data_count(cfg.n), int(math.log2(cfg.m))
         self.bits_per_symbol = math.prod(self.decision_shape)
-        self.perm = self._resolve_interleaver()
-        self.calib_rng = calib_rng  # None: the scheme's reserved calibration stream
+        self.calib_rng = calib_rng
 
     @cached_property
     def work(self) -> _ChunkBuffers:
@@ -549,7 +552,9 @@ class _SweepContext:
         """The channel spectrum rfft(h, N), built on first use (OFDM and MMSE read it)."""
         return one_tap_gains(self.cfg.h, self.cfg.n)
 
-    def _resolve_interleaver(self):
+    @cached_property
+    def perm(self):
+        """The interleaver (None for none), built on first use; cfg has checked a file."""
         cfg = self.cfg
         if cfg.interleaver == "none":
             return None
@@ -606,11 +611,10 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
 
     Chunk j draws from the stream keyed (0, power_index, j); the chunks run
     in index order and the point stops after the first one that brings the
-    bit errors to target_errors. avg_power is checked like a value of cfg's
-    power grid.
+    bit errors to target_errors. Without a context, avg_power is checked like
+    a value of cfg's power grid; a sweep passes values of its checked grid.
     """
-    replace(cfg, power_grid=np.array([avg_power]))  # the new config checks avg_power
-    ctx = ctx or _SweepContext(cfg)
+    ctx = ctx or _SweepContext(replace(cfg, power_grid=np.array([avg_power])))
     point = _point_setup(ctx, avg_power)
     errors = symbols = 0
     for j, k in enumerate(_chunk_sizes(cfg.max_symbols)):
@@ -648,9 +652,9 @@ def analyze(cfg: ExperimentConfig) -> list:
     """Analytical curve only, no Monte-Carlo: one BerPoint per grid value, with no drive
     and no MMSE filter.
 
-    Besides the context's interleaver it builds only what the analytic values
-    read: the hcm or dcr-hcm chip pmf, and for MMSE the drive, the channel
-    spectrum and each point's filter, dropped once its error diagonal is read.
+    It builds only what the analytic values read: the hcm or dcr-hcm chip
+    pmf, and for MMSE the interleaver, the drive, the channel spectrum and
+    each point's filter, dropped once its error diagonal is read.
     It never builds the ACO unit mean, which only a simulated point's drive reads.
     """
     ctx = _SweepContext(cfg)

@@ -288,6 +288,7 @@ def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     ("taps", "0.5,0.3", "sum to 1, got 0.8"),
     ("cp_len", "0", "too short for 3-tap channel"),
     ("calib_symbols", "0", "calib_symbols must be >= 1"),
+    ("interleaver", "/nonexistent/perm.txt", "cannot read permutation"),
 ])
 def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, value, message):
     # the link is checked with the config, not at the first point after the search
@@ -302,6 +303,42 @@ def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, valu
         assert cli.main([command, str(path)]) == 2
         assert message in capsys.readouterr().err
     assert searches == []
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0\n1\nx\n3\n", "cannot read permutation"),
+    ("0 1 2\n", "permutation length 3 != expected 4"),
+    ("0 1 1 3\n", "is not a permutation of 0..3"),
+])
+def test_bad_permutation_file_fails_the_config(tmp_path, capsys, monkeypatch, text, message):
+    # the file is read with the config, before any calibration or search
+    work = []
+    for fn in ("dcr_amplitude_pmf", "interleaver_search"):
+        monkeypatch.setattr(harness, fn, lambda *a, _fn=fn, **k: work.append(_fn))
+    perm = tmp_path / "perm.txt"
+    perm.write_text(text)
+    config = ("scheme = dcr-hcm\nn = 4\ntaps = 0.5,0.3,0.2\ncp_len = 2\n"
+              f"equalizer = mmse\ninterleaver = {perm}\n")
+    with pytest.raises(ConfigError, match=message):
+        harness.parse_config(config)
+    path = tmp_path / "perm.conf"
+    path.write_text(config)
+    for command in ("simulate", "analyze"):
+        assert cli.main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+    assert work == []
+
+
+@pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
+def test_ofdm_rejects_an_interleaver_file_without_reading_it(tmp_path, monkeypatch, scheme):
+    reads = []
+    monkeypatch.setattr(harness, "load_permutation", lambda *a: reads.append(a))
+    perm = tmp_path / "perm.txt"
+    perm.write_text("0 1 2 3\n")
+    with pytest.raises(ConfigError, match="interleaving applies to hcm/dcr-hcm only"):
+        harness.parse_config(f"scheme = {scheme}\nm = 4\nn = 4\ninterleaver = {perm}\n")
+    assert reads == []
 
 
 @pytest.mark.parametrize("link, message", [
@@ -577,14 +614,18 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("name, counts", [
-    # calls of (_aco_unit_mean, dcr_amplitude_pmf, hcm_amplitude_pmf) under
-    # analyze, sweep and achievable_snr: a calibration is built at most once
-    # per context, and only where a printed value reads it; aco-ofdm's SNR is
-    # closed-form, so only a simulated point's drive calibrates
-    ("hcm-n32", [(0, 0, 1)] * 3),
-    ("dcr-hcm-n32", [(0, 1, 0)] * 3),
-    ("aco-ofdm-n32", [(0, 0, 0), (1, 0, 0), (0, 0, 0)]),
-    ("dco-ofdm-n16-taps", [(0, 0, 0)] * 3),
+    # calls of (_aco_unit_mean, dcr_amplitude_pmf, hcm_amplitude_pmf,
+    # interleaver_search) under analyze, sweep and achievable_snr: a
+    # calibration or search is built at most once per context, and only where
+    # a printed value reads it; aco-ofdm's SNR is closed-form, so only a
+    # simulated point's drive calibrates, and the slicer's analytic values
+    # never read the interleaver; a name "<config>/<key>=<value>" overrides one key
+    ("hcm-n32", [(0, 0, 1, 0)] * 3),
+    ("dcr-hcm-n32", [(0, 1, 0, 0)] * 3),
+    ("aco-ofdm-n32", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)]),
+    ("dco-ofdm-n16-taps", [(0, 0, 0, 0)] * 3),
+    ("dcr-hcm-n16-mmse-search", [(0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 0, 0)]),
+    ("dcr-hcm-n16-mmse-search/equalizer=slicer", [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 0)]),
 ])
 def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
     calls = {}
@@ -594,20 +635,22 @@ def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
             calls[key] = calls.get(key, 0) + 1
             return real(*args, **kwargs)
         return counted
-    for fn in ("dcr_amplitude_pmf", "hcm_amplitude_pmf"):
+    for fn in ("dcr_amplitude_pmf", "hcm_amplitude_pmf", "interleaver_search"):
         monkeypatch.setattr(harness, fn, counting(fn, getattr(harness, fn)))
     # the aco-ofdm entry holds _aco_unit_mean itself, so its wrapper goes in the table
     aco = harness._SCHEMES["aco-ofdm"]
     monkeypatch.setitem(harness._SCHEMES, "aco-ofdm",
                         replace(aco, calibrate=counting("_aco_unit_mean", aco.calibrate)))
-    cfg = harness.parse_config(SWEEP_CONFIGS[name])
+    base, _, override = name.partition("/")
+    overrides = dict([override.split("=")]) if override else None
+    cfg = harness.parse_config(SWEEP_CONFIGS[base], overrides)
     commands = (harness.analyze, harness.sweep, lambda cfg: harness.achievable_snr(
         cfg.scheme, cfg.p_max, cfg.sigma2_n, n=cfg.n, m=cfg.m))
     for command, want in zip(commands, counts):
         calls.clear()
         command(cfg)
-        got = tuple(calls.get(fn, 0)
-                    for fn in ("_aco_unit_mean", "dcr_amplitude_pmf", "hcm_amplitude_pmf"))
+        got = tuple(calls.get(fn, 0) for fn in ("_aco_unit_mean", "dcr_amplitude_pmf",
+                                                 "hcm_amplitude_pmf", "interleaver_search"))
         assert got == want
 
 
