@@ -160,7 +160,7 @@ def _uniform_ints(rng: np.random.Generator, m: int, shape: tuple, out=None) -> n
     return out
 
 
-CALIB_BLOCK_CHIPS = 1 << 16  # chips per calibration block (DCR pmf, ACO mean)
+CALIB_BLOCK_CHIPS = 1 << 16  # chips per DCR pmf block; (drive, chip) terms per clipping block
 
 
 def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) -> AmplitudePmf:
@@ -290,16 +290,29 @@ def dco_time_std(n_fft: int) -> float:
     return math.sqrt((n_fft - 2.0) / (n_fft * n_fft))
 
 
+def aco_scale(avg_power, n_fft: int):
+    """The ACO-OFDM drive: the scale of the unit waveform at each nominal average power.
+
+    A zero-clipped Gaussian of std sigma_x has mean sigma_x/sqrt(2*pi), so
+    sigma_x = avg_power * sqrt(2*pi) and the scale is sigma_x over the unit
+    waveform's aco_time_std. A sample is a sum of N/4 QAM terms, so that
+    mean holds only as N grows: against the exact mean, for QAM-4 it reads
+    +2.2 % at N = 16, -0.19 % at 64, -0.16 % at 128 and under 2e-4 from
+    N = 1024.
+    """
+    sigma_x = np.asarray(avg_power, dtype=np.float64) * math.sqrt(2.0 * math.pi)
+    return sigma_x / aco_time_std(n_fft)
+
+
 def aco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float):
     """Per-symbol SNR of ACO-OFDM at each nominal drive average power.
 
-    The drive average (before the peak limiter) of a zero-clipped Gaussian
-    is sigma_x/sqrt(2*pi); only the p_max clip counts as distortion and it
-    is modeled through the Gaussian tail integral.
+    The waveform is the unit one times aco_scale, the simulated drive; only
+    the p_max clip counts as distortion, modeled through the Gaussian tail
+    integral.
     """
-    sigma_x = np.asarray(avg_power, dtype=np.float64) * math.sqrt(2.0 * math.pi)
-    sigma2_clip = _tail_var(0.0, sigma_x, p_max, side=1.0)
-    scale = sigma_x / aco_time_std(n_fft)
+    scale = aco_scale(avg_power, n_fft)
+    sigma2_clip = _tail_var(0.0, scale * aco_time_std(n_fft), p_max, side=1.0)
     return _snr(scale * scale, 4.0 * n_fft * (noise_var + sigma2_clip))
 
 

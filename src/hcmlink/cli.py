@@ -12,6 +12,7 @@ import numpy as np
 
 from . import analysis, harness
 from .errors import ConfigError, DomainError
+from .modem_hcm import _check_pam_order
 
 
 def _read_config(args) -> harness.ExperimentConfig:
@@ -57,6 +58,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_pmf(args) -> int:
+    _check_pam_order(args.m)  # a config's rule, though the pmf formulas take any m >= 2
     if args.dcr:
         rng = np.random.default_rng(args.seed)
         pmf = analysis.dcr_amplitude_pmf(args.n, args.m, args.symbols, rng)
@@ -70,6 +72,7 @@ def _cmd_pmf(args) -> int:
 
 
 def _cmd_eta(args) -> int:
+    _check_pam_order(args.m)
     lo, _, hi = args.n_range.partition(":")
     n_lo, n_hi = _numbers((lo, hi or lo), int, "--n-range")
     if n_lo > n_hi:

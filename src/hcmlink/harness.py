@@ -5,9 +5,9 @@ Reproducibility model: every power point gets a fixed schedule of
 an independent stream seeded by (master_seed, 0, i, j). A point runs its
 chunks one after another in index order and applies the stopping rule
 (target_errors or max_symbols) after each, so those streams and that order
-fix every result. Calibration samples (DCR chip pmf, ACO waveform mean,
-interleaver search) use reserved stream keys (1, *) and (2, *) so they
-never collide with trial streams.
+fix every result. The DCR chip pmf and the interleaver search draw from
+the reserved stream keys (1, 0) and (2, 0), so they never collide with
+trial streams.
 
 An ExperimentConfig holds the link and the sweep and checks both when it is
 built, so every config the engine sees is valid. Each scheme is one entry
@@ -314,49 +314,6 @@ def _dcr_pmf(ctx: "_SweepContext"):
     return dcr_amplitude_pmf(cfg.n, cfg.m, cfg.calib_symbols, rng)
 
 
-ACO_CALIB_FRAMES = 4096  # random frames behind the ACO unit mean
-
-
-def _aco_frames(m: int, bits: np.ndarray, symbols: np.ndarray, spec: np.ndarray,
-                out: np.ndarray) -> np.ndarray:
-    """The zero-clipped unit ACO frames of bits, written to out (float64, (k, N))
-    through the buffers symbols (complex128, (k, N/4)) and spec (complex128, (k, N/2 + 1))."""
-    qam_symbols(bits, m, out=symbols)
-    raw = aco_time_samples(symbols, out.shape[-1], out=(spec, out))
-    return np.maximum(raw, 0.0, out=raw)
-
-
-def _aco_unit_mean(ctx: "_SweepContext") -> float:
-    """Mean of the zero-clipped unit ACO waveform over ACO_CALIB_FRAMES frames.
-
-    Frames are drawn and transformed by the chunks' transmit stage, into
-    buffers of CALIB_BLOCK_CHIPS chips that every block reuses, and each
-    block is summed on its own. rng hands out the bits in order across
-    calls, so the draws are those of one whole-array call. numpy sums a
-    contiguous array pairwise, halving it down to 128 elements; the blocks
-    are equal power-of-two slices of the power-of-two whole, so adding their
-    sums in a pairwise tree repeats its additions, and the mean is the same
-    float as that of the whole (ACO_CALIB_FRAMES, N) array. Only a
-    simulated point's drive reads it (`analyze` prints closed-form values).
-    On a 2-core host at m = 4 it takes 0.8-1.0 s at 39 MiB peak RSS for
-    N = 2**14 (the whole array: 2.9 s, 1.6 GiB) and 4.9-5.1 s at 39 MiB
-    for N = 2**16, where the whole array needed over 2.6 GiB.
-    """
-    cfg, rng = ctx.cfg, _stream(ctx.cfg.master_seed, 1, 1)
-    n = cfg.n
-    rows = min(ACO_CALIB_FRAMES, analysis.CALIB_BLOCK_CHIPS // n)  # n <= 2**16
-    symbols = np.empty((rows, aco_data_count(n)), dtype=np.complex128)
-    spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
-    raw = np.empty((rows, n))
-    sums = []
-    for _ in range(ACO_CALIB_FRAMES // rows):
-        bits = _uniform_ints(rng, 2, (rows, ctx.bits_per_symbol))
-        sums.append(_aco_frames(cfg.m, bits, symbols, spec, raw).sum())
-    while len(sums) > 1:
-        sums = [a + b for a, b in zip(sums[::2], sums[1::2])]
-    return float(sums[0] / (ACO_CALIB_FRAMES * n))
-
-
 def _dco_scale(cfg: ExperimentConfig, avg):
     # the bias is the average; the AC std uses the clipping headroom
     sigma_x = analysis.dco_ac_std(avg, cfg.p_max)
@@ -399,7 +356,9 @@ def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.nd
 def _aco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
     cfg, work, k = ctx.cfg, ctx.work, len(bits)
     tx = work.tx[:k]
-    x = _aco_frames(cfg.m, bits, work.symbols[:k], work.spec[:k], tx[:, cfg.cp_len:])
+    symbols = qam_symbols(bits, cfg.m, out=work.symbols[:k])
+    x = aco_time_samples(symbols, cfg.n, out=(work.spec[:k], tx[:, cfg.cp_len:]))
+    np.maximum(x, 0.0, out=x)
     x *= point.p
     tx[:, :cfg.cp_len] = tx[:, cfg.n:]
     return tx
@@ -429,7 +388,7 @@ class _Scheme:
 
     check: Callable  # (cfg): PAM/QAM order and scheme limits; raises ConfigError
     data_count: Callable  # (n): PAM levels or QAM symbols per symbol
-    calibrate: Callable  # (ctx): chip pmf, ACO unit mean or None
+    calibrate: Callable  # (ctx): chip pmf or None
     # drive, snr and ber take a scalar or an array (of powers; ber of SNRs)
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
@@ -467,8 +426,8 @@ _SCHEMES = {
     "aco-ofdm": _Scheme(
         check=_check_ofdm,
         data_count=lambda n: aco_data_count(n),
-        calibrate=_aco_unit_mean,
-        drive=lambda ctx, avg: avg / ctx.calib,
+        calibrate=lambda ctx: None,
+        drive=lambda ctx, avg: analysis.aco_scale(avg, ctx.cfg.n),
         snr=lambda ctx, avg: 3.0 * analysis.aco_es_snr(
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
@@ -544,7 +503,7 @@ class _SweepContext:
 
     @cached_property
     def calib(self):
-        """The scheme's calibration, built on first use (an OFDM SNR scan never uses it)."""
+        """The scheme's calibration, built on first use: the HCM family's chip pmf, or None."""
         return self.scheme.calibrate(self)
 
     @cached_property
@@ -566,7 +525,7 @@ class _SweepContext:
 
 def _analytic(ctx: _SweepContext, avg_power: float) -> tuple:
     """A point's MMSE filter (None for the slicer), analytic BER and SNR. The slicer's are
-    the scheme's snr and ber (aco-ofdm's need no calibration); only MMSE reads the drive."""
+    the scheme's snr and ber; only MMSE reads the drive."""
     cfg = ctx.cfg
     if cfg.equalizer != "mmse":
         snr = ctx.scheme.snr(ctx, avg_power)
@@ -655,7 +614,6 @@ def analyze(cfg: ExperimentConfig) -> list:
     It builds only what the analytic values read: the hcm or dcr-hcm chip
     pmf, and for MMSE the interleaver, the drive, the channel spectrum and
     each point's filter, dropped once its error diagonal is read.
-    It never builds the ACO unit mean, which only a simulated point's drive reads.
     """
     ctx = _SweepContext(cfg)
     return [BerPoint(avg, None, None, *_analytic(ctx, avg)[1:])

@@ -62,7 +62,7 @@ def _group_values(groups: np.ndarray) -> np.ndarray:
 
 def _check_pam_order(m: int):
     if m < 2 or m & (m - 1):
-        raise ConfigError(f"PAM order must be a power of two >= 2, got {m}")
+        raise ConfigError(f"PAM order must be a power of two m >= 2, got m={m}")
 
 
 @lru_cache(maxsize=None)

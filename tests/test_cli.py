@@ -40,6 +40,12 @@ sys.exit(code)
 """
 
 
+def src_env() -> dict:
+    """The environment with src/ first on PYTHONPATH, for a fresh interpreter."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -98,6 +104,32 @@ def test_eta(capsys):
     assert code == 0
     assert lines[0] == "n,m,trials,eta"
     assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pmf", "--n", "8", "--m", "4"],
+    ["eta", "--n-range", "4:8", "--trials", "10000"],
+    ["snr", "--n", "16", "--schemes", "hcm,aco-ofdm", "--m-list", "4"],
+], ids=["pmf", "eta", "snr"])
+def test_out_file_holds_what_stdout_shows(tmp_path, capsys, argv):
+    assert cli.main(argv) == 0
+    shown = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == shown.encode()
+
+
+@pytest.mark.parametrize("argv, code", [(["pmf", "--n", "8"], 0), (["snr", "--p-max-w", "inf"], 2)])
+def test_module_entry_exits_with_the_code_of_main(argv, code):
+    # python -m hcmlink passes main's return value to sys.exit
+    done = subprocess.run([sys.executable, "-m", "hcmlink", *argv], env=src_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == code
+    if code:
+        assert done.stdout == "" and "needs a finite p_max" in done.stderr
+    else:
+        assert done.stdout.startswith("amplitude,probability\n") and done.stderr == ""
 
 
 @pytest.mark.parametrize("scheme", ["scheme = aco-ofdm", "scheme = dco-ofdm"])
@@ -283,6 +315,9 @@ def test_eta_reversed_range_exits_2(capsys):
     # a finite peak whose squares overflow: no NaN table, no overflow warning
     (["snr", "--p-max-w", "1e300"], f"p_max <= {MAX_POWER_W:g}"),
     (["snr", "--p-max-w", "1e160", "--schemes", "hcm"], f"p_max <= {MAX_POWER_W:g}"),
+    # the PAM order a config would reject, though the pmf formulas take any m >= 2
+    (["pmf", "--n", "16", "--m", "3", "--dcr", "--symbols", "200"], "power of two m >= 2"),
+    (["eta", "--n-range", "4:8", "--m", "3"], "power of two m >= 2"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)
@@ -302,11 +337,9 @@ def test_every_command_runs_without_scipy(tmp_path, argv):
     # the package needs numpy only: scipy is a test dependency
     conf = tmp_path / "tiny.conf"
     conf.write_text(CONFIG)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-c", NO_SCIPY,
                            *(a.format(conf=conf) for a in argv)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout
     assert done.stderr.splitlines()[-1] == "[]"

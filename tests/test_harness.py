@@ -1,5 +1,4 @@
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +12,7 @@ from hcmlink.channel import GAMMA, propagate
 from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.errors import ConfigError
 from hcmlink.modem_hcm import levels_from_bits
-from hcmlink.modem_ofdm import aco_time_samples, qam_symbols
+from hcmlink.modem_ofdm import qam_symbols
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
@@ -93,7 +92,7 @@ SWEEP_CONFIGS = {
 # that keeps both keeps these rows
 SWEEP_CSV_ROWS = {
     "aco-ofdm-n32": [
-        "5e-06,512,183,0.02233886719,0.003200264306,0.0219967833",
+        "5e-06,512,184,0.0224609375,0.003208795941,0.0219967833",
         "3e-05,1000,0,0,0.0001875,0.0001542479023",
     ],
     "dco-ofdm-n16-taps": [
@@ -614,18 +613,17 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("name, counts", [
-    # calls of (_aco_unit_mean, dcr_amplitude_pmf, hcm_amplitude_pmf,
-    # interleaver_search) under analyze, sweep and achievable_snr: a
-    # calibration or search is built at most once per context, and only where
-    # a printed value reads it; aco-ofdm's SNR is closed-form, so only a
-    # simulated point's drive calibrates, and the slicer's analytic values
+    # calls of (dcr_amplitude_pmf, hcm_amplitude_pmf, interleaver_search)
+    # under analyze, sweep and achievable_snr: a calibration or search is
+    # built at most once per context, and only where a printed value reads
+    # it; the OFDM schemes calibrate nothing, and the slicer's analytic values
     # never read the interleaver; a name "<config>/<key>=<value>" overrides one key
-    ("hcm-n32", [(0, 0, 1, 0)] * 3),
-    ("dcr-hcm-n32", [(0, 1, 0, 0)] * 3),
-    ("aco-ofdm-n32", [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 0, 0)]),
-    ("dco-ofdm-n16-taps", [(0, 0, 0, 0)] * 3),
-    ("dcr-hcm-n16-mmse-search", [(0, 1, 0, 1), (0, 1, 0, 1), (0, 1, 0, 0)]),
-    ("dcr-hcm-n16-mmse-search/equalizer=slicer", [(0, 1, 0, 0), (0, 1, 0, 1), (0, 1, 0, 0)]),
+    ("hcm-n32", [(0, 1, 0)] * 3),
+    ("dcr-hcm-n32", [(1, 0, 0)] * 3),
+    ("aco-ofdm-n32", [(0, 0, 0)] * 3),
+    ("dco-ofdm-n16-taps", [(0, 0, 0)] * 3),
+    ("dcr-hcm-n16-mmse-search", [(1, 0, 1), (1, 0, 1), (1, 0, 0)]),
+    ("dcr-hcm-n16-mmse-search/equalizer=slicer", [(1, 0, 0), (1, 0, 1), (1, 0, 0)]),
 ])
 def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
     calls = {}
@@ -635,12 +633,9 @@ def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
             calls[key] = calls.get(key, 0) + 1
             return real(*args, **kwargs)
         return counted
-    for fn in ("dcr_amplitude_pmf", "hcm_amplitude_pmf", "interleaver_search"):
+    names = ("dcr_amplitude_pmf", "hcm_amplitude_pmf", "interleaver_search")
+    for fn in names:
         monkeypatch.setattr(harness, fn, counting(fn, getattr(harness, fn)))
-    # the aco-ofdm entry holds _aco_unit_mean itself, so its wrapper goes in the table
-    aco = harness._SCHEMES["aco-ofdm"]
-    monkeypatch.setitem(harness._SCHEMES, "aco-ofdm",
-                        replace(aco, calibrate=counting("_aco_unit_mean", aco.calibrate)))
     base, _, override = name.partition("/")
     overrides = dict([override.split("=")]) if override else None
     cfg = harness.parse_config(SWEEP_CONFIGS[base], overrides)
@@ -649,9 +644,7 @@ def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
     for command, want in zip(commands, counts):
         calls.clear()
         command(cfg)
-        got = tuple(calls.get(fn, 0) for fn in ("_aco_unit_mean", "dcr_amplitude_pmf",
-                                                 "hcm_amplitude_pmf", "interleaver_search"))
-        assert got == want
+        assert tuple(calls.get(fn, 0) for fn in names) == want
 
 
 @pytest.mark.parametrize("stem, limit", [
@@ -736,37 +729,3 @@ def test_analyze_keeps_no_mmse_weights():
         tracemalloc.stop()
     assert [(p.p, p.weights) for p in points] == [(None, None)] * 4
     assert held < n * n * 8
-
-
-def _aco_context(n: int, m: int, seed: int) -> "harness._SweepContext":
-    text = f"scheme = aco-ofdm\nn = {n}\nm = {m}\nmaster_seed = {seed}\n" + BASE
-    return harness._SweepContext(harness.parse_config(text))
-
-
-def _aco_unit_mean_whole(ctx) -> float:
-    """Oracle: the ACO unit mean over one whole-array draw and transform."""
-    rng = harness._stream(ctx.cfg.master_seed, 1, 1)
-    bits = analysis._uniform_ints(rng, 2, (harness.ACO_CALIB_FRAMES, ctx.bits_per_symbol))
-    raw = aco_time_samples(qam_symbols(bits, ctx.cfg.m), ctx.cfg.n)
-    return float(np.maximum(raw, 0.0).mean())
-
-
-@pytest.mark.parametrize("n", [4, 32, 128, 1024, 4096])
-@pytest.mark.parametrize("m", [4, 16, 64])
-def test_aco_calibration_in_blocks_is_the_whole_array_mean(n, m):
-    for seed in (1, 2, 3):
-        ctx = _aco_context(n, m, seed)
-        assert harness._aco_unit_mean(ctx) == _aco_unit_mean_whole(ctx)
-
-
-def test_aco_calibration_holds_one_block():
-    # at N = 1,024 the whole (4096, N) calibration peaked at 96 MiB, a
-    # block at a few of its 2**16-chip arrays (2.1 MiB)
-    ctx = _aco_context(1024, 4, 1)
-    tracemalloc.start()
-    try:
-        harness._aco_unit_mean(ctx)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * analysis.CALIB_BLOCK_CHIPS * 8
