@@ -1,5 +1,7 @@
 """Exit codes and output shape of every CLI command on tiny inputs."""
 
+import argparse
+import contextlib
 import math
 import os
 import subprocess
@@ -72,23 +74,36 @@ def test_simulate_to_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
-@pytest.mark.parametrize("command, work", [("simulate", "sweep"), ("analyze", "analyze")])
-def test_unwritable_out_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, work):
-    # --out is opened once the config is checked, before the sweep or the scan
-    def never(cfg):
+@pytest.mark.parametrize("command, work, argv, bad, message", [
+    ("simulate", "harness.sweep", ["{conf}"], ["--set", "n=3"], "power of two"),
+    ("analyze", "harness.analyze", ["{conf}"], ["--set", "n=3"], "power of two"),
+    ("pmf", "analysis.hcm_amplitude_pmf", ["--n", "8"], ["--n", "12"], "power of two"),
+    ("pmf", "analysis.dcr_amplitude_pmf", ["--n", "8", "--dcr"], ["--symbols", "0"],
+     "at least one symbol"),
+    ("eta", "analysis.dcr_energy_efficiency", ["--n-range", "4:8"], ["--trials", "5"],
+     "--trials must be at least 10000"),
+    # the second pair's order is checked before the first pair's scan
+    ("snr", "harness.achievable_snr", [], ["--m-list", "2,3"], "power of two m >= 2"),
+], ids=["simulate-sweep", "analyze-analyze", "pmf", "pmf-dcr", "eta", "snr"])
+def test_unwritable_out_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, work,
+                                                argv, bad, message):
+    # --out is opened once the arguments or the config are checked, before the work
+    def never(*args, **kwargs):
         raise RuntimeError(f"{work} ran")
-    monkeypatch.setattr(cli.harness, work, never)
+    module, name = work.split(".")
+    monkeypatch.setattr(getattr(cli, module), name, never)
     path = tmp_path / "tiny.conf"
     path.write_text(CONFIG)
+    argv = [command, *(a.format(conf=path) for a in argv)]
     out = tmp_path / "missing" / "x.csv"
-    code, lines, err = run(capsys, command, str(path), "--out", str(out))
+    code, lines, err = run(capsys, *argv, "--out", str(out))
     assert code == 3
     assert lines == [] and "No such file or directory" in err
-    # a bad config still exits 2 without creating the file
+    # a bad value still exits 2 without creating the file
     out = tmp_path / "x.csv"
-    code, lines, err = run(capsys, command, str(path), "--out", str(out), "--set", "n=3")
+    code, lines, err = run(capsys, *argv, *bad, "--out", str(out))
     assert code == 2
-    assert lines == [] and "power of two" in err and not out.exists()
+    assert lines == [] and message in err and not out.exists()
 
 
 @pytest.mark.parametrize("extra", [[], ["--dcr", "--symbols", "500"]])
@@ -343,3 +358,91 @@ def test_every_command_runs_without_scipy(tmp_path, argv):
     assert done.returncode == 0, done.stderr[-2000:]
     assert done.stdout
     assert done.stderr.splitlines()[-1] == "[]"
+
+
+COMMANDS = ["simulate", "analyze", "pmf", "eta", "snr"]
+USAGE = "usage: hcmlink [-h] {simulate,analyze,pmf,eta,snr} ..."
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["simulate", "a.conf", "--set", "n=16", "--set", "m=4", "--ou", "x.csv"],
+     {"config": "a.conf", "set": ["n=16", "m=4"], "out": "x.csv"}),
+    (["analyze", "a.conf", "--se", "n=16"], {"config": "a.conf", "set": ["n=16"], "out": None}),
+    (["pmf", "--n", "8", "--dc"],
+     {"n": 8, "m": 2, "dcr": True, "symbols": 20_000, "seed": 1, "out": None}),
+    (["eta", "--n-r", "4:8", "--tr", "10000"],
+     {"n_range": "4:8", "m": 2, "trials": 10_000, "seed": 1, "out": None}),
+    (["snr", "--noise", "1e-6", "--m-list", "4,16"],
+     {"schemes": "hcm,dcr-hcm", "m_list": "4,16", "n": 128, "p_max_w": 1e-4,
+      "noise_std_w": 1e-6, "out": None}),
+], ids=COMMANDS)
+def test_one_command_parser_parses_as_all_five(argv, want):
+    # defaults, a repeated --set and abbreviated long options, as the full tree reads them
+    one = cli._parser(argv[:1]).parse_args(argv)
+    assert one == cli._parser(cli._COMMANDS).parse_args(argv)
+    assert vars(one) == {"cmd": argv[0], "func": cli._COMMANDS[argv[0]][0], **want}
+
+
+def test_top_level_help_lists_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"{USAGE}\n")
+    helps = [line.split(None, 1) for line in out.splitlines() if line.startswith("    ")]
+    assert helps == [
+        ["simulate", "Monte-Carlo BER sweep from a config file"],
+        ["analyze", "analytical BER curve for a config file"],
+        ["pmf", "chip amplitude pmf (analytic, or Monte-Carlo with --dcr)"],
+        ["eta", "DCR-HCM energy efficiency over a range of orders"],
+        ["snr", "maximum achievable SNR vs spectral efficiency"],
+    ]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_help_exits_0(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: hcmlink {command} [-h]")
+
+
+@pytest.mark.parametrize("argv, lines", [
+    ([], [USAGE, "hcmlink: error: the following arguments are required: cmd"]),
+    (["foo"], [USAGE, "hcmlink: error: argument cmd: invalid choice: 'foo'"]),
+    (["analyze"], ["usage: hcmlink analyze [-h] [--out OUT] [--set KEY=VALUE] config",
+                   "hcmlink analyze: error: the following arguments are required: config"]),
+    # a one-command build still names every command in the top-level usage
+    (["snr", "--gamma", "1.5"], [USAGE, "hcmlink: error: unrecognized arguments: --gamma 1.5"]),
+], ids=["no-command", "unknown", "analyze-no-config", "unrecognized"])
+def test_usage_errors_exit_2(capsys, monkeypatch, argv, lines):
+    monkeypatch.setenv("COLUMNS", "200")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and err[0] == lines[0] and err[1].startswith(lines[1])
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["simulate", "/nonexistent/x.conf"], ["simulate"]),
+    (["analyze", "/nonexistent/x.conf"], ["analyze"]),
+    (["pmf", "--n", "12"], ["pmf"]),
+    (["eta", "--n-range", "12:12"], ["eta"]),
+    (["snr", "--schemes", "foo"], ["snr"]),
+    ([], COMMANDS),
+    (["--help"], COMMANDS),
+    (["foo"], COMMANDS),
+], ids=[*COMMANDS, "no-command", "help", "unknown"])
+def test_main_builds_only_the_invoked_commands_parser(capsys, monkeypatch, argv, built):
+    names = []
+    real = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        names.append(name)
+        return real(self, name, **kwargs)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    with contextlib.suppress(SystemExit):
+        cli.main(argv)
+    assert names == built
