@@ -322,20 +322,25 @@ def dco_ac_std(bias, p_max: float):
     return np.minimum(bias, p_max - bias) / DCO_HEADROOM_FACTOR
 
 
+def dco_scale(avg_power, n_fft: int, p_max: float):
+    """The DCO-OFDM drive: the scale of the unit AC waveform biased at each average power,
+    its AC std dco_ac_std over the unit waveform's dco_time_std."""
+    return dco_ac_std(avg_power, p_max) / dco_time_std(n_fft)
+
+
 def dco_es_snr(avg_power, n_fft: int, p_max: float, noise_var: float):
     """Per-symbol SNR of DCO-OFDM biased at each average power.
 
-    The AC std is the clipping headroom min(bias, p_max - bias) over the
-    constant DCO_HEADROOM_FACTOR, so the bias sweep trades signal power
-    against double-sided clipping and the best point sits at p_max/2. A
-    bias with no headroom scores 0.
+    The waveform is the unit one times dco_scale, the simulated drive, so
+    the bias sweep trades signal power against double-sided clipping and
+    the best point sits at p_max/2. A bias with no headroom scores 0.
     """
     bias = np.asarray(avg_power, dtype=np.float64)
     sigma_x = dco_ac_std(bias, p_max)
     room = sigma_x > 0
     bias, sigma_x, snr = bias[room], sigma_x[room], np.zeros(room.shape)
     sigma2_clip = clipping_variance_gaussian(bias, sigma_x * sigma_x, p_max)
-    scale = sigma_x / dco_time_std(n_fft)
+    scale = dco_scale(bias, n_fft, p_max)
     snr[room] = _snr(scale * scale, n_fft * (noise_var + sigma2_clip))
     return snr[()]
 

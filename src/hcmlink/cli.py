@@ -107,6 +107,7 @@ def _cmd_snr(args) -> int:
     for scheme, m in pairs:  # every name and order is checked before the first scan
         harness.ExperimentConfig(scheme=scheme, n=args.n, m=m, p_max=args.p_max_w,
                                  power_grid=(), sigma2_n=sigma2)
+    harness._check_scan_peak(args.p_max_w)
     with _output(args) as out:
         rows = [(scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m))
                 for scheme, m in pairs]

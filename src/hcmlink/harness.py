@@ -19,6 +19,11 @@ entries call other modules through this module's globals at call time,
 never stored function objects, so a wrapper on a module attribute sees
 every call.
 
+Analytic columns: analyze, sweep and a lone run_point score their whole
+power grid in one pass of _points, which calls the slicer's drive, snr and
+ber once each, on the array. MMSE builds one filter per power, when that
+point is taken, and drops it before the next: one O(N) filter at a time.
+
 Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows each,
 allocated on its first chunk, and every scheme's stages write into them
 through their `out=` arguments; propagate writes the received samples into
@@ -47,9 +52,10 @@ operating points meaningful for schemes whose post-clip average saturates
 
 import csv
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -183,11 +189,12 @@ class ExperimentConfig:
         return GAMMA * self.sigma2_n
 
 
-@dataclass(frozen=True)
-class BerPoint:
+class BerPoint(NamedTuple):
     """One power point's set-up: drive, MMSE filter and the analytic curve.
 
-    A point of `analyze` carries only the analytic values: p and weights are None.
+    A point of `analyze` carries only the analytic values: p and weights are
+    None. A named tuple costs half a frozen dataclass to build, and a dense
+    grid's analyze builds two per power.
     """
 
     avg_power: float
@@ -314,12 +321,6 @@ def _dcr_pmf(ctx: "_SweepContext"):
     return dcr_amplitude_pmf(cfg.n, cfg.m, cfg.calib_symbols, rng)
 
 
-def _dco_scale(cfg: ExperimentConfig, avg):
-    # the bias is the average; the AC std uses the clipping headroom
-    sigma_x = analysis.dco_ac_std(avg, cfg.p_max)
-    return sigma_x / analysis.dco_time_std(cfg.n)
-
-
 def _hcm_snr(ctx: "_SweepContext", avg):
     cfg = ctx.cfg
     p = ctx.scheme.drive(ctx, avg)
@@ -439,7 +440,7 @@ _SCHEMES = {
         check=_check_dco,
         data_count=lambda n: dco_data_count(n),
         calibrate=lambda ctx: None,
-        drive=lambda ctx, avg: _dco_scale(ctx.cfg, avg),
+        drive=lambda ctx, avg: analysis.dco_scale(avg, ctx.cfg.n, ctx.cfg.p_max),
         snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
             avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
         ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
@@ -485,8 +486,8 @@ class _SweepContext:
     """Per-sweep precomputation shared by all power points; the channel is cfg.h.
 
     Every value beyond the sizes is built on its first read. perm is read only
-    by _hcm_tx, _hcm_estimate and the MMSE branch of _analytic, so a slicer's
-    analyze never searches; calib_rng (None: the reserved stream) only by _dcr_pmf.
+    by _hcm_tx, _hcm_estimate and _mmse_point, so a slicer's analyze never
+    searches; calib_rng (None: the reserved stream) only by _dcr_pmf.
     """
 
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
@@ -512,6 +513,12 @@ class _SweepContext:
         return one_tap_gains(self.cfg.h, self.cfg.n)
 
     @cached_property
+    def points(self) -> Iterator[BerPoint]:
+        """The points of the grid, from one _points pass on first read; each run_point
+        of a sweep takes the next."""
+        return _points(self, self.cfg.power_grid)
+
+    @cached_property
     def perm(self):
         """The interleaver (None for none), built on first use; cfg has checked a file."""
         cfg = self.cfg
@@ -523,27 +530,36 @@ class _SweepContext:
         return load_permutation(cfg.interleaver, cfg.n)
 
 
-def _analytic(ctx: _SweepContext, avg_power: float) -> tuple:
-    """A point's MMSE filter (None for the slicer), analytic BER and SNR. The slicer's are
-    the scheme's snr and ber; only MMSE reads the drive."""
-    cfg = ctx.cfg
-    if cfg.equalizer != "mmse":
-        snr = ctx.scheme.snr(ctx, avg_power)
-        return None, ctx.scheme.ber(snr, cfg.m), snr
-    perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
-    weights = mmse_weights(ctx.gains, perm, ctx.scheme.drive(ctx, avg_power), cfg.noise_var,
-                           cfg.m)
-    # Gaussian approximation on the per-component residual error
+def _points(ctx: _SweepContext, grid) -> Iterator[BerPoint]:
+    """Each power of grid's BerPoint, in grid order: drive, MMSE filter, analytic BER, SNR.
+
+    The scheme's drive, and the slicer's snr and ber, are each called once,
+    on the whole grid; they are elementwise, so each power's values are
+    those of a grid of it alone. MMSE builds a point's filter when the point
+    is taken: a caller that drops each point first holds one at a time.
+    """
+    cfg, scheme = ctx.cfg, ctx.scheme
+    grid = np.asarray(grid, dtype=np.float64)
+    rows = zip(grid.tolist(), scheme.drive(ctx, grid).tolist())
+    if cfg.equalizer == "mmse":
+        # the generator holds the filter's inputs, not ctx: were ctx.points a reference
+        # cycle, a finished sweep's chunk buffers would wait for the garbage collector
+        link = cfg, ctx.gains, ctx.perm if ctx.perm is not None else np.arange(cfg.n)
+        return (_mmse_point(*link, avg, p) for avg, p in rows)
+    snr = scheme.snr(ctx, grid)
+    return (BerPoint(avg, p, None, ber, s)
+            for (avg, p), ber, s in zip(rows, scheme.ber(snr, cfg.m).tolist(), snr.tolist()))
+
+
+def _mmse_point(cfg: ExperimentConfig, gains: np.ndarray, perm: np.ndarray, avg_power: float,
+                p: float) -> BerPoint:
+    """A power's point under MMSE: its filter for drive p, and the BER and SNR of the
+    Gaussian approximation on the filter's per-component residual error."""
+    weights = mmse_weights(gains, perm, p, cfg.noise_var, cfg.m)
     err = np.sqrt(np.maximum(weights.error_diag[1:], 1e-300))
     half_dist = 0.5 / (cfg.m - 1)
     ber = float(np.mean(analysis.pam_ber((half_dist / err) ** 2, cfg.m)))
-    return weights, ber, float((half_dist / err.mean()) ** 2)
-
-
-def _point_setup(ctx: _SweepContext, avg_power: float) -> BerPoint:
-    weights, analytic, snr = _analytic(ctx, avg_power)
-    return BerPoint(avg_power=avg_power, p=ctx.scheme.drive(ctx, avg_power), weights=weights,
-                    analytical_ber=analytic, snr=snr)
+    return BerPoint(avg_power, p, weights, ber, float((half_dist / err.mean()) ** 2))
 
 
 def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
@@ -571,10 +587,12 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
     Chunk j draws from the stream keyed (0, power_index, j); the chunks run
     in index order and the point stops after the first one that brings the
     bit errors to target_errors. Without a context, avg_power is checked like
-    a value of cfg's power grid; a sweep passes values of its checked grid.
+    a value of cfg's power grid and scored by _points as a grid of its own.
+    A sweep passes its context and its grid's values in order, and each call
+    takes the next point of the context's one pass (its filter, under MMSE).
     """
     ctx = ctx or _SweepContext(replace(cfg, power_grid=np.array([avg_power])))
-    point = _point_setup(ctx, avg_power)
+    point = next(ctx.points)
     errors = symbols = 0
     for j, k in enumerate(_chunk_sizes(cfg.max_symbols)):
         errors += _run_chunk(ctx, point, _stream(cfg.master_seed, 0, power_index, j), k)
@@ -599,25 +617,36 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
 
 
 def sweep(cfg: ExperimentConfig) -> list:
-    """Run every grid point; returns BerRecords in grid order."""
+    """Run every grid point; returns BerRecords in grid order.
+
+    The drives and analytic column are one pass of _points over the grid;
+    MMSE builds each power's filter when its point runs, one at a time.
+    """
     ctx = _SweepContext(cfg)
-    return [
-        run_point(cfg, float(p), i, ctx)
-        for i, p in enumerate(np.asarray(cfg.power_grid, dtype=np.float64))
-    ]
+    return [run_point(cfg, p, i, ctx)
+            for i, p in enumerate(np.asarray(cfg.power_grid, dtype=np.float64).tolist())]
 
 
 def analyze(cfg: ExperimentConfig) -> list:
     """Analytical curve only, no Monte-Carlo: one BerPoint per grid value, with no drive
     and no MMSE filter.
 
-    It builds only what the analytic values read: the hcm or dcr-hcm chip
-    pmf, and for MMSE the interleaver, the drive, the channel spectrum and
-    each point's filter, dropped once its error diagonal is read.
+    The column is one pass of _points over the grid. It builds only what
+    the analytic values read: the hcm or dcr-hcm chip pmf, and for MMSE the
+    interleaver, the channel spectrum and one filter per power, dropped once
+    its error diagonal is read, before the next is built.
     """
-    ctx = _SweepContext(cfg)
-    return [BerPoint(avg, None, None, *_analytic(ctx, avg)[1:])
-            for avg in np.asarray(cfg.power_grid, dtype=np.float64).tolist()]
+    # map keeps no point once it is copied: its filter goes before the next is built
+    return list(map(lambda pt: BerPoint(pt.avg_power, None, None, pt.analytical_ber, pt.snr),
+                    _SweepContext(cfg).points))
+
+
+def _check_scan_peak(p_max: float):
+    """DomainError unless achievable_snr can scan up to p_max: a valid config's p_max
+    (inf: an unclipped LED) has no finite scan grid above MAX_POWER_W."""
+    if not p_max <= MAX_POWER_W:
+        raise DomainError(
+            f"the scan over (0, p_max] needs a finite p_max <= {MAX_POWER_W:g}, got {p_max:g}")
 
 
 def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int) -> AchievableSnr:
@@ -640,9 +669,7 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
         raise DomainError(f"unknown scheme {scheme!r}")
     cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
                            sigma2_n=sigma2_n, calib_symbols=30_000)
-    if not p_max <= MAX_POWER_W:  # a valid config (inf: an unclipped LED), but no grid to scan
-        raise DomainError(
-            f"the scan over (0, p_max] needs a finite p_max <= {MAX_POWER_W:g}, got {p_max:g}")
+    _check_scan_peak(p_max)
     ctx = _SweepContext(cfg, np.random.default_rng(0x5EED))
     grid = np.geomspace(p_max * 1e-2, p_max, 200)
     snrs = ctx.scheme.peak_snr_factor * ctx.scheme.snr(ctx, grid)

@@ -84,7 +84,11 @@ def test_simulate_to_file(tmp_path, capsys):
      "--trials must be at least 10000"),
     # the second pair's order is checked before the first pair's scan
     ("snr", "harness.achievable_snr", [], ["--m-list", "2,3"], "power of two m >= 2"),
-], ids=["simulate-sweep", "analyze-analyze", "pmf", "pmf-dcr", "eta", "snr"])
+    # the scan's bound on p_max is a cheap argument too
+    ("snr", "harness.achievable_snr", [], ["--p-max-w", "inf"], "needs a finite p_max"),
+    ("snr", "harness.achievable_snr", [], ["--p-max-w", "1e300"], f"p_max <= {MAX_POWER_W:g}"),
+], ids=["simulate-sweep", "analyze-analyze", "pmf", "pmf-dcr", "eta", "snr", "snr-p-max-inf",
+        "snr-p-max-1e300"])
 def test_unwritable_out_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, work,
                                                 argv, bad, message):
     # --out is opened once the arguments or the config are checked, before the work

@@ -1,4 +1,7 @@
+import gc
+import io
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -662,7 +665,7 @@ def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
     # their raw generator words 0.98)
     cfg = harness.parse_config((BENCH_CONFIGS / f"{stem}.conf").read_text())
     ctx = harness._SweepContext(cfg)
-    point = harness._point_setup(ctx, float(cfg.power_grid[-1]))
+    point = next(harness._points(ctx, [float(cfg.power_grid[-1])]))
 
     def chunk(j):
         harness._run_chunk(ctx, point, harness._stream(1, 0, 0, j), harness.CHUNK_SYMBOLS)
@@ -699,7 +702,7 @@ def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, sche
     cfg = harness.ExperimentConfig(scheme=scheme, n=64, m=m, p_max=1e-4, sigma2_n=noise,
                                    h=np.array(taps), cp_len=cp_len)
     ctx = harness._SweepContext(cfg)
-    point = harness._point_setup(ctx, 1e-5)
+    point = next(harness._points(ctx, [1e-5]))
     stream = (seed, 0, 0, 0)
     monkeypatch.setattr(harness, "propagate", recorded)
     errors = harness._run_chunk(ctx, point, harness._stream(*stream), 256)
@@ -729,3 +732,108 @@ def test_analyze_keeps_no_mmse_weights():
         tracemalloc.stop()
     assert [(p.p, p.weights) for p in points] == [(None, None)] * 4
     assert held < n * n * 8
+
+
+# the grid pass's cases: each scheme, a dispersive slicer and MMSE at small N
+GRID_CASES = ["hcm-n32", "dcr-hcm-n32", "aco-ofdm-n32", "dco-ofdm-n16-taps",
+              "dcr-hcm-n16-mmse-search/equalizer=slicer", "dcr-hcm-n16-mmse-search"]
+
+
+def _grid_config(name: str, grid: str) -> harness.ExperimentConfig:
+    """A SWEEP_CONFIGS entry ("<config>/<key>=<value>" overrides a key) on another power
+    grid, one symbol a point."""
+    base, _, override = name.partition("/")
+    overrides = dict([override.split("=")]) if override else {}
+    return harness.parse_config(SWEEP_CONFIGS[base],
+                                {**overrides, "power_grid_w": grid, "max_symbols": "1"})
+
+
+def _csv_rows(write, rows) -> list:
+    out = io.StringIO()
+    write(rows, out)
+    return out.getvalue().split("\r\n")[1:-1]
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_grid_pass_scores_each_power_as_a_config_of_its_own(name):
+    # one array pass over 50 powers, from where noise sets the BER to where
+    # clipping does (DCO stops below p_max, where it has no headroom), prints
+    # each power's analytic values as a config of that power alone, and
+    # run_point alone returns the sweep's record for its power
+    top = "9.9e-5" if name.startswith("dco") else "1e-4"
+    cfg = _grid_config(name, f"log:1e-7:{top}:50")
+    analyzed = _csv_rows(harness.write_analyze_csv, harness.analyze(cfg))
+    swept = _csv_rows(harness.write_ber_csv, harness.sweep(cfg))
+    bers = [float(row.split(",")[1]) for row in analyzed]
+    if cfg.equalizer == "slicer":  # the MMSE approximation models no clipping
+        assert min(bers) < min(bers[0], bers[-1])  # the curve falls, then rises
+    for i, avg in enumerate(cfg.power_grid.tolist()):
+        one = _grid_config(name, repr(avg))
+        assert _csv_rows(harness.write_analyze_csv, harness.analyze(one)) == [analyzed[i]]
+        (alone,) = _csv_rows(harness.write_ber_csv, harness.sweep(one))
+        assert alone.split(",")[-1] == swept[i].split(",")[-1] == analyzed[i].split(",")[1]
+        assert _csv_rows(harness.write_ber_csv, [harness.run_point(cfg, avg, i)]) == [swept[i]]
+
+
+@pytest.mark.parametrize("size", [1, 4, 50])
+@pytest.mark.parametrize("name, snr", [("hcm-n32", "hcm_snr"), ("dcr-hcm-n32", "hcm_snr"),
+                                       ("aco-ofdm-n32", "aco_es_snr"),
+                                       ("dco-ofdm-n16-taps", "dco_es_snr")])
+def test_slicer_grid_calls_each_closed_form_once(monkeypatch, name, snr, size):
+    # analyze and sweep score the whole grid in one call of the scheme's SNR
+    # and one of its BER, however many powers it holds
+    calls = {}
+    names = ("hcm_snr", "aco_es_snr", "dco_es_snr", "pam_ber")
+    for fn in names:
+        def counted(*args, _name=fn, _real=getattr(analysis, fn), **kwargs):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(analysis, fn, counted)
+    cfg = _grid_config(name, f"log:1e-6:5e-5:{size}")
+    for command in (harness.analyze, harness.sweep):
+        calls.clear()
+        assert len(command(cfg)) == size
+        assert calls == {snr: 1, "pam_ber": 1}
+
+
+@pytest.mark.parametrize("command", [harness.analyze, harness.sweep],
+                         ids=["analyze", "simulate"])
+def test_mmse_holds_one_filter_at_a_time(monkeypatch, command):
+    # one filter per power, and none left over from an earlier power when the
+    # next is built, so a long grid at large N holds one O(N) filter at a time
+    live, alive_at_build = [], []
+    real = harness.mmse_weights
+
+    def tracked(*args, **kwargs):
+        alive_at_build.append(sum(ref() is not None for ref in live))
+        weights = real(*args, **kwargs)
+        live.append(weakref.ref(weights))
+        return weights
+
+    monkeypatch.setattr(harness, "mmse_weights", tracked)
+    command(_grid_config("dcr-hcm-n16-mmse-search", "log:1e-6:1e-4:20"))
+    assert alive_at_build == [0] * 20
+    assert all(ref() is None for ref in live)
+
+
+@pytest.mark.parametrize("name", GRID_CASES)
+def test_finished_commands_free_their_context(monkeypatch, name):
+    # a context's points hold no reference back to it, so a sweep's chunk
+    # buffers and filters go when it returns, not at the collector's next run
+    contexts = []
+
+    class Tracked(harness._SweepContext):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            contexts.append(weakref.ref(self))
+
+    monkeypatch.setattr(harness, "_SweepContext", Tracked)
+    cfg = _grid_config(name, "log:1e-6:5e-5:3")
+    gc.disable()
+    try:
+        harness.sweep(cfg)
+        harness.analyze(cfg)
+        harness.run_point(cfg, 2e-5, 1)
+        assert len(contexts) == 3 and all(ref() is None for ref in contexts)
+    finally:
+        gc.enable()

@@ -38,7 +38,7 @@ def dcr_transmit(bits, n, m=2, p=None):
     for scheme in ("dcr-hcm", "hcm"):
         cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, calib_symbols=1000)
         ctx = harness._SweepContext(cfg)
-        point = harness._point_setup(ctx, 5e-5)
+        point = next(harness._points(ctx, [5e-5]))
         out.append(ctx.scheme.tx(ctx, point, bits) * (n / point.p))
     return out
 
