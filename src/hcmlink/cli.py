@@ -61,11 +61,19 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
+def _check_seed(seed: int):
+    # a config's rule for master_seed; numpy's seeding would fail at run time
+    if seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {seed}")
+
+
 def _cmd_pmf(args) -> int:
     _check_pam_order(args.m)  # a config's rule, though the pmf formulas take any m >= 2
     analysis._check_power_of_two(args.n)
-    if args.dcr and args.symbols < 1:
-        raise ConfigError(f"need at least one symbol, got {args.symbols}")
+    if args.dcr:  # the Monte-Carlo pmf's arguments
+        if args.symbols < 1:
+            raise ConfigError(f"need at least one symbol, got {args.symbols}")
+        _check_seed(args.seed)
     with _output(args) as out:
         if args.dcr:
             rng = np.random.default_rng(args.seed)
@@ -91,6 +99,7 @@ def _cmd_eta(args) -> int:
         n_lo *= 2
     if args.trials < 10_000:  # dcr_energy_efficiency's floor
         raise ConfigError(f"--trials must be at least 10000, got {args.trials}")
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     with _output(args) as out:
         rows = [(n, analysis.dcr_energy_efficiency(n, args.m, args.trials, rng)) for n in orders]

@@ -349,9 +349,10 @@ def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.nd
         y = np.fft.irfft(spec, n, out=work.tx[:k, :n])
     if ctx.perm is not None:
         y = deinterleave(y, ctx.perm, out=work.levels[:k])
-    est = decode_samples(y, p, out=work.chips[:k])[:, 1:]
-    est *= n / p
-    return est
+    # scaled whole, before the [:, 1:] view: one contiguous pass, not a strided one
+    v = decode_samples(y, p, out=work.chips[:k])
+    v *= n / p
+    return v[:, 1:]
 
 
 def _aco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
@@ -575,11 +576,6 @@ def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
     return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
 
 
-def _chunk_sizes(max_symbols: int) -> list:
-    full, rem = divmod(max_symbols, CHUNK_SYMBOLS)
-    return [CHUNK_SYMBOLS] * full + ([rem] if rem else [])
-
-
 def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
               ctx: _SweepContext | None = None) -> BerRecord:
     """Monte-Carlo one power point until target_errors or max_symbols.
@@ -594,7 +590,9 @@ def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
     ctx = ctx or _SweepContext(replace(cfg, power_grid=np.array([avg_power])))
     point = next(ctx.points)
     errors = symbols = 0
-    for j, k in enumerate(_chunk_sizes(cfg.max_symbols)):
+    # a lazy schedule: a huge max_symbols costs nothing beyond the chunks run
+    for j, start in enumerate(range(0, cfg.max_symbols, CHUNK_SYMBOLS)):
+        k = min(CHUNK_SYMBOLS, cfg.max_symbols - start)
         errors += _run_chunk(ctx, point, _stream(cfg.master_seed, 0, power_index, j), k)
         symbols += k
         if errors >= cfg.target_errors:

@@ -4,12 +4,14 @@ Signal path conventions used throughout the package:
 
 * A data frame u has length N with u[0] pinned to 0; the remaining N-1
   entries are Gray-labeled M-PAM levels on the grid {0, 1/(M-1), ..., 1}.
-* The chip vector is x = H u + (1-H)(1-u), computed via the fast transform
-  as x = (N + B(2u - 1)) / 2 with B the bipolar matrix. Chips live on the
-  grid {k/(M-1)} inside [0, N].
+* The chip vector is x = H u + (1-H)(1-u) = (N + B(2u - 1)) / 2 with B the
+  bipolar matrix. Since B 1 = N e_0 this is x = B u + (N/2)(1 - e_0), which
+  encode_levels computes as one fast transform and one add of N/2 to every
+  chip but x[0]. Chips live on the grid {k/(M-1)} inside [0, N].
 * Transmitted samples are chips scaled by P/N with an optional cyclic
   prefix, where P is the unclipped peak drive power.
-* The decoder output is v = (B y + (P/2)[1-N, 1, ..., 1]) / N. On a clean
+* The decoder output is v = (B y + (P/2)[1-N, 1, ..., 1]) / N, its division
+  a multiply by 1/N, exact for a power-of-two N. On a clean
   channel this recovers v = (P/N) u exactly; any constant offset added to y
   (such as the per-symbol DC removed by DCR-HCM) only moves v[0], which
   carries no data.
@@ -95,25 +97,27 @@ def levels_from_bits(bits: np.ndarray, m: int, n: int,
 
 
 def encode_levels(levels: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """HCM encode along the last axis: x = (N + B(2u - 1)) / 2.
+    """HCM encode along the last axis: x = B u + (N/2)(1 - e_0).
 
-    With `out` (float64, the shape of levels; it may be levels itself) the
-    chips are written there.
+    This is x = (N + B(2u - 1)) / 2, because B 1 = N e_0: one transform, one
+    contiguous add of N/2 and column 0 put back to (B u)_0. With `out`
+    (float64, the shape of levels; it may be levels itself) the chips are
+    written there.
     """
     levels = np.asarray(levels, dtype=np.float64)
-    n = levels.shape[-1]
-    out = np.multiply(levels, 2.0, out=out)
-    out -= 1.0
-    fwht(out, out=out)
-    out += n
-    out *= 0.5
+    out = fwht(levels, out=out)
+    first = out[..., 0].copy()
+    out += 0.5 * levels.shape[-1]
+    out[..., 0] = first
     return out
 
 
 def decode_samples(y: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
     """Vectorized decoder: v = (B y + (p/2)[1-N, 1, ..., 1]) / N.
 
-    With `out` (float64, the shape of y) the decoded vectors are written there.
+    The division is a multiply by 1/N, which is exact for the power-of-two N
+    that fwht takes, so both give the same floats. With `out` (float64, the
+    shape of y) the decoded vectors are written there.
     """
     y = np.asarray(y, dtype=np.float64)
     n = y.shape[-1]
@@ -121,7 +125,7 @@ def decode_samples(y: np.ndarray, p: float, out: np.ndarray | None = None) -> np
     offset[0] = 0.5 * p * (1 - n)
     out = fwht(y, out=out)
     out += offset
-    out /= n
+    out *= 1.0 / n
     return out
 
 

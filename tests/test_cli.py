@@ -87,8 +87,13 @@ def test_simulate_to_file(tmp_path, capsys):
     # the scan's bound on p_max is a cheap argument too
     ("snr", "harness.achievable_snr", [], ["--p-max-w", "inf"], "needs a finite p_max"),
     ("snr", "harness.achievable_snr", [], ["--p-max-w", "1e300"], f"p_max <= {MAX_POWER_W:g}"),
+    # a negative seed is checked like a config's master_seed, not by numpy's seeding
+    ("pmf", "analysis.dcr_amplitude_pmf", ["--n", "16", "--dcr", "--symbols", "10"],
+     ["--seed", "-1"], "--seed must be >= 0"),
+    ("eta", "analysis.dcr_energy_efficiency", ["--n-range", "4:8"], ["--seed", "-1"],
+     "--seed must be >= 0"),
 ], ids=["simulate-sweep", "analyze-analyze", "pmf", "pmf-dcr", "eta", "snr", "snr-p-max-inf",
-        "snr-p-max-1e300"])
+        "snr-p-max-1e300", "pmf-dcr-negative-seed", "eta-negative-seed"])
 def test_unwritable_out_exits_3_before_any_work(tmp_path, capsys, monkeypatch, command, work,
                                                 argv, bad, message):
     # --out is opened once the arguments or the config are checked, before the work
@@ -337,6 +342,9 @@ def test_eta_reversed_range_exits_2(capsys):
     # the PAM order a config would reject, though the pmf formulas take any m >= 2
     (["pmf", "--n", "16", "--m", "3", "--dcr", "--symbols", "200"], "power of two m >= 2"),
     (["eta", "--n-range", "4:8", "--m", "3"], "power of two m >= 2"),
+    # a negative seed, which numpy's seeding would reject with exit 3
+    (["pmf", "--n", "16", "--dcr", "--symbols", "10", "--seed", "-1"], "--seed must be >= 0"),
+    (["eta", "--n-range", "4:8", "--seed", "-1"], "--seed must be >= 0"),
 ])
 def test_degenerate_input_exits_2(capsys, argv, message):
     code, lines, err = run(capsys, *argv)

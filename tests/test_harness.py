@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gray_oracle
+import link_oracle
 from hcmlink import analysis, cli, equalization, harness
 from hcmlink.channel import GAMMA, propagate
 from hcmlink.equalization import MAX_MATRIX_ORDER
@@ -409,6 +410,26 @@ def test_run_point_checks_its_power(scheme, avg_power):
         harness.run_point(cfg, avg_power)
 
 
+def test_huge_max_symbols_runs_only_the_chunks_it_needs():
+    # the chunk schedule is made as the chunks run: a max_symbols whose list
+    # of chunk sizes would not fit in memory stops where a config capped at
+    # the chunks it ran stops, with the same streams and the same record
+    keys = {"noise_std_w": "1.2e-6", "target_errors": "100"}
+    cfg = harness.parse_config(_config(**keys, max_symbols=10**15))
+    tracemalloc.start()
+    try:
+        (record,) = harness.sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert harness.CHUNK_SYMBOLS < record.symbols_run < 20 * harness.CHUNK_SYMBOLS
+    assert record.bit_errors >= 100
+    capped = harness.parse_config(_config(**keys, max_symbols=record.symbols_run))
+    assert harness.sweep(capped) == [record]
+    # the sweep's chunk buffers and one chunk's temporaries: a few MiB at N = 128
+    assert peak < 16 << 20
+
+
 def test_mmse_with_zero_noise_rejected(tmp_path, capsys):
     text = _config(equalizer="mmse", noise_std_w="0")
     with pytest.raises(ConfigError, match="noise_std_w > 0"):
@@ -714,6 +735,41 @@ def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, sche
     want = np.count_nonzero(gray_oracle.qam_bits(symbols, m) != bits)
     assert errors == want
     assert 0 < errors < bits.size // 4
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["no-interleaver", "interleaver"])
+@pytest.mark.parametrize("taps, cp_len", [([1.0], 0), ([0.5, 0.3, 0.2], 2)],
+                         ids=["flat", "taps"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("scheme", ["hcm", "dcr-hcm"])
+def test_hcm_chunk_counts_the_errors_of_the_paper_link(tmp_path, scheme, m, n, taps, cp_len,
+                                                        interleaved):
+    # the slicer chunk, from the same stream, against tests/link_oracle.py's
+    # dense link; at 7e-5 W the drive clips the largest chips of both schemes,
+    # and the noise, or the taps' interference, leaves some bits wrong
+    perm, interleaver = None, "none"
+    if interleaved:
+        perm = np.random.default_rng(n + m).permutation(n)
+        interleaver = tmp_path / "perm.txt"
+        interleaver.write_text("\n".join(map(str, perm)))
+    cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, p_max=1e-4,
+                                   sigma2_n=3e-11 / (m - 1) ** 2,
+                                   h=np.array(taps), cp_len=cp_len, interleaver=str(interleaver),
+                                   calib_symbols=2000)
+    ctx = harness._SweepContext(cfg)
+    point = next(harness._points(ctx, [7e-5]))
+    k = harness.CHUNK_SYMBOLS
+    errors = harness._run_chunk(ctx, point, harness._stream(5, 0, 0, 0), k)
+    want, est = link_oracle.hcm_chunk(
+        harness._stream(5, 0, 0, 0), k, n=n, m=m, p=point.p, p_max=cfg.p_max,
+        noise_var=cfg.noise_var, taps=taps, cp_len=cp_len, perm=perm,
+        reduce_dc=scheme == "dcr-hcm")
+    assert errors == want
+    assert 0 < errors < k * (n - 1) * int(np.log2(m)) // 2  # 0.2-32 % of the bits
+    # no estimate lies so near a decision boundary that rounding could move it
+    offset = est * (m - 1) - 0.5
+    assert np.min(np.abs(offset - np.round(offset))) > 1e-9
 
 
 def test_analyze_keeps_no_mmse_weights():
