@@ -1,6 +1,7 @@
 """Optical front end: peak-power clipping, FIR propagation, receiver noise.
 
-The LED is an ideal hard limiter on [0, p_max]. The discrete impulse
+The LED is an ideal hard limiter on [0, p_max], and the link's only clip:
+its lower edge is ACO-OFDM's zero clip. The discrete impulse
 response has unit sum (channel loss folded out), and receiver noise is
 AWGN whose variance is inflated by the constant pulse-shaping penalty GAMMA
 (1.21, i.e. 0.83 dB), which the paper's link model fixes. Noise levels

@@ -17,7 +17,8 @@ a linear estimate in decision units (PAM levels or QAM symbols) and a
 decision that slices it to bits. The engine itself names no scheme. The
 entries call other modules through this module's globals at call time,
 never stored function objects, so a wrapper on a module attribute sees
-every call.
+every call. dco-ofdm is aco-ofdm's entry with its own layout, drive, SNR
+and bias, and no transmit stage clips: propagate's LED limiter is ACO's zero clip.
 
 Analytic columns: analyze, sweep and a lone run_point score their whole
 power grid in one pass of _points, which calls the slicer's drive, snr and
@@ -355,26 +356,22 @@ def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.nd
     return v[:, 1:]
 
 
-def _aco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
+def _ofdm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray, time_samples: Callable,
+             biased: bool = False) -> np.ndarray:
     cfg, work, k = ctx.cfg, ctx.work, len(bits)
     tx = work.tx[:k]
     symbols = qam_symbols(bits, cfg.m, out=work.symbols[:k])
-    x = aco_time_samples(symbols, cfg.n, out=(work.spec[:k], tx[:, cfg.cp_len:]))
-    np.maximum(x, 0.0, out=x)
+    x = time_samples(symbols, cfg.n, out=(work.spec[:k], tx[:, cfg.cp_len:]))
     x *= point.p
+    if biased:  # DCO rides on the average power; ACO's zero clip is the LED limiter's
+        x += point.avg_power
     tx[:, :cfg.cp_len] = tx[:, cfg.n:]
     return tx
 
 
-def _dco_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray) -> np.ndarray:
-    cfg, work, k = ctx.cfg, ctx.work, len(bits)
-    tx = work.tx[:k]
-    symbols = qam_symbols(bits, cfg.m, out=work.symbols[:k])
-    x = dco_time_samples(symbols, cfg.n, out=(work.spec[:k], tx[:, cfg.cp_len:]))
-    x *= point.p
-    x += point.avg_power
-    tx[:, :cfg.cp_len] = tx[:, cfg.n:]
-    return tx
+def _qam_snr(ctx: "_SweepContext", avg, es_snr: Callable):
+    """Square QAM's squared Q-argument per axis, 3 Es / (M - 1), at symbol SNR es_snr."""
+    return 3.0 * es_snr(avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0)
 
 
 def _ofdm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray,
@@ -395,8 +392,8 @@ class _Scheme:
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
     ber: Callable  # (snr, m): analytic bit error rate
-    tx: Callable  # (ctx, point, bits): transmit samples, cyclic prefix included;
-    # a C-contiguous float64 array that propagate then uses as scratch
+    tx: Callable  # (ctx, point, bits): unclipped transmit samples, cyclic prefix included;
+    # a C-contiguous float64 array that propagate's LED limiter clips, then uses as scratch
     estimate: Callable  # (ctx, point, payload): a chunk buffer of PAM levels or QAM symbols
     decide: Callable  # (estimates, m, out): their bits, written to the pair out = (indices,
     # bits); the estimates may serve as scratch
@@ -417,6 +414,18 @@ _HCM = _Scheme(
     peak_snr_factor=4.0,
 )
 
+_ACO = _Scheme(
+    check=_check_ofdm,
+    data_count=lambda n: aco_data_count(n),
+    calibrate=lambda ctx: None,
+    drive=lambda ctx, avg: analysis.aco_scale(avg, ctx.cfg.n),
+    snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.aco_es_snr),
+    ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
+    tx=lambda ctx, point, bits: _ofdm_tx(ctx, point, bits, aco_time_samples),
+    estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, aco_extract),
+    decide=lambda est, m, out: qam_bits(est, m, out=out),
+)
+
 _SCHEMES = {
     "hcm": _HCM,
     "dcr-hcm": replace(
@@ -425,29 +434,15 @@ _SCHEMES = {
         drive=lambda ctx, avg: avg * ctx.cfg.n / ctx.calib.mean(),
         tx=lambda ctx, point, bits: _hcm_tx(ctx, point, bits, reduce_dc=True),
     ),
-    "aco-ofdm": _Scheme(
-        check=_check_ofdm,
-        data_count=lambda n: aco_data_count(n),
-        calibrate=lambda ctx: None,
-        drive=lambda ctx, avg: analysis.aco_scale(avg, ctx.cfg.n),
-        snr=lambda ctx, avg: 3.0 * analysis.aco_es_snr(
-            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
-        ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
-        tx=_aco_tx,
-        estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, aco_extract),
-        decide=lambda est, m, out: qam_bits(est, m, out=out),
-    ),
-    "dco-ofdm": _Scheme(
+    "aco-ofdm": _ACO,
+    "dco-ofdm": replace(
+        _ACO,
         check=_check_dco,
         data_count=lambda n: dco_data_count(n),
-        calibrate=lambda ctx: None,
         drive=lambda ctx, avg: analysis.dco_scale(avg, ctx.cfg.n, ctx.cfg.p_max),
-        snr=lambda ctx, avg: 3.0 * analysis.dco_es_snr(
-            avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0),
-        ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
-        tx=_dco_tx,
+        snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.dco_es_snr),
+        tx=lambda ctx, point, bits: _ofdm_tx(ctx, point, bits, dco_time_samples, biased=True),
         estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, dco_extract),
-        decide=lambda est, m, out: qam_bits(est, m, out=out),
     ),
 }
 SCHEMES = tuple(_SCHEMES)

@@ -3,7 +3,8 @@
 ACO-OFDM loads Gray-labeled square QAM onto the odd subcarriers with
 Hermitian symmetry; the real IFFT output is antisymmetric between the two
 symbol halves so zeroing negative samples costs exactly a factor 2 on the
-data subcarriers, undone at the receiver. DCO-OFDM loads subcarriers
+data subcarriers, undone at the receiver; the zeroing is the LED limiter's
+(channel.propagate), not this module's. DCO-OFDM loads subcarriers
 1..N/2-1 and rides on a DC bias. Both use a one-tap zero-forcing equalizer
 against the known channel frequency response.
 
@@ -29,8 +30,8 @@ def _check_qam_order(m_qam: int):
 
 
 @lru_cache(maxsize=None)
-def _qam_tables(m_qam: int) -> tuple[np.ndarray, np.ndarray]:
-    """(symbol of each bit-group value, bits of each pair index I * side + Q)."""
+def _qam_tables(m_qam: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """(symbol of each bit-group value, bits of each pair index I * side + Q, unit-energy norm)."""
     side = _check_qam_order(m_qam)
     half = side.bit_length() - 1
     index, gray_bits = _gray_tables(half)
@@ -43,7 +44,7 @@ def _qam_tables(m_qam: int) -> tuple[np.ndarray, np.ndarray]:
                            np.tile(gray_bits, (side, 1))], axis=1)
     symbols.setflags(write=False)
     bits.setflags(write=False)
-    return symbols, bits
+    return symbols, bits, norm
 
 
 def qam_symbols(bits: np.ndarray, m_qam: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -69,7 +70,7 @@ def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.nd
     symbols, then a complex128 array, serve as scratch (else a copy does).
     """
     side = _check_qam_order(m_qam)
-    norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
+    _, table, norm = _qam_tables(m_qam)
     if out is None:
         symbols = np.array(symbols, dtype=np.complex128, order="C")
         out = np.empty(symbols.shape, dtype=np.int64), None
@@ -84,7 +85,7 @@ def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.nd
     np.clip(xy, 0, side - 1, out=xy)
     xy[..., 0] *= side
     np.add(xy[..., 0], xy[..., 1], out=pairs, casting="unsafe")
-    bits = np.take(_qam_tables(m_qam)[1], pairs, axis=0, out=bits, mode="clip")
+    bits = np.take(table, pairs, axis=0, out=bits, mode="clip")
     return bits.reshape(*symbols.shape[:-1], -1)
 
 

@@ -302,6 +302,20 @@ class TestWienerFilter:
                   for perm in [np.arange(n)] + [rng.permutation(n) for _ in range(5)]]
         assert np.ptp(totals) <= 1e-10 * totals[0]
 
+    @pytest.mark.parametrize("n", [16, 64, 256, 1024, 4096])
+    def test_mean_error_is_the_trace_identity(self, n):
+        # sum(fwht(r)) = N r[0] = N^2 k[0] and fwht(r)[0] = sum(r) = N sum(k) = N S[0],
+        # so the mean over components 1..N-1 needs no O(N^2) gather
+        taps, m, p, sigma2 = [0.5, 0.3, 0.2], 4, 1e-4 * n / 128, 4e-12
+        gains = np.fft.rfft(taps, n)
+        var_u = pam_level_variance(m)
+        spectrum = var_u * sigma2 / (p * p * var_u * np.abs(gains) ** 2 + n * sigma2)
+        k = np.fft.irfft(spectrum, n)
+        want = (n * n * k[0] - n * spectrum[0]) / (n - 1)
+        for perm in (np.arange(n), np.random.default_rng(n).permutation(n)):
+            got = mmse_weights(gains, perm, p, sigma2, m).error_diag[1:].mean()
+            assert abs(got - want) <= 1e-12 * want
+
     def test_holds_no_square_matrix(self):
         # the error diagonal runs in blocks of DIAG_BLOCK terms: O(N) memory,
         # where the dense path held several N x N arrays (128 MiB each at 4,096)

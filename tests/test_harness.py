@@ -737,17 +737,11 @@ def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, sche
     assert 0 < errors < bits.size // 4
 
 
-@pytest.mark.parametrize("interleaved", [False, True], ids=["no-interleaver", "interleaver"])
-@pytest.mark.parametrize("taps, cp_len", [([1.0], 0), ([0.5, 0.3, 0.2], 2)],
-                         ids=["flat", "taps"])
-@pytest.mark.parametrize("n", [16, 64])
-@pytest.mark.parametrize("m", [2, 4])
-@pytest.mark.parametrize("scheme", ["hcm", "dcr-hcm"])
-def test_hcm_chunk_counts_the_errors_of_the_paper_link(tmp_path, scheme, m, n, taps, cp_len,
-                                                        interleaved):
-    # the slicer chunk, from the same stream, against tests/link_oracle.py's
-    # dense link; at 7e-5 W the drive clips the largest chips of both schemes,
-    # and the noise, or the taps' interference, leaves some bits wrong
+def _hcm_chunk_matches_the_paper_link(tmp_path, scheme, m, n, taps, cp_len, interleaved,
+                                      equalizer="slicer"):
+    """The chunk of _run_chunk against tests/link_oracle.py's dense link, on the same
+    stream; at 7e-5 W the drive clips the largest chips of both schemes, and the
+    noise, or the taps' interference, leaves some bits wrong."""
     perm, interleaver = None, "none"
     if interleaved:
         perm = np.random.default_rng(n + m).permutation(n)
@@ -756,7 +750,7 @@ def test_hcm_chunk_counts_the_errors_of_the_paper_link(tmp_path, scheme, m, n, t
     cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, p_max=1e-4,
                                    sigma2_n=3e-11 / (m - 1) ** 2,
                                    h=np.array(taps), cp_len=cp_len, interleaver=str(interleaver),
-                                   calib_symbols=2000)
+                                   equalizer=equalizer, calib_symbols=2000)
     ctx = harness._SweepContext(cfg)
     point = next(harness._points(ctx, [7e-5]))
     k = harness.CHUNK_SYMBOLS
@@ -764,12 +758,64 @@ def test_hcm_chunk_counts_the_errors_of_the_paper_link(tmp_path, scheme, m, n, t
     want, est = link_oracle.hcm_chunk(
         harness._stream(5, 0, 0, 0), k, n=n, m=m, p=point.p, p_max=cfg.p_max,
         noise_var=cfg.noise_var, taps=taps, cp_len=cp_len, perm=perm,
-        reduce_dc=scheme == "dcr-hcm")
+        reduce_dc=scheme == "dcr-hcm", mmse=equalizer == "mmse")
     assert errors == want
     assert 0 < errors < k * (n - 1) * int(np.log2(m)) // 2  # 0.2-32 % of the bits
     # no estimate lies so near a decision boundary that rounding could move it
     offset = est * (m - 1) - 0.5
     assert np.min(np.abs(offset - np.round(offset))) > 1e-9
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["no-interleaver", "interleaver"])
+@pytest.mark.parametrize("taps, cp_len", [([1.0], 0), ([0.5, 0.3, 0.2], 2)],
+                         ids=["flat", "taps"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("scheme", ["hcm", "dcr-hcm"])
+def test_hcm_chunk_counts_the_errors_of_the_paper_link(tmp_path, scheme, m, n, taps, cp_len,
+                                                        interleaved):
+    # the slicer chunk against the oracle's dense decode
+    _hcm_chunk_matches_the_paper_link(tmp_path, scheme, m, n, taps, cp_len, interleaved)
+
+
+@pytest.mark.parametrize("interleaved", [False, True], ids=["no-interleaver", "interleaver"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("scheme", ["hcm", "dcr-hcm"])
+def test_mmse_chunk_counts_the_errors_of_the_paper_link(tmp_path, scheme, m, n, interleaved):
+    # the MMSE chunk on taps .5,.3,.2 against the oracle's N x N linear MMSE
+    # solve on the received chips
+    _hcm_chunk_matches_the_paper_link(tmp_path, scheme, m, n, [0.5, 0.3, 0.2], 2, interleaved,
+                                      equalizer="mmse")
+
+
+@pytest.mark.parametrize("taps, cp_len", [([1.0], 0), ([0.5, 0.3, 0.2], 2)],
+                         ids=["flat", "taps"])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("m", [4, 16])
+@pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
+def test_ofdm_chunk_counts_the_errors_of_the_paper_link(scheme, m, n, taps, cp_len):
+    # the OFDM chunk, from the same stream, against tests/link_oracle.py's
+    # DFT-matrix link, whose only zero clip is the LED's; the noise, a
+    # variance that leaves a few percent of the bits wrong, does that here too
+    noise = (1e-10 if scheme == "aco-ofdm" else 1e-12) * 3 / (m - 1)
+    cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, p_max=1e-4, sigma2_n=noise,
+                                   h=np.array(taps), cp_len=cp_len)
+    ctx = harness._SweepContext(cfg)
+    point = next(harness._points(ctx, [1e-5]))
+    k = harness.CHUNK_SYMBOLS
+    errors = harness._run_chunk(ctx, point, harness._stream(5, 0, 0, 0), k)
+    want, est = link_oracle.ofdm_chunk(
+        harness._stream(5, 0, 0, 0), k, scheme=scheme, n=n, m=m, p=point.p,
+        avg_power=point.avg_power, p_max=cfg.p_max, noise_var=cfg.noise_var, taps=taps,
+        cp_len=cp_len)
+    assert errors == want
+    assert 0 < errors < k * ctx.bits_per_symbol // 2
+    # no I or Q value lies so near a decision boundary that rounding could move it
+    side = int(np.sqrt(m))
+    boundaries = np.arange(2 - side, side - 1, 2) / np.sqrt(2.0 * (m - 1) / 3.0)
+    values = np.concatenate([est.real.ravel(), est.imag.ravel()])
+    assert np.min(np.abs(values[:, None] - boundaries)) > 1e-9
 
 
 def test_analyze_keeps_no_mmse_weights():
