@@ -8,9 +8,12 @@ pam_ber(snr, isqrt(M)), to the last bit. The SNRs take noise_var, the
 receiver noise variance channel.GAMMA * sigma2_n that the simulator draws.
 
 The closed forms take scalars or arrays of powers, drives or SNRs
-elementwise, so a power scan is one array pass. Degenerate points are
-masks that keep every operation from warning, not np.errstate: after it,
-each numpy ufunc call in the process costs about 70 ns more.
+elementwise, so a power scan is one array pass. They take powers in
+harness's [MIN_POWER_W, MAX_POWER_W], where no square or Gaussian z
+quotient overflows, so only degenerate points are masks: a DCO bias with
+no headroom, and an SNR over noise so small (or none) that its quotient
+would overflow. No mask is np.errstate: after it, each numpy ufunc call
+in the process costs about 70 ns more.
 
 The HCM chip amplitude pmf accounts for the pinned u[0] = 0: each chip is a
 sum of N-1 independent uniform M-ary terms, so the binary case is
@@ -37,6 +40,7 @@ from .errors import DomainError
 from .hadamard import MAX_ORDER_LOG2, fwht
 
 DCO_HEADROOM_FACTOR = 6.0  # AC std = min(bias, p_max - bias) / this
+MIN_ETA_TRIALS = 10_000  # dcr_energy_efficiency's floor on its Monte-Carlo frames
 
 
 @dataclass(frozen=True)
@@ -234,23 +238,21 @@ def _phi(z):
 
 
 def _tail_var(mean, std, edge, side: float):
-    """E[(X - edge)^2 ; X beyond edge] for X ~ N(mean, std^2), std > 0, side -1 below and
-    +1 above; 0 where the tail's probability term is 0 (an infinite edge, or one so far
-    out that (mean - edge)^2 would overflow), and never below 0 where its terms cancel."""
+    """E[(X - edge)^2 ; X beyond edge] for X ~ N(mean, std^2), std > 0 and a finite edge,
+    side -1 below and +1 above; never below 0 where its terms cancel. Unguarded: for
+    powers in harness's [MIN_POWER_W, MAX_POWER_W] the z quotient stays below 1e19 and
+    the squares below 1e7, so a far tail reads 0 from Q and phi, not inf times 0."""
     mu = mean - edge  # = -z * std, for z = (edge - mean) / std
-    # mu / std, or +-inf where that reaches 2**1000: Q and phi read the same 0 or 1 there
-    r = np.copysign(np.inf, mu, out=np.empty(np.broadcast(mu, std).shape))
-    np.divide(mu, std, out=r, where=np.abs(mu) * 2.0**-1000 < std)
-    prob = qfunc(-side * r)  # Phi(z) below, Q(z) above
-    mu = np.where(prob > 0, mu, 0.0)
-    var = (mu * mu + std * std) * prob + side * mu * std * _phi(np.where(prob > 0, r, 0.0))
+    r = mu / std
+    var = (mu * mu + std * std) * qfunc(-side * r) + side * mu * std * _phi(r)
     return np.maximum(var, 0.0)[()]
 
 
 def clipping_variance_gaussian(mean, variance, p_max: float):
-    """Closed-form clipping distortion of a Gaussian amplitude clipped to [0, p_max]."""
-    if np.any(np.asarray(variance) <= 0):
-        raise DomainError("variance must be positive")
+    """Closed-form clipping distortion of a Gaussian amplitude clipped to [0, p_max]; its
+    domain is a finite p_max and a positive variance (DomainError otherwise)."""
+    if not math.isfinite(p_max) or np.any(np.asarray(variance) <= 0):
+        raise DomainError(f"need a finite p_max and a positive variance, got p_max={p_max!r}")
     std = np.sqrt(variance)
     return _tail_var(mean, std, 0.0, side=-1.0) + _tail_var(mean, std, p_max, side=1.0)
 
@@ -351,8 +353,8 @@ def dcr_energy_efficiency(n: int, m: int, trials: int, rng: np.random.Generator)
     E{chip} is exactly (N-1)/2, and E{chip} - E{min chip} is the mean
     DC-reduced chip, read from dcr_amplitude_pmf over trials frames of rng.
     """
-    if trials < 10_000:
-        raise DomainError("need at least 1e4 trials for a stable estimate")
+    if trials < MIN_ETA_TRIALS:
+        raise DomainError(f"need at least {MIN_ETA_TRIALS} trials for a stable estimate")
     return (n - 1) / 2.0 / dcr_amplitude_pmf(n, m, trials, rng).mean()
 
 

@@ -97,8 +97,8 @@ def _cmd_eta(args) -> int:
         analysis._check_power_of_two(n_lo)
         orders.append(n_lo)
         n_lo *= 2
-    if args.trials < 10_000:  # dcr_energy_efficiency's floor
-        raise ConfigError(f"--trials must be at least 10000, got {args.trials}")
+    if args.trials < (floor := analysis.MIN_ETA_TRIALS):  # dcr_energy_efficiency's
+        raise ConfigError(f"--trials must be at least {floor}, got {args.trials}")
     _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     with _output(args) as out:
@@ -113,10 +113,9 @@ def _cmd_snr(args) -> int:
     m_list = _numbers(args.m_list.split(","), int, "--m-list")
     sigma2 = harness._noise_variance(args.noise_std_w)
     pairs = [(s.strip(), m) for s in args.schemes.split(",") for m in m_list]
-    for scheme, m in pairs:  # every name and order is checked before the first scan
+    for scheme, m in pairs:  # every name, order and peak is checked before the first scan
         harness.ExperimentConfig(scheme=scheme, n=args.n, m=m, p_max=args.p_max_w,
                                  power_grid=(), sigma2_n=sigma2)
-    harness._check_scan_peak(args.p_max_w)
     with _output(args) as out:
         rows = [(scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m))
                 for scheme, m in pairs]

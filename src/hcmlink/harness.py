@@ -102,7 +102,7 @@ from .modem_ofdm import (
 )
 
 CHUNK_SYMBOLS = 256  # symbols per chunk and its RNG stream; changing it changes every result
-MAX_POWER_W = 1e150  # largest grid power: the closed forms' squares stay finite to N = 2**16
+MIN_POWER_W, MAX_POWER_W = 1e-15, 1e3  # every power, 1 fW to 1 kW (ExperimentConfig)
 
 BER_CSV_HEADER = ("avg_power_w", "symbols", "bit_errors", "ber", "ci95", "analytical_ber")
 ANALYZE_CSV_HEADER = ("avg_power_w", "analytical_ber", "snr")
@@ -117,6 +117,12 @@ class ExperimentConfig:
     sigma2_n (W^2) times the pulse-shaping penalty channel.GAMMA; that and
     DCO's headroom factor analysis.DCO_HEADROOM_FACTOR are constants. A
     permutation file named as the interleaver is read and checked here.
+
+    p_max and every grid power lie in [MIN_POWER_W, MAX_POWER_W], 1 fW to
+    1 kW, which holds any LED: an infinite p_max, an unclipped LED, is
+    rejected with the rest. In that range the closed forms' squared
+    amplitudes and the Gaussian tails' z quotients stay finite at every
+    order, so analysis carries no guard against their overflow.
 
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
@@ -148,26 +154,22 @@ class ExperimentConfig:
             raise ConfigError(
                 f"n must be a power of two in [4, {1 << MAX_ORDER_LOG2}], got {self.n}")
         object.__setattr__(self, "h", check_taps(self.h))
-        if not self.p_max > 0:
-            raise ConfigError(f"p_max must be positive, got {self.p_max!r}")
+        if not MIN_POWER_W <= self.p_max <= MAX_POWER_W:  # NaN fails too
+            raise ConfigError(f"p_max must be positive and finite, in [{MIN_POWER_W:g}, "
+                              f"{MAX_POWER_W:g}] W, got {self.p_max!r}")
         if not 0 <= self.sigma2_n < math.inf:
             raise ConfigError(f"sigma2_n must be finite and >= 0, got {self.sigma2_n!r}")
         if self.cp_len < self.h.size - 1:
             raise ConfigError(
                 f"cyclic prefix {self.cp_len} too short for {self.h.size}-tap channel")
         grid = np.asarray(self.power_grid, dtype=np.float64)
-        if not np.all(np.isfinite(grid)):
-            raise ConfigError("power grid values must be finite")
-        if grid.size and (np.any(grid <= 0) or np.any(grid > self.p_max)):
-            raise ConfigError("power grid values must lie in (0, p_max]")
-        if np.any(grid > MAX_POWER_W):
-            raise ConfigError(f"power grid values must be at most {MAX_POWER_W:g} W")
+        if not np.all((grid >= MIN_POWER_W) & (grid <= self.p_max)):
+            raise ConfigError(f"power grid values must be finite, in [{MIN_POWER_W:g} W, p_max]")
         if self.target_errors < 100:
             raise ConfigError("target_errors must be >= 100 for a meaningful CI")
-        if self.max_symbols < 1:
-            raise ConfigError("max_symbols must be >= 1")
-        if self.calib_symbols < 1:
-            raise ConfigError(f"calib_symbols must be >= 1, got {self.calib_symbols}")
+        for name in ("max_symbols", "calib_symbols", "interleaver_budget"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.master_seed < 0:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.cp_len >= self.n:
@@ -634,25 +636,21 @@ def analyze(cfg: ExperimentConfig) -> list:
                     _SweepContext(cfg).points))
 
 
-def _check_scan_peak(p_max: float):
-    """DomainError unless achievable_snr can scan up to p_max: a valid config's p_max
-    (inf: an unclipped LED) has no finite scan grid above MAX_POWER_W."""
-    if not p_max <= MAX_POWER_W:
-        raise DomainError(
-            f"the scan over (0, p_max] needs a finite p_max <= {MAX_POWER_W:g}, got {p_max:g}")
-
-
 def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int) -> AchievableSnr:
     """Scan average power over (0, p_max] and return the best per-point SNR.
 
     The grid is log-spaced from p_max/100 with 200 points and scored in one
-    array pass. p_max must be at most MAX_POWER_W, so that no squared
-    amplitude of the scan overflows (DomainError); m is the PAM or QAM
-    order, checked like a config's. max_snr is the squared Q-argument of the
-    scheme's analytic BER times its peak_snr_factor: 4x for hcm and dcr-hcm,
-    the squared ratio of the PAM level spacing to the noise std, which for
-    m = 2 is the peak SNR (the decision distance is half the unipolar grid's
-    peak), and 1x for the OFDM schemes.
+    array pass. p_max, m and sigma2_n are checked as a config's
+    (ConfigError): p_max lies in [MIN_POWER_W, MAX_POWER_W], where no
+    squared amplitude of the scan overflows. The grid's low end may fall
+    below MIN_POWER_W: the Gaussian z quotients depend only on the ratio of
+    a power to p_max, at most 100 here, so they stay finite too.
+
+    max_snr is the squared Q-argument of the scheme's analytic BER times its
+    peak_snr_factor: 4x for hcm and dcr-hcm, the squared ratio of the PAM
+    level spacing to the noise std, which for m = 2 is the peak SNR (the
+    decision distance is half the unipolar grid's peak), and 1x for the
+    OFDM schemes.
     The noise variance is channel.GAMMA * sigma2_n, as in a config. The
     dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
     from np.random.default_rng(0x5EED); dco-ofdm's AC std is its headroom
@@ -662,7 +660,6 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
         raise DomainError(f"unknown scheme {scheme!r}")
     cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
                            sigma2_n=sigma2_n, calib_symbols=30_000)
-    _check_scan_peak(p_max)
     ctx = _SweepContext(cfg, np.random.default_rng(0x5EED))
     grid = np.geomspace(p_max * 1e-2, p_max, 200)
     snrs = ctx.scheme.peak_snr_factor * ctx.scheme.snr(ctx, grid)

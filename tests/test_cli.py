@@ -12,7 +12,7 @@ import pytest
 
 from hcmlink import cli
 from hcmlink.hadamard import MAX_ORDER_LOG2
-from hcmlink.harness import MAX_POWER_W
+from hcmlink.harness import MAX_POWER_W, MIN_POWER_W
 
 CONFIG = """
 scheme = dcr-hcm
@@ -74,6 +74,9 @@ def test_simulate_to_file(tmp_path, capsys):
     assert len(rows) == 3
 
 
+POWER_RANGE = f"in [{MIN_POWER_W:g}, {MAX_POWER_W:g}] W"
+
+
 @pytest.mark.parametrize("command, work, argv, bad, message", [
     ("simulate", "harness.sweep", ["{conf}"], ["--set", "n=3"], "power of two"),
     ("analyze", "harness.analyze", ["{conf}"], ["--set", "n=3"], "power of two"),
@@ -84,9 +87,10 @@ def test_simulate_to_file(tmp_path, capsys):
      "--trials must be at least 10000"),
     # the second pair's order is checked before the first pair's scan
     ("snr", "harness.achievable_snr", [], ["--m-list", "2,3"], "power of two m >= 2"),
-    # the scan's bound on p_max is a cheap argument too
-    ("snr", "harness.achievable_snr", [], ["--p-max-w", "inf"], "needs a finite p_max"),
-    ("snr", "harness.achievable_snr", [], ["--p-max-w", "1e300"], f"p_max <= {MAX_POWER_W:g}"),
+    # the range of p_max is a cheap argument too
+    ("snr", "harness.achievable_snr", [], ["--p-max-w", "inf"],
+     "p_max must be positive and finite"),
+    ("snr", "harness.achievable_snr", [], ["--p-max-w", "1e300"], POWER_RANGE),
     # a negative seed is checked like a config's master_seed, not by numpy's seeding
     ("pmf", "analysis.dcr_amplitude_pmf", ["--n", "16", "--dcr", "--symbols", "10"],
      ["--seed", "-1"], "--seed must be >= 0"),
@@ -151,7 +155,7 @@ def test_module_entry_exits_with_the_code_of_main(argv, code):
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == code
     if code:
-        assert done.stdout == "" and "needs a finite p_max" in done.stderr
+        assert done.stdout == "" and "p_max must be positive and finite" in done.stderr
     else:
         assert done.stdout.startswith("amplitude,probability\n") and done.stderr == ""
 
@@ -171,14 +175,16 @@ def test_analyze_without_noise_or_clipping(tmp_path, capsys, scheme):
 
 
 @pytest.mark.parametrize("scheme, row", [
-    ("aco-ofdm", "1e-150,0.5,6.490893912e-289"),
-    ("dco-ofdm", "1e-150,0.5,5.830308861e-291"),
+    ("aco-ofdm", "1e-15,0.4999999997,6.490893912e-19"),
+    ("dco-ofdm", "1e-15,0.5,5.830308861e-21"),
 ], ids=["aco-ofdm", "dco-ofdm"])
 def test_analyze_far_below_a_huge_peak_does_not_warn(tmp_path, capsys, scheme, row):
-    # the peak lies about 1e458 std above the waveform: the Gaussian tail's
-    # z quotient overflowed with a RuntimeWarning, an error in this suite
+    # the smallest power under the largest peak: the peak lies about 1e18 std
+    # above the waveform, and the Gaussian tail's unguarded z quotient and
+    # squares stay finite, with no RuntimeWarning (an error in this suite)
     path = tmp_path / "dim.conf"
-    path.write_text(f"scheme = {scheme}\nm = 4\np_max_w = 1e308\npower_grid_w = 1e-150\n")
+    path.write_text(f"scheme = {scheme}\nm = 4\np_max_w = {MAX_POWER_W!r}\n"
+                    f"power_grid_w = {MIN_POWER_W!r}\n")
     code, lines, err = run(capsys, "analyze", str(path))
     assert code == 0 and err == ""
     assert lines == ["avg_power_w,analytical_ber,snr", row]
@@ -202,8 +208,8 @@ def test_snr(capsys, extra):
     (1 << MAX_ORDER_LOG2, "aco-ofdm,dco-ofdm", "4"),
 ])
 def test_snr_at_the_largest_p_max(capsys, n, schemes, m):
-    # p_max = MAX_POWER_W with a noise std of 1e140 W: every square of the scan stays finite
-    code, lines, _ = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--noise-std-w", "1e140",
+    # p_max = MAX_POWER_W with a noise std of 1 kW: every square of the scan stays finite
+    code, lines, _ = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--noise-std-w", "1e3",
                          "--n", str(n), "--schemes", schemes, "--m-list", m)
     assert code == 0
     assert len(lines) == 2 + schemes.count(",")
@@ -211,25 +217,60 @@ def test_snr_at_the_largest_p_max(capsys, n, schemes, m):
 
 
 def test_snr_beyond_every_float_is_inf(capsys):
-    # at p_max = MAX_POWER_W and the default noise the best SNRs pass 1e307:
-    # inf, and no overflow warning when 4x them gives hcm's peak SNR
+    # at p_max = MAX_POWER_W over a subnormal noise variance, 1.2e-320 W^2, the
+    # best SNRs pass 1e307: inf, and no overflow warning when 4x them gives
+    # hcm's peak SNR
     code, lines, _ = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--n", "16",
+                         "--noise-std-w", "1e-160",
                          "--schemes", "hcm,dcr-hcm,aco-ofdm", "--m-list", "4")
     assert code == 0
     assert [line.split(",")[3] for line in lines[1:]] == ["inf"] * 3
 
 
-@pytest.mark.parametrize("power, code", [(MAX_POWER_W, 0), (1e160, 2)])
+@pytest.mark.parametrize("power, code", [(MIN_POWER_W, 0), (MAX_POWER_W, 0), (1e160, 2),
+                                         (1e-16, 2)])
 def test_analyze_power_grid_bound(tmp_path, capsys, power, code):
-    # the grid's bound is the scan's: 1e160 W would square to inf and print NaN
-    path = tmp_path / "huge.conf"
-    path.write_text(f"scheme = hcm\nn = 16\np_max_w = inf\npower_grid_w = {power:g}\n")
-    got, lines, err = run(capsys, "analyze", str(path))
-    assert got == code
+    # the grid lies in [MIN_POWER_W, p_max], here up to MAX_POWER_W
+    path = tmp_path / "bound.conf"
+    path.write_text(f"scheme = hcm\nn = 16\np_max_w = {MAX_POWER_W!r}\nnoise_std_w = 0\n"
+                    f"power_grid_w = {power!r}\n")
+    out = tmp_path / "out.csv"
+    got, lines, err = run(capsys, "analyze", str(path), "--out", str(out))
+    assert got == code and lines == []
     if code:
-        assert lines == [] and f"at most {MAX_POWER_W:g} W" in err
-    else:
-        assert lines[1:] == ["1e+150,0,inf"]
+        assert f"[{MIN_POWER_W:g} W, p_max]" in err and not out.exists()
+    else:  # noiseless: unclipped at 1 fW, clipped at the peak
+        want = "1e-15,0,inf" if power == MIN_POWER_W else "1000,0.07206351741,2.133333333"
+        assert out.read_text().splitlines()[1:] == [want]
+
+
+@pytest.mark.parametrize("scheme, n", [
+    ("hcm", 4), ("hcm", 1024), ("dcr-hcm", 4), ("dcr-hcm", 64), ("aco-ofdm", 4),
+    ("aco-ofdm", 1024), ("dco-ofdm", 4), ("dco-ofdm", 1024),
+])
+def test_analyze_and_snr_at_the_corners_of_the_power_range(tmp_path, capsys, scheme, n):
+    # both ends of the grid under both ends of p_max, without noise and at
+    # a 1 kW noise std: no warning (an error in this suite) and no NaN, so
+    # no square or Gaussian z quotient needs an overflow guard in the range.
+    # snr's dcr-hcm calibration draws 30,000 frames: 1.1 s at n = 1024
+    path = tmp_path / "corner.conf"
+    for p_max in (MIN_POWER_W, MAX_POWER_W):
+        # dco-ofdm's bias must lie below p_max; at MIN_POWER_W no power does
+        top = math.nextafter(p_max, 0.0) if scheme == "dco-ofdm" else p_max
+        grid = sorted({g for g in (MIN_POWER_W, top) if MIN_POWER_W <= g <= top})
+        for noise in ("0", "1e3"):
+            path.write_text(f"scheme = {scheme}\nn = {n}\nm = 4\np_max_w = {p_max!r}\n"
+                            f"power_grid_w = {','.join(map(repr, grid)) or '1e-15'}\n"
+                            f"noise_std_w = {noise}\ncalib_symbols = 200\n")
+            code, lines, err = run(capsys, "analyze", str(path))
+            if not grid:
+                assert code == 2 and "below p_max" in err
+            else:
+                assert code == 0 and err == "" and len(lines) == 1 + len(grid)
+                assert not any("nan" in line for line in lines)
+            code, lines, err = run(capsys, "snr", "--schemes", scheme, "--m-list", "4",
+                                   "--n", str(n), "--p-max-w", repr(p_max), "--noise-std-w", noise)
+            assert code == 0 and err == "" and len(lines) == 2 and "nan" not in lines[1]
 
 
 @pytest.mark.parametrize("argv", [
@@ -333,12 +374,12 @@ def test_eta_reversed_range_exits_2(capsys):
     (["pmf", "--n", str(2 << MAX_ORDER_LOG2)], "power of two"),
     (["pmf", "--n", str(2 << MAX_ORDER_LOG2), "--dcr", "--symbols", "1"], "power of two"),
     (["eta", "--n-range", f"{2 << MAX_ORDER_LOG2}:{2 << MAX_ORDER_LOG2}"], "power of two"),
-    # an infinite std or peak gives no finite SNR to scan for
+    # an infinite std gives no finite SNR to scan for
     (["snr", "--noise-std-w", "inf"], "sigma2_n must be finite"),
-    (["snr", "--p-max-w", "inf"], "needs a finite p_max"),
-    # a finite peak whose squares overflow: no NaN table, no overflow warning
-    (["snr", "--p-max-w", "1e300"], f"p_max <= {MAX_POWER_W:g}"),
-    (["snr", "--p-max-w", "1e160", "--schemes", "hcm"], f"p_max <= {MAX_POWER_W:g}"),
+    # a peak outside the physical range [MIN_POWER_W, MAX_POWER_W]
+    (["snr", "--p-max-w", "inf"], "p_max must be positive and finite"),
+    (["snr", "--p-max-w", "1e300"], POWER_RANGE),
+    (["snr", "--p-max-w", "1e-16", "--schemes", "hcm"], POWER_RANGE),
     # the PAM order a config would reject, though the pmf formulas take any m >= 2
     (["pmf", "--n", "16", "--m", "3", "--dcr", "--symbols", "200"], "power of two m >= 2"),
     (["eta", "--n-range", "4:8", "--m", "3"], "power of two m >= 2"),

@@ -1,5 +1,6 @@
 import gc
 import io
+import re
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -136,7 +137,9 @@ def test_simulate_output_is_frozen(tmp_path, capsys, name):
 
 
 # analyze runs the sweep configs and these edge cases: no noise (an infinite
-# SNR where nothing clips), an unclipped LED and a DCO bias just below p_max
+# SNR where nothing clips), an unclipped LED (the *-p-max-inf configs, at the
+# largest peak, MAX_POWER_W, which their waveforms never reach) and a DCO
+# bias just below p_max
 ANALYZE_CONFIGS = {
     **SWEEP_CONFIGS,
     "hcm-n32-noiseless": """
@@ -155,14 +158,14 @@ ANALYZE_CONFIGS = {
     "hcm-n32-p-max-inf": """
         scheme = hcm
         n = 32
-        p_max_w = inf
+        p_max_w = 1e3
         power_grid_w = 1e-5,1
         noise_std_w = 4e-6
     """,
     "aco-ofdm-p-max-inf": """
         scheme = aco-ofdm
         m = 4
-        p_max_w = inf
+        p_max_w = 1e3
         power_grid_w = 1e-5,1e-3
         noise_std_w = 1e-6
     """,
@@ -170,7 +173,7 @@ ANALYZE_CONFIGS = {
         scheme = dco-ofdm
         n = 16
         m = 4
-        p_max_w = inf
+        p_max_w = 1e3
         power_grid_w = 1e-5
         noise_std_w = 1e-6
     """,
@@ -278,6 +281,8 @@ def test_negative_master_seed_rejected():
     # an empty grid printed a header-only CSV with exit 0
     ("power_grid_w", ""),
     ("power_grid_w", "lin:1e-5:2e-5:0"),
+    # checked whatever the interleaver: this config never searches
+    ("interleaver_budget", "-5"),
 ])
 def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
     path = tmp_path / "bad.conf"
@@ -288,9 +293,14 @@ def test_cli_exits_2_on_bad_value(tmp_path, capsys, key, value):
 
 @pytest.mark.parametrize("key, value, message", [
     ("p_max_w", "nan", "p_max must be positive"),
+    # every power lies in [MIN_POWER_W, MAX_POWER_W], 1 fW to 1 kW
+    ("p_max_w", "inf", "p_max must be positive and finite, in [1e-15, 1000] W, got inf"),
+    ("p_max_w", "1e4", "in [1e-15, 1000] W, got 10000.0"),
+    ("p_max_w", "1e-16", "in [1e-15, 1000] W, got 1e-16"),
     ("taps", "0.5,0.3", "sum to 1, got 0.8"),
     ("cp_len", "0", "too short for 3-tap channel"),
     ("calib_symbols", "0", "calib_symbols must be >= 1"),
+    ("interleaver_budget", "0", "interleaver_budget must be >= 1"),
     ("interleaver", "/nonexistent/perm.txt", "cannot read permutation"),
 ])
 def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, value, message):
@@ -298,7 +308,7 @@ def test_bad_link_fails_before_any_work(tmp_path, capsys, monkeypatch, key, valu
     searches = []
     monkeypatch.setattr(harness, "interleaver_search", lambda *a, **k: searches.append(a))
     text = _config(**{"taps": "0.5,0.3,0.2", "cp_len": 2, "interleaver": "search", key: value})
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         harness.parse_config(text)
     path = tmp_path / "bad.conf"
     path.write_text(text)
@@ -374,11 +384,10 @@ def test_chunk_noise_variance_includes_gamma(monkeypatch):
 
 
 def test_dco_grid_that_overflows_the_snr_rejected(tmp_path, capsys):
-    # at the fixed headroom factor 6 and p_max = inf, a 1e150 W bias squares
-    # the waveform scale to 2.2e299 at N = 4 and 1.8e303 at N = 2**16, so a
-    # grid up to MAX_POWER_W analyzes without overflow at every order
+    # at the fixed headroom factor 6, biases at both ends of the power range
+    # analyze without overflow at every order
     for n in (4, 65536):
-        text = f"scheme = dco-ofdm\nm = 4\np_max_w = inf\nn = {n}\npower_grid_w = 1e-5,1e150\n"
+        text = f"scheme = dco-ofdm\nm = 4\np_max_w = 1e3\nn = {n}\npower_grid_w = 1e-15,999\n"
         (point, top) = harness.analyze(harness.parse_config(text))
         assert np.isfinite([point.snr, top.snr, point.analytical_ber, top.analytical_ber]).all()
         path = tmp_path / "dco.conf"
@@ -563,17 +572,23 @@ def test_hcm_family_scan_holds_one_block(scheme):
 
 @pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
 def test_huge_finite_p_max_analyzes_like_an_unclipped_led(tmp_path, capsys, scheme):
-    # a cap 1e160 W away has tail probability 0, so its clipping variance is
-    # 0, not (1e160)**2 * 0 = NaN
-    rows = {}
-    for p_max in ("1e160", "inf"):
-        path = tmp_path / f"{p_max}.conf"
-        path.write_text(f"scheme = {scheme}\nm = 4\nnoise_std_w = 1e-6\n"
-                        f"power_grid_w = 1e-5\np_max_w = {p_max}\n")
-        assert cli.main(["analyze", str(path)]) == 0
-        rows[p_max] = capsys.readouterr().out
-    assert rows["1e160"] == rows["inf"]
-    assert "nan" not in rows["inf"]
+    # a cap at MAX_POWER_W, 4e7 std or more above a 1e-5 W waveform, has
+    # tail probability 0, so its clipping variance is 0, not NaN: ACO's SNR
+    # is that of no clipping at all, DCO's that of its zero clip alone
+    n, avg, noise_var = 128, 1e-5, GAMMA * 1e-12
+    path = tmp_path / "far.conf"
+    path.write_text(f"scheme = {scheme}\nm = 4\nnoise_std_w = 1e-6\n"
+                    f"power_grid_w = {avg}\np_max_w = {harness.MAX_POWER_W!r}\n")
+    assert cli.main(["analyze", str(path)]) == 0
+    snr = float(capsys.readouterr().out.split()[1].split(",")[2])
+    if scheme == "aco-ofdm":
+        scale = analysis.aco_scale(avg, n)
+        es_snr = scale * scale / (4.0 * n * noise_var)
+    else:
+        scale = analysis.dco_scale(avg, n, harness.MAX_POWER_W)
+        std = analysis.dco_ac_std(avg, harness.MAX_POWER_W)
+        es_snr = scale * scale / (n * (noise_var + analysis._tail_var(avg, std, 0.0, -1.0)))
+    assert snr == pytest.approx(es_snr, rel=1e-9)  # 3 Es / (M - 1) is Es at M = 4
 
 
 def test_search_above_the_size_limit_fails_first(tmp_path, capsys, monkeypatch):
