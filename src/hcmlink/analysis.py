@@ -183,12 +183,14 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
     Frames are drawn and transformed in blocks of CALIB_BLOCK_CHIPS chips,
     which stay in cache. The block size does not change the draws: rng
     hands out the level indices in order across calls. The indices are
-    drawn straight into the transform buffer, and the transform is copied
-    once into an integer grid (int32; intp beside float64) for the shift
-    and the row minima: on 128-wide rows the minima of 20,000 frames take
-    1.3 ms in int32, 3.4 ms in float32. A block is counted up to its own
-    largest grid point, not over the whole support (512 KiB a block at
-    N = 2**16, to reach about 1,200 bins).
+    drawn straight into one buffer and transformed into another, both reused
+    by every block (with two BLAS threads a fresh transform output cost 162
+    minor page faults a block at N = 2**16, the reused one 0.6), and the
+    transform is copied once into an integer grid (int32; intp beside
+    float64) for the shift and the row minima: on 128-wide rows the minima
+    of 20,000 frames take 1.3 ms in int32, 3.4 ms in float32. A block is
+    counted up to its own largest grid point, not over the whole support
+    (512 KiB a block at N = 2**16, to reach about 1,200 bins).
     """
     _check_power_of_two(n)
     _check_order(m)
@@ -197,6 +199,7 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
     dtype = np.float32 if (m - 1) * n < 1 << 24 else np.float64
     rows = max(1, CALIB_BLOCK_CHIPS // n)
     idx = np.zeros((rows, n), dtype=dtype)  # column 0 stays the pinned idx[0] = 0
+    spread = np.empty((rows, n), dtype=dtype)  # the transform of each block
     grid = np.empty((rows, n), dtype=np.int32 if dtype is np.float32 else np.intp)
     counts = np.zeros((n - 1) * (m - 1) + 1, dtype=np.int64)
     done = 0
@@ -204,7 +207,7 @@ def dcr_amplitude_pmf(n: int, m: int, symbols: int, rng: np.random.Generator) ->
         k = min(rows, symbols - done)
         _uniform_ints(rng, m, (k, n - 1), out=idx[:k, 1:])
         t = grid[:k]
-        np.copyto(t, fwht(idx[:k]), casting="unsafe")
+        np.copyto(t, fwht(idx[:k], out=spread[:k]), casting="unsafe")
         t[:, 0] -= (m - 1) * n // 2
         t -= np.minimum.reduce(t, axis=-1, keepdims=True)
         seen = np.bincount(t.reshape(-1))

@@ -25,24 +25,27 @@ power grid in one pass of _points, which calls the slicer's drive, snr and
 ber once each, on the array. MMSE builds one filter per power, when that
 point is taken, and drops it before the next: one O(N) filter at a time.
 
-Chunk buffers: a sweep owns one _ChunkBuffers, CHUNK_SYMBOLS rows each,
-allocated on its first chunk, and every scheme's stages write into them
-through their `out=` arguments; propagate writes the received samples into
-one, using the framed samples as scratch. The OFDM receiver multiplies the
-data bins of the received spectrum once by c / (p H_k): the one-tap
-equalizer, ACO's clipping factor c = 2 (1 for DCO) and the drive p in one
-vector. After the first chunk a sweep allocates per chunk only the payload
-bit array, its raw generator words and a few transient arrays (bit-group
-values, an fwht intermediate, the slicer's scaled estimates, numpy's ufunc
-buffers). The payload bits are those of rng.integers(0, 2), read by
-analysis._uniform_ints two to a 64-bit PCG64 word instead of one bounded
-draw per bit. The buffers matter because a
-chunk array at N=128 is 256 KiB, above glibc's initial mmap threshold of
-128 KiB: without the buffers each chunk allocated about ten of them, each
-mapped fresh from the kernel and page-faulted in unless a block of 4 MiB
-or more had been freed earlier in the process (as the old 4 MiB DCR
-calibration blocks did). On a 2-core host an hcm sweep at N=128 then took
-132-162 ms against 87-92 ms after such a free.
+Chunk buffers: a sweep owns one _ChunkBuffers, allocated on its first
+chunk: the chunk's payload bits, one byte each, and one row block of at
+most analysis.CALIB_BLOCK_CHIPS framed samples for each other array, so
+past N = 256 the float arrays stop growing with N (whole-chunk arrays and
+int64 bits took 1 GiB at N = 2**16). _run_chunk draws all the bits, then
+runs the blocks. Every scheme's stages write into the buffers through
+their `out=` arguments; propagate writes the received samples into one,
+using the framed samples as scratch. The OFDM receiver multiplies the data
+bins of the received spectrum once by c / (p H_k): the one-tap equalizer,
+ACO's clipping factor c = 2 (1 for DCO) and the drive p in one vector.
+After the first chunk a sweep allocates per block only transient arrays
+(the raw generator words, bit-group values, an fwht intermediate, the
+slicer's scaled estimates, numpy's ufunc buffers). The payload bits are
+those of rng.integers(0, 2), read by analysis._uniform_ints two to a
+64-bit PCG64 word instead of one bounded draw per bit. The buffers matter
+because a chunk array at N=128 is 256 KiB, above glibc's initial mmap
+threshold of 128 KiB: without the buffers each chunk allocated about ten
+of them, each mapped fresh from the kernel and page-faulted in unless a
+block of 4 MiB or more had been freed earlier in the process (as the old
+4 MiB DCR calibration blocks did). On a 2-core host an hcm sweep at N=128
+then took 132-162 ms against 87-92 ms after such a free.
 
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
@@ -127,8 +130,12 @@ class ExperimentConfig:
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
     one power takes 2.7 s at N = 2^14 and 9.4 s at N = 2^16, at 38 MiB peak
-    RSS (2-core Xeon, 1 BLAS thread). The MMSE equalizer adds, per power, the
-    O(N^2) error diagonal of equalization.mmse_weights (timed there).
+    RSS (2-core Xeon, 1 BLAS thread). A chunk's float arrays stop growing at
+    N = 256, and its payload takes a byte a bit (see _ChunkBuffers): `hcmlink
+    simulate` of one 256-symbol chunk at N = 2^16 takes 2.6 s at 58 MiB for
+    hcm, 1.6 s at 57 MiB for dcr-hcm with calib_symbols = 2000 and 1.1 s at
+    73 MiB for dco-ofdm. The MMSE equalizer adds, per power, the O(N^2)
+    error diagonal of equalization.mmse_weights (timed there).
     """
 
     scheme: str
@@ -451,28 +458,34 @@ SCHEMES = tuple(_SCHEMES)
 
 
 class _ChunkBuffers:
-    """A sweep's work arrays for the chunk pipeline, CHUNK_SYMBOLS rows each.
+    """A sweep's work arrays for the chunk pipeline: the chunk's payload bits
+    (uint8, CHUNK_SYMBOLS rows) and one row block of everything else.
 
-    HCM: levels holds the PAM levels, then the interleaved chips, then the
-    deinterleaved payload; chips holds the chips, then the decoded vectors
-    v; spec holds the payload's spectrum for the MMSE filter. OFDM: symbols
-    holds the QAM symbols sent, then those received; spec holds the half
-    spectrum of the frames, then that of the payload. tx and rx hold the
-    framed samples (tx is propagate's scratch, then the MMSE-filtered
+    A block holds at most analysis.CALIB_BLOCK_CHIPS framed samples: 256
+    rows up to N = 256 without a prefix, one at N = 2**16. HCM: levels holds the PAM levels, then the interleaved
+    chips, then the deinterleaved payload; chips holds the chips, then the
+    decoded vectors v; spec holds the payload's spectrum for the MMSE filter.
+    OFDM: symbols holds the QAM symbols sent, then those received; spec holds
+    the half spectrum of the frames, then that of the payload. tx and rx hold
+    the framed samples (tx is propagate's scratch, then the MMSE-filtered
     payload); idx and bits receive the decisions, an index and its bits for
-    each PAM level or QAM symbol. A shorter last chunk uses [:k].
-    np.empty commits no memory to the arrays a scheme never writes.
+    each PAM level or QAM symbol. The bits are uint8; the indices stay intp,
+    as np.take would convert any other index dtype to a new intp array. A
+    shorter block uses [:k]. np.empty commits no memory to the arrays a
+    scheme never writes.
     """
 
     def __init__(self, cfg: ExperimentConfig, decision_shape: tuple):
-        rows, n = CHUNK_SYMBOLS, cfg.n
+        n, width = cfg.n, cfg.n + cfg.cp_len
+        rows = min(CHUNK_SYMBOLS, max(1, analysis.CALIB_BLOCK_CHIPS // width))
+        self.payload = np.empty((CHUNK_SYMBOLS, math.prod(decision_shape)), dtype=np.uint8)
         self.levels = np.empty((rows, n))
         self.chips = np.empty((rows, n))
-        self.tx = np.empty((rows, n + cfg.cp_len))
-        self.rx = np.empty((rows, n + cfg.cp_len))
+        self.tx = np.empty((rows, width))
+        self.rx = np.empty((rows, width))
         self.spec = np.empty((rows, n // 2 + 1), dtype=np.complex128)
-        self.idx = np.empty((rows, decision_shape[0]), dtype=np.int64)
-        self.bits = np.empty((rows, *decision_shape), dtype=np.int64)
+        self.idx = np.empty((rows, decision_shape[0]), dtype=np.intp)
+        self.bits = np.empty((rows, *decision_shape), dtype=np.uint8)
 
     @cached_property
     def symbols(self) -> np.ndarray:
@@ -562,15 +575,27 @@ def _mmse_point(cfg: ExperimentConfig, gains: np.ndarray, perm: np.ndarray, avg_
 
 def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
                k: int) -> int:
-    """One chunk of k symbols: tx, propagate, drop the prefix, estimate and decide;
-    returns its bit errors."""
-    bits = _uniform_ints(rng, 2, (k, ctx.bits_per_symbol))
-    tx = ctx.scheme.tx(ctx, point, bits)
-    cfg, work = ctx.cfg, ctx.work
-    y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, rng, out=work.rx[:k])[:, cfg.cp_len:]
-    est = ctx.scheme.estimate(ctx, point, y)
-    bits_hat = ctx.scheme.decide(est, cfg.m, (work.idx[:k], work.bits[:k]))
-    return int(np.count_nonzero(bits_hat.reshape(k, -1) != bits))
+    """One chunk of k symbols: its payload bits, then, one row block of the chunk
+    buffers at a time, tx, propagate, drop the prefix, estimate and decide;
+    returns its bit errors.
+
+    All the bits are drawn before any noise, and both in row order, so the
+    blocks read the stream as one pass over the chunk would: consecutive draws
+    of bits, or of normals, equal one draw of them all.
+    """
+    cfg, work, scheme = ctx.cfg, ctx.work, ctx.scheme
+    blocks = np.split(work.payload[:k], range(len(work.tx), k, len(work.tx)))
+    for sent in blocks:  # block by block: no transient holds the chunk's raw words
+        _uniform_ints(rng, 2, sent.shape, out=sent)
+    errors = 0
+    for sent in blocks:
+        r = len(sent)
+        tx = scheme.tx(ctx, point, sent)
+        y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, rng, out=work.rx[:r])[:, cfg.cp_len:]
+        est = scheme.estimate(ctx, point, y)
+        decided = scheme.decide(est, cfg.m, (work.idx[:r], work.bits[:r]))
+        errors += np.count_nonzero(decided.reshape(r, -1) != sent)
+    return int(errors)
 
 
 def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,

@@ -25,22 +25,28 @@ from .errors import ConfigError, SizeError
 from .hadamard import fwht
 
 
+def _gray_positions(labels: np.ndarray, b: int) -> np.ndarray:
+    """In place: the position on the level grid of each b-bit Gray label (the inverse
+    Gray code, g ^ g >> 1 ^ g >> 2 ^ ...); for b = 1 no pass runs."""
+    shift = 1
+    while shift < b:
+        labels ^= labels >> shift
+        shift <<= 1
+    return labels
+
+
 @lru_cache(maxsize=None)
 def _gray_tables(b: int) -> tuple[np.ndarray, np.ndarray]:
     """Gray labelling of b-bit groups as two read-only lookup tables.
 
     index[g] is the position on the level grid of the group whose MSB-first
-    value is g; bits[i] holds the b bits, MSB first, of the group at
+    value is g; bits[i] holds the b bits (uint8), MSB first, of the group at
     position i. Adjacent positions differ in one bit.
     """
-    index = np.arange(1 << b)
-    shift = 1
-    while shift < b:
-        index ^= index >> shift
-        shift <<= 1
+    index = _gray_positions(np.arange(1 << b), b)
     gray = np.arange(1 << b)
     gray ^= gray >> 1
-    bits = (gray[:, None] >> np.arange(b - 1, -1, -1)) & 1
+    bits = ((gray[:, None] >> np.arange(b - 1, -1, -1)) & 1).astype(np.uint8)
     index.setflags(write=False)
     bits.setflags(write=False)
     return index, bits
@@ -50,12 +56,14 @@ def _group_values(groups: np.ndarray) -> np.ndarray:
     """MSB-first value of each bit group along the last axis.
 
     A one-bit group is its own value: the result is then a view of groups.
-    Longer groups are summed in place into one new array.
+    Longer groups are summed in place into one new array, of groups' dtype
+    or wider if a value needs it (uint8 bits give uint8 values up to 8 bits).
     """
-    value = groups[..., 0]
-    for j in range(1, groups.shape[-1]):
-        if j == 1:
-            value = 2 * value  # a new array: groups stay as they are
+    value, b = groups[..., 0], groups.shape[-1]
+    for j in range(1, b):
+        if j == 1:  # a new array: groups stay as they are
+            wide = np.result_type(value, np.min_scalar_type((1 << b) - 1))
+            value = np.multiply(value, 2, dtype=wide)
         else:
             value *= 2
         value += groups[..., j]
@@ -65,14 +73,6 @@ def _group_values(groups: np.ndarray) -> np.ndarray:
 def _check_pam_order(m: int):
     if m < 2 or m & (m - 1):
         raise ConfigError(f"PAM order must be a power of two m >= 2, got m={m}")
-
-
-@lru_cache(maxsize=None)
-def _level_table(m: int) -> np.ndarray:
-    # level of each Gray label: its grid position / (m - 1)
-    table = _gray_tables(int(np.log2(m)))[0] / (m - 1)
-    table.setflags(write=False)
-    return table
 
 
 def levels_from_bits(bits: np.ndarray, m: int, n: int,
@@ -91,8 +91,12 @@ def levels_from_bits(bits: np.ndarray, m: int, n: int,
     labels = _group_values(bits.reshape(*bits.shape[:-1], n - 1, b))
     if out is None:
         out = np.empty((*labels.shape[:-1], n))
-    out[..., 0] = 0.0
-    out[..., 1:] = _level_table(m)[labels]
+    # level = grid position / (m - 1): a cast into out, then one contiguous divide
+    # (a fancy index by uint8 labels would first convert them to a new intp array)
+    out[..., 0] = 0
+    np.copyto(out[..., 1:], _gray_positions(labels, b))
+    if m > 2:  # m = 2: the positions are the levels
+        out /= m - 1
     return out
 
 
@@ -133,17 +137,21 @@ def slice_levels(estimates: np.ndarray, m: int, out: tuple | None = None):
     """Snap level estimates in [0, 1] to the (M-1) grid and Gray-decode bits.
 
     Ties snap to the lower level. Returns (level indices, bits) with bits
-    shaped (..., n_levels, log2(m)). With `out`, a pair of int64 arrays of
-    those shapes, both are written there.
+    shaped (..., n_levels, log2(m)). With `out`, a pair of integer arrays of
+    those shapes, both are written there; without it both are int64.
     """
     _check_pam_order(m)
+    b = int(np.log2(m))
     scaled = np.asarray(estimates, dtype=np.float64) * (m - 1)
     scaled -= 0.5
     np.ceil(scaled, out=scaled)
     np.clip(scaled, 0, m - 1, out=scaled)
-    idx, bits = out if out is not None else (np.empty(scaled.shape, np.int64), None)
+    idx, bits = out or (np.empty(scaled.shape, np.int64), np.empty((*scaled.shape, b), np.int64))
     np.copyto(idx, scaled, casting="unsafe")
-    bits = np.take(_gray_tables(int(np.log2(m)))[1], idx, axis=0, out=bits, mode="clip")
+    # take accepts an out of its table's dtype or narrower, the latter through a full
+    # copy, so the small table is cast to the dtype of out instead
+    np.take(_gray_tables(b)[1].astype(bits.dtype, copy=False), idx, axis=0, out=bits,
+            mode="clip")
     return idx, bits
 
 

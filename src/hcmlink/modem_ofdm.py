@@ -31,7 +31,8 @@ def _check_qam_order(m_qam: int):
 
 @lru_cache(maxsize=None)
 def _qam_tables(m_qam: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """(symbol of each bit-group value, bits of each pair index I * side + Q, unit-energy norm)."""
+    """(symbol of each bit-group value, bits (uint8) of each pair index I * side + Q,
+    unit-energy norm)."""
     side = _check_qam_order(m_qam)
     half = side.bit_length() - 1
     index, gray_bits = _gray_tables(half)
@@ -65,15 +66,17 @@ def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.nd
     """Slice QAM symbols per axis (nearest level, ties to the lower index).
 
     Returns the bits (..., k*log2(m)) of k symbols. With `out`, a pair of
-    int64 arrays (the pair indices I * side + Q, shaped (..., k), and the bits,
-    shaped (..., k, log2(m)), C-contiguous), both are written there and
-    symbols, then a complex128 array, serve as scratch (else a copy does).
+    integer arrays (the pair indices I * side + Q, shaped (..., k), and the
+    bits, shaped (..., k, log2(m)), C-contiguous), both are written there and
+    symbols, then a complex128 array, serve as scratch (else a copy does, and
+    both are int64).
     """
     side = _check_qam_order(m_qam)
     _, table, norm = _qam_tables(m_qam)
     if out is None:
         symbols = np.array(symbols, dtype=np.complex128, order="C")
-        out = np.empty(symbols.shape, dtype=np.int64), None
+        out = (np.empty(symbols.shape, np.int64),
+               np.empty((*symbols.shape, table.shape[1]), np.int64))
     pairs, bits = out
     xy = symbols[..., None].view(np.float64)  # re and im of each symbol
     # the nearest level's index, ties down: ceil((side - 1 - x * norm) / 2 - 0.5);
@@ -85,7 +88,8 @@ def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.nd
     np.clip(xy, 0, side - 1, out=xy)
     xy[..., 0] *= side
     np.add(xy[..., 0], xy[..., 1], out=pairs, casting="unsafe")
-    bits = np.take(table, pairs, axis=0, out=bits, mode="clip")
+    # the uint8 table cast to the dtype of out, as slice_levels does
+    np.take(table.astype(bits.dtype, copy=False), pairs, axis=0, out=bits, mode="clip")
     return bits.reshape(*symbols.shape[:-1], -1)
 
 

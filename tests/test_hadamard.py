@@ -9,8 +9,10 @@ from hcmlink.errors import ConfigError, SizeError
 from hcmlink.hadamard import MAX_ORDER_LOG2, fwht
 
 
-def _butterfly_fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Radix-2 butterfly reference: log2 N in-place passes of sums and differences."""
+def _butterfly_fwht(v: np.ndarray, axis: int = -1, *, out: np.ndarray | None = None
+                    ) -> np.ndarray:
+    """Radix-2 butterfly reference: log2 N in-place passes of sums and differences,
+    in float64; with `out` the result is also cast into out, and out returned."""
     a = np.asarray(v, dtype=np.float64)
     n = a.shape[axis]
     if n == 0 or n & (n - 1):
@@ -24,7 +26,11 @@ def _butterfly_fwht(v: np.ndarray, axis: int = -1) -> np.ndarray:
         pairs[..., 0, :] = top
         pairs[..., 1, :] = bot
         h *= 2
-    return np.moveaxis(a, -1, axis)
+    a = np.moveaxis(a, -1, axis)
+    if out is None:
+        return a
+    np.copyto(out, a, casting="unsafe")
+    return out
 
 
 def _fwht_along(v: np.ndarray, axis: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from hcmlink import analysis, cli, equalization, harness
 from hcmlink.channel import GAMMA, propagate
 from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.errors import ConfigError
+from hcmlink.hadamard import MAX_ORDER_LOG2
 from hcmlink.modem_hcm import levels_from_bits
 from hcmlink.modem_ofdm import qam_symbols
 
@@ -687,18 +688,18 @@ def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
 
 
 @pytest.mark.parametrize("stem, limit", [
-    ("awgn-hcm.hcm", 3.0),
-    ("awgn-hcm.dcr-hcm", 3.0),
-    ("dispersive-mmse.dcr-hcm", 3.0),
-    ("awgn-ofdm.aco-ofdm", 1.5),
-    ("awgn-ofdm.dco-ofdm", 3.0),
+    ("awgn-hcm.hcm", 1.3),
+    ("awgn-hcm.dcr-hcm", 1.3),
+    ("dispersive-mmse.dcr-hcm", 1.55),
+    ("awgn-ofdm.aco-ofdm", 0.55),
+    ("awgn-ofdm.dco-ofdm", 1.05),
 ])
 def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
     # a chunk of any scheme runs through the sweep's buffers: what it
-    # allocates at its peak, in 256 x N float64 arrays, is the bit array plus
-    # a few temporaries (numpy 2.4: 2.24 for hcm, 2.51 for MMSE, 1.02 for
-    # aco, and 2.96 for dco, whose 252 bits a symbol take 1.97 arrays and
-    # their raw generator words 0.98)
+    # allocates at its peak, in 256 x N float64 arrays, is a few temporaries,
+    # one a full array for the HCM family (numpy 2.4: 1.25 for hcm, 1.52 for
+    # MMSE, 0.52 for aco and 0.99 for dco; with int64 bits, drawn and decided,
+    # it was 2.24, 2.51, 1.02 and 2.96)
     cfg = harness.parse_config((BENCH_CONFIGS / f"{stem}.conf").read_text())
     ctx = harness._SweepContext(cfg)
     point = next(harness._points(ctx, [float(cfg.power_grid[-1])]))
@@ -715,6 +716,73 @@ def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
     finally:
         tracemalloc.stop()
     assert peak <= limit * harness.CHUNK_SYMBOLS * cfg.n * 8
+
+
+@pytest.mark.parametrize("stem, avg_power", [("awgn-hcm.hcm", 9e-5),
+                                             ("awgn-ofdm.dco-ofdm", 5e-5)])
+def test_warmed_chunk_at_the_largest_order_allocates_a_few_rows(stem, avg_power):
+    # at N = 2**16 a row block is one symbol, so a warmed chunk allocates a
+    # few rows whatever its length: 8 symbols peak at 3.0 rows of N float64
+    # for hcm and 2.0 for dco (numpy 2.4), where whole-chunk arrays took 25
+    # and 24; the drive is the closed form, so no exact pmf is built
+    cfg = harness.parse_config((BENCH_CONFIGS / f"{stem}.conf").read_text(),
+                               {"n": str(1 << MAX_ORDER_LOG2)})
+    ctx = harness._SweepContext(cfg)
+    point = harness.BerPoint(avg_power, ctx.scheme.drive(ctx, avg_power), None, 0.0, 0.0)
+    harness._run_chunk(ctx, point, harness._stream(1, 0, 0, 0), 8)
+    assert len(ctx.work.tx) == 1
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        harness._run_chunk(ctx, point, harness._stream(1, 0, 0, 1), 8)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * cfg.n * 8
+
+
+BLOCKED_CHUNKS = {
+    # scheme, m, taps, cp_len, equalizer, interleaved, power (W), noise std (W)
+    "hcm-flat": ("hcm", 4, [1.0], 0, "slicer", False, 7e-5, 2e-6),
+    "hcm-taps": ("hcm", 2, [0.5, 0.3, 0.2], 2, "slicer", False, 7e-5, 2e-6),
+    "hcm-taps-interleaver": ("hcm", 2, [0.5, 0.3, 0.2], 2, "slicer", True, 7e-5, 2e-6),
+    "dcr-hcm-flat": ("dcr-hcm", 4, [1.0], 0, "slicer", False, 7e-5, 2e-6),
+    "dcr-hcm-taps": ("dcr-hcm", 2, [0.5, 0.3, 0.2], 2, "slicer", False, 7e-5, 2e-6),
+    "hcm-mmse-interleaver": ("hcm", 2, [0.5, 0.3, 0.2], 2, "mmse", True, 7e-5, 4e-6),
+    "dcr-hcm-mmse": ("dcr-hcm", 4, [0.5, 0.3, 0.2], 2, "mmse", False, 7e-5, 2e-6),
+    "dcr-hcm-mmse-interleaver": ("dcr-hcm", 4, [0.5, 0.3, 0.2], 2, "mmse", True, 7e-5, 2e-6),
+    "aco-ofdm-flat": ("aco-ofdm", 16, [1.0], 0, "slicer", False, 1e-5, 3e-6),
+    "aco-ofdm-taps": ("aco-ofdm", 16, [0.5, 0.3, 0.2], 2, "slicer", False, 1e-5, 1e-6),
+    "dco-ofdm-flat": ("dco-ofdm", 16, [1.0], 0, "slicer", False, 1e-5, 4e-7),
+    "dco-ofdm-taps": ("dco-ofdm", 16, [0.5, 0.3, 0.2], 2, "slicer", False, 1e-5, 4e-7),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_CHUNKS))
+def test_row_blocks_count_the_errors_of_one_block(tmp_path, monkeypatch, case):
+    # a 256-symbol chunk run in row blocks of 70, 70, 70 and 46 symbols reads
+    # the stream as the one-block chunk does and counts the same bit errors
+    scheme, m, taps, cp_len, equalizer, interleaved, power, noise = BLOCKED_CHUNKS[case]
+    n, interleaver = 64, "none"
+    if interleaved:
+        interleaver = tmp_path / "perm.txt"
+        interleaver.write_text("\n".join(map(str, np.random.default_rng(3).permutation(n))))
+    cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, p_max=1e-4, sigma2_n=noise ** 2,
+                                   h=np.array(taps), cp_len=cp_len, equalizer=equalizer,
+                                   interleaver=str(interleaver), calib_symbols=2000)
+    ctx = harness._SweepContext(cfg)
+    point = next(harness._points(ctx, [power]))
+    counts, states = [], []
+    for rows in (harness.CHUNK_SYMBOLS, 70):
+        monkeypatch.setattr(analysis, "CALIB_BLOCK_CHIPS", rows * (n + cp_len))
+        ctx.__dict__.pop("work", None)  # the next chunk builds buffers of the new rows
+        rng = harness._stream(5, 0, 0, 0)
+        counts.append(harness._run_chunk(ctx, point, rng, harness.CHUNK_SYMBOLS))
+        states.append(rng.bit_generator.state)
+        assert len(ctx.work.tx) == rows
+    assert counts[0] == counts[1]
+    assert states[0] == states[1]
+    assert 0 < counts[0] < harness.CHUNK_SYMBOLS * ctx.bits_per_symbol // 4
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -17,6 +17,7 @@ from hcmlink.modem_hcm import (
     levels_from_bits,
     slice_levels,
 )
+from hcmlink.modem_ofdm import qam_symbols
 
 
 def dense_encode(levels):
@@ -78,6 +79,17 @@ def test_gray_tables_match_bitwise_mapping(m):
     want_idx, want_bits = gray_oracle.slice_levels(estimates, m)
     assert np.array_equal(idx, want_idx) and np.array_equal(sliced, want_bits)
     assert sliced.dtype == want_bits.dtype and sliced.shape == (50, n - 1, b)
+
+
+@pytest.mark.parametrize("m", [2, 16, 512])
+def test_uint8_bits_map_like_int64_bits(m):
+    # the harness draws one byte per bit: groups of up to 8 bits sum in uint8,
+    # longer ones (m = 512, or QAM-1024's 10 bits a symbol) in a wider dtype
+    bits = np.random.default_rng(m).integers(0, 2, size=(6, 31 * int(np.log2(m))))
+    levels = levels_from_bits(bits.astype(np.uint8), m, 32)
+    assert np.array_equal(levels, gray_oracle.levels_from_bits(bits, m, 32))
+    qam = bits[:, :10 * (bits.shape[1] // 10)]
+    assert np.array_equal(qam_symbols(qam.astype(np.uint8), 1024), qam_symbols(qam, 1024))
 
 
 @pytest.mark.parametrize("m", [2, 4])
