@@ -29,20 +29,22 @@ def check_taps(taps) -> np.ndarray:
 
 
 def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float,
-              rng: np.random.Generator, out: np.ndarray | None = None) -> np.ndarray:
-    """LED clip to [0, p_max], FIR taps h, then AWGN of variance noise_var.
+              normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """LED clip to [0, p_max], FIR taps h, then AWGN sqrt(noise_var) * normals.
 
     Vectorized over leading axes. noise_var is the receiver noise variance
-    with the pulse-shaping penalty already applied (GAMMA * sigma2_n). The
-    FIR output is truncated to the input length, so with a cyclic prefix of
-    at least len(h)-1, which every ExperimentConfig has, the deframed
-    payload equals the cyclic convolution of the payload with h.
+    with the pulse-shaping penalty already applied (GAMMA * sigma2_n).
+    normals are standard normals of samples' shape; propagate only reads
+    them, so one draw serves every drive of a sweep. The FIR output is
+    truncated to the input length, so with a cyclic prefix of at least
+    len(h)-1, which every ExperimentConfig has, the deframed payload equals
+    the cyclic convolution of the payload with h.
 
     With `out` (float64, the shape of samples, not overlapping them) the
     received samples are written there, and samples, which must then be a
     C-contiguous float64 array, serve as scratch: they are clipped in place
     and then overwritten with the noise. Without `out` a copy of samples
-    does that, so both forms draw the same noise from rng.
+    does that, so both forms return the same floats.
     """
     if out is None:
         samples = np.array(samples, dtype=np.float64, order="C")
@@ -51,9 +53,5 @@ def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float
     np.multiply(x, h[0], out=out)
     for ell in range(1, h.size):
         out[..., ell:] += h[ell] * x[..., :-ell]
-    # rng.normal(0, std) draws loc + std * z from the same stream of z
-    noise = rng.standard_normal(out=x)
-    noise *= np.sqrt(noise_var)
-    out += noise
+    out += np.multiply(normals, np.sqrt(noise_var), out=x)
     return out
-

@@ -1,13 +1,14 @@
 """Deterministic Monte-Carlo BER engine and sweep runner.
 
-Reproducibility model: every power point gets a fixed schedule of
-256-symbol chunks, and chunk j of point i draws all of its randomness from
-an independent stream seeded by (master_seed, 0, i, j). A point runs its
-chunks one after another in index order and applies the stopping rule
-(target_errors or max_symbols) after each, so those streams and that order
-fix every result. The DCR chip pmf and the interleaver search draw from
-the reserved stream keys (1, 0) and (2, 0), so they never collide with
-trial streams.
+Reproducibility model: a sweep runs a fixed schedule of 256-symbol
+chunks, and chunk j draws all of its randomness from an independent stream
+seeded by (master_seed, 0, j): the payload bits, then the standard normals.
+Every power still running reads those draws (common random numbers), so
+the points of a curve are paired. Each power applies its stopping rule
+(target_errors or max_symbols) after each chunk, so a row depends only on
+the config, the seed and the power, not on the grid around it. The DCR
+chip pmf and the interleaver search draw from the reserved stream keys
+(1, 0) and (2, 0), so they never collide with trial streams.
 
 An ExperimentConfig holds the link and the sweep and checks both when it is
 built, so every config the engine sees is valid. Each scheme is one entry
@@ -23,21 +24,23 @@ and bias, and no transmit stage clips: propagate's LED limiter is ACO's zero cli
 Analytic columns: analyze, sweep and a lone run_point score their whole
 power grid in one pass of _points, which calls the slicer's drive, snr and
 ber once each, on the array. MMSE builds one filter per power, when that
-point is taken, and drops it before the next: one O(N) filter at a time.
+point is taken: analyze drops it before the next, one O(N) filter at a
+time, and a sweep, which runs its powers side by side, when it returns.
 
 Chunk buffers: a sweep owns one _ChunkBuffers, allocated on its first
 chunk: the chunk's payload bits, one byte each, and one row block of at
 most analysis.CALIB_BLOCK_CHIPS framed samples for each other array, so
 past N = 256 the float arrays stop growing with N (whole-chunk arrays and
 int64 bits took 1 GiB at N = 2**16). _run_chunk draws all the bits, then
-runs the blocks. Every scheme's stages write into the buffers through
-their `out=` arguments; propagate writes the received samples into one,
-using the framed samples as scratch. The OFDM receiver multiplies the data
-bins of the received spectrum once by c / (p H_k): the one-tap equalizer,
-ACO's clipping factor c = 2 (1 for DCO) and the drive p in one vector.
-After the first chunk a sweep allocates per block only transient arrays
-(the raw generator words, bit-group values, an fwht intermediate, the
-slicer's scaled estimates, numpy's ufunc buffers). The payload bits are
+runs the blocks: each draws its normals and builds its unit waveform once,
+then runs every power on them. Every scheme's stages write into the
+buffers through their `out=` arguments; propagate writes the received
+samples into one, using the framed samples as scratch. The OFDM receiver
+multiplies the data bins of the received spectrum once by c / (p H_k): the
+one-tap equalizer, ACO's clipping factor c = 2 (1 for DCO) and the drive p
+in one vector. After the first chunk a sweep allocates per block only
+transient arrays (the raw generator words, bit-group values, an fwht
+intermediate, the slicer's scaled estimates, numpy's ufunc buffers). The payload bits are
 those of rng.integers(0, 2), read by analysis._uniform_ints two to a
 64-bit PCG64 word instead of one bounded draw per bit. The buffers matter
 because a chunk array at N=128 is 256 KiB, above glibc's initial mmap
@@ -83,8 +86,8 @@ from .errors import ConfigError, DomainError
 from .hadamard import MAX_ORDER_LOG2
 from .modem_hcm import (
     _check_pam_order,
-    deinterleave,
     decode_samples,
+    deinterleave,
     encode_levels,
     frame_chips,
     interleave,
@@ -123,18 +126,19 @@ class ExperimentConfig:
 
     p_max and every grid power lie in [MIN_POWER_W, MAX_POWER_W], 1 fW to
     1 kW, which holds any LED: an infinite p_max, an unclipped LED, is
-    rejected with the rest. In that range the closed forms' squared
-    amplitudes and the Gaussian tails' z quotients stay finite at every
-    order, so analysis carries no guard against their overflow.
+    rejected with the rest. The noise std is 0 or lies in that range too, so
+    a nonzero noise variance is never subnormal. In that range the closed
+    forms' squared amplitudes and the Gaussian tails' z quotients stay finite
+    at every order, so analysis carries no guard against their overflow.
 
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
     set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
     one power takes 2.7 s at N = 2^14 and 9.4 s at N = 2^16, at 38 MiB peak
     RSS (2-core Xeon, 1 BLAS thread). A chunk's float arrays stop growing at
     N = 256, and its payload takes a byte a bit (see _ChunkBuffers): `hcmlink
-    simulate` of one 256-symbol chunk at N = 2^16 takes 2.6 s at 58 MiB for
-    hcm, 1.6 s at 57 MiB for dcr-hcm with calib_symbols = 2000 and 1.1 s at
-    73 MiB for dco-ofdm. The MMSE equalizer adds, per power, the O(N^2)
+    simulate` of one 256-symbol chunk at N = 2^16 takes 2.6 s at 59 MiB for
+    hcm, 1.6 s at 58 MiB for dcr-hcm with calib_symbols = 2000 and 1.1 s at
+    75 MiB for dco-ofdm. The MMSE equalizer adds, per power, the O(N^2)
     error diagonal of equalization.mmse_weights (timed there).
     """
 
@@ -164,8 +168,10 @@ class ExperimentConfig:
         if not MIN_POWER_W <= self.p_max <= MAX_POWER_W:  # NaN fails too
             raise ConfigError(f"p_max must be positive and finite, in [{MIN_POWER_W:g}, "
                               f"{MAX_POWER_W:g}] W, got {self.p_max!r}")
-        if not 0 <= self.sigma2_n < math.inf:
-            raise ConfigError(f"sigma2_n must be finite and >= 0, got {self.sigma2_n!r}")
+        if not (self.sigma2_n == 0 or MIN_POWER_W**2 <= self.sigma2_n <= MAX_POWER_W**2):
+            raise ConfigError(f"sigma2_n must be finite and >= 0: 0, or the square of a noise "
+                              f"std in [{MIN_POWER_W:g}, {MAX_POWER_W:g}] W, got "
+                              f"{self.sigma2_n!r}")
         if self.cp_len < self.h.size - 1:
             raise ConfigError(
                 f"cyclic prefix {self.cp_len} too short for {self.h.size}-tap channel")
@@ -338,17 +344,15 @@ def _hcm_snr(ctx: "_SweepContext", avg):
     return analysis.hcm_snr(cfg.m, cfg.n, p, cfg.noise_var, sigma2_clip)
 
 
-def _hcm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray,
-            reduce_dc: bool = False) -> np.ndarray:
-    cfg, work, k = ctx.cfg, ctx.work, len(bits)
-    levels, chips = work.levels[:k], work.chips[:k]
-    levels_from_bits(bits, cfg.m, cfg.n, out=levels)
-    encode_levels(levels, out=chips)
+def _hcm_unit(ctx: "_SweepContext", bits: np.ndarray, reduce_dc: bool = False) -> np.ndarray:
+    cfg, work, gathers, k = ctx.cfg, ctx.work, ctx.gathers, len(bits)
+    levels = levels_from_bits(bits, cfg.m, cfg.n, out=work.levels[:k])
+    chips = encode_levels(levels, out=(work.unit if gathers is None else work.chips)[:k])
     if reduce_dc:
         chips -= chips.min(axis=-1, keepdims=True)
-    if ctx.perm is not None:
-        chips = interleave(chips, ctx.perm, out=levels)
-    return frame_chips(chips, point.p, cfg.cp_len, out=work.tx[:k])
+    if gathers is not None:  # interleave
+        chips = np.take(chips, gathers[0], axis=-1, out=work.unit[:k], mode="clip")
+    return chips
 
 
 def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
@@ -357,21 +361,24 @@ def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.nd
         spec = np.fft.rfft(y, out=work.spec[:k])
         spec *= point.weights.spectrum
         y = np.fft.irfft(spec, n, out=work.tx[:k, :n])
-    if ctx.perm is not None:
-        y = deinterleave(y, ctx.perm, out=work.levels[:k])
+    if ctx.gathers is not None:  # deinterleave
+        y = np.take(y, ctx.gathers[1], axis=-1, out=work.levels[:k], mode="clip")
     # scaled whole, before the [:, 1:] view: one contiguous pass, not a strided one
     v = decode_samples(y, p, out=work.chips[:k])
     v *= n / p
     return v[:, 1:]
 
 
-def _ofdm_tx(ctx: "_SweepContext", point: BerPoint, bits: np.ndarray, time_samples: Callable,
+def _ofdm_unit(ctx: "_SweepContext", bits: np.ndarray, time_samples: Callable) -> np.ndarray:
+    work, k = ctx.work, len(bits)
+    symbols = qam_symbols(bits, ctx.cfg.m, out=work.symbols[:k])
+    return time_samples(symbols, ctx.cfg.n, out=(work.spec[:k], work.unit[:k]))
+
+
+def _ofdm_tx(ctx: "_SweepContext", point: BerPoint, unit: np.ndarray,
              biased: bool = False) -> np.ndarray:
-    cfg, work, k = ctx.cfg, ctx.work, len(bits)
-    tx = work.tx[:k]
-    symbols = qam_symbols(bits, cfg.m, out=work.symbols[:k])
-    x = time_samples(symbols, cfg.n, out=(work.spec[:k], tx[:, cfg.cp_len:]))
-    x *= point.p
+    cfg, tx = ctx.cfg, ctx.work.tx[:len(unit)]
+    x = np.multiply(unit, point.p, out=tx[:, cfg.cp_len:])
     if biased:  # DCO rides on the average power; ACO's zero clip is the LED limiter's
         x += point.avg_power
     tx[:, :cfg.cp_len] = tx[:, cfg.n:]
@@ -401,7 +408,8 @@ class _Scheme:
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
     ber: Callable  # (snr, m): analytic bit error rate
-    tx: Callable  # (ctx, point, bits): unclipped transmit samples, cyclic prefix included;
+    unit: Callable  # (ctx, bits): the waveform at unit drive, in the chunk buffer unit
+    tx: Callable  # (ctx, point, unit): unclipped transmit samples, cyclic prefix included;
     # a C-contiguous float64 array that propagate's LED limiter clips, then uses as scratch
     estimate: Callable  # (ctx, point, payload): a chunk buffer of PAM levels or QAM symbols
     decide: Callable  # (estimates, m, out): their bits, written to the pair out = (indices,
@@ -417,7 +425,9 @@ _HCM = _Scheme(
     drive=lambda ctx, avg: hcm_drive_peak(avg, ctx.cfg.n),
     snr=_hcm_snr,
     ber=lambda snr, m: analysis.pam_ber(snr, m),
-    tx=_hcm_tx,
+    unit=_hcm_unit,
+    tx=lambda ctx, point, unit: frame_chips(unit, point.p, ctx.cfg.cp_len,
+                                            out=ctx.work.tx[:len(unit)]),
     estimate=_hcm_estimate,
     decide=lambda est, m, out: slice_levels(est, m, out=out)[1],
     peak_snr_factor=4.0,
@@ -430,7 +440,8 @@ _ACO = _Scheme(
     drive=lambda ctx, avg: analysis.aco_scale(avg, ctx.cfg.n),
     snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.aco_es_snr),
     ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
-    tx=lambda ctx, point, bits: _ofdm_tx(ctx, point, bits, aco_time_samples),
+    unit=lambda ctx, bits: _ofdm_unit(ctx, bits, aco_time_samples),
+    tx=_ofdm_tx,
     estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, aco_extract),
     decide=lambda est, m, out: qam_bits(est, m, out=out),
 )
@@ -441,7 +452,7 @@ _SCHEMES = {
         _HCM,
         calibrate=_dcr_pmf,
         drive=lambda ctx, avg: avg * ctx.cfg.n / ctx.calib.mean(),
-        tx=lambda ctx, point, bits: _hcm_tx(ctx, point, bits, reduce_dc=True),
+        unit=lambda ctx, bits: _hcm_unit(ctx, bits, reduce_dc=True),
     ),
     "aco-ofdm": _ACO,
     "dco-ofdm": replace(
@@ -450,7 +461,8 @@ _SCHEMES = {
         data_count=lambda n: dco_data_count(n),
         drive=lambda ctx, avg: analysis.dco_scale(avg, ctx.cfg.n, ctx.cfg.p_max),
         snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.dco_es_snr),
-        tx=lambda ctx, point, bits: _ofdm_tx(ctx, point, bits, dco_time_samples, biased=True),
+        unit=lambda ctx, bits: _ofdm_unit(ctx, bits, dco_time_samples),
+        tx=lambda ctx, point, unit: _ofdm_tx(ctx, point, unit, biased=True),
         estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, dco_extract),
     ),
 }
@@ -462,23 +474,28 @@ class _ChunkBuffers:
     (uint8, CHUNK_SYMBOLS rows) and one row block of everything else.
 
     A block holds at most analysis.CALIB_BLOCK_CHIPS framed samples: 256
-    rows up to N = 256 without a prefix, one at N = 2**16. HCM: levels holds the PAM levels, then the interleaved
-    chips, then the deinterleaved payload; chips holds the chips, then the
-    decoded vectors v; spec holds the payload's spectrum for the MMSE filter.
-    OFDM: symbols holds the QAM symbols sent, then those received; spec holds
-    the half spectrum of the frames, then that of the payload. tx and rx hold
-    the framed samples (tx is propagate's scratch, then the MMSE-filtered
-    payload); idx and bits receive the decisions, an index and its bits for
-    each PAM level or QAM symbol. The bits are uint8; the indices stay intp,
-    as np.take would convert any other index dtype to a new intp array. A
-    shorter block uses [:k]. np.empty commits no memory to the arrays a
-    scheme never writes.
+    rows up to N = 256 without a prefix, one at N = 2**16. Two arrays serve
+    every power of the block and no power's stages write them: unit holds
+    the waveform at unit drive, normals the block's standard normals. HCM:
+    levels holds the PAM levels, then a power's deinterleaved payload; chips
+    holds the chips before the interleaver, then the decoded vectors v; spec
+    holds the payload's spectrum for the MMSE filter. OFDM: symbols holds
+    the QAM symbols sent, then those received; spec holds the half spectrum
+    of the frames, then that of the payload. tx and rx hold a power's framed
+    samples (tx is propagate's scratch, then the MMSE-filtered payload); idx
+    and bits receive the decisions, an index and its bits for each PAM level
+    or QAM symbol. The bits are uint8; the indices stay intp, as np.take
+    would convert any other index dtype to a new intp array. A shorter block
+    uses [:k]. np.empty commits no memory to the arrays a scheme never
+    writes.
     """
 
     def __init__(self, cfg: ExperimentConfig, decision_shape: tuple):
         n, width = cfg.n, cfg.n + cfg.cp_len
         rows = min(CHUNK_SYMBOLS, max(1, analysis.CALIB_BLOCK_CHIPS // width))
         self.payload = np.empty((CHUNK_SYMBOLS, math.prod(decision_shape)), dtype=np.uint8)
+        self.unit = np.empty((rows, n))
+        self.normals = np.empty((rows, width))
         self.levels = np.empty((rows, n))
         self.chips = np.empty((rows, n))
         self.tx = np.empty((rows, width))
@@ -497,8 +514,8 @@ class _SweepContext:
     """Per-sweep precomputation shared by all power points; the channel is cfg.h.
 
     Every value beyond the sizes is built on its first read. perm is read only
-    by _hcm_tx, _hcm_estimate and _mmse_point, so a slicer's analyze never
-    searches; calib_rng (None: the reserved stream) only by _dcr_pmf.
+    by gathers, which the HCM chunk stages read, and _mmse_point, so a slicer's
+    analyze never searches; calib_rng (None: the reserved stream) only by _dcr_pmf.
     """
 
     def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
@@ -524,10 +541,10 @@ class _SweepContext:
         return one_tap_gains(self.cfg.h, self.cfg.n)
 
     @cached_property
-    def points(self) -> Iterator[BerPoint]:
-        """The points of the grid, from one _points pass on first read; each run_point
+    def records(self) -> Iterator[BerRecord]:
+        """The grid's records, from one chunk-major pass on first read; each run_point
         of a sweep takes the next."""
-        return _points(self, self.cfg.power_grid)
+        return iter(_records(self))
 
     @cached_property
     def perm(self):
@@ -539,6 +556,16 @@ class _SweepContext:
             return interleaver_search(cfg.h, cfg.n, budget=cfg.interleaver_budget,
                                       rng=_stream(cfg.master_seed, 2, 0))[0]
         return load_permutation(cfg.interleaver, cfg.n)
+
+    @cached_property
+    def gathers(self):
+        """The indices that interleave and deinterleave gather through, or None: perm's
+        inverse and perm, each the public function of arange(N), which checks perm
+        once a sweep, not once a row block."""
+        if self.perm is None:
+            return None
+        ramp = np.arange(self.cfg.n)
+        return interleave(ramp, self.perm), deinterleave(ramp, self.perm)
 
 
 def _points(ctx: _SweepContext, grid) -> Iterator[BerPoint]:
@@ -553,32 +580,31 @@ def _points(ctx: _SweepContext, grid) -> Iterator[BerPoint]:
     grid = np.asarray(grid, dtype=np.float64)
     rows = zip(grid.tolist(), scheme.drive(ctx, grid).tolist())
     if cfg.equalizer == "mmse":
-        # the generator holds the filter's inputs, not ctx: were ctx.points a reference
-        # cycle, a finished sweep's chunk buffers would wait for the garbage collector
-        link = cfg, ctx.gains, ctx.perm if ctx.perm is not None else np.arange(cfg.n)
-        return (_mmse_point(*link, avg, p) for avg, p in rows)
+        return (_mmse_point(ctx, avg, p) for avg, p in rows)
     snr = scheme.snr(ctx, grid)
     return (BerPoint(avg, p, None, ber, s)
             for (avg, p), ber, s in zip(rows, scheme.ber(snr, cfg.m).tolist(), snr.tolist()))
 
 
-def _mmse_point(cfg: ExperimentConfig, gains: np.ndarray, perm: np.ndarray, avg_power: float,
-                p: float) -> BerPoint:
+def _mmse_point(ctx: _SweepContext, avg_power: float, p: float) -> BerPoint:
     """A power's point under MMSE: its filter for drive p, and the BER and SNR of the
     Gaussian approximation on the filter's per-component residual error."""
-    weights = mmse_weights(gains, perm, p, cfg.noise_var, cfg.m)
+    cfg = ctx.cfg
+    perm = ctx.perm if ctx.perm is not None else np.arange(cfg.n)
+    weights = mmse_weights(ctx.gains, perm, p, cfg.noise_var, cfg.m)
     err = np.sqrt(np.maximum(weights.error_diag[1:], 1e-300))
     half_dist = 0.5 / (cfg.m - 1)
     ber = float(np.mean(analysis.pam_ber((half_dist / err) ** 2, cfg.m)))
     return BerPoint(avg_power, p, weights, ber, float((half_dist / err.mean()) ** 2))
 
 
-def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
-               k: int) -> int:
-    """One chunk of k symbols: its payload bits, then, one row block of the chunk
-    buffers at a time, tx, propagate, drop the prefix, estimate and decide;
-    returns its bit errors.
+def _run_chunk(ctx: _SweepContext, points: list, rng: np.random.Generator, k: int) -> list:
+    """One chunk of k symbols at every power of points; returns each one's bit errors.
 
+    The chunk draws its payload bits, then, one row block of the chunk
+    buffers at a time, the block's standard normals. It builds the block's
+    unit waveform once; then each power scales and frames it (tx), runs
+    propagate on the shared normals, drops the prefix, estimates and decides.
     All the bits are drawn before any noise, and both in row order, so the
     blocks read the stream as one pass over the chunk would: consecutive draws
     of bits, or of normals, equal one draw of them all.
@@ -587,64 +613,77 @@ def _run_chunk(ctx: _SweepContext, point: BerPoint, rng: np.random.Generator,
     blocks = np.split(work.payload[:k], range(len(work.tx), k, len(work.tx)))
     for sent in blocks:  # block by block: no transient holds the chunk's raw words
         _uniform_ints(rng, 2, sent.shape, out=sent)
-    errors = 0
+    errors = [0] * len(points)
     for sent in blocks:
         r = len(sent)
-        tx = scheme.tx(ctx, point, sent)
-        y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, rng, out=work.rx[:r])[:, cfg.cp_len:]
-        est = scheme.estimate(ctx, point, y)
-        decided = scheme.decide(est, cfg.m, (work.idx[:r], work.bits[:r]))
-        errors += np.count_nonzero(decided.reshape(r, -1) != sent)
-    return int(errors)
+        normals = rng.standard_normal(out=work.normals[:r])
+        unit = scheme.unit(ctx, sent)
+        for i, point in enumerate(points):
+            tx = scheme.tx(ctx, point, unit)
+            y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, normals,
+                          out=work.rx[:r])[:, cfg.cp_len:]
+            est = scheme.estimate(ctx, point, y)
+            decided = scheme.decide(est, cfg.m, (work.idx[:r], work.bits[:r]))
+            errors[i] += int(np.count_nonzero(decided.reshape(r, -1) != sent))
+    return errors
 
 
-def run_point(cfg: ExperimentConfig, avg_power: float, power_index: int = 0,
+def _records(ctx: _SweepContext) -> list:
+    """Monte-Carlo every power of the grid, chunk-major; returns BerRecords in grid order.
+
+    Chunk j of every power draws from the stream keyed (0, j), once
+    (_run_chunk). A power runs until the first chunk that brings its bit
+    errors to target_errors, or to max_symbols.
+    """
+    cfg = ctx.cfg
+    points = list(_points(ctx, cfg.power_grid))
+    errors, symbols = [0] * len(points), [0] * len(points)
+    live = range(len(points))  # the powers still running
+    # a lazy schedule: a huge max_symbols costs nothing beyond the chunks run
+    for j, start in enumerate(range(0, cfg.max_symbols, CHUNK_SYMBOLS)):
+        if not live:
+            break
+        k = min(CHUNK_SYMBOLS, cfg.max_symbols - start)
+        counts = _run_chunk(ctx, [points[i] for i in live], _stream(cfg.master_seed, 0, j), k)
+        for i, count in zip(live, counts):
+            errors[i] += count
+            symbols[i] += k
+        live = [i for i in live if errors[i] < cfg.target_errors]
+    records = []
+    for point, n_sym, n_err in zip(points, symbols, errors):
+        bits = n_sym * ctx.bits_per_symbol  # every power runs its first chunk
+        ber = n_err / bits
+        # the Wald interval, or with no errors the one-sided 95% bound (rule of three)
+        ci = 1.96 * math.sqrt(ber * (1.0 - ber) / bits) if n_err else 3.0 / bits
+        records.append(BerRecord(point.avg_power, n_sym, n_err, ber, point.analytical_ber, ci))
+    return records
+
+
+def run_point(cfg: ExperimentConfig, avg_power: float,
               ctx: _SweepContext | None = None) -> BerRecord:
     """Monte-Carlo one power point until target_errors or max_symbols.
 
-    Chunk j draws from the stream keyed (0, power_index, j); the chunks run
-    in index order and the point stops after the first one that brings the
-    bit errors to target_errors. Without a context, avg_power is checked like
-    a value of cfg's power grid and scored by _points as a grid of its own.
-    A sweep passes its context and its grid's values in order, and each call
-    takes the next point of the context's one pass (its filter, under MMSE).
+    Without a context this is a sweep of one power: avg_power is checked like
+    a value of cfg's power grid, and the record is that power's row of any
+    sweep of cfg. A sweep passes its context and its grid's values in order:
+    the first call runs the context's one chunk-major pass (_records), and
+    each call returns the next record.
     """
     ctx = ctx or _SweepContext(replace(cfg, power_grid=np.array([avg_power])))
-    point = next(ctx.points)
-    errors = symbols = 0
-    # a lazy schedule: a huge max_symbols costs nothing beyond the chunks run
-    for j, start in enumerate(range(0, cfg.max_symbols, CHUNK_SYMBOLS)):
-        k = min(CHUNK_SYMBOLS, cfg.max_symbols - start)
-        errors += _run_chunk(ctx, point, _stream(cfg.master_seed, 0, power_index, j), k)
-        symbols += k
-        if errors >= cfg.target_errors:
-            break
-    bits = symbols * ctx.bits_per_symbol
-
-    ber = errors / bits if bits else 0.0
-    if errors:
-        ci = 1.96 * math.sqrt(ber * (1.0 - ber) / bits)
-    else:
-        ci = 3.0 / bits if bits else 0.0  # one-sided 95% upper bound (rule of three)
-    return BerRecord(
-        avg_power=avg_power,
-        symbols_run=symbols,
-        bit_errors=errors,
-        ber=ber,
-        analytical_ber=point.analytical_ber,
-        ci_95=ci,
-    )
+    return next(ctx.records)
 
 
 def sweep(cfg: ExperimentConfig) -> list:
     """Run every grid point; returns BerRecords in grid order.
 
-    The drives and analytic column are one pass of _points over the grid;
-    MMSE builds each power's filter when its point runs, one at a time.
+    The powers run side by side, chunk by chunk: chunk j's bits, normals
+    and unit waveform serve every power still running (_run_chunk). A row
+    depends only on the config, the seed and its power, not on the grid
+    around it. The drives and analytic column are one pass of _points over
+    the grid; under MMSE each power's filter is held until the sweep returns.
     """
     ctx = _SweepContext(cfg)
-    return [run_point(cfg, p, i, ctx)
-            for i, p in enumerate(np.asarray(cfg.power_grid, dtype=np.float64).tolist())]
+    return [run_point(cfg, p, ctx) for p in np.asarray(cfg.power_grid, dtype=np.float64).tolist()]
 
 
 def analyze(cfg: ExperimentConfig) -> list:
@@ -658,7 +697,7 @@ def analyze(cfg: ExperimentConfig) -> list:
     """
     # map keeps no point once it is copied: its filter goes before the next is built
     return list(map(lambda pt: BerPoint(pt.avg_power, None, None, pt.analytical_ber, pt.snr),
-                    _SweepContext(cfg).points))
+                    _points(_SweepContext(cfg), cfg.power_grid)))
 
 
 def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int) -> AchievableSnr:

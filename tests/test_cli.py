@@ -216,15 +216,20 @@ def test_snr_at_the_largest_p_max(capsys, n, schemes, m):
     assert not any("nan" in line or "inf" in line for line in lines)
 
 
-def test_snr_beyond_every_float_is_inf(capsys):
-    # at p_max = MAX_POWER_W over a subnormal noise variance, 1.2e-320 W^2, the
-    # best SNRs pass 1e307: inf, and no overflow warning when 4x them gives
-    # hcm's peak SNR
-    code, lines, _ = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--n", "16",
-                         "--noise-std-w", "1e-160",
-                         "--schemes", "hcm,dcr-hcm,aco-ofdm", "--m-list", "4")
-    assert code == 0
-    assert [line.split(",")[3] for line in lines[1:]] == ["inf"] * 3
+@pytest.mark.parametrize("std, code", [("1e-160", 2), (f"{0.5 * MIN_POWER_W!r}", 2), ("1e4", 2),
+                                       (f"{MIN_POWER_W!r}", 0)])
+def test_snr_noise_std_outside_the_power_range_exits_2(capsys, std, code):
+    # a nonzero noise std lies in [MIN_POWER_W, MAX_POWER_W] like every power:
+    # 1e-160 W, a subnormal variance of 1.2e-320 W^2, printed inf for every
+    # scheme at p_max = MAX_POWER_W; in the range the best SNRs stay finite
+    got, lines, err = run(capsys, "snr", "--p-max-w", f"{MAX_POWER_W:g}", "--n", "16",
+                          "--noise-std-w", std,
+                          "--schemes", "hcm,dcr-hcm,aco-ofdm", "--m-list", "4")
+    assert got == code
+    if code:
+        assert lines == [] and f"noise std in [{MIN_POWER_W:g}, {MAX_POWER_W:g}] W" in err
+    else:
+        assert len(lines) == 4 and not any("inf" in line or "nan" in line for line in lines)
 
 
 @pytest.mark.parametrize("power, code", [(MIN_POWER_W, 0), (MAX_POWER_W, 0), (1e160, 2),

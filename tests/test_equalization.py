@@ -137,7 +137,7 @@ class TestInterferenceMatrix:
             perm = rng.permutation(n)
             u = random_frames(rng, 32, n)
             tx = frame_chips(interleave(encode_levels(u), perm), p, cp)
-            y = propagate(tx, np.array(taps), np.inf, 0.0, rng)[:, cp:]
+            y = propagate(tx, np.array(taps), np.inf, 0.0, rng.standard_normal(tx.shape))[:, cp:]
             v = decode_samples(deinterleave(y, perm), p)
             want = (p / (2 * n)) * ((2 * u - 1) @ interference_matrix(perm, taps).T + 1.0)
             assert np.abs(v - want).max() <= 1e-13 * p / n, (n, taps)

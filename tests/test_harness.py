@@ -94,30 +94,30 @@ SWEEP_CONFIGS = {
 
 
 # simulate's CSV rows for each config, pinned byte for byte: a record is fixed
-# by the per-chunk streams (0, i, j) and the chunk order, so an engine change
-# that keeps both keeps these rows
+# by the per-chunk streams (0, j), which every power shares, and the chunk
+# order, so an engine change that keeps both keeps these rows
 SWEEP_CSV_ROWS = {
     "aco-ofdm-n32": [
-        "5e-06,512,184,0.0224609375,0.003208795941,0.0219967833",
+        "5e-06,512,174,0.02124023438,0.00312233003,0.0219967833",
         "3e-05,1000,0,0,0.0001875,0.0001542479023",
     ],
     "dco-ofdm-n16-taps": [
-        "5e-06,256,1364,0.3805803571,0.01589599591,0.3427603387",
-        "5e-05,1000,123,0.008785714286,0.001545839384,2.567315772e-05",
+        "5e-06,256,1403,0.3914620536,0.01597940993,0.3427603387",
+        "5e-05,1000,121,0.008642857143,0.001533330558,2.567315772e-05",
     ],
     "dcr-hcm-n16-mmse-search": [
-        "1e-05,256,994,0.2588541667,0.01385383066,0.1152302646",
-        "4e-05,512,106,0.01380208333,0.002609334908,0.008888556066",
-        "6.3e-05,768,103,0.008940972222,0.001718984519,0.0003949052321",
+        "1e-05,256,974,0.2536458333,0.01376184957,0.1152302646",
+        "4e-05,512,136,0.01770833333,0.002949745419,0.008888556066",
+        "6.3e-05,768,122,0.01059027778,0.001869268099,0.0003949052321",
     ],
     "dcr-hcm-n32": [
-        "1e-05,256,1105,0.1392389113,0.007616875629,0.1374096264",
-        "2.5e-05,1000,97,0.003129032258,0.0006217269866,0.003165959737",
+        "1e-05,256,1049,0.1321824597,0.007451717262,0.1374096264",
+        "2.5e-05,1000,94,0.003032258065,0.0006120668488,0.003165959737",
         "4e-05,1000,0,0,9.677419355e-05,6.393863287e-06",
     ],
     "hcm-n32": [
-        "1e-05,256,2654,0.3344254032,0.0103801407,0.3391714736",
-        "6.3e-05,1000,131,0.004225806452,0.0007221218046,0.004495294259",
+        "1e-05,256,2647,0.3335433468,0.01037330952,0.3391714736",
+        "6.3e-05,1000,127,0.004096774194,0.0007110576407,0.004495294259",
     ],
 }
 
@@ -370,9 +370,9 @@ def test_chunk_noise_variance_includes_gamma(monkeypatch):
     # noise variance sigma2_n inflated by the constant pulse-shaping penalty
     calls = []
 
-    def recorded(samples, h, p_max, noise_var, rng, out=None):
+    def recorded(samples, h, p_max, noise_var, normals, out=None):
         calls.append((h, p_max, noise_var))
-        return propagate(samples, h, p_max, noise_var, rng, out=out)
+        return propagate(samples, h, p_max, noise_var, normals, out=out)
 
     monkeypatch.setattr(harness, "propagate", recorded)
     cfg = harness.parse_config(_config(taps="0.5,0.5", cp_len="1",
@@ -503,7 +503,8 @@ def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
     point = harness.BerPoint(avg_power=avg, p=ctx.scheme.drive(ctx, avg), weights=None,
                              analytical_ber=0.0, snr=0.0)
     bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol))
-    y = propagate(ctx.scheme.tx(ctx, point, bits), cfg.h, cfg.p_max, 0.0, rng)[:, cp_len:]
+    tx = ctx.scheme.tx(ctx, point, ctx.scheme.unit(ctx, bits))
+    y = propagate(tx, cfg.h, cfg.p_max, 0.0, rng.standard_normal(tx.shape))[:, cp_len:]
     est = ctx.scheme.estimate(ctx, point, y)
     # the estimates are in decision units: the sent PAM levels (after the
     # deinterleaver) or QAM symbols (after the one-tap equalizer), up to the
@@ -705,7 +706,7 @@ def test_warmed_hcm_chunk_allocates_few_chunk_arrays(stem, limit):
     point = next(harness._points(ctx, [float(cfg.power_grid[-1])]))
 
     def chunk(j):
-        harness._run_chunk(ctx, point, harness._stream(1, 0, 0, j), harness.CHUNK_SYMBOLS)
+        harness._run_chunk(ctx, [point], harness._stream(1, 0, 0, j), harness.CHUNK_SYMBOLS)
 
     chunk(0)
     tracemalloc.start()
@@ -729,12 +730,12 @@ def test_warmed_chunk_at_the_largest_order_allocates_a_few_rows(stem, avg_power)
                                {"n": str(1 << MAX_ORDER_LOG2)})
     ctx = harness._SweepContext(cfg)
     point = harness.BerPoint(avg_power, ctx.scheme.drive(ctx, avg_power), None, 0.0, 0.0)
-    harness._run_chunk(ctx, point, harness._stream(1, 0, 0, 0), 8)
+    harness._run_chunk(ctx, [point], harness._stream(1, 0, 0, 0), 8)
     assert len(ctx.work.tx) == 1
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        harness._run_chunk(ctx, point, harness._stream(1, 0, 0, 1), 8)
+        harness._run_chunk(ctx, [point], harness._stream(1, 0, 0, 1), 8)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -777,7 +778,7 @@ def test_row_blocks_count_the_errors_of_one_block(tmp_path, monkeypatch, case):
         monkeypatch.setattr(analysis, "CALIB_BLOCK_CHIPS", rows * (n + cp_len))
         ctx.__dict__.pop("work", None)  # the next chunk builds buffers of the new rows
         rng = harness._stream(5, 0, 0, 0)
-        counts.append(harness._run_chunk(ctx, point, rng, harness.CHUNK_SYMBOLS))
+        counts += harness._run_chunk(ctx, [point], rng, harness.CHUNK_SYMBOLS)
         states.append(rng.bit_generator.state)
         assert len(ctx.work.tx) == rows
     assert counts[0] == counts[1]
@@ -809,7 +810,7 @@ def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, sche
     point = next(harness._points(ctx, [1e-5]))
     stream = (seed, 0, 0, 0)
     monkeypatch.setattr(harness, "propagate", recorded)
-    errors = harness._run_chunk(ctx, point, harness._stream(*stream), 256)
+    (errors,) = harness._run_chunk(ctx, [point], harness._stream(*stream), 256)
     (y,) = received
     bits = analysis._uniform_ints(harness._stream(*stream), 2, (256, ctx.bits_per_symbol))
     step, c = (2, 2.0) if scheme == "aco-ofdm" else (1, 1.0)
@@ -837,7 +838,7 @@ def _hcm_chunk_matches_the_paper_link(tmp_path, scheme, m, n, taps, cp_len, inte
     ctx = harness._SweepContext(cfg)
     point = next(harness._points(ctx, [7e-5]))
     k = harness.CHUNK_SYMBOLS
-    errors = harness._run_chunk(ctx, point, harness._stream(5, 0, 0, 0), k)
+    (errors,) = harness._run_chunk(ctx, [point], harness._stream(5, 0, 0, 0), k)
     want, est = link_oracle.hcm_chunk(
         harness._stream(5, 0, 0, 0), k, n=n, m=m, p=point.p, p_max=cfg.p_max,
         noise_var=cfg.noise_var, taps=taps, cp_len=cp_len, perm=perm,
@@ -887,7 +888,7 @@ def test_ofdm_chunk_counts_the_errors_of_the_paper_link(scheme, m, n, taps, cp_l
     ctx = harness._SweepContext(cfg)
     point = next(harness._points(ctx, [1e-5]))
     k = harness.CHUNK_SYMBOLS
-    errors = harness._run_chunk(ctx, point, harness._stream(5, 0, 0, 0), k)
+    (errors,) = harness._run_chunk(ctx, [point], harness._stream(5, 0, 0, 0), k)
     want, est = link_oracle.ofdm_chunk(
         harness._stream(5, 0, 0, 0), k, scheme=scheme, n=n, m=m, p=point.p,
         avg_power=point.avg_power, p_max=cfg.p_max, noise_var=cfg.noise_var, taps=taps,
@@ -943,8 +944,9 @@ def _csv_rows(write, rows) -> list:
 def test_grid_pass_scores_each_power_as_a_config_of_its_own(name):
     # one array pass over 50 powers, from where noise sets the BER to where
     # clipping does (DCO stops below p_max, where it has no headroom), prints
-    # each power's analytic values as a config of that power alone, and
-    # run_point alone returns the sweep's record for its power
+    # each power's analytic values as a config of that power alone; the
+    # common chunk streams give each power the whole simulate row of a grid
+    # of its own, and run_point alone returns that row
     top = "9.9e-5" if name.startswith("dco") else "1e-4"
     cfg = _grid_config(name, f"log:1e-7:{top}:50")
     analyzed = _csv_rows(harness.write_analyze_csv, harness.analyze(cfg))
@@ -956,8 +958,35 @@ def test_grid_pass_scores_each_power_as_a_config_of_its_own(name):
         one = _grid_config(name, repr(avg))
         assert _csv_rows(harness.write_analyze_csv, harness.analyze(one)) == [analyzed[i]]
         (alone,) = _csv_rows(harness.write_ber_csv, harness.sweep(one))
-        assert alone.split(",")[-1] == swept[i].split(",")[-1] == analyzed[i].split(",")[1]
-        assert _csv_rows(harness.write_ber_csv, [harness.run_point(cfg, avg, i)]) == [swept[i]]
+        assert alone == swept[i]
+        assert alone.split(",")[-1] == analyzed[i].split(",")[1]
+        assert _csv_rows(harness.write_ber_csv, [harness.run_point(cfg, avg)]) == [swept[i]]
+
+
+def test_sweep_draws_each_chunk_once_for_every_power(monkeypatch):
+    # common random numbers: chunk j of every power reads the one stream keyed
+    # (0, j), drawn once for the powers still running, and builds its unit
+    # waveform once (one row block here), not once a power
+    keys, encodes = [], []
+    real_stream, real_encode = harness._stream, harness.encode_levels
+
+    def stream(master_seed, *key):
+        keys.append((master_seed, *key))
+        return real_stream(master_seed, *key)
+
+    def encode(*args, **kwargs):
+        encodes.append(1)
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "_stream", stream)
+    monkeypatch.setattr(harness, "encode_levels", encode)
+    cfg = harness.parse_config(SWEEP_CONFIGS["hcm-n32"],
+                               {"power_grid_w": "1e-5,2e-5,4e-5,6.3e-5"})
+    symbols = [record.symbols_run for record in harness.sweep(cfg)]
+    chunks = -(-max(symbols) // harness.CHUNK_SYMBOLS)
+    assert min(symbols) == harness.CHUNK_SYMBOLS and max(symbols) == cfg.max_symbols
+    assert keys == [(7, 0, j) for j in range(chunks)] and chunks == 4
+    assert len(encodes) == chunks
 
 
 @pytest.mark.parametrize("size", [1, 4, 50])
@@ -984,8 +1013,10 @@ def test_slicer_grid_calls_each_closed_form_once(monkeypatch, name, snr, size):
 @pytest.mark.parametrize("command", [harness.analyze, harness.sweep],
                          ids=["analyze", "simulate"])
 def test_mmse_holds_one_filter_at_a_time(monkeypatch, command):
-    # one filter per power, and none left over from an earlier power when the
-    # next is built, so a long grid at large N holds one O(N) filter at a time
+    # one filter per power. analyze leaves none over from an earlier power when
+    # the next is built, so a long grid at large N holds one O(N) filter at a
+    # time; a sweep runs its powers side by side, so it holds at most one a
+    # power. Either frees every filter when it returns
     live, alive_at_build = [], []
     real = harness.mmse_weights
 
@@ -997,7 +1028,7 @@ def test_mmse_holds_one_filter_at_a_time(monkeypatch, command):
 
     monkeypatch.setattr(harness, "mmse_weights", tracked)
     command(_grid_config("dcr-hcm-n16-mmse-search", "log:1e-6:1e-4:20"))
-    assert alive_at_build == [0] * 20
+    assert alive_at_build == ([0] * 20 if command is harness.analyze else list(range(20)))
     assert all(ref() is None for ref in live)
 
 
@@ -1018,7 +1049,7 @@ def test_finished_commands_free_their_context(monkeypatch, name):
     try:
         harness.sweep(cfg)
         harness.analyze(cfg)
-        harness.run_point(cfg, 2e-5, 1)
+        harness.run_point(cfg, 2e-5)
         assert len(contexts) == 3 and all(ref() is None for ref in contexts)
     finally:
         gc.enable()

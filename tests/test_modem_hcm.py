@@ -40,7 +40,7 @@ def dcr_transmit(bits, n, m=2, p=None):
         cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, calib_symbols=1000)
         ctx = harness._SweepContext(cfg)
         point = next(harness._points(ctx, [5e-5]))
-        out.append(ctx.scheme.tx(ctx, point, bits) * (n / point.p))
+        out.append(ctx.scheme.tx(ctx, point, ctx.scheme.unit(ctx, bits)) * (n / point.p))
     return out
 
 

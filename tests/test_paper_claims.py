@@ -35,8 +35,8 @@ def _clearly_below(a: harness.BerRecord, b: harness.BerRecord) -> bool:
 
 def test_hcm_beats_ofdm_at_high_illumination():
     """At 9e-5 W, 90 % of p_max, and about 1 bit per chip: hcm m = 2
-    (127/128 bit per chip) has BER 1.38e-5 ± 4.6e-6, dco-ofdm QAM-4 (63/64)
-    0.062 ± 0.003 and aco-ofdm QAM-16 (1) 0.30 ± 0.005."""
+    (127/128 bit per chip) has BER 1.02e-5 ± 3.9e-6, dco-ofdm QAM-4 (63/64)
+    0.064 ± 0.003 and aco-ofdm QAM-16 (1) 0.30 ± 0.005."""
     hcm = _point("hcm", 2, 9e-5)
     assert _clearly_below(hcm, _point("dco-ofdm", 4, 9e-5))
     assert _clearly_below(hcm, _point("aco-ofdm", 16, 9e-5))
@@ -44,7 +44,7 @@ def test_hcm_beats_ofdm_at_high_illumination():
 
 def test_dcr_hcm_beats_hcm_for_dimmer_lighting():
     """At 1e-5 W, 10 % of p_max, and m = 2: dcr-hcm has BER
-    2.5e-4 ± 3.4e-5 and hcm 0.207 ± 0.004."""
+    2.9e-4 ± 4.1e-5 and hcm 0.210 ± 0.004."""
     assert _clearly_below(_point("dcr-hcm", 2, 1e-5), _point("hcm", 2, 1e-5))
 
 
