@@ -28,6 +28,15 @@ def check_taps(taps) -> np.ndarray:
     return h
 
 
+def fir(x: np.ndarray, h: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The taps h along the last axis of x, truncated to its length, written to out
+    (float64, x's shape, not overlapping it)."""
+    np.multiply(x, h[0], out=out)
+    for ell in range(1, h.size):
+        out[..., ell:] += h[ell] * x[..., :-ell]
+    return out
+
+
 def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float,
               normals: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """LED clip to [0, p_max], FIR taps h, then AWGN sqrt(noise_var) * normals.
@@ -35,10 +44,14 @@ def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float
     Vectorized over leading axes. noise_var is the receiver noise variance
     with the pulse-shaping penalty already applied (GAMMA * sigma2_n).
     normals are standard normals of samples' shape; propagate only reads
-    them, so one draw serves every drive of a sweep. The FIR output is
-    truncated to the input length, so with a cyclic prefix of at least
-    len(h)-1, which every ExperimentConfig has, the deframed payload equals
-    the cyclic convolution of the payload with h.
+    them. The FIR output is truncated to the input length, so with a cyclic
+    prefix of at least len(h)-1, which every ExperimentConfig has, the
+    deframed payload equals the cyclic convolution of the payload with h.
+    The harness calls it in the units of a reference drive: a power that
+    runs the whole link passes the peak and the noise variance scaled to
+    them, and a row block's shared estimate passes an infinite p_max, an
+    unclipped LED, and transforms each drive's limiter excess on its own
+    (fir).
 
     With `out` (float64, the shape of samples, not overlapping them) the
     received samples are written there, and samples, which must then be a
@@ -50,8 +63,6 @@ def propagate(samples: np.ndarray, h: np.ndarray, p_max: float, noise_var: float
         samples = np.array(samples, dtype=np.float64, order="C")
         out = np.empty_like(samples)
     x = np.clip(samples, 0.0, p_max, out=samples)  # the LED limiter
-    np.multiply(x, h[0], out=out)
-    for ell in range(1, h.size):
-        out[..., ell:] += h[ell] * x[..., :-ell]
+    fir(x, h, out)
     out += np.multiply(normals, np.sqrt(noise_var), out=x)
     return out

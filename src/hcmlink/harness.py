@@ -13,13 +13,16 @@ chip pmf and the interleaver search draw from the reserved stream keys
 An ExperimentConfig holds the link and the sweep and checks both when it is
 built, so every config the engine sees is valid. Each scheme is one entry
 of the table _SCHEMES: its order check, bits per symbol, calibration, drive
-mapping, analytic SNR and BER, transmit stage, and a receiver in two stages,
-a linear estimate in decision units (PAM levels or QAM symbols) and a
-decision that slices it to bits. The engine itself names no scheme. The
-entries call other modules through this module's globals at call time,
-never stored function objects, so a wrapper on a module attribute sees
-every call. dco-ofdm is aco-ofdm's entry with its own layout, drive, SNR
-and bias, and no transmit stage clips: propagate's LED limiter is ACO's zero clip.
+mapping, analytic SNR and BER, unit waveform and transmit stage, and a
+receiver: its linear part into decision units (the PAM slicer's or QAM
+slicer's folded form, the level index less half a step), an MMSE filter
+after it, and a decision that slices the estimates to bits. The engine
+itself names no scheme. The entries call other modules through this
+module's globals at call time, never stored function objects, so a wrapper
+on a module attribute sees every call. dco-ofdm is aco-ofdm's entry with
+its own layout, drive, SNR and bias. ACO's zero clip commutes with a
+positive drive: the powers that share a block's estimate take it on the
+unit waveform, and propagate's LED limiter makes it for the others.
 
 Analytic columns: analyze, sweep and a lone run_point score their whole
 power grid in one pass of _points, which calls the slicer's drive, snr and
@@ -27,28 +30,43 @@ ber once each, on the array. MMSE builds one filter per power, when that
 point is taken: analyze drops it before the next, one O(N) filter at a
 time, and a sweep, which runs its powers side by side, when it returns.
 
+Chunk path: the LED limiter is the link's one nonlinearity, and every
+receiver is linear after it (the fwht decode, the Wiener filter, the
+deinterleaver, the FFT with its one-tap equalizer). So _estimates works in
+the units of one reference drive, where the receiver's linear part gives
+the slicer's folded form. A power at which every row of a block clips
+runs the whole link, scaled to those units: one propagate and one
+receiver transform, the cost of a lone power. Two or more powers that
+leave some row unclipped share one linear estimate: the block's unit
+waveform goes once through propagate, at the reference drive with an
+unclipped LED and the noise, and once through the receiver's linear part,
+and so do its standard normals. Each of them then costs one scaled add of
+the two, the limiter's excess through the taps and the receiver on the
+rows from the first to the last that clip at its drive (none if no row
+does), and the decision. MMSE shares the received samples: its filter
+depends on the drive, so the FFT, filter, inverse FFT, deinterleaver and
+decode run per power.
+
 Chunk buffers: a sweep owns one _ChunkBuffers, allocated on its first
 chunk: the chunk's payload bits, one byte each, and one row block of at
 most analysis.CALIB_BLOCK_CHIPS framed samples for each other array, so
 past N = 256 the float arrays stop growing with N (whole-chunk arrays and
 int64 bits took 1 GiB at N = 2**16). _run_chunk draws all the bits, then
 runs the blocks: each draws its normals and builds its unit waveform once,
-then runs every power on them. Every scheme's stages write into the
-buffers through their `out=` arguments; propagate writes the received
-samples into one, using the framed samples as scratch. The OFDM receiver
-multiplies the data bins of the received spectrum once by c / (p H_k): the
-one-tap equalizer, ACO's clipping factor c = 2 (1 for DCO) and the drive p
-in one vector. After the first chunk a sweep allocates per block only
-transient arrays (the raw generator words, bit-group values, an fwht
-intermediate, the slicer's scaled estimates, numpy's ufunc buffers). The payload bits are
-those of rng.integers(0, 2), read by analysis._uniform_ints two to a
-64-bit PCG64 word instead of one bounded draw per bit. The buffers matter
-because a chunk array at N=128 is 256 KiB, above glibc's initial mmap
-threshold of 128 KiB: without the buffers each chunk allocated about ten
-of them, each mapped fresh from the kernel and page-faulted in unless a
-block of 4 MiB or more had been freed earlier in the process (as the old
-4 MiB DCR calibration blocks did). On a 2-core host an hcm sweep at N=128
-then took 132-162 ms against 87-92 ms after such a free.
+then scores every power from them. Every stage writes into the buffers
+through its `out=` arguments, some into contiguous arrays laid over a
+buffer that the block is done with (_rows). After the first chunk a sweep
+allocates per block only transient arrays (the raw generator words,
+bit-group values, an fwht intermediate, each row's peak, numpy's ufunc
+buffers). The payload bits are those of rng.integers(0, 2), read by
+analysis._uniform_ints two to a 64-bit PCG64 word instead of one bounded
+draw per bit. The buffers matter because a chunk array at N=128 is 256
+KiB, above glibc's initial mmap threshold of 128 KiB: without the buffers
+each chunk allocated about ten of them, each mapped fresh from the kernel
+and page-faulted in unless a block of 4 MiB or more had been freed earlier
+in the process (as the old 4 MiB DCR calibration blocks did). On a 2-core
+host an hcm sweep at N=128 then took 132-162 ms against 87-92 ms after
+such a free.
 
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
@@ -74,7 +92,7 @@ from .analysis import (
     hcm_amplitude_pmf,
     hcm_drive_peak,
 )
-from .channel import GAMMA, check_taps, propagate
+from .channel import GAMMA, check_taps, fir, propagate
 from .equalization import (
     MAX_MATRIX_ORDER,
     MmseWeights,
@@ -83,7 +101,7 @@ from .equalization import (
     mmse_weights,
 )
 from .errors import ConfigError, DomainError
-from .hadamard import MAX_ORDER_LOG2
+from .hadamard import MAX_ORDER_LOG2, fwht
 from .modem_hcm import (
     _check_pam_order,
     decode_samples,
@@ -104,6 +122,7 @@ from .modem_ofdm import (
     dco_time_samples,
     one_tap_gains,
     qam_bits,
+    qam_fold,
     qam_symbols,
 )
 
@@ -136,10 +155,13 @@ class ExperimentConfig:
     one power takes 2.7 s at N = 2^14 and 9.4 s at N = 2^16, at 38 MiB peak
     RSS (2-core Xeon, 1 BLAS thread). A chunk's float arrays stop growing at
     N = 256, and its payload takes a byte a bit (see _ChunkBuffers): `hcmlink
-    simulate` of one 256-symbol chunk at N = 2^16 takes 2.6 s at 59 MiB for
-    hcm, 1.6 s at 58 MiB for dcr-hcm with calib_symbols = 2000 and 1.1 s at
-    75 MiB for dco-ofdm. The MMSE equalizer adds, per power, the O(N^2)
-    error diagonal of equalization.mmse_weights (timed there).
+    simulate` of one power's 256-symbol chunk at N = 2^16 takes 2.7-3.3 s at
+    60 MiB for hcm, 1.9-2.1 s at 60 MiB for dcr-hcm with calib_symbols =
+    2000 and 1.0-1.2 s at 76 MiB for dco-ofdm (2-core host, 2 BLAS threads):
+    a lone power runs the whole link, one transform a block. Four aco-ofdm
+    powers on three taps, every row clipping, take 1.9-2.0 s at 51 MiB. The
+    MMSE equalizer adds, per power, the O(N^2) error diagonal of
+    equalization.mmse_weights (timed there).
     """
 
     scheme: str
@@ -279,8 +301,11 @@ _CONFIG_KEYS = {
 
 
 def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
-    """Parse the key = value experiment format (one key per line, # comments)."""
-    raw = {}
+    """Parse the key = value experiment format (one key per line, # comments).
+
+    A key may appear once in the text; an override replaces the text's value.
+    """
+    raw, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -290,7 +315,9 @@ def parse_config(text: str, overrides: dict | None = None) -> ExperimentConfig:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        raw[key] = value
+        if key in lines:
+            raise ConfigError(f"line {lineno}: key {key!r} repeats line {lines[key]}")
+        raw[key], lines[key] = value, lineno
     if overrides:
         for key, value in overrides.items():
             if key not in _CONFIG_KEYS:
@@ -344,6 +371,12 @@ def _hcm_snr(ctx: "_SweepContext", avg):
     return analysis.hcm_snr(cfg.m, cfg.n, p, cfg.noise_var, sigma2_clip)
 
 
+def _rows(buf: np.ndarray, r: int, width: int, dtype=np.float64) -> np.ndarray:
+    """A C-contiguous (r, width) array of dtype laid over the start of buffer buf."""
+    size = r * width * np.dtype(dtype).itemsize // buf.itemsize
+    return buf.reshape(-1)[:size].view(dtype).reshape(r, width)
+
+
 def _hcm_unit(ctx: "_SweepContext", bits: np.ndarray, reduce_dc: bool = False) -> np.ndarray:
     cfg, work, gathers, k = ctx.cfg, ctx.work, ctx.gathers, len(bits)
     levels = levels_from_bits(bits, cfg.m, cfg.n, out=work.levels[:k])
@@ -355,18 +388,65 @@ def _hcm_unit(ctx: "_SweepContext", bits: np.ndarray, reduce_dc: bool = False) -
     return chips
 
 
-def _hcm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray) -> np.ndarray:
-    n, p, work, k = ctx.cfg.n, point.p, ctx.work, len(y)
-    if point.weights is not None:  # MMSE: the Wiener filter on the received chips
-        spec = np.fft.rfft(y, out=work.spec[:k])
-        spec *= point.weights.spectrum
-        y = np.fft.irfft(spec, n, out=work.tx[:k, :n])
-    if ctx.gathers is not None:  # deinterleave
-        y = np.take(y, ctx.gathers[1], axis=-1, out=work.levels[:k], mode="clip")
-    # scaled whole, before the [:, 1:] view: one contiguous pass, not a strided one
-    v = decode_samples(y, p, out=work.chips[:k])
-    v *= n / p
+def _hcm_decode(ctx: "_SweepContext", y: np.ndarray, offset: float, out: np.ndarray):
+    """decode_samples(deinterleaved y, offset) into out, which may not overlap y."""
+    if ctx.gathers is not None:
+        y = np.take(y, ctx.gathers[1], axis=-1, out=out, mode="clip")
+    return decode_samples(y, offset, out=out)
+
+
+def _hcm_received(ctx: "_SweepContext", y: np.ndarray, offset: float, out: np.ndarray):
+    """The data components of decode_samples(deinterleaved y, offset), copied into out."""
+    np.copyto(out, _hcm_decode(ctx, y, offset, _rows(ctx.work.tx, len(y), ctx.cfg.n))[:, 1:])
+    return out
+
+
+def _hcm_whole(ctx: "_SweepContext", received: np.ndarray) -> np.ndarray:
+    # at the reference drive N (m - 1) the decoded data components, offset by
+    # the drive N (m - 2), are (m - 1) u - 1/2, the slicer's folded form
+    cfg, r = ctx.cfg, len(received)
+    if cfg.equalizer == "mmse":  # the filter reads the received samples (finish)
+        return received
+    out = _rows(ctx.work.levels, r, cfg.n - 1)
+    return _hcm_received(ctx, received, cfg.n * (cfg.m - 2.0), out)
+
+
+def _hcm_share(ctx: "_SweepContext", received: np.ndarray, z: np.ndarray) -> tuple:
+    cfg, work, r, n = ctx.cfg, ctx.work, len(received), ctx.cfg.n
+    if cfg.equalizer == "mmse":  # the drive-dependent filter comes after the sum
+        shared = work.chips[:r]
+        np.copyto(shared, received)
+        return shared, z, work.levels[:r]
+    shared = _hcm_received(ctx, received, n * (cfg.m - 2.0), _rows(work.chips, r, n - 1))
+    noise = _hcm_received(ctx, z, 0.0, _rows(work.levels, r, n - 1))
+    return shared, noise, _rows(work.normals, r, n - 1)
+
+
+def _hcm_excess(ctx: "_SweepContext", payload: np.ndarray) -> np.ndarray:
+    cfg, r = ctx.cfg, len(payload)
+    out = _rows(ctx.work.tx, r, cfg.n)  # the framed excess has been through the taps
+    if cfg.equalizer == "mmse":
+        return np.multiply(payload, cfg.m - 1.0, out=out)
+    if ctx.gathers is not None:
+        payload = np.take(payload, ctx.gathers[1], axis=-1, out=out, mode="clip")
+    # decode_samples without its offset: B y / N, here times m - 1
+    v = fwht(payload, out=out)
+    v *= (cfg.m - 1.0) / cfg.n
     return v[:, 1:]
+
+
+def _hcm_finish(ctx: "_SweepContext", point: BerPoint, est: np.ndarray) -> np.ndarray:
+    cfg, work, r = ctx.cfg, ctx.work, len(est)
+    if cfg.equalizer != "mmse":
+        return est
+    # MMSE: the Wiener filter on the received chips, then the slicer's decode
+    spec = np.fft.rfft(est, out=work.spec[:r])
+    spec *= point.weights.spectrum
+    y = np.fft.irfft(spec, cfg.n, out=_rows(work.tx, r, cfg.n))
+    v = _hcm_decode(ctx, y, cfg.n * (cfg.m - 2.0), _rows(work.rx, r, cfg.n))
+    out = _rows(work.levels, r, cfg.n - 1)  # the sum, read by the filter already
+    np.copyto(out, v[:, 1:])
+    return out
 
 
 def _ofdm_unit(ctx: "_SweepContext", bits: np.ndarray, time_samples: Callable) -> np.ndarray:
@@ -375,14 +455,14 @@ def _ofdm_unit(ctx: "_SweepContext", bits: np.ndarray, time_samples: Callable) -
     return time_samples(symbols, ctx.cfg.n, out=(work.spec[:k], work.unit[:k]))
 
 
-def _ofdm_tx(ctx: "_SweepContext", point: BerPoint, unit: np.ndarray,
-             biased: bool = False) -> np.ndarray:
-    cfg, tx = ctx.cfg, ctx.work.tx[:len(unit)]
-    x = np.multiply(unit, point.p, out=tx[:, cfg.cp_len:])
-    if biased:  # DCO rides on the average power; ACO's zero clip is the LED limiter's
-        x += point.avg_power
-    tx[:, :cfg.cp_len] = tx[:, cfg.n:]
-    return tx
+def _ofdm_tx(ctx: "_SweepContext", p: float, bias, unit: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    cp = ctx.cfg.cp_len
+    x = np.multiply(unit, p, out=out[:, cp:])
+    if bias is not None:  # DCO rides on a bias; ACO's zero clip is the LED limiter's
+        x += bias
+    out[:, :cp] = out[:, ctx.cfg.n:]
+    return out
 
 
 def _qam_snr(ctx: "_SweepContext", avg, es_snr: Callable):
@@ -390,11 +470,28 @@ def _qam_snr(ctx: "_SweepContext", avg, es_snr: Callable):
     return 3.0 * es_snr(avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0)
 
 
-def _ofdm_estimate(ctx: "_SweepContext", point: BerPoint, y: np.ndarray,
-                   extract: Callable) -> np.ndarray:
-    # equalizing against p * H_k folds the drive into the one multiply by c / (p H_k)
-    work, k = ctx.work, len(y)
-    return extract(y, point.p * ctx.gains, out=(work.spec[:k], work.symbols[:k]))
+def _ofdm_whole(ctx: "_SweepContext", received: np.ndarray, extract: Callable) -> np.ndarray:
+    work, r = ctx.work, len(received)
+    gains, offset = ctx.qam_gains
+    est = extract(received, gains, out=(work.spec[:r], work.symbols[:r]))
+    est += offset
+    return est
+
+
+def _ofdm_share(ctx: "_SweepContext", received: np.ndarray, z: np.ndarray,
+                extract: Callable) -> tuple:
+    work, r, count = ctx.work, len(received), ctx.decision_shape[0]
+    shared = _ofdm_whole(ctx, received, extract)
+    # the FFT has read the normals before their estimate overwrites them
+    noise = extract(z, ctx.qam_gains[0],
+                    out=(work.spec[:r], _rows(work.normals, r, count, np.complex128)))
+    return shared, noise, _rows(work.tx, r, count, np.complex128)
+
+
+def _ofdm_excess(ctx: "_SweepContext", payload: np.ndarray, extract: Callable) -> np.ndarray:
+    work, r = ctx.work, len(payload)
+    return extract(payload, ctx.qam_gains[0], out=(
+        work.spec[:r], _rows(work.rx, r, ctx.decision_shape[0], np.complex128)))
 
 
 @dataclass(frozen=True)
@@ -408,12 +505,29 @@ class _Scheme:
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
     ber: Callable  # (snr, m): analytic bit error rate
-    unit: Callable  # (ctx, bits): the waveform at unit drive, in the chunk buffer unit
-    tx: Callable  # (ctx, point, unit): unclipped transmit samples, cyclic prefix included;
-    # a C-contiguous float64 array that propagate's LED limiter clips, then uses as scratch
-    estimate: Callable  # (ctx, point, payload): a chunk buffer of PAM levels or QAM symbols
+    unit: Callable  # (ctx, bits): the waveform at unit drive, in the chunk buffer unit;
+    # the LED input at drive p is unit * (p * gain(n)), plus the average power if biased
+    # (ACO's before its zero clip)
+    gain: Callable  # (n): 1 / n for the HCM family, 1 for OFDM
+    reference: Callable  # (cfg): the drive of the shared estimate, at which the receiver
+    # gives the slicer's folded form: N (m - 1) for the HCM family, 1 for OFDM
+    tx: Callable  # (ctx, p, bias or None, unit, out): the LED input at drive p plus
+    # bias, cyclic prefix included, in out, a C-contiguous float64 array
+    whole: Callable  # (ctx, received): a whole link's payload received in the units of
+    # the reference drive through the receiver's linear part, in a buffer the unit
+    # waveform and the normals do not use (MMSE: the received samples, for finish)
+    share: Callable  # (ctx, received, z): the payload received at the reference drive
+    # and the block's standard normals through the receiver's linear part: (shared,
+    # noise, sum), the sum a C-contiguous scratch of their shape
+    excess: Callable  # (ctx, payload): the payload of unit minus its clip to a drive's
+    # limiter edges, after the taps, through that linear part, times reference * gain
+    finish: Callable  # (ctx, point, sum): the estimates the decision reads
     decide: Callable  # (estimates, m, out): their bits, written to the pair out = (indices,
-    # bits); the estimates may serve as scratch
+    # bits); the estimates, in the folded form, serve as scratch
+    biased: bool = False  # the LED input rides on the average power (DCO)
+    # the LED's zero clip commutes with a positive drive (ACO), so the powers that share
+    # take it on the unit waveform
+    zero_clip: bool = False
     peak_snr_factor: float = 1.0  # achievable_snr reports this times snr
 
 
@@ -426,9 +540,13 @@ _HCM = _Scheme(
     snr=_hcm_snr,
     ber=lambda snr, m: analysis.pam_ber(snr, m),
     unit=_hcm_unit,
-    tx=lambda ctx, point, unit: frame_chips(unit, point.p, ctx.cfg.cp_len,
-                                            out=ctx.work.tx[:len(unit)]),
-    estimate=_hcm_estimate,
+    gain=lambda n: 1.0 / n,
+    reference=lambda cfg: cfg.n * (cfg.m - 1.0),
+    tx=lambda ctx, p, bias, unit, out: frame_chips(unit, p, ctx.cfg.cp_len, out=out),
+    whole=_hcm_whole,
+    share=_hcm_share,
+    excess=_hcm_excess,
+    finish=_hcm_finish,
     decide=lambda est, m, out: slice_levels(est, m, out=out)[1],
     peak_snr_factor=4.0,
 )
@@ -441,9 +559,15 @@ _ACO = _Scheme(
     snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.aco_es_snr),
     ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
     unit=lambda ctx, bits: _ofdm_unit(ctx, bits, aco_time_samples),
+    gain=lambda n: 1.0,
+    reference=lambda cfg: 1.0,
     tx=_ofdm_tx,
-    estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, aco_extract),
+    whole=lambda ctx, received: _ofdm_whole(ctx, received, aco_extract),
+    share=lambda ctx, received, z: _ofdm_share(ctx, received, z, aco_extract),
+    excess=lambda ctx, payload: _ofdm_excess(ctx, payload, aco_extract),
+    finish=lambda ctx, point, est: est,
     decide=lambda est, m, out: qam_bits(est, m, out=out),
+    zero_clip=True,
 )
 
 _SCHEMES = {
@@ -462,8 +586,11 @@ _SCHEMES = {
         drive=lambda ctx, avg: analysis.dco_scale(avg, ctx.cfg.n, ctx.cfg.p_max),
         snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.dco_es_snr),
         unit=lambda ctx, bits: _ofdm_unit(ctx, bits, dco_time_samples),
-        tx=lambda ctx, point, unit: _ofdm_tx(ctx, point, unit, biased=True),
-        estimate=lambda ctx, point, y: _ofdm_estimate(ctx, point, y, dco_extract),
+        whole=lambda ctx, received: _ofdm_whole(ctx, received, dco_extract),
+        share=lambda ctx, received, z: _ofdm_share(ctx, received, z, dco_extract),
+        excess=lambda ctx, payload: _ofdm_excess(ctx, payload, dco_extract),
+        biased=True,
+        zero_clip=False,
     ),
 }
 SCHEMES = tuple(_SCHEMES)
@@ -474,20 +601,24 @@ class _ChunkBuffers:
     (uint8, CHUNK_SYMBOLS rows) and one row block of everything else.
 
     A block holds at most analysis.CALIB_BLOCK_CHIPS framed samples: 256
-    rows up to N = 256 without a prefix, one at N = 2**16. Two arrays serve
-    every power of the block and no power's stages write them: unit holds
-    the waveform at unit drive, normals the block's standard normals. HCM:
-    levels holds the PAM levels, then a power's deinterleaved payload; chips
-    holds the chips before the interleaver, then the decoded vectors v; spec
-    holds the payload's spectrum for the MMSE filter. OFDM: symbols holds
-    the QAM symbols sent, then those received; spec holds the half spectrum
-    of the frames, then that of the payload. tx and rx hold a power's framed
-    samples (tx is propagate's scratch, then the MMSE-filtered payload); idx
-    and bits receive the decisions, an index and its bits for each PAM level
-    or QAM symbol. The bits are uint8; the indices stay intp, as np.take
-    would convert any other index dtype to a new intp array. A shorter block
-    uses [:k]. np.empty commits no memory to the arrays a scheme never
-    writes.
+    rows up to N = 256 without a prefix, one at N = 2**16. unit holds the
+    block's waveform at unit drive and normals its standard normals; tx is
+    propagate's scratch, then each power's framed excess, and rx the
+    received samples, then the excess after the taps; each is then reused
+    for that excess's estimate. HCM: levels and chips hold the PAM levels
+    and the chips before the interleaver, then a whole-link power's
+    estimates (slicer, in levels), then the block's noise and shared
+    estimates (slicer) or the MMSE sum and the shared samples; the slicer
+    sums each power over the normals. OFDM: symbols holds the QAM symbols
+    sent, then a whole-link power's estimate or the shared one; the noise
+    estimate replaces the normals, and tx holds each power's sum. spec
+    holds the half spectra. So each
+    scheme writes the buffers it wrote before the estimate was shared, and
+    no others. idx and bits receive the decisions, an index and its bits
+    for each PAM level or QAM symbol. The bits are uint8; the indices stay
+    intp, as np.take would convert any other index dtype to a new intp
+    array. A shorter block uses [:k]. np.empty commits no memory to the
+    arrays a scheme never writes.
     """
 
     def __init__(self, cfg: ExperimentConfig, decision_shape: tuple):
@@ -539,6 +670,14 @@ class _SweepContext:
     def gains(self):
         """The channel spectrum rfft(h, N), built on first use (OFDM and MMSE read it)."""
         return one_tap_gains(self.cfg.h, self.cfg.n)
+
+    @cached_property
+    def qam_gains(self) -> tuple:
+        """The channel spectrum over qam_fold's scale and the fold's offset on both axes:
+        the one-tap equalizer against those gains, plus the offset, gives the QAM
+        slicer's folded form (OFDM reads it)."""
+        scale, offset = qam_fold(self.cfg.m)
+        return self.gains / scale, offset * (1 + 1j)
 
     @cached_property
     def records(self) -> Iterator[BerRecord]:
@@ -598,16 +737,95 @@ def _mmse_point(ctx: _SweepContext, avg_power: float, p: float) -> BerPoint:
     return BerPoint(avg_power, p, weights, ber, float((half_dist / err.mean()) ** 2))
 
 
+def _estimates(ctx: _SweepContext, points: list, unit: np.ndarray,
+               normals: np.ndarray) -> Iterator[tuple]:
+    """(index in points, estimates) of each power of one row block, in the slicer's
+    folded form; each estimate is overwritten by the next.
+
+    The LED limiter is the link's one nonlinearity, so at drive p the
+    receiver's estimate is est(h * s) + (sigma / p) est(z) - est(h * e_p) / p,
+    with s the unit waveform (ACO's zero-clipped; the LED input is p s plus
+    any bias, which reaches no data), z the block's standard normals and e_p
+    the limiter's excess at drive p. All of it is in the units where the
+    reference drive P gives the folded form, so the whole link at drive p
+    is the LED's output scaled by P / p, P gain clip(s, edges / (p gain)),
+    sent through propagate with an unclipped LED and the noise scaled by P
+    / p, and through the receiver's linear part (whole): the parent of
+    every other form, one transform a power. A power whose every row clips
+    runs it, and so does every power when fewer than two are left. The
+    others share: the block sends s once through propagate at drive P and
+    the receiver, and z once through the receiver (share): shared =
+    est(P h * s + sigma z), noise = est(z). Such a power then costs one
+    scaled add, shared + sigma (P / p - 1) noise, and, only if some row's
+    peak (or trough, with a bias) crosses the limiter at drive p, the excess
+    of the rows from the first to the last that do, unit - clip(unit, edges
+    / (p gain)), through the taps and the receiver (excess); the rows
+    between carry a zero excess, which transforms to exact zeros. The rest
+    of the receiver, which depends on the drive (MMSE), runs last (finish).
+    The whole-link powers come first, as the shared estimate takes over the
+    normals' buffer.
+    """
+    cfg, scheme, work = ctx.cfg, ctx.scheme, ctx.work
+    r, cp, n, ref = len(unit), cfg.cp_len, cfg.n, scheme.reference(cfg)
+    sigma, gain = math.sqrt(cfg.noise_var), scheme.gain(n)
+    # fmax and fmin skip max and min's NaN handling: the waveform is finite
+    peak = np.fmax.reduce(unit, axis=-1)
+    trough = np.fmin.reduce(unit, axis=-1) if scheme.biased else None
+    limits = []
+    for point in points:
+        # the limiter's edges in unit-drive terms: the LED input is unit * drive + bias
+        drive, bias = point.p * gain, point.avg_power if scheme.biased else 0.0
+        floor, ceiling = -bias / drive, (cfg.p_max - bias) / drive
+        clips = peak > ceiling
+        if trough is not None:
+            clips |= trough < floor
+        limits.append((floor, ceiling, clips))
+    shared = [i for i, (_, _, clips) in enumerate(limits) if not clips.all()]
+    if len(shared) < 2:  # one power would pay two shared transforms for its one
+        shared = []
+    for i in (i for i in range(len(points)) if i not in shared):
+        point, scale = points[i], ref / points[i].p
+        x = scheme.tx(ctx, ref, point.avg_power * scale if scheme.biased else None, unit,
+                      work.tx[:r])
+        received = propagate(x, cfg.h, cfg.p_max * scale, cfg.noise_var * scale * scale,
+                             normals, out=work.rx[:r])
+        yield i, scheme.finish(ctx, point, scheme.whole(ctx, received[:, cp:]))
+    if not shared:
+        return
+    if scheme.zero_clip:
+        np.maximum(unit, 0.0, out=unit)
+    # at the reference drive every row rides on its own trough, if biased, so the
+    # unclipped LED's zero edge clips nothing
+    x = scheme.tx(ctx, ref, None if trough is None else -ref * trough[:, None], unit,
+                  work.tx[:r])
+    received = propagate(x, cfg.h, np.inf, cfg.noise_var, normals, out=work.rx[:r])
+    common, noise, est = scheme.share(ctx, received[:, cp:], normals[:, cp:])
+    for i in shared:
+        floor, ceiling, clips = limits[i]
+        rows = np.flatnonzero(clips)
+        if rows.size:  # the excess first: the sum may take the buffers it passes through
+            lo, hi = int(rows[0]), int(rows[-1]) + 1
+            framed = work.tx[lo:hi]
+            excess = np.clip(unit[lo:hi], floor, ceiling, out=framed[:, cp:])
+            np.subtract(unit[lo:hi], excess, out=excess)
+            framed[:, :cp] = framed[:, n:]
+            excess = scheme.excess(ctx, fir(framed, cfg.h, work.rx[lo:hi])[:, cp:])
+        np.multiply(noise, sigma * (ref / points[i].p - 1.0), out=est)
+        est += common
+        if rows.size:
+            est[lo:hi] -= excess
+        yield i, scheme.finish(ctx, points[i], est)
+
+
 def _run_chunk(ctx: _SweepContext, points: list, rng: np.random.Generator, k: int) -> list:
     """One chunk of k symbols at every power of points; returns each one's bit errors.
 
     The chunk draws its payload bits, then, one row block of the chunk
     buffers at a time, the block's standard normals. It builds the block's
-    unit waveform once; then each power scales and frames it (tx), runs
-    propagate on the shared normals, drops the prefix, estimates and decides.
-    All the bits are drawn before any noise, and both in row order, so the
-    blocks read the stream as one pass over the chunk would: consecutive draws
-    of bits, or of normals, equal one draw of them all.
+    unit waveform once and scores every power from it (_estimates), then
+    decides. All the bits are drawn before any noise, and both in row order,
+    so the blocks read the stream as one pass over the chunk would:
+    consecutive draws of bits, or of normals, equal one draw of them all.
     """
     cfg, work, scheme = ctx.cfg, ctx.work, ctx.scheme
     blocks = np.split(work.payload[:k], range(len(work.tx), k, len(work.tx)))
@@ -618,11 +836,7 @@ def _run_chunk(ctx: _SweepContext, points: list, rng: np.random.Generator, k: in
         r = len(sent)
         normals = rng.standard_normal(out=work.normals[:r])
         unit = scheme.unit(ctx, sent)
-        for i, point in enumerate(points):
-            tx = scheme.tx(ctx, point, unit)
-            y = propagate(tx, cfg.h, cfg.p_max, cfg.noise_var, normals,
-                          out=work.rx[:r])[:, cfg.cp_len:]
-            est = scheme.estimate(ctx, point, y)
+        for i, est in _estimates(ctx, points, unit, normals):
             decided = scheme.decide(est, cfg.m, (work.idx[:r], work.bits[:r]))
             errors[i] += int(np.count_nonzero(decided.reshape(r, -1) != sent))
     return errors

@@ -134,19 +134,25 @@ def decode_samples(y: np.ndarray, p: float, out: np.ndarray | None = None) -> np
 
 
 def slice_levels(estimates: np.ndarray, m: int, out: tuple | None = None):
-    """Snap level estimates in [0, 1] to the (M-1) grid and Gray-decode bits.
+    """Snap level estimates to the (M-1) grid and Gray-decode bits.
 
+    The estimates are folded: (m - 1) u - 1/2 for a level u in [0, 1], the
+    grid position less half a step, which the harness's receiver delivers.
     Ties snap to the lower level. Returns (level indices, bits) with bits
     shaped (..., n_levels, log2(m)). With `out`, a pair of integer arrays of
-    those shapes, both are written there; without it both are int64.
+    those shapes, both are written there and the estimates, then a float64
+    array, serve as scratch (else a copy does, and both are int64).
     """
     _check_pam_order(m)
     b = int(np.log2(m))
-    scaled = np.asarray(estimates, dtype=np.float64) * (m - 1)
-    scaled -= 0.5
+    scaled = estimates if out else np.array(estimates, dtype=np.float64)
+    idx, bits = out or (np.empty(scaled.shape, np.int64), np.empty((*scaled.shape, b), np.int64))
+    if m == 2:  # ceil, clipped to [0, 1], is the sign test, and the Gray label is the index
+        np.greater(scaled, 0.0, out=idx)
+        np.copyto(bits[..., 0], idx, casting="unsafe")
+        return idx, bits
     np.ceil(scaled, out=scaled)
     np.clip(scaled, 0, m - 1, out=scaled)
-    idx, bits = out or (np.empty(scaled.shape, np.int64), np.empty((*scaled.shape, b), np.int64))
     np.copyto(idx, scaled, casting="unsafe")
     # take accepts an out of its table's dtype or narrower, the latter through a full
     # copy, so the small table is cast to the dtype of out instead

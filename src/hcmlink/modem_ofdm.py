@@ -65,25 +65,23 @@ def qam_symbols(bits: np.ndarray, m_qam: int, out: np.ndarray | None = None) -> 
 def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.ndarray:
     """Slice QAM symbols per axis (nearest level, ties to the lower index).
 
-    Returns the bits (..., k*log2(m)) of k symbols. With `out`, a pair of
-    integer arrays (the pair indices I * side + Q, shaped (..., k), and the
-    bits, shaped (..., k, log2(m)), C-contiguous), both are written there and
-    symbols, then a complex128 array, serve as scratch (else a copy does, and
-    both are int64).
+    The symbols are folded: each axis x of a unit-energy symbol is given as
+    (side - 2) / 2 - x norm / 2 (qam_fold), its level index less half a
+    step, which the harness's receiver delivers. Returns the bits
+    (..., k*log2(m)) of k symbols. With `out`, a pair of integer arrays (the
+    pair indices I * side + Q, shaped (..., k), and the bits, shaped (..., k,
+    log2(m)), C-contiguous), both are written there and symbols, then a
+    complex128 array, serve as scratch (else a copy does, and both are int64).
     """
     side = _check_qam_order(m_qam)
-    _, table, norm = _qam_tables(m_qam)
+    table = _qam_tables(m_qam)[1]
     if out is None:
         symbols = np.array(symbols, dtype=np.complex128, order="C")
         out = (np.empty(symbols.shape, np.int64),
                np.empty((*symbols.shape, table.shape[1]), np.int64))
     pairs, bits = out
     xy = symbols[..., None].view(np.float64)  # re and im of each symbol
-    # the nearest level's index, ties down: ceil((side - 1 - x * norm) / 2 - 0.5);
-    # halving is exact, so scaling by -norm / 2 and adding (side - 1) / 2 gives its floats
-    np.multiply(xy, -0.5 * norm, out=xy)
-    xy += 0.5 * (side - 1)
-    xy -= 0.5
+    # the nearest level's index, ties down, is the ceiling of the folded axis
     np.ceil(xy, out=xy)
     np.clip(xy, 0, side - 1, out=xy)
     xy[..., 0] *= side
@@ -91,6 +89,13 @@ def qam_bits(symbols: np.ndarray, m_qam: int, out: tuple | None = None) -> np.nd
     # the uint8 table cast to the dtype of out, as slice_levels does
     np.take(table.astype(bits.dtype, copy=False), pairs, axis=0, out=bits, mode="clip")
     return bits.reshape(*symbols.shape[:-1], -1)
+
+
+def qam_fold(m_qam: int) -> tuple:
+    """(scale, offset) of qam_bits's folded form: each axis x becomes scale x + offset,
+    with scale = -norm / 2 and offset = (side - 2) / 2."""
+    side = _check_qam_order(m_qam)
+    return -0.5 * _qam_tables(m_qam)[2], 0.5 * (side - 2)
 
 
 def aco_data_count(n_fft: int) -> int:

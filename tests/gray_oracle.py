@@ -72,3 +72,21 @@ def qam_bits(symbols: np.ndarray, m_qam: int) -> np.ndarray:
 
     out = np.concatenate([axis_bits(symbols.real), axis_bits(symbols.imag)], axis=-1)
     return out.reshape(*symbols.shape[:-1], -1)
+
+
+def fold_levels(estimates: np.ndarray, m: int) -> np.ndarray:
+    """The PAM slicer's folded input for level estimates in [0, 1]: (m - 1) u - 1/2."""
+    folded = np.asarray(estimates, dtype=np.float64) * (m - 1)
+    folded -= 0.5
+    return folded
+
+
+def fold_qam(symbols: np.ndarray, m_qam: int) -> np.ndarray:
+    """The QAM slicer's folded input for symbols: per axis (side - 1 - x norm) / 2 - 1/2,
+    in the operations the slicer once ran itself, so exact ties stay ties."""
+    side = int(round(np.sqrt(m_qam)))
+    norm = np.sqrt(2.0 * (side * side - 1) / 3.0)
+    folded = np.asarray(symbols, dtype=np.complex128) * (-0.5 * norm)
+    folded += 0.5 * (side - 1) * (1 + 1j)
+    folded -= 0.5 * (1 + 1j)
+    return folded

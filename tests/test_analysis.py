@@ -383,33 +383,41 @@ class TestClippingVarianceGaussian:
 
     @pytest.mark.parametrize("std", [1e-6, 0.3, 7.0])
     def test_tail_variances_match_scipy_ndtr(self, std):
-        # the formulas as written, with scipy's ndtr for Phi = Q(-a)
-        def lower(mean, floor):
-            a, mu = (floor - mean) / std, mean - floor
-            term = (mu * mu + std * std) * ndtr(a)
-            return float(term - mu * std * analysis._phi(a)), term
+        # E[(X - edge)^2 ; X beyond edge] = std^2 g(t), t the edge's distance
+        # beyond the mean in std, against an oracle that sums only positive
+        # terms: with the edge on the mean's side (t <= 0) the formula
+        # (1 + t^2) Phi(-t) - t phi(t) on scipy's ndtr, and beyond it
+        # phi(t) int_0^inf u^2 exp(-t u - u^2 / 2) du by adaptive quadrature,
+        # which holds to 1e-12 of the value itself at every distance
+        def want(mean, edge, side):
+            t = side * (edge - mean) / std
+            if t <= 0:
+                g = (1 + t * t) * ndtr(-t) - t * analysis._phi(t)
+            else:
+                tail, _ = quad(lambda u: u * u * math.exp(-t * u - 0.5 * u * u), 0.0, np.inf,
+                               epsabs=0.0, epsrel=1e-13, limit=200)
+                g = analysis._phi(t) * tail
+            return std * std * float(g)
 
-        def upper(mean, cap):
-            b, mu = (cap - mean) / std, mean - cap
-            term = (mu * mu + std * std) * ndtr(-b)
-            return float(term + mu * std * analysis._phi(b)), term
-
-        def check(got, want, scale):
-            if want < 1e-300:
+        def check(got, want):
+            if want < 1e-300:  # subnormal products carry no relative precision
                 assert got < 1e-300
             else:
-                assert abs(got - want) <= 1e-12 * scale
+                assert abs(got - want) <= 1e-12 * want
 
-        # z is the floor's or cap's distance from the mean in std; the two
-        # terms cancel when the edge lies over 4 std beyond the mean, which
-        # magnifies any ulp of the probability: there, 1e-12 of its term
         for z in np.linspace(-38.0, 38.0, 761):
-            want, term = lower(-z * std, 0.0)
             got = analysis._tail_var(-z * std, std, 0.0, side=-1.0)
-            check(got, want, want if z >= -4.0 else term)
-            want, term = upper(0.5, 0.5 + z * std)
+            check(got, want(-z * std, 0.0, -1.0))
             got = analysis._tail_var(0.5, std, 0.5 + z * std, side=1.0)
-            check(got, want, want if z <= 4.0 else term)
+            check(got, want(0.5, 0.5 + z * std, 1.0))
+
+    def test_far_tail_variances_are_one_array_pass(self):
+        # an array of edges scores as each edge alone, on both sides of the switch
+        # from the direct form to the quadrature
+        edges = np.linspace(-10.0, 40.0, 101)
+        got = analysis._tail_var(0.0, 1.0, edges, side=1.0)
+        assert got.shape == edges.shape
+        assert got.tolist() == [analysis._tail_var(0.0, 1.0, e, side=1.0) for e in edges]
 
     @pytest.mark.parametrize(
         "mean,var,p_max", [(0.2, 1.3, 1.7), (-0.5, 0.04, 0.5), (2.0, 4.0, 2.5)]

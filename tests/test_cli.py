@@ -315,6 +315,25 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, key):
         assert lines == [] and f"unknown override key {key!r}" in err
 
 
+def test_repeated_config_key_exits_2_before_out_opens(tmp_path, capsys):
+    # a key given twice in the file names the key and both lines, and fails
+    # before --out opens; a --set override of a file key still replaces it
+    path = tmp_path / "twice.conf"
+    path.write_text(f"{CONFIG}n = 32\n")
+    first = CONFIG.splitlines().index("n = 16") + 1
+    second = len(CONFIG.splitlines()) + 1
+    out = tmp_path / "out.csv"
+    for command in ("simulate", "analyze"):
+        code, lines, err = run(capsys, command, str(path), "--out", str(out))
+        assert code == 2
+        assert lines == [] and not out.exists()
+        assert f"line {second}: key 'n' repeats line {first}" in err
+    path.write_text(CONFIG)
+    code, lines, _ = run(capsys, "analyze", str(path), "--set", "n=32")
+    assert code == 0 and len(lines) == 3
+    assert cli.harness.parse_config(CONFIG, {"n": "32"}).n == 32
+
+
 def test_snr_has_no_gamma_option(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["snr", "--gamma", "1.5"])

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from gray_oracle import fold_levels
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -231,7 +232,7 @@ class TestMmseEstimate:
         weights = filter_for([1.0], n, p, 1e-9)
         u = random_frames(rng, 1, n)
         est = filtered_estimate(weights, encode_levels(u) * (p / n), p)
-        idx, _ = slice_levels(est[:, 1:], 2)
+        idx, _ = slice_levels(fold_levels(est[:, 1:], 2), 2)
         assert_allclose(idx, u[:, 1:])
 
     def test_centered_observation_gives_prior_mean(self):
@@ -252,8 +253,9 @@ class TestMmseEstimate:
         h = [1.0]
         levels = random_frames(rng, 2000, n)
         y = received_samples(rng, levels, h, p, sigma2)
-        idx_mmse, _ = slice_levels(filtered_estimate(filter_for(h, n, p, sigma2), y, p)[:, 1:], 2)
-        idx_plain, _ = slice_levels(decoded(y, p)[:, 1:] * (n / p), 2)
+        idx_mmse, _ = slice_levels(
+            fold_levels(filtered_estimate(filter_for(h, n, p, sigma2), y, p)[:, 1:], 2), 2)
+        idx_plain, _ = slice_levels(fold_levels(decoded(y, p)[:, 1:] * (n / p), 2), 2)
         assert np.array_equal(idx_mmse, idx_plain)
 
     def test_mmse_beats_plain_slicing_on_dispersive_channel(self):
@@ -263,8 +265,9 @@ class TestMmseEstimate:
         levels = random_frames(rng, 30_000, n)
         y = received_samples(rng, levels, h, p, sigma2)
         idx_truth = (levels[:, 1:] > 0.5).astype(int)
-        idx_mmse, _ = slice_levels(filtered_estimate(filter_for(h, n, p, sigma2), y, p)[:, 1:], 2)
-        idx_plain, _ = slice_levels(decoded(y, p)[:, 1:] * (n / p), 2)
+        idx_mmse, _ = slice_levels(
+            fold_levels(filtered_estimate(filter_for(h, n, p, sigma2), y, p)[:, 1:], 2), 2)
+        idx_plain, _ = slice_levels(fold_levels(decoded(y, p)[:, 1:] * (n / p), 2), 2)
         ber_mmse = np.mean(idx_mmse != idx_truth)
         ber_plain = np.mean(idx_plain != idx_truth)
         assert ber_mmse < ber_plain

@@ -17,20 +17,31 @@ from hcmlink.channel import GAMMA, propagate
 from hcmlink.equalization import MAX_MATRIX_ORDER
 from hcmlink.errors import ConfigError
 from hcmlink.hadamard import MAX_ORDER_LOG2
-from hcmlink.modem_hcm import levels_from_bits
-from hcmlink.modem_ofdm import qam_symbols
+from hcmlink.modem_hcm import (
+    decode_samples,
+    deinterleave,
+    encode_levels,
+    frame_chips,
+    interleave,
+    levels_from_bits,
+)
+from hcmlink.modem_ofdm import (
+    aco_extract,
+    aco_time_samples,
+    dco_extract,
+    dco_time_samples,
+    qam_fold,
+    qam_symbols,
+)
 
 BENCH_CONFIGS = Path(__file__).resolve().parents[1] / "bench" / "configs"
 
-BASE = """
-p_max_w = 1e-4
-noise_std_w = 2e-6
-power_grid_w = 5e-5
-"""
+BASE = {"p_max_w": "1e-4", "noise_std_w": "2e-6", "power_grid_w": "5e-5"}
 
 
 def _config(**keys) -> str:
-    return "scheme = hcm\n" + BASE + "".join(f"{k} = {v}\n" for k, v in keys.items())
+    """An hcm config text: BASE's keys, each replaced by a key of keys, then the rest."""
+    return "scheme = hcm\n" + "".join(f"{k} = {v}\n" for k, v in {**BASE, **keys}.items())
 
 
 SWEEP_CONFIGS = {
@@ -366,8 +377,10 @@ def test_building_a_config_checks_its_link(link, message):
 
 
 def test_chunk_noise_variance_includes_gamma(monkeypatch):
-    # each chunk's propagate call gets the config's taps and peak, and the
-    # noise variance sigma2_n inflated by the constant pulse-shaping penalty
+    # each row block's propagate call gets the config's taps, and the noise
+    # variance sigma2_n inflated by the constant pulse-shaping penalty; a lone
+    # power runs the whole link in the units of the reference drive, so the
+    # LED's peak and the noise std scale by that drive over the power's
     calls = []
 
     def recorded(samples, h, p_max, noise_var, normals, out=None):
@@ -377,11 +390,15 @@ def test_chunk_noise_variance_includes_gamma(monkeypatch):
     monkeypatch.setattr(harness, "propagate", recorded)
     cfg = harness.parse_config(_config(taps="0.5,0.5", cp_len="1",
                                        max_symbols="300", target_errors="1000000"))
+    ctx = harness._SweepContext(cfg)
+    (point,) = harness._points(ctx, cfg.power_grid)
+    scale = ctx.scheme.reference(cfg) / point.p
     harness.sweep(cfg)
     assert len(calls) == 2
     for h, p_max, noise_var in calls:
-        assert h is cfg.h and p_max == 1e-4
-        assert noise_var == GAMMA * 2e-6**2 == 1.21 * 2e-6**2
+        assert h is cfg.h and p_max == cfg.p_max * scale
+        assert noise_var == cfg.noise_var * scale * scale
+    assert cfg.noise_var == GAMMA * 2e-6**2 == 1.21 * 2e-6**2
 
 
 def test_dco_grid_that_overflows_the_snr_rejected(tmp_path, capsys):
@@ -483,8 +500,8 @@ def test_snr_exits_2_on_bad_scheme_or_order(capsys, args):
 @settings(max_examples=60)
 @given(scheme=st.sampled_from(harness.SCHEMES), k=st.integers(2, 8), data=st.data())
 def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
-    # bits -> tx -> propagate without noise or clipping -> drop the prefix
-    # -> estimate -> decide
+    # bits -> unit waveform -> the whole link at one power (propagate
+    # without noise, nothing clips) -> decide
     n = 1 << k
     hcm = scheme in ("hcm", "dcr-hcm")
     m = data.draw(st.sampled_from([2, 4, 8, 16] if hcm else [4, 16, 64]))
@@ -502,15 +519,19 @@ def test_noiseless_round_trip_returns_the_bits(scheme, k, data):
     avg = 4e-5  # every scheme's peak stays far below p_max
     point = harness.BerPoint(avg_power=avg, p=ctx.scheme.drive(ctx, avg), weights=None,
                              analytical_ber=0.0, snr=0.0)
-    bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol))
-    tx = ctx.scheme.tx(ctx, point, ctx.scheme.unit(ctx, bits))
-    y = propagate(tx, cfg.h, cfg.p_max, 0.0, rng.standard_normal(tx.shape))[:, cp_len:]
-    est = ctx.scheme.estimate(ctx, point, y)
+    bits = rng.integers(0, 2, size=(8, ctx.bits_per_symbol)).astype(np.uint8)
+    unit = ctx.scheme.unit(ctx, bits)
+    normals = rng.standard_normal((8, n + cp_len))
+    ((_, est),) = harness._estimates(ctx, [point], unit, normals)
+    # the slicers' folded forms: (m - 1) u - 1/2, or per QAM axis scale x + offset
+    scale, offset = (m - 1.0, -0.5) if hcm else qam_fold(m)
+    est = (est - offset * (1 if hcm else 1 + 1j)) / scale
     # the estimates are in decision units: the sent PAM levels (after the
     # deinterleaver) or QAM symbols (after the one-tap equalizer), up to the
     # rounding of the length-n transforms, at most 2.7e-14 over 20,000 draws
     sent = levels_from_bits(bits, m, n)[:, 1:] if hcm else qam_symbols(bits, m)
     assert np.abs(est - sent).max() < 1e-13
+    est = est * scale + offset * (1 if hcm else 1 + 1j)
     bits_hat = ctx.scheme.decide(est, m, (ctx.work.idx[:8], ctx.work.bits[:8]))
     assert np.array_equal(bits_hat.reshape(8, -1), bits)
 
@@ -624,8 +645,8 @@ def test_mmse_runs_above_the_search_size_limit(tmp_path, capsys):
 def test_searched_interleaver_beats_identity_under_mmse():
     # what the interleaver search buys on a dispersive link: the MMSE BER
     # falls about fourfold, well outside both 95 % intervals
-    text = ("scheme = dcr-hcm\n" + BASE + "n = 128\ntaps = 0.5,0.3,0.2\ncp_len = 2\n"
-            "equalizer = mmse\ntarget_errors = 400\nmaster_seed = 1\n")
+    text = _config(n=128, taps="0.5,0.3,0.2", cp_len=2, equalizer="mmse", target_errors=400,
+                   master_seed=1).replace("scheme = hcm", "scheme = dcr-hcm")
     (plain,) = harness.sweep(harness.parse_config(text))
     (searched,) = harness.sweep(harness.parse_config(text + "interleaver = search\n"))
     assert searched.ber + searched.ci_95 < plain.ber - plain.ci_95
@@ -792,15 +813,16 @@ def test_row_blocks_count_the_errors_of_one_block(tmp_path, monkeypatch, case):
 @pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
 def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, scheme, m, taps,
                                                                cp_len, seed):
-    # the receiver multiplies the data bins once by c / (p H_k); on the same
-    # received samples it counts the errors of the FFT, the division by H_k,
-    # the factor c and the division by p done one after another
-    received = []
+    # the receiver multiplies the data bins once by c / H_k and scales by the
+    # drive in the per-power sum; on the samples that propagate returns for
+    # the drive's LED input and the block's normals, it counts the errors of
+    # the FFT, the division by H_k, the factor c and the division by p done
+    # one after another
+    normals = []
 
     def recorded(*args, **kwargs):
-        samples = propagate(*args, **kwargs)
-        received.append(samples[:, cp_len:].copy())
-        return samples
+        normals.append(args[4].copy())
+        return propagate(*args, **kwargs)
 
     # a noise variance that leaves 3-15 % of the bits wrong
     noise = (1e-10 if scheme == "aco-ofdm" else 1e-12) * 3 / (m - 1)
@@ -811,9 +833,14 @@ def test_ofdm_chunk_counts_the_errors_of_the_unfolded_receiver(monkeypatch, sche
     stream = (seed, 0, 0, 0)
     monkeypatch.setattr(harness, "propagate", recorded)
     (errors,) = harness._run_chunk(ctx, [point], harness._stream(*stream), 256)
-    (y,) = received
+    (z,) = normals
     bits = analysis._uniform_ints(harness._stream(*stream), 2, (256, ctx.bits_per_symbol))
     step, c = (2, 2.0) if scheme == "aco-ofdm" else (1, 1.0)
+    spectrum = np.zeros((256, cfg.n // 2 + 1), dtype=np.complex128)
+    spectrum[:, 1:cfg.n // 2:step] = qam_symbols(bits, m)
+    x = point.p * np.fft.irfft(spectrum, cfg.n) + (point.avg_power if step == 1 else 0.0)
+    y = propagate(np.hstack([x[:, cfg.n - cp_len:], x]), cfg.h, cfg.p_max, cfg.noise_var,
+                  z)[:, cp_len:]
     data = slice(1, cfg.n // 2, step)
     symbols = c * (np.fft.rfft(y)[:, data] / ctx.gains[data]) / point.p
     want = np.count_nonzero(gray_oracle.qam_bits(symbols, m) != bits)
@@ -900,6 +927,121 @@ def test_ofdm_chunk_counts_the_errors_of_the_paper_link(scheme, m, n, taps, cp_l
     boundaries = np.arange(2 - side, side - 1, 2) / np.sqrt(2.0 * (m - 1) / 3.0)
     values = np.concatenate([est.real.ravel(), est.imag.ravel()])
     assert np.min(np.abs(values[:, None] - boundaries)) > 1e-9
+
+
+def _full_path_estimates(ctx, point, bits, normals):
+    """One power's estimates the way the link runs them, from the public stages: the
+    LED input at drive p, propagate with the limiter and the noise, the receiver at
+    drive p; in the chunk's decision units (the slicer's folded (m - 1) u - 1/2)."""
+    cfg, n, m, cp = ctx.cfg, ctx.cfg.n, ctx.cfg.m, ctx.cfg.cp_len
+    if cfg.scheme in ("aco-ofdm", "dco-ofdm"):
+        aco = cfg.scheme == "aco-ofdm"
+        x = (aco_time_samples if aco else dco_time_samples)(qam_symbols(bits, m), n)
+        x = point.p * x + (0.0 if aco else point.avg_power)
+        y = propagate(np.hstack([x[:, n - cp:], x]), cfg.h, cfg.p_max, cfg.noise_var,
+                      normals)[:, cp:]
+        scale, offset = qam_fold(m)
+        return (aco_extract if aco else dco_extract)(y, point.p * ctx.gains) * scale + offset * (
+            1 + 1j)
+    chips = encode_levels(levels_from_bits(bits, m, n))
+    if cfg.scheme == "dcr-hcm":
+        chips -= chips.min(axis=-1, keepdims=True)
+    if ctx.perm is not None:
+        chips = interleave(chips, ctx.perm)
+    y = propagate(frame_chips(chips, point.p, cp), cfg.h, cfg.p_max, cfg.noise_var,
+                  normals)[:, cp:]
+    if point.weights is not None:
+        y = np.fft.irfft(np.fft.rfft(y) * point.weights.spectrum, n)
+    if ctx.perm is not None:
+        y = deinterleave(y, ctx.perm)
+    v = decode_samples(y, point.p) * (n / point.p)
+    return v[:, 1:] * (m - 1) - 0.5
+
+
+# scheme, m, drive factors of a power that clips no row, one that clips some
+# and one that clips every row, equalizer, interleaved: each HCM receiver, and
+# the OFDM one
+SPLIT_CASES = [
+    *[(scheme, m, factors, equalizer, interleaved)
+      for scheme, m, factors in (("hcm", 4, (0.5, 1.5, 2.0)), ("dcr-hcm", 2, (0.5, 1.0, 2.0)))
+      for equalizer in ("slicer", "mmse") for interleaved in (False, True)],
+    ("aco-ofdm", 16, (0.2, 0.5, 1.0), "slicer", False),
+    ("dco-ofdm", 16, (1.0, 2.0, 4.0), "slicer", False),
+]
+
+
+@pytest.mark.parametrize("taps, cp_len", [([1.0], 0), ([0.5, 0.3, 0.2], 2)],
+                         ids=["flat", "taps"])
+@pytest.mark.parametrize("scheme, m, factors, equalizer, interleaved", SPLIT_CASES,
+                         ids=[f"{c[0]}-{c[3]}{'-interleaver' * c[4]}" for c in SPLIT_CASES])
+def test_split_estimate_is_the_full_paths(tmp_path, scheme, m, factors, equalizer,
+                                           interleaved, taps, cp_len):
+    # each power's estimate equals the one the whole link gives at that drive,
+    # to 1e-12 of the level spacing: from the block's shared terms at a drive
+    # that clips no row, and with its own limiter excess at one that clips
+    # some; a drive that clips every row runs the whole link itself
+    n, k, interleaver = 32, 40, "none"
+    if interleaved:
+        interleaver = tmp_path / "perm.txt"
+        interleaver.write_text("\n".join(map(str, np.random.default_rng(4).permutation(n))))
+    cfg = harness.ExperimentConfig(scheme=scheme, n=n, m=m, p_max=1e-4, sigma2_n=4e-12,
+                                   h=np.array(taps), cp_len=cp_len, equalizer=equalizer,
+                                   interleaver=str(interleaver), calib_symbols=2000)
+    ctx = harness._SweepContext(cfg)
+    avg = 5e-5
+    points = []
+    for factor in factors:
+        p = factor * float(ctx.scheme.drive(ctx, avg))
+        points.append(harness._mmse_point(ctx, avg, p) if equalizer == "mmse"
+                      else harness.BerPoint(avg, p, None, 0.0, 0.0))
+    rng = np.random.default_rng(6)
+    bits = rng.integers(0, 2, size=(k, ctx.bits_per_symbol)).astype(np.uint8)
+    normals = rng.standard_normal((k, n + cp_len))
+    unit = ctx.scheme.unit(ctx, bits)
+    split = {i: est.copy() for i, est in harness._estimates(ctx, points, unit, normals)}
+    assert sorted(split) == [0, 1, 2]
+    clipped = []
+    for i, point in enumerate(points):
+        want = _full_path_estimates(ctx, point, bits, normals)
+        # the level spacing is 1 in the slicers' folded units
+        assert np.abs(split[i] - want).max() <= 1e-12
+        x = ctx.scheme.tx(ctx, point.p, point.avg_power if ctx.scheme.biased else None, unit,
+                          np.empty((k, n + cp_len)))
+        # ACO's zero clip commutes with the drive: only the peak limit clips its rows
+        below = x < 0 if ctx.scheme.biased else False
+        clipped.append(int(np.count_nonzero(np.any((x > cfg.p_max) | below, axis=1))))
+    assert clipped[0] == 0 and 0 < clipped[1] < k and clipped[2] == k
+
+
+def test_a_power_that_clips_no_row_transforms_no_excess(monkeypatch):
+    # per row block: the shared estimate takes one propagate call, and the
+    # limiter's excess one fir call at a power where some rows clip, none at
+    # one where no row does; a power whose every row clips, or the one power
+    # left to share, runs the whole link in a propagate call of its own
+    calls = []
+    real_fir, real_propagate = harness.fir, harness.propagate
+
+    def fir(x, h, out):
+        calls.append("fir")
+        return real_fir(x, h, out)
+
+    def propagate(*args, **kwargs):
+        calls.append("propagate")
+        return real_propagate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "fir", fir)
+    monkeypatch.setattr(harness, "propagate", propagate)
+    cfg = harness.parse_config(SWEEP_CONFIGS["hcm-n32"],
+                               {"max_symbols": "512", "target_errors": "1000000"})
+    ctx = harness._SweepContext(cfg)
+    # in the two chunks' blocks of 256 rows: none, 46 and 51, and every row clip
+    low, mid, high = harness._points(ctx, [2e-5, 7e-5, 1e-4])
+    for points, propagates, firs in (([low], 1, 0), ([high], 1, 0), ([low, high], 2, 0),
+                                     ([low, mid], 1, 1), ([low, mid, high], 2, 1)):
+        calls.clear()
+        for j in range(2):
+            harness._run_chunk(ctx, points, harness._stream(1, 0, j), harness.CHUNK_SYMBOLS)
+        assert (calls.count("propagate"), calls.count("fir")) == (2 * propagates, 2 * firs)
 
 
 def test_analyze_keeps_no_mmse_weights():
