@@ -24,7 +24,15 @@ from .equalization import (
 )
 from .errors import ConfigError, DomainError, SizeError
 from .hadamard import fwht
-from .harness import BerRecord, ExperimentConfig, achievable_snr, parse_config, run_point, sweep
+from .harness import (
+    BerRecord,
+    ExperimentConfig,
+    achievable_snr,
+    parse_config,
+    run_point,
+    snr_configs,
+    sweep,
+)
 from .modem_hcm import deinterleave, interleave
 
 __version__ = "0.1.0"

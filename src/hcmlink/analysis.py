@@ -297,23 +297,23 @@ def _tail_var(mean, std, edge, side):
     mu = mean - edge  # = -z * std, for z = (edge - mean) / std
     r = mu / std
     t = np.asarray(-side * r)
-    far = t > _FAR_TAIL_Z
-    if not far.any():
-        var = (mu * mu + std * std) * qfunc(t) + side * mu * std * _phi(r)
-        return np.maximum(var, 0.0)[()]
-    phi = _phi(t)
+    s2, phi = std * std, _phi(r)
+    near = t <= _FAR_TAIL_Z
+    count = np.count_nonzero(near)
+    if count == near.size:
+        return np.maximum((mu * mu + s2) * qfunc(t) + side * mu * std * phi, 0.0)[()]
     var = np.zeros(t.shape)
-    near = ~far
-    if near.any():  # Q only where it is read: it costs a Python call an element
+    if count:  # Q only where it is read: it costs a Python call an element
         q = np.zeros(t.shape)
         q[near] = qfunc(t[near])
-        np.maximum((mu * mu + std * std) * q + side * mu * std * phi, 0.0, out=var, where=near)
-    live = far & (phi > 0.0)  # beyond, phi underflows and the variance reads 0
+        np.maximum((mu * mu + s2) * q + side * mu * std * phi, 0.0, out=var, where=near)
+    live = ~near & (phi > 0.0)  # beyond, phi underflows and the variance reads 0
     x = t[live]
+    x2 = x * x
     # a row sum, not a matmul: each edge's terms add in the same order in any array
-    terms = np.exp((-0.5 / (x * x))[:, None] * _LAGUERRE_V)
+    terms = np.exp((-0.5 / x2)[:, None] * _LAGUERRE_V)
     terms *= _LAGUERRE_W
-    var[live] = (std * std * phi)[live] / (x * x * x) * terms.sum(-1)
+    var[live] = (s2 * phi)[live] / (x2 * x) * np.add.reduce(terms, -1)
     return var[()]
 
 

@@ -112,17 +112,15 @@ def _cmd_eta(args) -> int:
 def _cmd_snr(args) -> int:
     m_list = _numbers(args.m_list.split(","), int, "--m-list")
     sigma2 = harness._noise_variance(args.noise_std_w)
-    pairs = [(s.strip(), m) for s in args.schemes.split(",") for m in m_list]
-    for scheme, m in pairs:  # every name, order and peak is checked before the first scan
-        harness.ExperimentConfig(scheme=scheme, n=args.n, m=m, p_max=args.p_max_w,
-                                 power_grid=(), sigma2_n=sigma2)
+    schemes = [s.strip() for s in args.schemes.split(",")]
+    # every name, order and peak is checked before the scan
+    configs = harness.snr_configs(schemes, args.p_max_w, sigma2, n=args.n, orders=m_list)
     with _output(args) as out:
-        rows = [(scheme, m, harness.achievable_snr(scheme, args.p_max_w, sigma2, n=args.n, m=m))
-                for scheme, m in pairs]
+        results = harness.achievable_snr(configs)
         out.write("scheme,m,spectral_efficiency,max_snr,best_avg_power_w\n")
-        for scheme, m, res in rows:
+        for cfg, res in zip(configs, results):
             out.write(
-                f"{scheme},{m},{res.spectral_efficiency:.6g},"
+                f"{cfg.scheme},{cfg.m},{res.spectral_efficiency:.6g},"
                 f"{res.max_snr:.6g},{res.best_avg_power:.6g}\n"
             )
     return 0

@@ -13,7 +13,8 @@ chip pmf and the interleaver search draw from the reserved stream keys
 An ExperimentConfig holds the link and the sweep and checks both when it is
 built, so every config the engine sees is valid. Each scheme is one entry
 of the table _SCHEMES: its order check, bits per symbol, calibration, drive
-mapping, analytic SNR and BER, unit waveform and transmit stage, and a
+mapping, analytic SNR (OFDM's through its per-symbol SNR, which no QAM
+order changes) and BER, unit waveform and transmit stage, and a
 receiver: its linear part into decision units (the PAM slicer's or QAM
 slicer's folded form, the level index less half a step), an MMSE filter
 after it, and a decision that slices the estimates to bits. The engine
@@ -358,9 +359,8 @@ def _check_dco(cfg: ExperimentConfig):
 
 
 def _dcr_pmf(ctx: "_SweepContext"):
-    cfg, rng = ctx.cfg, ctx.calib_rng
-    if rng is None:
-        rng = _stream(cfg.master_seed, 1, 0)
+    cfg, seed = ctx.cfg, ctx.calib_seed
+    rng = _stream(cfg.master_seed, 1, 0) if seed is None else np.random.default_rng(seed)
     return dcr_amplitude_pmf(cfg.n, cfg.m, cfg.calib_symbols, rng)
 
 
@@ -465,9 +465,9 @@ def _ofdm_tx(ctx: "_SweepContext", p: float, bias, unit: np.ndarray,
     return out
 
 
-def _qam_snr(ctx: "_SweepContext", avg, es_snr: Callable):
-    """Square QAM's squared Q-argument per axis, 3 Es / (M - 1), at symbol SNR es_snr."""
-    return 3.0 * es_snr(avg, ctx.cfg.n, ctx.cfg.p_max, ctx.cfg.noise_var) / (ctx.cfg.m - 1.0)
+def _qam_snr(es, m: int):
+    """Square M-QAM's squared Q-argument per axis, 3 Es / (M - 1), at symbol SNR es."""
+    return 3.0 * es / (m - 1.0)
 
 
 def _ofdm_whole(ctx: "_SweepContext", received: np.ndarray, extract: Callable) -> np.ndarray:
@@ -504,6 +504,9 @@ class _Scheme:
     # drive, snr and ber take a scalar or an array (of powers; ber of SNRs)
     drive: Callable  # (ctx, avg): unclipped peak (HCM family) or waveform scale (OFDM)
     snr: Callable  # (ctx, avg): squared Q-argument of the dominant error event
+    # (cfg, avg): OFDM's per-symbol SNR, which its snr scales by the QAM order alone, so
+    # one scan serves every order; None for the HCM family, whose chip pmf depends on m
+    es_snr: Callable | None
     ber: Callable  # (snr, m): analytic bit error rate
     unit: Callable  # (ctx, bits): the waveform at unit drive, in the chunk buffer unit;
     # the LED input at drive p is unit * (p * gain(n)), plus the average power if biased
@@ -538,6 +541,7 @@ _HCM = _Scheme(
     # the per-symbol chip mean is exactly (n-1)/2 for every frame
     drive=lambda ctx, avg: hcm_drive_peak(avg, ctx.cfg.n),
     snr=_hcm_snr,
+    es_snr=None,
     ber=lambda snr, m: analysis.pam_ber(snr, m),
     unit=_hcm_unit,
     gain=lambda n: 1.0 / n,
@@ -556,7 +560,8 @@ _ACO = _Scheme(
     data_count=lambda n: aco_data_count(n),
     calibrate=lambda ctx: None,
     drive=lambda ctx, avg: analysis.aco_scale(avg, ctx.cfg.n),
-    snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.aco_es_snr),
+    snr=lambda ctx, avg: _qam_snr(ctx.scheme.es_snr(ctx.cfg, avg), ctx.cfg.m),
+    es_snr=lambda cfg, avg: analysis.aco_es_snr(avg, cfg.n, cfg.p_max, cfg.noise_var),
     ber=lambda snr, m: analysis.pam_ber(snr, math.isqrt(m)),  # Gray QAM: PAM per axis
     unit=lambda ctx, bits: _ofdm_unit(ctx, bits, aco_time_samples),
     gain=lambda n: 1.0,
@@ -584,7 +589,7 @@ _SCHEMES = {
         check=_check_dco,
         data_count=lambda n: dco_data_count(n),
         drive=lambda ctx, avg: analysis.dco_scale(avg, ctx.cfg.n, ctx.cfg.p_max),
-        snr=lambda ctx, avg: _qam_snr(ctx, avg, analysis.dco_es_snr),
+        es_snr=lambda cfg, avg: analysis.dco_es_snr(avg, cfg.n, cfg.p_max, cfg.noise_var),
         unit=lambda ctx, bits: _ofdm_unit(ctx, bits, dco_time_samples),
         whole=lambda ctx, received: _ofdm_whole(ctx, received, dco_extract),
         share=lambda ctx, received, z: _ofdm_share(ctx, received, z, dco_extract),
@@ -646,15 +651,16 @@ class _SweepContext:
 
     Every value beyond the sizes is built on its first read. perm is read only
     by gathers, which the HCM chunk stages read, and _mmse_point, so a slicer's
-    analyze never searches; calib_rng (None: the reserved stream) only by _dcr_pmf.
+    analyze never searches; calib_seed (None: the reserved stream) only by _dcr_pmf,
+    which seeds its generator then (14 us, which no other scheme pays).
     """
 
-    def __init__(self, cfg: ExperimentConfig, calib_rng: np.random.Generator | None = None):
+    def __init__(self, cfg: ExperimentConfig, calib_seed: int | None = None):
         self.cfg = cfg
         self.scheme = _SCHEMES[cfg.scheme]
         self.decision_shape = self.scheme.data_count(cfg.n), int(math.log2(cfg.m))
         self.bits_per_symbol = math.prod(self.decision_shape)
-        self.calib_rng = calib_rng
+        self.calib_seed = calib_seed
 
     @cached_property
     def work(self) -> _ChunkBuffers:
@@ -914,15 +920,36 @@ def analyze(cfg: ExperimentConfig) -> list:
                     _points(_SweepContext(cfg), cfg.power_grid)))
 
 
-def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int) -> AchievableSnr:
-    """Scan average power over (0, p_max] and return the best per-point SNR.
+def snr_configs(schemes, p_max: float, sigma2_n: float, *, n: int, orders) -> list:
+    """The configs achievable_snr scans, one per scheme of schemes and order of orders
+    in that order: the link at n, p_max and sigma2_n, an empty power grid and 30,000
+    calibration frames.
 
-    The grid is log-spaced from p_max/100 with 200 points and scored in one
-    array pass. p_max, m and sigma2_n are checked as a config's
-    (ConfigError): p_max lies in [MIN_POWER_W, MAX_POWER_W], where no
-    squared amplitude of the scan overflows. The grid's low end may fall
+    Building them checks every scheme, order, p_max and sigma2_n as a
+    config's (ConfigError; an unknown scheme is a DomainError): p_max lies
+    in [MIN_POWER_W, MAX_POWER_W], where no squared amplitude of the scan
+    overflows.
+    """
+    for scheme in schemes:
+        if scheme not in _SCHEMES:
+            raise DomainError(f"unknown scheme {scheme!r}")
+    return [ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
+                             sigma2_n=sigma2_n, calib_symbols=30_000)
+            for scheme in schemes for m in orders]
+
+
+def achievable_snr(configs) -> list:
+    """Scan average power over (0, p_max] and return each config's best per-point SNR.
+
+    Each config's grid is log-spaced from p_max/100 with 200 points, scored
+    in array passes; the configs of one p_max share it. The HCM family scans
+    each config, as its chip pmf depends on m. An OFDM scheme's per-symbol
+    SNR depends on the link alone (n, p_max, sigma2_n), so it is scanned
+    once per scheme and link, and each QAM order scales it by 3 / (M - 1)
+    (_qam_snr): the same floats, and so the same best power, as the order's
+    own scan. Nothing is kept after the call. The grid's low end may fall
     below MIN_POWER_W: the Gaussian z quotients depend only on the ratio of
-    a power to p_max, at most 100 here, so they stay finite too.
+    a power to p_max, at most 100 here, so they stay finite.
 
     max_snr is the squared Q-argument of the scheme's analytic BER times its
     peak_snr_factor: 4x for hcm and dcr-hcm, the squared ratio of the PAM
@@ -930,23 +957,30 @@ def achievable_snr(scheme: str, p_max: float, sigma2_n: float, *, n: int, m: int
     decision distance is half the unipolar grid's peak), and 1x for the
     OFDM schemes.
     The noise variance is channel.GAMMA * sigma2_n, as in a config. The
-    dcr-hcm chip pmf is a Monte-Carlo estimate over 30,000 frames drawn
-    from np.random.default_rng(0x5EED); dco-ofdm's AC std is its headroom
-    over the constant analysis.DCO_HEADROOM_FACTOR.
+    dcr-hcm chip pmf is a Monte-Carlo estimate over calib_symbols frames
+    drawn from np.random.default_rng(0x5EED); dco-ofdm's AC std is its
+    headroom over the constant analysis.DCO_HEADROOM_FACTOR.
     """
-    if scheme not in _SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}")
-    cfg = ExperimentConfig(scheme=scheme, n=n, m=m, p_max=p_max, power_grid=np.array([]),
-                           sigma2_n=sigma2_n, calib_symbols=30_000)
-    ctx = _SweepContext(cfg, np.random.default_rng(0x5EED))
-    grid = np.geomspace(p_max * 1e-2, p_max, 200)
-    snrs = ctx.scheme.peak_snr_factor * ctx.scheme.snr(ctx, grid)
-    best = int(np.argmax(snrs))
-    return AchievableSnr(
-        spectral_efficiency=ctx.bits_per_symbol / n,
-        max_snr=float(snrs[best]),
-        best_avg_power=float(grid[best]),
-    )
+    grids = {p: np.geomspace(p * 1e-2, p, 200) for p in {cfg.p_max for cfg in configs}}
+    es_scans, rows = {}, []
+    for cfg in configs:
+        ctx, grid = _SweepContext(cfg, calib_seed=0x5EED), grids[cfg.p_max]
+        scheme = ctx.scheme
+        if scheme.es_snr is None:
+            snrs = scheme.snr(ctx, grid)
+        else:
+            link = cfg.scheme, cfg.n, cfg.p_max, cfg.sigma2_n
+            if link not in es_scans:
+                es_scans[link] = scheme.es_snr(cfg, grid)
+            snrs = _qam_snr(es_scans[link], cfg.m)
+        snrs = scheme.peak_snr_factor * snrs
+        best = int(np.argmax(snrs))
+        rows.append(AchievableSnr(
+            spectral_efficiency=ctx.bits_per_symbol / cfg.n,
+            max_snr=float(snrs[best]),
+            best_avg_power=float(grid[best]),
+        ))
+    return rows
 
 
 def _fmt(x: float) -> str:

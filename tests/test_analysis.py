@@ -22,7 +22,7 @@ from hcmlink.analysis import (
 from hcmlink.channel import GAMMA
 from hcmlink.errors import DomainError
 from hcmlink.hadamard import MAX_ORDER_LOG2
-from hcmlink.harness import _SCHEMES, MAX_POWER_W, achievable_snr
+from hcmlink.harness import _SCHEMES, MAX_POWER_W, achievable_snr, snr_configs
 from hcmlink.modem_hcm import encode_levels
 from hcmlink.modem_ofdm import aco_data_count, aco_time_samples, qam_symbols
 
@@ -470,7 +470,7 @@ class TestAnalyticalBer:
 
     def test_peak_snr_is_four_times_decision_snr(self):
         # achievable_snr reports 4x the squared Q-argument for hcm
-        res = achievable_snr("hcm", 1e-4, 1e-12, n=64, m=2)
+        res = achievable_snr(snr_configs(["hcm"], 1e-4, 1e-12, n=64, orders=[2]))[0]
         p = analysis.hcm_drive_peak(res.best_avg_power, 64)
         clip = clipping_variance_discrete(hcm_amplitude_pmf(64, 2), p, 64, 1e-4)
         want = 4 * hcm_snr(2, 64, p, GAMMA * 1e-12, clip)
@@ -622,7 +622,7 @@ class TestAchievableSnr:
     def test_no_clip_regime_peaks_at_grid_boundary(self):
         # cap the scan at half the limiter: clipping never engages and the
         # SNR is monotone in power, so the optimum sits on the boundary
-        res = achievable_snr("hcm", 1e-4, 4e-12, n=64, m=2)
+        res = achievable_snr(snr_configs(["hcm"], 1e-4, 4e-12, n=64, orders=[2]))[0]
         grid_capped = np.geomspace(1e-6, 5e-5, 50)
         pmf = hcm_amplitude_pmf(64, 2)
         snrs = [
@@ -635,13 +635,13 @@ class TestAchievableSnr:
 
     def test_dcr_dominates_hcm(self):
         s2 = (0.5e-6) ** 2
-        hcm = achievable_snr("hcm", 1e-4, s2, n=64, m=2)
-        dcr = achievable_snr("dcr-hcm", 1e-4, s2, n=64, m=2)
+        hcm = achievable_snr(snr_configs(["hcm"], 1e-4, s2, n=64, orders=[2]))[0]
+        dcr = achievable_snr(snr_configs(["dcr-hcm"], 1e-4, s2, n=64, orders=[2]))[0]
         assert dcr.max_snr >= hcm.max_snr
 
     def test_grid_scan_close_to_fine_scan(self):
         s2 = (0.5e-6) ** 2
-        coarse = achievable_snr("aco-ofdm", 1e-4, s2, n=128, m=16)
+        coarse = achievable_snr(snr_configs(["aco-ofdm"], 1e-4, s2, n=128, orders=[16]))[0]
         # the same per-point SNR on a 2,000-point grid
         cfg = harness.ExperimentConfig(scheme="aco-ofdm", n=128, m=16, p_max=1e-4, sigma2_n=s2)
         ctx = harness._SweepContext(cfg)
@@ -655,4 +655,4 @@ class TestAchievableSnr:
 
     def test_unknown_scheme(self):
         with pytest.raises(DomainError):
-            achievable_snr("qam", 1e-4, 1e-12, n=128, m=2)
+            achievable_snr(snr_configs(["qam"], 1e-4, 1e-12, n=128, orders=[2]))[0]

@@ -256,14 +256,47 @@ SNR_ROWS = {
         "dco-ofdm,4,0.984375,232.7,4.99451e-05",
         "dco-ofdm,16,1.96875,46.54,4.99451e-05",
     ],
+    ("--schemes", "aco-ofdm,dco-ofdm", "--m-list", "4,16,64,256,1024", "--n", "1024"): [
+        "aco-ofdm,4,0.5,1277.77,1.18953e-05",
+        "aco-ofdm,16,1,255.554,1.18953e-05",
+        "aco-ofdm,64,1.5,60.8462,1.18953e-05",
+        "aco-ofdm,256,2,15.0326,1.18953e-05",
+        "aco-ofdm,1024,2.5,3.74713,1.18953e-05",
+        "dco-ofdm,4,0.998047,229.512,4.99451e-05",
+        "dco-ofdm,16,1.99609,45.9025,4.99451e-05",
+        "dco-ofdm,64,2.99414,10.9292,4.99451e-05",
+        "dco-ofdm,256,3.99219,2.70015,4.99451e-05",
+        "dco-ofdm,1024,4.99023,0.673057,4.99451e-05",
+    ],
 }
 
 
-@pytest.mark.parametrize("args", list(SNR_ROWS), ids=["defaults", "ofdm"])
+@pytest.mark.parametrize("args", list(SNR_ROWS), ids=["defaults", "ofdm", "ofdm-orders"])
 def test_snr_output_is_frozen(capsys, args):
     assert cli.main(["snr", *args]) == 0
     header = "scheme,m,spectral_efficiency,max_snr,best_avg_power_w"
     assert capsys.readouterr().out.splitlines() == [header, *SNR_ROWS[args]]
+
+
+def test_ofdm_snr_scans_es_once_per_scheme(capsys, monkeypatch):
+    # a QAM order only scales an OFDM scheme's per-symbol SNR, so one scan of
+    # each scheme serves all its orders, and prints each order's own rows
+    calls = {"aco_es_snr": 0, "dco_es_snr": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(analysis, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(analysis, name, counted)
+    orders = ["4", "16", "64", "256"]
+    argv = ["snr", "--schemes", "aco-ofdm,dco-ofdm", "--n", "128"]
+    assert cli.main([*argv, "--m-list", ",".join(orders)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert calls == {"aco_es_snr": 1, "dco_es_snr": 1}
+    alone = {}
+    for m in orders:
+        assert cli.main([*argv, "--m-list", m]) == 0
+        alone[m] = capsys.readouterr().out.splitlines()
+    assert rows == alone["4"][:1] + [alone[m][1 + i] for i in range(2) for m in orders]
 
 
 def test_negative_noise_std_rejected():
@@ -542,7 +575,8 @@ def test_achievable_snr_scans_the_point_snr():
     ctx = harness._SweepContext(cfg)
     grid = np.geomspace(1e-6, 1e-4, 200)
     want = max(4.0 * ctx.scheme.snr(ctx, float(a)) for a in grid)
-    got = harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=cfg.m)
+    configs = harness.snr_configs(["hcm"], 1e-4, 1e-12, n=16, orders=[cfg.m])
+    got, = harness.achievable_snr(configs)
     assert got.max_snr == want
     assert got.spectral_efficiency == 15 / 16
 
@@ -667,7 +701,7 @@ def test_context_builds_only_what_its_scheme_reads(monkeypatch):
     assert calls == {"one_tap_gains": 1, "interference_matrix": 0}
     harness.sweep(mmse)
     assert calls == {"one_tap_gains": 2, "interference_matrix": 0}
-    harness.achievable_snr("hcm", 1e-4, 1e-12, n=16, m=2)
+    harness.achievable_snr(harness.snr_configs(["hcm"], 1e-4, 1e-12, n=16, orders=[2]))
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["hcm-n32"]))
     assert calls == {"one_tap_gains": 2, "interference_matrix": 0}
     harness.sweep(harness.parse_config(SWEEP_CONFIGS["aco-ofdm-n32"]))
@@ -702,7 +736,7 @@ def test_setup_builds_only_what_each_command_reads(monkeypatch, name, counts):
     overrides = dict([override.split("=")]) if override else None
     cfg = harness.parse_config(SWEEP_CONFIGS[base], overrides)
     commands = (harness.analyze, harness.sweep, lambda cfg: harness.achievable_snr(
-        cfg.scheme, cfg.p_max, cfg.sigma2_n, n=cfg.n, m=cfg.m))
+        harness.snr_configs([cfg.scheme], cfg.p_max, cfg.sigma2_n, n=cfg.n, orders=[cfg.m])))
     for command, want in zip(commands, counts):
         calls.clear()
         command(cfg)
