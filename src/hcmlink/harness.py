@@ -16,20 +16,28 @@ of the table _SCHEMES: its order check, bits per symbol, calibration, drive
 mapping, analytic SNR (OFDM's through its per-symbol SNR, which no QAM
 order changes) and BER, unit waveform and transmit stage, and a
 receiver: its linear part into decision units (the PAM slicer's or QAM
-slicer's folded form, the level index less half a step), an MMSE filter
-after it, and a decision that slices the estimates to bits. The engine
-itself names no scheme. The entries call other modules through this
-module's globals at call time, never stored function objects, so a wrapper
-on a module attribute sees every call. dco-ofdm is aco-ofdm's entry with
-its own layout, drive, SNR and bias. ACO's zero clip commutes with a
-positive drive: the powers that share a block's estimate take it on the
-unit waveform, and propagate's LED limiter makes it for the others.
+slicer's folded form, the level index less half a step), the rest of it,
+which depends on the drive (finish), a decision that slices the estimates
+to bits, and the analytic column that models it. The entries call other
+modules through this module's globals at call time, never stored function
+objects, so a wrapper on a module attribute sees every call. dco-ofdm is
+aco-ofdm's entry with its own layout, drive, SNR and bias. ACO's zero clip
+commutes with a positive drive: the powers that share a block's estimate
+take it on the unit waveform, and propagate's LED limiter makes it for the
+others.
+
+Each receiver is one entry too: _SCHEMES holds the slicers', and _MMSE
+hcm's and dcr-hcm's with the Wiener filter's chunk stages and analytic
+column. _receiver looks a config's entry up by scheme and equalizer (a
+pair with no entry is a config error); past it the engine names no scheme
+and no equalizer.
 
 Analytic columns: analyze, sweep and a lone run_point score their whole
-power grid in one pass of _points, which calls the slicer's drive, snr and
-ber once each, on the array. MMSE builds one filter per power, when that
-point is taken: analyze drops it before the next, one O(N) filter at a
-time, and a sweep, which runs its powers side by side, when it returns.
+power grid in one pass of _points, which calls the entry's drive once, on
+the array, and its column. The slicer's column calls snr and ber once
+each, on the array. MMSE's builds one filter per power, when that point is
+taken: analyze drops it before the next, one O(N) filter at a time, and a
+sweep, which runs its powers side by side, when it returns.
 
 Chunk path: the LED limiter is the link's one nonlinearity, and every
 receiver is linear after it (the fwht decode, the Wiener filter, the
@@ -44,9 +52,10 @@ unclipped LED and the noise, and once through the receiver's linear part,
 and so do its standard normals. Each of them then costs one scaled add of
 the two, the limiter's excess through the taps and the receiver on the
 rows from the first to the last that clip at its drive (none if no row
-does), and the decision. MMSE shares the received samples: its filter
-depends on the drive, so the FFT, filter, inverse FFT, deinterleaver and
-decode run per power.
+does), and the decision. The MMSE receiver's linear part is the
+identity: it shares the received samples, and as its Wiener filter
+depends on the drive, the FFT, filter, inverse FFT, deinterleaver and
+decode run per power (finish).
 
 Chunk buffers: a sweep owns one _ChunkBuffers, allocated on its first
 chunk: the chunk's payload bits, one byte each, and one row block of at
@@ -65,9 +74,7 @@ draw per bit. The buffers matter because a chunk array at N=128 is 256
 KiB, above glibc's initial mmap threshold of 128 KiB: without the buffers
 each chunk allocated about ten of them, each mapped fresh from the kernel
 and page-faulted in unless a block of 4 MiB or more had been freed earlier
-in the process (as the old 4 MiB DCR calibration blocks did). On a 2-core
-host an hcm sweep at N=128 then took 132-162 ms against 87-92 ms after
-such a free.
+in the process, so a sweep's speed hung on what the process had freed.
 
 The average-power axis is the nominal drive average, i.e. the mean optical
 power of the waveform before the peak-power limiter. This is the
@@ -80,7 +87,8 @@ import csv
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -152,17 +160,12 @@ class ExperimentConfig:
     at every order, so analysis carries no guard against their overflow.
 
     dcr-hcm calibrates its chip pmf on calib_symbols frames of N chips, so its
-    set-up grows with N: with the default 20,000 frames, `hcmlink analyze` of
-    one power takes 2.7 s at N = 2^14 and 9.4 s at N = 2^16, at 38 MiB peak
-    RSS (2-core Xeon, 1 BLAS thread). A chunk's float arrays stop growing at
-    N = 256, and its payload takes a byte a bit (see _ChunkBuffers): `hcmlink
-    simulate` of one power's 256-symbol chunk at N = 2^16 takes 2.7-3.3 s at
-    60 MiB for hcm, 1.9-2.1 s at 60 MiB for dcr-hcm with calib_symbols =
-    2000 and 1.0-1.2 s at 76 MiB for dco-ofdm (2-core host, 2 BLAS threads):
-    a lone power runs the whole link, one transform a block. Four aco-ofdm
-    powers on three taps, every row clipping, take 1.9-2.0 s at 51 MiB. The
-    MMSE equalizer adds, per power, the O(N^2) error diagonal of
-    equalization.mmse_weights (timed there).
+    set-up grows as calib_symbols N log N, in the memory of one calibration
+    block. A chunk's float arrays stop growing past N = 256, and its payload
+    takes a byte a bit (see _ChunkBuffers), so a simulate's memory stops
+    growing with N there too; a lone power runs the whole link, one
+    transform a block. The MMSE receiver adds, per power, the O(N^2) error
+    diagonal of equalization.mmse_weights.
     """
 
     scheme: str
@@ -210,7 +213,7 @@ class ExperimentConfig:
             raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.cp_len >= self.n:
             raise ConfigError("cp_len must be in [0, n)")
-        if self.equalizer not in ("slicer", "mmse"):
+        if self.equalizer not in _RECEIVERS:
             raise ConfigError(f"equalizer must be slicer or mmse, got {self.equalizer!r}")
         if self.equalizer == "mmse" and self.sigma2_n == 0:
             # without noise the MMSE filter is 0/0 at a channel null
@@ -218,7 +221,7 @@ class ExperimentConfig:
         if self.n > MAX_MATRIX_ORDER and self.interleaver == "search":
             raise ConfigError(
                 f"the interleaver search supports n <= {MAX_MATRIX_ORDER}, got {self.n}")
-        _SCHEMES[self.scheme].check(self)
+        _receiver(self).check(self)
         if self.interleaver not in ("none", "search"):  # a permutation file
             load_permutation(self.interleaver, self.n)
 
@@ -345,8 +348,6 @@ def _stream(master_seed: int, *key) -> np.random.Generator:
 
 def _check_ofdm(cfg: ExperimentConfig):
     _check_qam_order(cfg.m)
-    if cfg.equalizer == "mmse":
-        raise ConfigError("mmse equalization applies to hcm/dcr-hcm only")
     if cfg.interleaver != "none":
         raise ConfigError("interleaving applies to hcm/dcr-hcm only")
 
@@ -388,65 +389,55 @@ def _hcm_unit(ctx: "_SweepContext", bits: np.ndarray, reduce_dc: bool = False) -
     return chips
 
 
-def _hcm_decode(ctx: "_SweepContext", y: np.ndarray, offset: float, out: np.ndarray):
-    """decode_samples(deinterleaved y, offset) into out, which may not overlap y."""
-    if ctx.gathers is not None:
-        y = np.take(y, ctx.gathers[1], axis=-1, out=out, mode="clip")
-    return decode_samples(y, offset, out=out)
+def _deinterleaved(ctx: "_SweepContext", y: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y deinterleaved into out, which may not overlap it; y itself with no interleaver."""
+    return y if ctx.gathers is None else np.take(y, ctx.gathers[1], axis=-1, out=out, mode="clip")
 
 
-def _hcm_received(ctx: "_SweepContext", y: np.ndarray, offset: float, out: np.ndarray):
-    """The data components of decode_samples(deinterleaved y, offset), copied into out."""
-    np.copyto(out, _hcm_decode(ctx, y, offset, _rows(ctx.work.tx, len(y), ctx.cfg.n))[:, 1:])
+def _hcm_received(ctx: "_SweepContext", y: np.ndarray, offset: float, buf: np.ndarray):
+    """The data components of decode_samples(deinterleaved y, offset), copied to the
+    start of buffer buf; tx is the decode's scratch."""
+    out, v = _rows(buf, len(y), ctx.cfg.n - 1), _rows(ctx.work.tx, len(y), ctx.cfg.n)
+    np.copyto(out, decode_samples(_deinterleaved(ctx, y, v), offset, out=v)[:, 1:])
     return out
 
 
 def _hcm_whole(ctx: "_SweepContext", received: np.ndarray) -> np.ndarray:
     # at the reference drive N (m - 1) the decoded data components, offset by
     # the drive N (m - 2), are (m - 1) u - 1/2, the slicer's folded form
-    cfg, r = ctx.cfg, len(received)
-    if cfg.equalizer == "mmse":  # the filter reads the received samples (finish)
-        return received
-    out = _rows(ctx.work.levels, r, cfg.n - 1)
-    return _hcm_received(ctx, received, cfg.n * (cfg.m - 2.0), out)
+    return _hcm_received(ctx, received, ctx.cfg.n * (ctx.cfg.m - 2.0), ctx.work.levels)
 
 
 def _hcm_share(ctx: "_SweepContext", received: np.ndarray, z: np.ndarray) -> tuple:
-    cfg, work, r, n = ctx.cfg, ctx.work, len(received), ctx.cfg.n
-    if cfg.equalizer == "mmse":  # the drive-dependent filter comes after the sum
-        shared = work.chips[:r]
-        np.copyto(shared, received)
-        return shared, z, work.levels[:r]
-    shared = _hcm_received(ctx, received, n * (cfg.m - 2.0), _rows(work.chips, r, n - 1))
-    noise = _hcm_received(ctx, z, 0.0, _rows(work.levels, r, n - 1))
-    return shared, noise, _rows(work.normals, r, n - 1)
+    cfg, work = ctx.cfg, ctx.work
+    shared = _hcm_received(ctx, received, cfg.n * (cfg.m - 2.0), work.chips)
+    noise = _hcm_received(ctx, z, 0.0, work.levels)
+    return shared, noise, _rows(work.normals, len(z), cfg.n - 1)
 
 
 def _hcm_excess(ctx: "_SweepContext", payload: np.ndarray) -> np.ndarray:
-    cfg, r = ctx.cfg, len(payload)
-    out = _rows(ctx.work.tx, r, cfg.n)  # the framed excess has been through the taps
-    if cfg.equalizer == "mmse":
-        return np.multiply(payload, cfg.m - 1.0, out=out)
-    if ctx.gathers is not None:
-        payload = np.take(payload, ctx.gathers[1], axis=-1, out=out, mode="clip")
+    cfg = ctx.cfg
+    out = _rows(ctx.work.tx, len(payload), cfg.n)  # the framed excess has been through the taps
     # decode_samples without its offset: B y / N, here times m - 1
-    v = fwht(payload, out=out)
+    v = fwht(_deinterleaved(ctx, payload, out), out=out)
     v *= (cfg.m - 1.0) / cfg.n
     return v[:, 1:]
 
 
-def _hcm_finish(ctx: "_SweepContext", point: BerPoint, est: np.ndarray) -> np.ndarray:
-    cfg, work, r = ctx.cfg, ctx.work, len(est)
-    if cfg.equalizer != "mmse":
-        return est
-    # MMSE: the Wiener filter on the received chips, then the slicer's decode
-    spec = np.fft.rfft(est, out=work.spec[:r])
+def _mmse_share(ctx: "_SweepContext", received: np.ndarray, z: np.ndarray) -> tuple:
+    # the drive-dependent filter comes after the sum (finish)
+    shared = ctx.work.chips[:len(received)]
+    np.copyto(shared, received)
+    return shared, z, ctx.work.levels[:len(received)]
+
+
+def _mmse_finish(ctx: "_SweepContext", point: BerPoint, est: np.ndarray) -> np.ndarray:
+    # the Wiener filter on the received chips, then the slicer's whole receiver; the
+    # filter has read the sum in levels when the estimates overwrite it
+    r, n = len(est), ctx.cfg.n
+    spec = np.fft.rfft(est, out=ctx.work.spec[:r])
     spec *= point.weights.spectrum
-    y = np.fft.irfft(spec, cfg.n, out=_rows(work.tx, r, cfg.n))
-    v = _hcm_decode(ctx, y, cfg.n * (cfg.m - 2.0), _rows(work.rx, r, cfg.n))
-    out = _rows(work.levels, r, cfg.n - 1)  # the sum, read by the filter already
-    np.copyto(out, v[:, 1:])
-    return out
+    return _hcm_whole(ctx, np.fft.irfft(spec, n, out=_rows(ctx.work.rx, r, n)))
 
 
 def _ofdm_unit(ctx: "_SweepContext", bits: np.ndarray, time_samples: Callable) -> np.ndarray:
@@ -494,9 +485,15 @@ def _ofdm_excess(ctx: "_SweepContext", payload: np.ndarray, extract: Callable) -
         work.spec[:r], _rows(work.rx, r, ctx.decision_shape[0], np.complex128)))
 
 
+def _slicer_column(ctx: "_SweepContext", grid: np.ndarray, drives: list):
+    snr = ctx.scheme.snr(ctx, grid)
+    return map(BerPoint, grid.tolist(), drives, repeat(None),
+               ctx.scheme.ber(snr, ctx.cfg.m).tolist(), snr.tolist())
+
+
 @dataclass(frozen=True)
 class _Scheme:
-    """Everything the harness knows about one scheme (see the module docstring)."""
+    """Everything the harness knows about one scheme and receiver (module docstring)."""
 
     check: Callable  # (cfg): PAM/QAM order and scheme limits; raises ConfigError
     data_count: Callable  # (n): PAM levels or QAM symbols per symbol
@@ -518,15 +515,19 @@ class _Scheme:
     # bias, cyclic prefix included, in out, a C-contiguous float64 array
     whole: Callable  # (ctx, received): a whole link's payload received in the units of
     # the reference drive through the receiver's linear part, in a buffer the unit
-    # waveform and the normals do not use (MMSE: the received samples, for finish)
+    # waveform and the normals do not use (MMSE's linear part is the identity)
     share: Callable  # (ctx, received, z): the payload received at the reference drive
     # and the block's standard normals through the receiver's linear part: (shared,
     # noise, sum), the sum a C-contiguous scratch of their shape
     excess: Callable  # (ctx, payload): the payload of unit minus its clip to a drive's
     # limiter edges, after the taps, through that linear part, times reference * gain
-    finish: Callable  # (ctx, point, sum): the estimates the decision reads
+    finish: Callable  # (ctx, point, sum): the rest of the receiver, which depends on the
+    # drive (MMSE's Wiener filter, deinterleaver and decode; the slicers' identity)
     decide: Callable  # (estimates, m, out): their bits, written to the pair out = (indices,
     # bits); the estimates, in the folded form, serve as scratch
+    # (ctx, grid, drives): each power's BerPoint in grid order, lazily; the slicers'
+    # calls snr and ber once each on the grid, MMSE's builds a filter a point
+    column: Callable = _slicer_column
     biased: bool = False  # the LED input rides on the average power (DCO)
     # the LED's zero clip commutes with a positive drive (ACO), so the powers that share
     # take it on the unit waveform
@@ -550,7 +551,7 @@ _HCM = _Scheme(
     whole=_hcm_whole,
     share=_hcm_share,
     excess=_hcm_excess,
-    finish=_hcm_finish,
+    finish=lambda ctx, point, est: est,
     decide=lambda est, m, out: slice_levels(est, m, out=out)[1],
     peak_snr_factor=4.0,
 )
@@ -599,6 +600,28 @@ _SCHEMES = {
     ),
 }
 SCHEMES = tuple(_SCHEMES)
+# the HCM family with the MMSE receiver (module docstring); ExperimentConfig has
+# checked that there is noise, which the filter divides by
+_MMSE = {name: replace(
+    _SCHEMES[name],
+    whole=lambda ctx, received: received,
+    share=_mmse_share,
+    # the framed excess has been through the taps
+    excess=lambda ctx, payload: np.multiply(payload, ctx.cfg.m - 1.0,
+                                            out=_rows(ctx.work.tx, len(payload), ctx.cfg.n)),
+    finish=_mmse_finish,
+    column=lambda ctx, grid, drives: map(partial(_mmse_point, ctx), grid.tolist(), drives),
+) for name in ("hcm", "dcr-hcm")}
+_RECEIVERS = {"slicer": _SCHEMES, "mmse": _MMSE}
+
+
+def _receiver(cfg: ExperimentConfig) -> _Scheme:
+    """cfg's entry: its scheme's, with the receiver its equalizer names; ConfigError if
+    the equalizer has none for the scheme."""
+    entries = _RECEIVERS[cfg.equalizer]
+    if cfg.scheme not in entries:
+        raise ConfigError(f"{cfg.equalizer} equalization applies to {'/'.join(entries)} only")
+    return entries[cfg.scheme]
 
 
 class _ChunkBuffers:
@@ -649,15 +672,17 @@ class _ChunkBuffers:
 class _SweepContext:
     """Per-sweep precomputation shared by all power points; the channel is cfg.h.
 
-    Every value beyond the sizes is built on its first read. perm is read only
-    by gathers, which the HCM chunk stages read, and _mmse_point, so a slicer's
-    analyze never searches; calib_seed (None: the reserved stream) only by _dcr_pmf,
-    which seeds its generator then (14 us, which no other scheme pays).
+    scheme is cfg's entry, looked up once (_receiver). Every value beyond it
+    and the sizes is built on its first read. perm is read only by gathers,
+    which the HCM chunk stages read, and by the MMSE entry's analytic column,
+    so a slicer's analyze never searches; calib_seed (None: the reserved
+    stream) only by _dcr_pmf, which seeds its generator then, so no other
+    scheme builds one.
     """
 
     def __init__(self, cfg: ExperimentConfig, calib_seed: int | None = None):
         self.cfg = cfg
-        self.scheme = _SCHEMES[cfg.scheme]
+        self.scheme = _receiver(cfg)
         self.decision_shape = self.scheme.data_count(cfg.n), int(math.log2(cfg.m))
         self.bits_per_symbol = math.prod(self.decision_shape)
         self.calib_seed = calib_seed
@@ -716,19 +741,14 @@ class _SweepContext:
 def _points(ctx: _SweepContext, grid) -> Iterator[BerPoint]:
     """Each power of grid's BerPoint, in grid order: drive, MMSE filter, analytic BER, SNR.
 
-    The scheme's drive, and the slicer's snr and ber, are each called once,
-    on the whole grid; they are elementwise, so each power's values are
-    those of a grid of it alone. MMSE builds a point's filter when the point
-    is taken: a caller that drops each point first holds one at a time.
+    The entry's drive is called once, on the whole grid, and so are the
+    slicer's snr and ber, in its column; they are elementwise, so each
+    power's values are those of a grid of it alone. MMSE's column builds a
+    point's filter when the point is taken: a caller that drops each point
+    first holds one at a time.
     """
-    cfg, scheme = ctx.cfg, ctx.scheme
     grid = np.asarray(grid, dtype=np.float64)
-    rows = zip(grid.tolist(), scheme.drive(ctx, grid).tolist())
-    if cfg.equalizer == "mmse":
-        return (_mmse_point(ctx, avg, p) for avg, p in rows)
-    snr = scheme.snr(ctx, grid)
-    return (BerPoint(avg, p, None, ber, s)
-            for (avg, p), ber, s in zip(rows, scheme.ber(snr, cfg.m).tolist(), snr.tolist()))
+    return ctx.scheme.column(ctx, grid, ctx.scheme.drive(ctx, grid).tolist())
 
 
 def _mmse_point(ctx: _SweepContext, avg_power: float, p: float) -> BerPoint:

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import io
 import re
@@ -386,6 +387,50 @@ def test_bad_permutation_file_fails_the_config(tmp_path, capsys, monkeypatch, te
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err
     assert work == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("stem, equalizer, message", [
+    ("awgn-hcm.hcm", "zf", "equalizer must be slicer or mmse, got 'zf'"),
+    ("awgn-ofdm.aco-ofdm", "mmse", "mmse equalization applies to hcm/dcr-hcm only"),
+], ids=["unknown", "no-entry"])
+def test_an_equalizer_with_no_entry_fails_the_config(tmp_path, capsys, monkeypatch, command,
+                                                     stem, equalizer, message):
+    # an equalizer that names no receiver, or one with no entry for the scheme,
+    # is a config error: exit 2 before --out opens and before any calibration
+    # or search
+    work = []
+    for fn in ("hcm_amplitude_pmf", "dcr_amplitude_pmf", "interleaver_search"):
+        monkeypatch.setattr(harness, fn, lambda *a, _fn=fn, **k: work.append(_fn))
+    out = tmp_path / "out.csv"
+    argv = [command, str(BENCH_CONFIGS / f"{stem}.conf"), "--set", f"equalizer={equalizer}",
+            "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+    assert not out.exists()
+    assert work == []
+
+
+@pytest.mark.parametrize("scheme", ["hcm", "dcr-hcm"])
+def test_mmse_is_a_receiver_entry_of_the_scheme_table(scheme):
+    # the context looks (scheme, equalizer) up once: the MMSE entry is the
+    # slicer's with its own receiver, and no chunk stage reads the equalizer,
+    # so a context built for MMSE counts the same errors under a slicer config
+    cfg = harness.ExperimentConfig(scheme=scheme, n=16, m=4, h=np.array([0.5, 0.3, 0.2]),
+                                   cp_len=2, equalizer="mmse", calib_symbols=2000)
+    ctx = harness._SweepContext(cfg)
+    slicer = harness._SCHEMES[scheme]
+    assert ctx.scheme is not slicer
+    fields = [f.name for f in dataclasses.fields(slicer)]
+    assert {name for name in fields if getattr(ctx.scheme, name) is not getattr(slicer, name)} \
+        == {"whole", "share", "excess", "finish", "column"}
+    points = list(harness._points(ctx, [2e-5, 7e-5]))
+    errors = harness._run_chunk(ctx, points, harness._stream(3, 0, 0), harness.CHUNK_SYMBOLS)
+    assert sum(errors) > 0
+    ctx.cfg = dataclasses.replace(cfg, equalizer="slicer")
+    assert harness._run_chunk(ctx, points, harness._stream(3, 0, 0),
+                              harness.CHUNK_SYMBOLS) == errors
 
 
 @pytest.mark.parametrize("scheme", ["aco-ofdm", "dco-ofdm"])
